@@ -36,13 +36,11 @@ Two controller configurations are timed:
 A third section times the *LP backends* head to head on the stacked
 κ_R solve itself (``--warm-steps N``): the same receding-horizon batch
 sequence is solved by the cold scipy path (every step re-factorises)
-and — when the optional ``highspy`` extra is installed — by the
-warm-started persistent-HiGHS backend (the model is passed once, each
-step only rewrites the initial-state equality RHS and reuses the
-incumbent basis).  The row is judged by *solve time per lockstep step*;
-both backends must attain identical per-step total optimal cost
-(plan-equivalent tier).  Without ``highspy`` the highs row is skipped
-and the artifact records ``highs_available: false``.
+and by the warm-started persistent-HiGHS backend (the model is passed
+once, each step only rewrites the initial-state equality RHS and reuses
+the incumbent basis).  The row is judged by *solve time per lockstep
+step*; both backends must attain identical per-step total optimal cost
+(plan-equivalent tier).
 
 Every run also writes a ``BENCH_lockstep.json`` perf-trajectory artifact
 (per-row episodes/sec + speedups, machine info) so successive commits
@@ -264,12 +262,11 @@ def run_warm_start_benchmark(
     plan-equivalent tolerance.
 
     Returns:
-        Dict with ``highs_available``, per-backend rows (seconds,
+        Dict with per-backend rows (seconds,
         solve-ms/step, speedup over scipy, max per-step cost deviation,
         ``ok``) and the workload shape.
     """
     from repro.utils.lp import reset_stack_cache_stats
-    from repro.utils.lp_backends import highs_available
 
     if case is None:
         case = build_case_study()
@@ -289,9 +286,8 @@ def run_warm_start_benchmark(
     tol = 1e-8 * max(1, episodes)
 
     rows = []
-    backends = ["scipy"] + (["highs"] if highs_available() else [])
     scipy_seconds = None
-    for backend in backends:
+    for backend in ("scipy", "highs"):
         mpc.set_lp_backend(backend)
         mpc.release_stacks()  # cold start for every timed row
         reset_stack_cache_stats()
@@ -325,7 +321,6 @@ def run_warm_start_benchmark(
         "episodes": episodes,
         "steps": steps,
         "seed": seed,
-        "highs_available": highs_available(),
         "cost_tolerance": tol,
         "rows": rows,
     }
@@ -349,8 +344,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--warm-steps", type=int, default=8, dest="warm_steps",
         help="lockstep steps for the LP-backend warm-start section "
-             "(0 disables; the highs row needs the optional highspy extra "
-             "and is skipped without it)",
+             "(0 disables)",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -400,13 +394,9 @@ def main(argv=None) -> int:
             args.episodes, args.warm_steps, args.seed
         )
         report["warm_start"] = warm
-        highspy_note = (
-            "installed" if warm["highs_available"]
-            else "absent — highs row skipped"
-        )
         print(
             f"\nwarm-start (stacked κ_R solve, {warm['episodes']} episodes x "
-            f"{warm['steps']} steps, highspy {highspy_note})"
+            f"{warm['steps']} steps)"
         )
         print(
             f"{'backend':<8} {'sec':>8} {'solve ms/step':>14} "

@@ -26,10 +26,6 @@ setup(
     python_requires=">=3.9",
     install_requires=["numpy", "scipy"],
     extras_require={
-        # Warm-started persistent-HiGHS LP backend for the stacked RMPC
-        # solves (repro.utils.lp_backends); everything falls back to the
-        # scipy linprog path without it.
-        "highs": ["highspy"],
         # JIT-compiled closed-form lockstep step kernel
         # (repro.framework.kernel); kernel="auto" falls back to the
         # bitwise-identical fused numpy path without it.

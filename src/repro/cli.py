@@ -576,11 +576,10 @@ def _add_lp_backend_flag(parser) -> None:
     parser.add_argument(
         "--lp-backend", choices=("auto", "highs", "scipy"), default=None,
         dest="lp_backend",
-        help="lockstep only: stacked-solve LP backend ('auto' = "
-             "warm-started persistent HiGHS when highspy is installed, "
-             "scipy otherwise; 'highs' requires highspy; 'scipy' forces "
-             "the linprog path); default: keep each controller's own "
-             "setting",
+        help="lockstep only: stacked-solve LP backend ('auto' and "
+             "'scipy' = cold, bitwise with linprog; 'highs' = "
+             "warm-started persistent HiGHS, plan-equivalent); default: "
+             "keep each controller's own setting",
     )
 
 

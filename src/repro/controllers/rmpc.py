@@ -16,19 +16,19 @@ the initial-state equality right-hand side, into a per-call copy.
 
 Batch solving: :meth:`RobustMPC.solve_batch` stacks the ``k`` per-state
 Eq.-5 problems into one block-diagonal HiGHS solve — the blocks share
-every matrix and differ only in the initial-state equality RHS.  Two
-backends can run the stack (selected by the ``lp_backend`` argument,
-``auto|highs|scipy`` — see :mod:`repro.utils.lp_backends`):
+every matrix and differ only in the initial-state equality RHS.  Every LP
+runs on scipy's bundled HiGHS core through :mod:`repro.utils.lp`; the
+``lp_backend`` argument (``auto|highs|scipy`` — see
+:mod:`repro.utils.lp_backends`) picks how the stack is solved:
 
-* ``scipy`` — :func:`repro.utils.lp.solve_lp_batch` over this
-  controller's owned :class:`~repro.utils.lp.BlockStack`; every call
-  re-factorises from scratch.  Always available.
-* ``highs`` — a :class:`~repro.utils.lp_backends.PersistentStackSolver`
-  owned by this controller: the stacked model is passed to a persistent
-  ``highspy.Highs`` instance once and subsequent calls only rewrite the
-  initial-state equality RHS, warm-starting from the previous solve's
-  basis.  Needs the optional ``highspy`` extra; ``auto`` falls back to
-  scipy without it.
+* ``auto`` / ``scipy`` (the default) — cold:
+  :func:`repro.utils.lp.solve_lp_batch` over this controller's owned
+  :class:`~repro.utils.lp.BlockStack`; every call re-factorises from
+  scratch and returns exactly what ``linprog`` would.
+* ``highs`` — warm: a :class:`~repro.utils.lp_backends.PersistentStackSolver`
+  owned by this controller keeps the stacked model in a persistent HiGHS
+  instance and only rewrites the initial-state equality RHS between
+  calls, warm-starting from the previous solve's basis.
 
 Under either backend each block attains exactly the scalar optimum
 *value*, but when an LP has multiple optimal vertices the stacked solve
@@ -37,15 +37,16 @@ warm-started solve a different one than a cold one) — the
 *plan-equivalent* tier of the determinism contract (see
 :mod:`repro.framework.lockstep`), which is why the class declares
 ``bitwise_batch = False``.  The scalar path (and with it the
-``exact_solves=True`` audit tier) always uses scipy's ``linprog`` and is
+``exact_solves=True`` audit tier) is always the cold solve and is
 therefore backend-invariant.
 
 Thread-safety contract: after construction, the scalar solve paths
 treat the assembled LP data as read-only (right-hand sides are modified
 on per-call copies), so one controller instance is safe to share across
 forked workers and re-entrant *scalar* calls.  :meth:`solve_batch` under
-the ``highs`` backend mutates its persistent solver in place and is not
-re-entrant (forked workers are fine — the solver is built lazily, so
+the ``highs`` backend mutates its persistent solver in place; the solver
+serialises its solves with its own lock, so threads sharing a controller
+take turns (forked workers are fine — the solver is built lazily, so
 each worker builds its own).  The remaining mutable state is the
 ``solve_count`` accounting counter, whose increments are not atomic —
 exact counts are only guaranteed for unthreaded use (forked workers each
@@ -59,7 +60,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from repro.controllers.base import Controller
 from repro.controllers.linear import lqr_gain
@@ -68,8 +68,18 @@ from repro.geometry import HPolytope
 from repro.invariance.rci import maximal_rpi
 from repro.observability.metrics import registry as _telemetry
 from repro.systems.lti import DiscreteLTISystem
-from repro.utils.lp import BlockStack, LPError, solve_lp_batch
-from repro.utils.lp_backends import BACKENDS, resolve_backend
+from repro.utils.lp import (
+    BlockStack,
+    LPError,
+    LPMatrix,
+    solve_lp_batch,
+    solve_prepared,
+)
+from repro.utils.lp_backends import (
+    BACKENDS,
+    PersistentStackSolver,
+    resolve_backend,
+)
 from repro.utils.validation import as_vector
 
 __all__ = [
@@ -134,10 +144,10 @@ class RobustMPC(Controller):
             set.  When None, an LQR gain with identity weights is used.
         tighten_with_closed_loop: If True, propagate the disturbance with
             ``A + B K`` (Chisci) instead of the paper's open-loop ``A``.
-        lp_backend: Stacked-solve backend request — ``"auto"`` (default:
-            warm-started persistent HiGHS when ``highspy`` is installed,
-            scipy otherwise), ``"highs"`` or ``"scipy"``.  Scalar solves
-            always use scipy (see the module docstring).
+        lp_backend: Stacked-solve backend request — ``"auto"`` (default)
+            or ``"scipy"`` for the cold solve, ``"highs"`` for the
+            warm-started persistent one.  Scalar solves are always cold
+            (see the module docstring).
     """
 
     #: A stacked :meth:`solve_batch` may return a different optimal vertex
@@ -191,7 +201,7 @@ class RobustMPC(Controller):
         self.terminal_set = terminal_set
 
         self._assemble_lp()
-        # This controller owns its stacks: the scipy backend's CSR stacks
+        # This controller owns its stacks: the cold backend's CSC stacks
         # live on the BlockStack, the highs backend's persistent models
         # on the lazily-built PersistentStackSolver — nothing is pinned
         # in the module-level LRU cache, so dropping the controller
@@ -294,13 +304,13 @@ class RobustMPC(Controller):
                 blocks.append(row)
                 rhs.append(np.zeros(m))
         # The constraint matrices are mostly structural zeros (each row
-        # touches one or two stage blocks), so hand HiGHS CSR directly —
-        # both for the scalar path and as the shared block of the stacked
-        # batch solve.
+        # touches one or two stage blocks), so they are kept sparse: CSR
+        # as the shared block of the stacked batch solve, and combined
+        # into HiGHS's CSC layout once for the scalar path.
         self._A_ub = sp.csr_matrix(np.vstack(blocks))
         self._A_eq = sp.csr_matrix(A_eq)
         self._b_ub = np.concatenate(rhs)
-        self._bounds = [(None, None)] * total
+        self._matrix = LPMatrix.from_blocks(self._A_ub, self._A_eq, total)
 
     # ------------------------------------------------------------------
     # Solving
@@ -313,15 +323,7 @@ class RobustMPC(Controller):
         """
         b_eq = self._b_eq.copy()
         b_eq[self._x0_rows] = x
-        return linprog(
-            self._cost,
-            A_ub=self._A_ub,
-            b_ub=self._b_ub,
-            A_eq=self._A_eq,
-            b_eq=b_eq,
-            bounds=self._bounds,
-            method="highs",
-        )
+        return solve_prepared(self._cost, self._matrix, self._b_ub, b_eq)
 
     def _unpack(self, solution: np.ndarray, cost: float) -> RMPCSolution:
         n, m, N = self.system.n, self.system.m, self.horizon
@@ -356,10 +358,10 @@ class RobustMPC(Controller):
     def set_lp_backend(self, backend: str) -> None:
         """Re-select the stacked-solve backend (``auto|highs|scipy``).
 
-        The execution engines call this to thread an
-        :class:`~repro.experiments.execution.ExecutionConfig` /
-        CLI backend choice down to the controller.  Sticky: the setting
-        persists until changed again.  An already-built persistent
+        Sticky: the setting persists until changed again and is what
+        :meth:`solve_batch` uses when a call names no backend (the
+        execution engines name one per call instead, so a run never
+        changes a shared controller's setting).  An already-built persistent
         solver is kept (switching back to ``highs`` reuses its
         warm-started models).
         """
@@ -372,8 +374,6 @@ class RobustMPC(Controller):
     def _persistent_solver(self):
         """The owned warm-started HiGHS solver, built on first use."""
         if self._persistent is None:
-            from repro.utils.lp_backends import PersistentStackSolver
-
             self._persistent = PersistentStackSolver(
                 cost=self._cost,
                 a_ub=self._A_ub,
@@ -387,7 +387,7 @@ class RobustMPC(Controller):
         return self._persistent
 
     def release_stacks(self) -> None:
-        """Eagerly free the owned CSR stacks and persistent HiGHS models.
+        """Eagerly free the owned CSC stacks and persistent HiGHS models.
 
         Purely a memory knob — both are rebuilt transparently on the
         next :meth:`solve_batch`.  (Dropping the controller reclaims
@@ -398,14 +398,15 @@ class RobustMPC(Controller):
             self._persistent.release()
             self._persistent = None
 
-    def solve_batch(self, states) -> List[RMPCSolution]:
+    def solve_batch(self, states, lp_backend=None) -> List[RMPCSolution]:
         """Solve Eq. (5) at every row of ``states`` in one stacked LP.
 
         The ``k`` per-state problems share every constraint matrix and
         differ only in the initial-state equality RHS, so they stack
-        into a single block-diagonal solve, run by the backend selected
-        via ``lp_backend`` — the warm-started persistent-HiGHS solver or
-        the scipy rebuild path (see the class docstring).  Each returned
+        into a single block-diagonal solve, run by the backend
+        ``lp_backend`` requests for this call (default: the controller's
+        own setting) — the cold rebuild path or the warm-started
+        persistent solver (see the class docstring).  Each returned
         plan attains exactly the scalar optimum value; the optimal
         vertex may differ when the LP is degenerate (plan-equivalent
         tier).  Counts ``k`` solves.
@@ -432,7 +433,8 @@ class RobustMPC(Controller):
         k = X.shape[0]
         stacked_backend = None
         try:
-            if k > 1 and resolve_backend(self.lp_backend) == "highs":
+            backend = self.lp_backend if lp_backend is None else lp_backend
+            if k > 1 and resolve_backend(backend) == "highs":
                 # Persistent warm-started stack: only the initial-state
                 # equality RHS is rewritten between calls.  All-or-
                 # nothing: a failed chunk discards every chunk's result
@@ -489,7 +491,7 @@ class RobustMPC(Controller):
         """κ_R(x): first input of the optimal plan (receding horizon)."""
         return self.solve(state).inputs[0]
 
-    def compute_batch(self, states) -> np.ndarray:
+    def compute_batch(self, states, lp_backend=None) -> np.ndarray:
         """κ_R on every row via one stacked solve (see :meth:`solve_batch`).
 
         Plan-equivalent to row-wise :meth:`compute`, not bitwise: each
@@ -500,7 +502,9 @@ class RobustMPC(Controller):
         X = np.atleast_2d(np.asarray(states, dtype=float))
         if X.shape[0] == 0:
             return np.zeros((0, self.input_dim))
-        return np.stack([sol.inputs[0] for sol in self.solve_batch(X)])
+        return np.stack(
+            [sol.inputs[0] for sol in self.solve_batch(X, lp_backend)]
+        )
 
     def is_feasible(self, state) -> bool:
         """Feasibility probe without raising.

@@ -49,10 +49,9 @@ class ExecutionConfig:
             for record-for-record parity with the serial engine instead
             of the plan-equivalent stacked solve.
         lp_backend: Lockstep only — stacked-solve backend request
-            (``"auto"``: warm-started persistent HiGHS when ``highspy``
-            is installed, scipy otherwise; ``"highs"``; ``"scipy"``; see
-            :mod:`repro.utils.lp_backends`).  ``None`` (default) keeps
-            each controller's own setting.  Deterministic metrics are
+            (``"auto"`` / ``"scipy"``: cold; ``"highs"``: warm-started
+            persistent HiGHS; see :mod:`repro.utils.lp_backends`).
+            ``None`` (default) keeps each controller's own setting.  Deterministic metrics are
             backend-invariant only at the plan-equivalent tier; pass
             ``exact_solves=True`` for bitwise (and trivially
             backend-invariant) audits.

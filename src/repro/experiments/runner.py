@@ -58,7 +58,6 @@ from repro.skipping.base import AlwaysSkipPolicy, SkippingPolicy
 from repro.skipping.heuristics import PeriodicSkipPolicy
 from repro.utils import chaos
 from repro.utils.lp import LPError
-from repro.utils.lp_backends import LPBackendError
 from repro.utils.parallel import fork_map, resolve_jobs
 
 __all__ = ["run_experiment", "run_sweep", "RECOVERABLE_CELL_ERRORS"]
@@ -70,15 +69,14 @@ __all__ = ["run_experiment", "run_sweep", "RECOVERABLE_CELL_ERRORS"]
 RECOVERABLE_CELL_ERRORS = (
     RMPCInfeasibleError,
     ScenarioSynthesisError,
-    LPBackendError,
     LPError,
     FloatingPointError,
     np.linalg.LinAlgError,
 )
 
 #: The subset for which the graceful-degradation chain applies: one
-#: re-attempt on the always-available scipy LP backend before recording.
-_SOLVER_ERRORS = (LPBackendError, LPError)
+#: re-attempt on the cold (``scipy``) LP backend before recording.
+_SOLVER_ERRORS = (LPError,)
 
 logger = logging.getLogger(__name__)
 
@@ -529,7 +527,7 @@ def _guarded_cell(
     Retry discipline under ``on_error="retry"``: up to ``cell_retries``
     plain re-attempts; a solver-layer error
     (:data:`_SOLVER_ERRORS`) additionally earns one re-attempt on the
-    always-available scipy LP backend — the graceful-degradation chain —
+    cold (``scipy``) LP backend — the graceful-degradation chain —
     before anything is recorded.  The scipy attempt also runs under
     ``on_error="record"`` (degrade-then-record), never under ``"fail"``.
     """

@@ -92,6 +92,7 @@ Caveats mirroring the serial semantics they replace:
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import List, Optional, Sequence
 
@@ -124,15 +125,18 @@ def _batch_compute_fn(
     ``exact_solves`` only changes anything for controllers that declare
     ``bitwise_batch = False``: their stacked batch path is swapped for
     the row-by-row scalar reference, restoring bitwise parity with the
-    serial engine.  A non-None ``lp_backend`` is threaded down to
-    controllers that expose ``set_lp_backend`` (stacked-LP solvers;
-    sticky for the controller) and ignored by everything else — the
-    scalar/exact path is backend-invariant by construction.
+    serial engine.  A non-None ``lp_backend`` is passed with every batch
+    call to controllers that expose ``set_lp_backend`` (stacked-LP
+    solvers) and ignored by everything else — the scalar/exact path is
+    backend-invariant by construction.  The controller's own setting is
+    left alone, so a run never changes what later runs of a shared
+    (cached) controller use, and concurrent runs cannot switch each
+    other's backend.
     """
-    if lp_backend is not None and hasattr(controller, "set_lp_backend"):
-        controller.set_lp_backend(lp_backend)
     if exact_solves and not getattr(controller, "bitwise_batch", True):
         return controller.compute_rowwise
+    if lp_backend is not None and hasattr(controller, "set_lp_backend"):
+        return functools.partial(controller.compute_batch, lp_backend=lp_backend)
     return controller.compute_batch
 
 

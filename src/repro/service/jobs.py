@@ -43,6 +43,11 @@ logger = logging.getLogger(__name__)
 #: Every state a job can report.  Terminal: ``done|failed|cancelled``.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
+#: Finished jobs (with their results and rows) a manager keeps; older
+#: finished ones are evicted and their ids answer 404.  Queued and
+#: running jobs are never evicted.
+MAX_FINISHED_JOBS = 256
+
 
 class JobCancelled(Exception):
     """Raised inside a running sweep to abandon a cancelled job."""
@@ -160,15 +165,16 @@ class JobManager:
     Jobs execute one at a time on a dedicated executor thread, in
     submission order; every job reads and writes the one store, so a
     cell solved by any earlier job (or by a checkpointed ``run_sweep``
-    pointed at the same directory) is served without re-solving.
+    pointed at the same directory) is served without re-solving.  Only
+    the newest :data:`MAX_FINISHED_JOBS` finished jobs are kept, so
+    memory does not grow with the number of jobs served.
     """
 
     def __init__(self, store):
         self.store = (
             store if isinstance(store, ResultStore) else ResultStore(store)
         )
-        self._jobs: Dict[str, Job] = {}
-        self._order: List[str] = []
+        self._jobs: Dict[str, Job] = {}  # submission order
         self._ids = itertools.count(1)
         self._queue: "queue.Queue[Optional[Job]]" = queue.Queue()
         self._lock = threading.Lock()
@@ -196,7 +202,6 @@ class JobManager:
                 raise RuntimeError("JobManager is shut down")
             job = Job(f"job-{next(self._ids)}", plan)
             self._jobs[job.id] = job
-            self._order.append(job.id)
         _obs.registry().inc("service_jobs_total", state="submitted")
         self._queue.put(job)
         logger.info(
@@ -206,14 +211,14 @@ class JobManager:
 
     # -- queries -------------------------------------------------------
     def get(self, job_id: str) -> Job:
-        """Job lookup by id (KeyError for unknown ids)."""
+        """Job lookup by id (KeyError for unknown or evicted ids)."""
         with self._lock:
             return self._jobs[job_id]
 
     def jobs(self) -> List[Job]:
-        """All jobs, in submission order."""
+        """All retained jobs, in submission order."""
         with self._lock:
-            return [self._jobs[job_id] for job_id in self._order]
+            return list(self._jobs.values())
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a job (see :meth:`Job.cancel`)."""
@@ -225,9 +230,16 @@ class JobManager:
             job = self._queue.get()
             if job is None:
                 return
-            if job.done:  # cancelled while queued
-                continue
-            self._execute(job)
+            if not job.done:  # else cancelled while queued
+                self._execute(job)
+            self._evict_finished()
+
+    def _evict_finished(self) -> None:
+        """Forget the oldest finished jobs beyond :data:`MAX_FINISHED_JOBS`."""
+        with self._lock:
+            finished = [jid for jid, job in self._jobs.items() if job.done]
+            for job_id in finished[: max(0, len(finished) - MAX_FINISHED_JOBS)]:
+                del self._jobs[job_id]
 
     def _execute(self, job: Job) -> None:
         with job._lock:

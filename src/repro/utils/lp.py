@@ -1,16 +1,29 @@
-"""Thin wrappers around :func:`scipy.optimize.linprog` (HiGHS backend).
+"""The LP layer: every LP of the package, solved on scipy's bundled HiGHS.
 
-``linprog`` defaults to non-negative variables, which is never what a set
-computation wants, so every wrapper here uses free variables unless told
-otherwise.  All wrappers return plain floats/arrays and raise
-:class:`LPError` on solver failure so callers do not have to inspect
-``OptimizeResult`` objects.
+Both halves of the method are LPs (certifying XI/X′ offline, the RMPC κ_R
+online), and most of their time used to go to :func:`scipy.optimize.linprog`'s
+Python wrapper rather than to HiGHS.  :func:`solve_prepared` drives the
+HiGHS class scipy ships (``scipy.optimize._highspy._core._Highs``) directly:
+it takes prebuilt CSC arrays (:class:`LPMatrix`, cached per constraint set,
+so a repeated solve only rewrites right-hand sides), sets exactly
+``linprog(method="highs")``'s options (presolve on, dual simplex, output
+off) and keeps ``linprog``'s status mapping and residual check — so every
+solve returns the bitwise-identical status, ``x`` and objective.
+
+The private core is imported behind a guard and checked against ``linprog``
+on a small LP at import; if it is missing or disagrees, a warning is logged
+and every solve goes through ``linprog`` (``lp_adapter_fallbacks_total``).
+Every solve counts one ``lp_solves_total{path=scalar|stacked|persistent}``.
+Variables are always free; the public wrappers raise :class:`LPError` on
+solver failure.
 """
 
 from __future__ import annotations
 
+import logging
+import threading
 from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,10 +31,16 @@ from scipy.optimize import linprog
 
 from ..observability.metrics import registry as _telemetry
 
+logger = logging.getLogger(__name__)
+
 __all__ = [
     "LPError",
     "LPSolution",
+    "LPMatrix",
+    "LPOutcome",
     "BlockStack",
+    "highs_core",
+    "solve_prepared",
     "solve_lp",
     "lp_feasible",
     "maximize",
@@ -31,11 +50,261 @@ __all__ = [
     "reset_stack_cache_stats",
 ]
 
+#: Solves by ``path`` (``scalar`` / ``stacked`` / ``persistent``).
+LP_SOLVES_METRIC = "lp_solves_total"
+
+#: Solves routed through ``linprog`` because the core is unusable.
+FALLBACK_METRIC = "lp_adapter_fallbacks_total"
+
+#: ``linprog``'s residual tolerance (``_check_result``: ``sqrt(1e-9) * 10``).
+_RESIDUAL_TOL = float(np.sqrt(1e-9) * 10)
+
 
 class LPError(RuntimeError):
     """Raised when an LP that was expected to solve does not."""
 
 
+class LPOutcome(NamedTuple):
+    """``linprog``'s status, point, objective and message for one solve
+    (``x`` and ``fun`` are None unless HiGHS reports optimal)."""
+
+    status: int
+    x: Optional[np.ndarray]
+    fun: Optional[float]
+    message: str
+
+    @property
+    def success(self) -> bool:
+        return self.status == 0
+
+
+class LPMatrix:
+    """``[A_ub; A_eq]`` as the CSC arrays ``linprog`` would hand HiGHS."""
+
+    __slots__ = ("indptr", "indices", "data", "rows_ub", "rows_eq", "cols")
+
+    def __init__(self, indptr, indices, data, rows_ub: int, rows_eq: int):
+        if not np.isfinite(data).all():
+            raise ValueError("constraint matrices must be finite")
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.rows_ub, self.rows_eq = int(rows_ub), int(rows_eq)
+        self.cols = len(indptr) - 1
+
+    @classmethod
+    def from_blocks(cls, a_ub, a_eq, cols: int) -> "LPMatrix":
+        """Combine dense or sparse blocks (either may be None)."""
+        sparse = sp.issparse(a_ub) or sp.issparse(a_eq)
+        if not sparse:
+            a_ub, a_eq = (None if b is None else np.asarray(b, dtype=float)
+                          for b in (a_ub, a_eq))
+        blocks = [b for b in (a_ub, a_eq) if b is not None]
+        for block in blocks:
+            if block.ndim != 2 or block.shape[1] != cols:
+                raise ValueError(
+                    f"constraint matrix of shape {block.shape} does not "
+                    f"match the {cols} variables"
+                )
+        rows_ub = 0 if a_ub is None else a_ub.shape[0]
+        rows_eq = 0 if a_eq is None else a_eq.shape[0]
+        if sparse:  # linprog's own route: COO blocks stacked into CSC
+            csc = sp.vstack(
+                [sp.coo_array(b, dtype=float) for b in blocks], format="csc"
+            )
+            csc.sort_indices()
+            return cls(csc.indptr, csc.indices, csc.data, rows_ub, rows_eq)
+        # Dense: the nonzeros of the transpose's rows are the CSC columns.
+        dense_t = (np.vstack(blocks) if blocks else np.zeros((0, cols))).T
+        nonzero = dense_t != 0
+        indptr = np.zeros(cols + 1, dtype=np.int32)
+        np.cumsum(nonzero.sum(axis=1), out=indptr[1:])
+        indices = np.nonzero(nonzero)[1].astype(np.int32)
+        return cls(indptr, indices, dense_t[nonzero], rows_ub, rows_eq)
+
+    @classmethod
+    def stacked(cls, a_ub, a_eq, k: int) -> "LPMatrix":
+        """``[diag(a_ub, …); diag(a_eq, …)]`` for ``k`` blocks."""
+        ub = sp.block_diag([_as_csr_block(a_ub)] * k, format="csr")
+        eq = None if a_eq is None else sp.block_diag(
+            [_as_csr_block(a_eq)] * k, format="csr"
+        )
+        return cls.from_blocks(ub, eq, ub.shape[1])
+
+    def blocks(self):
+        """``(A_ub, A_eq)`` as sparse matrices (None when empty)."""
+        csc = sp.csc_array(
+            (self.data, self.indices, self.indptr),
+            shape=(self.rows_ub + self.rows_eq, self.cols),
+        )
+        return (csc[: self.rows_ub] if self.rows_ub else None,
+                csc[self.rows_ub :] if self.rows_eq else None)
+
+
+class _Core:
+    """The checked private core module and ``linprog``'s option set."""
+
+    def __init__(self, module):
+        self.module = module
+        status = module.HighsModelStatus
+        # linprog's mapping; every status not listed maps to 4.
+        self.status_map = {
+            status.kOptimal: 0, status.kTimeLimit: 1,
+            status.kIterationLimit: 1, status.kInfeasible: 2,
+            status.kModelError: 2, status.kUnbounded: 3,
+        }
+        self.optimal = status.kOptimal
+        self.error = module.HighsStatus.kError
+        self.options = options = module.HighsOptions()
+        options.presolve = "on"
+        options.highs_debug_level = module.HighsDebugLevel.kHighsDebugLevelNone
+        options.log_to_console = False
+        options.output_flag = False
+        options.simplex_strategy = (
+            module.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        )
+
+    def model(self, cost, matrix: LPMatrix, row_lower, row_upper):
+        """A fresh ``_Highs`` with the options set and the LP passed, plus
+        ``passModel``'s status."""
+        lp = self.module.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = matrix.cols
+        lp.num_row_ = lp.a_matrix_.num_row_ = row_upper.size
+        lp.a_matrix_.format_ = self.module.MatrixFormat.kColwise
+        lp.col_cost_ = cost
+        lp.col_lower_ = np.full(matrix.cols, -np.inf)
+        lp.col_upper_ = np.full(matrix.cols, np.inf)
+        lp.row_lower_ = row_lower
+        lp.row_upper_ = row_upper
+        lp.a_matrix_.start_ = matrix.indptr
+        lp.a_matrix_.index_ = matrix.indices
+        lp.a_matrix_.value_ = matrix.data
+        highs = self.module._Highs()
+        highs.passOptions(self.options)
+        return highs, highs.passModel(lp)
+
+    def solve(self, c, matrix: LPMatrix, row_upper) -> LPOutcome:
+        """One cold solve, exactly as ``linprog`` runs it."""
+        row_lower = row_upper.copy()
+        row_lower[: matrix.rows_ub] = -np.inf
+        highs, passed = self.model(c, matrix, row_lower, row_upper)
+        if passed == self.error:
+            status = self.module.HighsModelStatus.kModelError
+        elif highs.run() == self.error:
+            status = highs.getModelStatus()
+        else:
+            status = highs.getModelStatus()
+            if status == self.optimal:
+                return self._checked(highs, matrix, row_upper)
+        return LPOutcome(self.status_map.get(status, 4), None, None,
+                         highs.modelStatusToString(status))
+
+    def _checked(self, highs, matrix: LPMatrix, row_upper) -> LPOutcome:
+        """The optimal point, demoted to status 4 when a residual is beyond
+        the tolerance (``linprog``'s ``_check_result``)."""
+        solution = highs.getSolution()
+        x = np.array(solution.col_value)
+        fun = highs.getInfo().objective_function_value
+        slack = row_upper - np.array(solution.row_value)
+        if (
+            np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
+            or (slack[: matrix.rows_ub] < -_RESIDUAL_TOL).any()
+            or (np.abs(slack[matrix.rows_ub :]) > _RESIDUAL_TOL).any()
+        ):
+            return LPOutcome(4, x, fun, "solution violates the constraints")
+        return LPOutcome(0, x, fun, "Optimal")
+
+
+def _run_linprog(c, matrix: LPMatrix, b_ub, b_eq) -> LPOutcome:
+    """The same LP through :func:`scipy.optimize.linprog` (the reference)."""
+    a_ub, a_eq = matrix.blocks()
+    res = linprog(
+        c, A_ub=a_ub, b_ub=b_ub if matrix.rows_ub else None,
+        A_eq=a_eq, b_eq=b_eq if matrix.rows_eq else None,
+        bounds=(None, None), method="highs",
+    )
+    x = None if res.x is None else np.asarray(res.x, dtype=float)
+    return LPOutcome(int(res.status), x, res.fun, str(res.message))
+
+
+def _import_core():
+    from scipy.optimize._highspy import _core
+
+    return _core
+
+
+def _self_test(core: _Core) -> bool:
+    """A small sparse LP with inequality and equality rows, solved by the
+    core and by ``linprog``: True iff bitwise-identical."""
+    c = np.array([1.0, 2.0, -1.0])
+    a_ub = sp.csr_matrix([[1.0, 1.0, 0.0], [0.0, -1.0, 1.0],
+                          [-1.0, 0.0, 2.0], [-1.0, -1.0, -1.0]])
+    b = np.array([4.0, 1.0, 3.0, 2.0, 0.5])
+    matrix = LPMatrix.from_blocks(a_ub, np.array([[1.0, -1.0, 0.5]]), 3)
+    fast = core.solve(c, matrix, b)
+    slow = _run_linprog(c, matrix, b[:4], b[4:])
+    return (fast.status == slow.status == 0
+            and fast.x.tobytes() == slow.x.tobytes()
+            and np.float64(fast.fun).tobytes()
+            == np.float64(slow.fun).tobytes())
+
+
+def _load_core() -> Optional[_Core]:
+    """The checked core, or None (warning logged) to use ``linprog``."""
+    try:
+        core = _Core(_import_core())
+        if not _self_test(core):
+            raise RuntimeError("self-test disagrees with linprog")
+        return core
+    except Exception as exc:  # noqa: BLE001 - any failure means "fall back"
+        logger.warning(
+            "scipy's bundled HiGHS core is unusable (%s: %s); every LP goes "
+            "through scipy.optimize.linprog", type(exc).__name__, exc,
+        )
+        return None
+
+
+_core: Optional[_Core] = _load_core()
+
+
+def highs_core() -> Optional[_Core]:
+    """The checked bundled core, or None when every LP falls back to
+    ``linprog``."""
+    return _core
+
+
+def solve_prepared(
+    c, matrix: LPMatrix, b_ub, b_eq=None, path: str = "scalar"
+) -> LPOutcome:
+    """Minimise ``c @ x`` s.t. ``A_ub x <= b_ub``, ``A_eq x = b_eq`` over a
+    prepared :class:`LPMatrix` — the adapter every LP goes through.
+
+    Raises:
+        ValueError: On shape mismatches or non-finite data (as ``linprog``).
+    """
+    c = np.asarray(c, dtype=float).reshape(-1)
+    b_ub = np.asarray(() if b_ub is None else b_ub, dtype=float).reshape(-1)
+    b_eq = np.asarray(() if b_eq is None else b_eq, dtype=float).reshape(-1)
+    if (c.size, b_ub.size, b_eq.size) != (
+        matrix.cols, matrix.rows_ub, matrix.rows_eq
+    ):
+        raise ValueError(
+            f"(c, b_ub, b_eq) sizes {(c.size, b_ub.size, b_eq.size)} do not "
+            f"match the constraints' {(matrix.cols, matrix.rows_ub, matrix.rows_eq)}"
+        )
+    row_upper = np.concatenate([b_ub, b_eq])
+    if not (np.isfinite(c).all() and np.isfinite(row_upper).all()):
+        raise ValueError("c, b_ub and b_eq must be finite")
+    reg = _telemetry()
+    reg.inc(LP_SOLVES_METRIC, path=path)
+    core = _core
+    if core is None:
+        reg.inc(FALLBACK_METRIC, path=path)
+        return _run_linprog(c, matrix, b_ub, b_eq)
+    return core.solve(c, matrix, row_upper)
+
+
+# ----------------------------------------------------------------------
+# Block-diagonal stacks
+# ----------------------------------------------------------------------
 #: Anonymous block-diagonal stacks keyed on ``(id(a_ub), id(a_eq), k)``,
 #: LRU-bounded (hits refresh recency).  This cache serves *ownerless*
 #: callers only — the geometry layer's support sweeps over ephemeral
@@ -44,7 +313,7 @@ class LPError(RuntimeError):
 #: object identity and keeps strong references to the source matrices,
 #: so a dead caller's matrices stay pinned until LRU churn evicts them,
 #: and an unrelated sweep can evict a hot entry mid-run.  They own a
-#: :class:`BlockStack` instead (the persistent-HiGHS backend's
+#: :class:`BlockStack` instead (the warm-started
 #: :class:`~repro.utils.lp_backends.PersistentStackSolver` likewise owns
 #: its models), so their stacks live and die with the owner.
 _STACK_CACHE: dict = {}
@@ -96,16 +365,17 @@ def _as_csr_block(matrix):
 
 
 class BlockStack:
-    """Owner-held block-diagonal CSR stacks for one ``(a_ub, a_eq)`` pair.
+    """Owner-held block-diagonal stacks for one ``(a_ub, a_eq)`` pair.
 
     Explicit ownership replaces global-cache pinning: a long-lived caller
     (e.g. :class:`~repro.controllers.rmpc.RobustMPC`) holds one
     ``BlockStack`` for its constraint matrices and passes it to
-    :func:`solve_lp_batch` via ``stack=``.  The built stacks live on this
-    object — never in the module-level LRU — so an unrelated sweep of
-    ephemeral polytopes cannot evict them mid-run, and when the owner is
-    garbage-collected the stacks (and the source matrices they reference)
-    are reclaimed with it.
+    :func:`solve_lp_batch` via ``stack=``.  The built stacks — combined
+    CSC :class:`LPMatrix` arrays, so a stacked solve only rewrites the
+    right-hand sides — live on this object, never in the module-level
+    LRU, so an unrelated sweep of ephemeral polytopes cannot evict them
+    mid-run, and when the owner is garbage-collected the stacks (and the
+    source matrices they reference) are reclaimed with it.
 
     Args:
         a_ub: Shared inequality block (dense or scipy sparse).
@@ -120,57 +390,53 @@ class BlockStack:
         self._a_ub = a_ub
         self._a_eq = a_eq
         self._max_entries = int(max_entries)
-        self._stacks: dict = {}  # k -> (stacked_ub, stacked_eq), LRU order
+        self._stacks: dict = {}  # k -> LPMatrix, LRU order
+        self._lock = threading.Lock()
 
     def matches(self, a_ub, a_eq) -> bool:
         """True iff this stack owns exactly the given block matrices."""
         return a_ub is self._a_ub and a_eq is self._a_eq
 
-    def stacked(self, k: int):
-        """``diag(a_ub, …)`` / ``diag(a_eq, …)`` CSR for ``k`` blocks."""
-        cached = self._stacks.pop(k, None)
+    def stacked(self, k: int) -> LPMatrix:
+        """The combined ``[diag(a_ub, …); diag(a_eq, …)]`` for ``k`` blocks."""
+        with self._lock:
+            cached = self._stacks.pop(k, None)
+            if cached is not None:
+                self._stacks[k] = cached  # re-insert: LRU recency refresh
         if cached is not None:
             _telemetry().inc(STACK_CACHE_METRIC, cache="owned", event="hit")
-            self._stacks[k] = cached  # re-insert: LRU recency refresh
             return cached
         _telemetry().inc(STACK_CACHE_METRIC, cache="owned", event="miss")
-        stacked_ub = sp.block_diag([_as_csr_block(self._a_ub)] * k, format="csr")
-        stacked_eq = None
-        if self._a_eq is not None:
-            stacked_eq = sp.block_diag(
-                [_as_csr_block(self._a_eq)] * k, format="csr"
-            )
-        while len(self._stacks) >= self._max_entries:
-            self._stacks.pop(next(iter(self._stacks)))
-        self._stacks[k] = (stacked_ub, stacked_eq)
-        return stacked_ub, stacked_eq
+        matrix = LPMatrix.stacked(self._a_ub, self._a_eq, k)
+        with self._lock:
+            while len(self._stacks) >= self._max_entries:
+                self._stacks.pop(next(iter(self._stacks)))
+            self._stacks[k] = matrix
+        return matrix
 
     def release(self) -> None:
         """Drop every built stack (they are rebuilt on the next solve)."""
-        self._stacks.clear()
+        with self._lock:
+            self._stacks.clear()
 
     def __len__(self) -> int:
         return len(self._stacks)
 
 
-def _stacked_blocks(a_ub, a_eq, k: int):
-    """``diag(a_ub, …)`` and ``diag(a_eq, …)`` as CSR, cached per (ids, k)."""
+def _stacked_blocks(a_ub, a_eq, k: int) -> LPMatrix:
+    """The combined stack for ``k`` blocks, cached per (ids, k)."""
     key = (id(a_ub), None if a_eq is None else id(a_eq), k)
     cached = _STACK_CACHE.pop(key, None)
     if cached is not None:
         _telemetry().inc(STACK_CACHE_METRIC, cache="anonymous", event="hit")
         _STACK_CACHE[key] = cached  # re-insert: LRU recency refresh
-        return cached[0], cached[1]
+        return cached[0]
     _telemetry().inc(STACK_CACHE_METRIC, cache="anonymous", event="miss")
-    block_ub = _as_csr_block(a_ub)
-    stacked_ub = sp.block_diag([block_ub] * k, format="csr")
-    stacked_eq = None
-    if a_eq is not None:
-        stacked_eq = sp.block_diag([_as_csr_block(a_eq)] * k, format="csr")
+    matrix = LPMatrix.stacked(a_ub, a_eq, k)
     while len(_STACK_CACHE) >= _STACK_CACHE_MAX:
         _STACK_CACHE.pop(next(iter(_STACK_CACHE)))
-    _STACK_CACHE[key] = (stacked_ub, stacked_eq, a_ub, a_eq)
-    return stacked_ub, stacked_eq
+    _STACK_CACHE[key] = (matrix, a_ub, a_eq)
+    return matrix
 
 
 def _stack_rhs(rhs, k: int, rows: int, name: str) -> np.ndarray:
@@ -192,6 +458,9 @@ def _stack_rhs(rhs, k: int, rows: int, name: str) -> np.ndarray:
     raise ValueError(f"{name} must be 1-D (shared) or 2-D (per-block)")
 
 
+# ----------------------------------------------------------------------
+# Public wrappers
+# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class LPSolution:
     """Result of a successful LP solve.
@@ -207,51 +476,26 @@ class LPSolution:
     status: int
 
 
-def solve_lp(
-    c,
-    a_ub=None,
-    b_ub=None,
-    a_eq=None,
-    b_eq=None,
-    bounds=None,
-) -> LPSolution:
-    """Minimise ``c @ x`` subject to ``a_ub @ x <= b_ub`` and equalities.
-
-    Variables are free (``(-inf, inf)``) unless ``bounds`` is given.
+def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LPSolution:
+    """Minimise ``c @ x`` subject to ``a_ub @ x <= b_ub`` and equalities,
+    over free variables.
 
     Raises:
         LPError: If the problem is infeasible, unbounded, or the solver
             fails numerically.
     """
-    c = np.asarray(c, dtype=float)
-    if bounds is None:
-        bounds = [(None, None)] * c.size
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs",
-    )
+    c = np.asarray(c, dtype=float).reshape(-1)
+    res = solve_prepared(c, LPMatrix.from_blocks(a_ub, a_eq, c.size), b_ub, b_eq)
     if not res.success:
         raise LPError(f"LP failed (status={res.status}): {res.message}")
-    return LPSolution(x=np.asarray(res.x, dtype=float), value=float(res.fun), status=int(res.status))
+    return LPSolution(x=res.x, value=float(res.fun), status=res.status)
 
 
 def lp_feasible(a_ub, b_ub, a_eq=None, b_eq=None) -> bool:
     """Return True iff ``{x : a_ub x <= b_ub, a_eq x = b_eq}`` is non-empty."""
-    a_ub = np.asarray(a_ub, dtype=float)
-    n = a_ub.shape[1]
-    res = linprog(
-        np.zeros(n),
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=[(None, None)] * n,
-        method="highs",
+    n = np.shape(a_ub)[1]
+    res = solve_prepared(
+        np.zeros(n), LPMatrix.from_blocks(a_ub, a_eq, n), b_ub, b_eq
     )
     # Status 2 is "infeasible"; anything else with success=False is a real
     # solver failure that the caller should see.
@@ -271,19 +515,19 @@ def solve_lp_batch(
     a_eq x = b_eq_i`` are assembled into a single block-diagonal LP
     (variables ``[x_1 … x_k]``, constraints ``diag(a_ub, …, a_ub)`` and
     ``diag(a_eq, …, a_eq)``) and handed to HiGHS in one call — replacing
-    a Python loop of ``k`` ``linprog`` calls.  The constraint matrices
-    are shared across blocks; the right-hand sides may be shared (1-D,
-    tiled to every block) or per-block (2-D ``(k, rows)``), which is what
-    lets :meth:`repro.controllers.rmpc.RobustMPC.solve_batch` stack ``k``
+    a Python loop of ``k`` scalar solves.  The constraint matrices are
+    shared across blocks; the right-hand sides may be shared (1-D, tiled
+    to every block) or per-block (2-D ``(k, rows)``), which is what lets
+    :meth:`repro.controllers.rmpc.RobustMPC.solve_batch` stack ``k``
     Eq.-5 problems that differ only in their initial-state equalities.
 
-    The stacks are built sparse (memory ``O(k · nnz)``).  Anonymous
-    callers get them cached per ``(a_ub, a_eq, k)`` identity in a
-    module-level LRU; long-lived callers pass an owned
-    :class:`BlockStack` via ``stack`` so repeated calls over the same
-    shared matrices — the per-step pattern of the lockstep engine — only
-    rewrite the RHS vectors, without pinning anything in (or being
-    evicted from) the global cache.
+    The stacks are built sparse (memory ``O(k · nnz)``) as combined CSC
+    :class:`LPMatrix` arrays.  Anonymous callers get them cached per
+    ``(a_ub, a_eq, k)`` identity in a module-level LRU; long-lived
+    callers pass an owned :class:`BlockStack` via ``stack`` so repeated
+    calls over the same shared matrices — the per-step pattern of the
+    lockstep engine — only rewrite the RHS vectors, without pinning
+    anything in (or being evicted from) the global cache.
 
     Because the blocks are fully decoupled, the stacked optimum restricted
     to block ``i`` attains exactly the optimal *value* of problem ``i``
@@ -329,31 +573,24 @@ def solve_lp_batch(
                 "stack was built for different block matrices than the "
                 "(a_ub, a_eq) passed to solve_lp_batch"
             )
-        stacked_A, stacked_A_eq = stack.stacked(k)
+        matrix = stack.stacked(k)
     else:
-        stacked_A, stacked_A_eq = _stacked_blocks(a_ub, a_eq, k)
+        matrix = _stacked_blocks(a_ub, a_eq, k)
     stacked_b = _stack_rhs(b_ub, k, rows, "b_ub")
     stacked_b_eq = None
     if a_eq is not None:
-        rows_eq = a_eq.shape[0]
-        stacked_b_eq = _stack_rhs(b_eq, k, rows_eq, "b_eq")
-    res = linprog(
-        C.reshape(-1),
-        A_ub=stacked_A,
-        b_ub=stacked_b,
-        A_eq=stacked_A_eq,
-        b_eq=stacked_b_eq,
-        bounds=[(None, None)] * (n * k),
-        method="highs",
+        stacked_b_eq = _stack_rhs(b_eq, k, a_eq.shape[0], "b_eq")
+    res = solve_prepared(
+        C.reshape(-1), matrix, stacked_b, stacked_b_eq, path="stacked"
     )
     if not res.success:
         raise LPError(
             f"stacked LP ({k} blocks) failed (status={res.status}): {res.message}"
         )
-    X = np.asarray(res.x, dtype=float).reshape(k, n)
+    X = res.x.reshape(k, n)
     values = np.einsum("ij,ij->i", C, X)
     return [
-        LPSolution(x=X[i], value=float(values[i]), status=int(res.status))
+        LPSolution(x=X[i], value=float(values[i]), status=res.status)
         for i in range(k)
     ]
 

@@ -1,58 +1,52 @@
-"""Pluggable LP backends for the stacked block-diagonal batch solves.
+"""The two ways of running the stacked Eq.-5 solves of
+:meth:`repro.controllers.rmpc.RobustMPC.solve_batch`.
 
-Two backends solve the stacked Eq.-5 problems of
-:meth:`repro.controllers.rmpc.RobustMPC.solve_batch`:
+Both run on scipy's bundled HiGHS core (:mod:`repro.utils.lp`); nothing is
+optional.  A backend *request* (``"auto"``, ``"highs"`` or ``"scipy"``) is
+mapped by :func:`resolve_backend` to the effective backend:
 
-* ``"scipy"`` — the always-available fallback: one
-  :func:`scipy.optimize.linprog` call per batch over the cached CSR
-  stack (:func:`repro.utils.lp.solve_lp_batch`).  Every call rebuilds
-  the HiGHS internals and re-factorises the basis from scratch.
-* ``"highs"`` — a *persistent* HiGHS process model
-  (:class:`PersistentStackSolver`): the stacked model is passed to a
-  ``highspy.Highs`` instance once, and subsequent solves only rewrite
-  the initial-state equality right-hand side (``changeRowsBoundsBySet``)
-  so HiGHS warm-starts from the previous solve's basis instead of
-  re-factorising.  Across consecutive lockstep steps the stacked
-  problem is identical except for that RHS, which is exactly the
-  pattern warm-starting amortises.
+* ``"scipy"`` (also ``"auto"``, the default) — cold: one fresh solve per
+  batch over the cached CSC stack (:func:`repro.utils.lp.solve_lp_batch`),
+  bitwise-identical to ``linprog``.
+* ``"highs"`` — warm: a persistent HiGHS model per chunk size
+  (:class:`PersistentStackSolver`).  Each solve only rewrites the varying
+  equality rows (``changeRowBounds``) and re-runs from the previous basis —
+  across lockstep steps the stack changes in nothing else.  A warm solve
+  attains the cold optimal cost but may land on a different optimal
+  *vertex* of a degenerate LP (the plan-equivalent tier of
+  :mod:`repro.framework.lockstep`), which is why the default stays cold;
+  ``exact_solves=True`` audits stay on the scalar path under every backend.
+  ``"highs"`` resolves to ``"scipy"`` only when the core failed its
+  import-time check.
 
-``highspy`` is an optional extra (``pip install
-repro-intermittent-control[highs]``); every entry point accepts a
-backend *request* — ``"auto"`` (highs when importable, else scipy),
-``"highs"`` (error if unavailable) or ``"scipy"`` — and
-:func:`resolve_backend` turns the request into the effective backend.
-
-Determinism: both backends attain the scalar solver's optimal cost
-(the plan-equivalent tier of :mod:`repro.framework.lockstep`), but a
-warm-started solve may land on a different optimal *vertex* than a cold
-one when the LP is degenerate — the vertex can depend on the previous
-step's basis.  Audits that need bitwise reproducibility use
-``exact_solves=True``, which routes through the scalar scipy path under
-every backend and is therefore backend-invariant.
-
-Thread-safety: a :class:`PersistentStackSolver` mutates its ``Highs``
-instances in place and is **not** re-entrant; one controller's persistent
-solver must not be driven from concurrent threads.  Forked workers are
-fine — the solver is built lazily, so each worker builds its own.
+Thread-safety: a :class:`PersistentStackSolver` mutates its HiGHS
+instances in place, so solves and releases hold a per-solver lock and
+threads sharing one controller take turns.  Forked workers build their own
+solver lazily.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import List, Optional
+import threading
+from typing import List
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.observability.metrics import registry as _telemetry
-from repro.utils.lp import LPError, LPSolution
+from repro.utils.lp import (
+    LP_SOLVES_METRIC,
+    LPError,
+    LPMatrix,
+    LPSolution,
+    _as_csr_block,
+    highs_core,
+)
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
     "BACKENDS",
-    "LPBackendError",
-    "highs_available",
     "resolve_backend",
     "PersistentStackSolver",
 ]
@@ -68,24 +62,11 @@ BACKENDS = ("auto", "highs", "scipy")
 #: between steps (only the remainder chunk goes cold).
 DEFAULT_CHUNK_SIZE = 1024
 
-_HIGHS_AVAILABLE: Optional[bool] = None
-
-
-class LPBackendError(RuntimeError):
-    """Raised when a requested LP backend cannot be provided."""
-
-
-def highs_available() -> bool:
-    """True iff the optional ``highspy`` extra is importable (cached)."""
-    global _HIGHS_AVAILABLE
-    if _HIGHS_AVAILABLE is None:
-        try:
-            import highspy  # noqa: F401
-
-            _HIGHS_AVAILABLE = True
-        except ImportError:
-            _HIGHS_AVAILABLE = False
-    return _HIGHS_AVAILABLE
+#: Persistent chunk models one solver keeps (LRU).  Every distinct batch
+#: size below the chunk size needs its own model, each a full HiGHS
+#: instance, so the cap bounds the memory of a solver whose batch size
+#: drifts; a size that was evicted is rebuilt cold.
+DEFAULT_MAX_MODELS = 2
 
 
 def resolve_backend(backend: str = "auto") -> str:
@@ -95,99 +76,54 @@ def resolve_backend(backend: str = "auto") -> str:
         backend: ``"auto"``, ``"highs"`` or ``"scipy"``.
 
     Returns:
-        ``"highs"`` or ``"scipy"``.
+        ``"highs"`` (warm) for an explicit ``"highs"`` request, else
+        ``"scipy"`` (cold).
 
     Raises:
         ValueError: On names outside :data:`BACKENDS`.
-        LPBackendError: For an explicit ``"highs"`` request when
-            ``highspy`` is not installed (``"auto"`` silently falls back
-            to scipy instead).
     """
     if backend not in BACKENDS:
         raise ValueError(
             f"lp backend must be one of {BACKENDS}, got {backend!r}"
         )
-    if backend == "scipy":
-        return "scipy"
-    if highs_available():
+    if backend == "highs" and highs_core() is not None:
         return "highs"
-    if backend == "auto":
-        logger.debug("lp backend 'auto': highspy unavailable, using scipy")
-    if backend == "highs":
-        raise LPBackendError(
-            "lp backend 'highs' requested but highspy is not installed "
-            "(pip install highspy, or the [highs] extra); "
-            "use backend 'auto' to fall back to scipy"
-        )
     return "scipy"
 
 
-def _as_csr(matrix) -> sp.csr_matrix:
-    if sp.issparse(matrix):
-        return matrix.tocsr()
-    return sp.csr_matrix(np.asarray(matrix, dtype=float))
-
-
 class _ChunkModel:
-    """One persistent ``highspy.Highs`` instance for a fixed chunk size.
+    """One persistent HiGHS instance for a fixed chunk size.
 
     Holds the stacked model for ``blocks`` copies of the scalar block;
     built (``passModel``) exactly once, then every :meth:`solve` only
     rewrites the varying equality rows and re-runs — HiGHS reuses the
     incumbent basis, so repeated solves skip the from-scratch
-    factorisation the scipy path pays every call.
+    factorisation the cold path pays every call.
     """
 
     def __init__(self, owner: "PersistentStackSolver", blocks: int):
-        import highspy
-
-        self._highspy = highspy
-        self.blocks = int(blocks)
-        n = owner.block_cols
-        rows_ub = owner.rows_ub
-        rows_eq = owner.rows_eq
-        k = self.blocks
-
-        stacked_ub = sp.block_diag([owner.a_ub] * k, format="csr")
-        stacked_eq = sp.block_diag([owner.a_eq] * k, format="csr")
-        matrix = sp.vstack([stacked_ub, stacked_eq], format="csc")
-
-        num_col = n * k
-        num_row = (rows_ub + rows_eq) * k
-        inf = highspy.kHighsInf
-        row_lower = np.empty(num_row)
-        row_upper = np.empty(num_row)
-        row_lower[: rows_ub * k] = -inf
-        row_upper[: rows_ub * k] = np.tile(owner.b_ub, k)
-        eq_rhs = np.tile(owner.b_eq, k)
-        row_lower[rows_ub * k :] = eq_rhs
-        row_upper[rows_ub * k :] = eq_rhs
-
-        lp = highspy.HighsLp()
-        lp.num_col_ = num_col
-        lp.num_row_ = num_row
-        lp.col_cost_ = np.tile(owner.cost, k)
-        lp.col_lower_ = np.full(num_col, -inf)
-        lp.col_upper_ = np.full(num_col, inf)
-        lp.row_lower_ = row_lower
-        lp.row_upper_ = row_upper
-        lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = matrix.indptr.astype(np.int32)
-        lp.a_matrix_.index_ = matrix.indices.astype(np.int32)
-        lp.a_matrix_.value_ = matrix.data.astype(np.float64)
-
-        self._highs = highspy.Highs()
-        self._highs.setOptionValue("output_flag", False)
-        self._highs.passModel(lp)
+        core = highs_core()
+        if core is None:
+            raise LPError("the bundled HiGHS core is unavailable")
+        self._core = core
+        self.blocks = k = int(blocks)
+        matrix = LPMatrix.stacked(owner.a_ub, owner.a_eq, k)
+        rows_ub = owner.rows_ub * k
+        row_upper = np.concatenate(
+            [np.tile(owner.b_ub, k), np.tile(owner.b_eq, k)]
+        )
+        row_lower = row_upper.copy()
+        row_lower[:rows_ub] = -np.inf
+        self._highs, _ = core.model(
+            np.tile(owner.cost, k), matrix, row_lower, row_upper
+        )
 
         # Flat row indices of the varying equality entries: block i's
-        # varying rows live at rows_ub*k + i*rows_eq + varying.
+        # varying rows live at rows_ub + i*rows_eq + varying.
         vary = np.asarray(owner.varying_eq_rows, dtype=np.int64)
-        offsets = rows_ub * k + rows_eq * np.arange(k, dtype=np.int64)
-        self._vary_idx = (
-            (offsets[:, None] + vary[None, :]).reshape(-1).astype(np.int32)
-        )
-        self._n = n
+        offsets = rows_ub + owner.rows_eq * np.arange(k, dtype=np.int64)
+        self._vary_idx = (offsets[:, None] + vary[None, :]).reshape(-1).tolist()
+        self._n = owner.block_cols
         self.solves = 0
 
     def solve(self, values: np.ndarray) -> np.ndarray:
@@ -203,27 +139,29 @@ class _ChunkModel:
             LPError: If HiGHS does not reach optimality (infeasible,
                 unbounded, or a numerical failure).
         """
-        flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-        self._highs.changeRowsBoundsBySet(
-            len(self._vary_idx), self._vary_idx, flat, flat
-        )
-        self._highs.run()
-        status = self._highs.getModelStatus()
+        highs = self._highs
+        change = highs.changeRowBounds
+        for row, value in zip(
+            self._vary_idx, np.asarray(values, dtype=float).reshape(-1).tolist()
+        ):
+            change(row, value, value)
+        highs.run()
+        status = highs.getModelStatus()
+        reg = _telemetry()
+        reg.inc(LP_SOLVES_METRIC, path="persistent")
         # First solve of a freshly-passed model factorises from scratch;
         # every later one warm-starts from the incumbent basis.
-        _telemetry().inc(
+        reg.inc(
             "lp_persistent_solves_total",
             start="warm" if self.solves else "cold",
         )
         self.solves += 1
-        if status != self._highspy.HighsModelStatus.kOptimal:
+        if status != self._core.optimal:
             raise LPError(
                 f"persistent stacked LP ({self.blocks} blocks) failed: "
-                f"{self._highs.modelStatusToString(status)}"
+                f"{highs.modelStatusToString(status)}"
             )
-        solution = np.asarray(
-            self._highs.getSolution().col_value, dtype=float
-        )
+        solution = np.asarray(highs.getSolution().col_value, dtype=float)
         return solution.reshape(self.blocks, self._n)
 
     def release(self) -> None:
@@ -234,10 +172,10 @@ class PersistentStackSolver:
     """Warm-started persistent-HiGHS solver for one controller's stack.
 
     Owns everything the stacked solves need — the scalar block data
-    *and* the per-chunk-size ``Highs`` instances — so the controller
-    that holds this solver is the explicit owner of its stacks: nothing
-    is pinned in a global cache, and dropping the controller reclaims
-    the models (see the ownership contract in :mod:`repro.utils.lp`).
+    *and* the per-chunk-size HiGHS instances — so the controller that
+    holds this solver is the explicit owner of its stacks: nothing is
+    pinned in a global cache, and dropping the controller reclaims the
+    models (see the ownership contract in :mod:`repro.utils.lp`).
 
     The solved problem family is ``min cost @ x`` subject to
     ``a_ub x <= b_ub`` and ``a_eq x = b_eq`` per block, where only the
@@ -245,7 +183,8 @@ class PersistentStackSolver:
     between calls (the RMPC initial-state pattern).  Batches of ``k``
     blocks are split into chunks of at most ``chunk_size`` (see
     :data:`DEFAULT_CHUNK_SIZE`); each distinct chunk size keeps one
-    persistent model, LRU-bounded by ``max_models``.
+    persistent model, LRU-bounded by ``max_models``.  Solves and
+    releases hold a per-solver lock, so threads take turns.
 
     Args:
         cost: ``(n,)`` shared per-block objective.
@@ -258,9 +197,6 @@ class PersistentStackSolver:
             block / per call.
         chunk_size: Chunk width for large batches.
         max_models: Persistent models kept across distinct chunk sizes.
-
-    Raises:
-        LPBackendError: If ``highspy`` is not installed.
     """
 
     def __init__(
@@ -272,18 +208,16 @@ class PersistentStackSolver:
         b_eq,
         varying_eq_rows,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        max_models: int = 8,
+        max_models: int = DEFAULT_MAX_MODELS,
     ):
-        if not highs_available():
-            raise LPBackendError(
-                "PersistentStackSolver needs highspy (the [highs] extra)"
-            )
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
+        if max_models < 1:
+            raise ValueError("max_models must be >= 1")
         self.cost = np.asarray(cost, dtype=float)
-        self.a_ub = _as_csr(a_ub)
+        self.a_ub = _as_csr_block(a_ub)
         self.b_ub = np.asarray(b_ub, dtype=float).reshape(-1)
-        self.a_eq = _as_csr(a_eq)
+        self.a_eq = _as_csr_block(a_eq)
         self.b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
         self.varying_eq_rows = np.asarray(varying_eq_rows, dtype=np.int64)
         self.block_cols = self.a_ub.shape[1]
@@ -301,6 +235,7 @@ class PersistentStackSolver:
         self.chunk_size = int(chunk_size)
         self.max_models = int(max_models)
         self._models: dict = {}  # chunk size -> _ChunkModel (LRU order)
+        self._lock = threading.Lock()
         self.model_builds = 0
         self.solve_calls = 0
 
@@ -343,13 +278,16 @@ class PersistentStackSolver:
                 f"values have {V.shape[1]} columns, expected "
                 f"{self.varying_eq_rows.size} varying equality rows"
             )
-        self.solve_calls += 1
         points = np.empty((k, self.block_cols))
-        start = 0
-        while start < k:
-            stop = min(start + self.chunk_size, k)
-            points[start:stop] = self._model(stop - start).solve(V[start:stop])
-            start = stop
+        with self._lock:
+            self.solve_calls += 1
+            start = 0
+            while start < k:
+                stop = min(start + self.chunk_size, k)
+                points[start:stop] = self._model(stop - start).solve(
+                    V[start:stop]
+                )
+                start = stop
         costs = points @ self.cost
         return [
             LPSolution(x=points[i], value=float(costs[i]), status=0)
@@ -364,6 +302,7 @@ class PersistentStackSolver:
     def release(self) -> None:
         """Free every persistent model (the stacks die with the owner
         anyway; this releases the HiGHS memory eagerly)."""
-        for model in self._models.values():
-            model.release()
-        self._models.clear()
+        with self._lock:
+            for model in self._models.values():
+                model.release()
+            self._models.clear()

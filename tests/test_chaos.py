@@ -29,7 +29,7 @@ from repro.experiments import (
 from repro.experiments.result import ApproachResult, cell_to_dict
 from repro.observability import metrics as obs
 from repro.utils import chaos
-from repro.utils.lp_backends import LPBackendError
+from repro.utils.lp import LPError
 from repro.utils.parallel import fork_available
 
 pytestmark = pytest.mark.skipif(
@@ -326,7 +326,7 @@ class TestSolverDegradation:
         self, serial_plan, serial_reference
     ):
         fault = chaos.FaultPlan(
-            cell_faults=(chaos.CellFault(key=K_CELL, error=LPBackendError),)
+            cell_faults=(chaos.CellFault(key=K_CELL, error=LPError),)
         )
         with chaos.inject(fault):
             result = run_sweep(
@@ -349,7 +349,7 @@ class TestSolverDegradation:
         fault = chaos.FaultPlan(
             cell_faults=(
                 chaos.CellFault(
-                    key=K_CELL, error=LPBackendError, attempts=(1, 2)
+                    key=K_CELL, error=LPError, attempts=(1, 2)
                 ),
             )
         )
@@ -359,7 +359,7 @@ class TestSolverDegradation:
                 ExecutionConfig(engine="serial", on_error="record"),
             )
         [failure] = result.failures
-        assert failure.error_type == "LPBackendError"
+        assert failure.error_type == "LPError"
         assert failure.attempts == 2
 
 

@@ -1,10 +1,8 @@
-"""Tests for the pluggable LP backends (repro.utils.lp_backends).
+"""Tests for the LP backends (repro.utils.lp_backends).
 
-Backend *resolution* is testable everywhere; the warm-started
-:class:`PersistentStackSolver` itself needs the optional ``highspy``
-extra, so those tests importorskip it — the scipy-only CI leg exercises
-exactly the fallback semantics this module promises (``auto`` → scipy,
-explicit ``highs`` → :class:`LPBackendError`).
+Both backends run on scipy's bundled HiGHS core, so every test runs
+everywhere: ``auto``/``scipy`` resolve to the cold path, ``highs`` to the
+warm-started :class:`PersistentStackSolver`.
 
 The solved family throughout: ``min x0 + x1`` over the unit box with
 ``x0`` pinned per block (``x0 = v``), whose optimum is ``v - 1`` at
@@ -17,17 +15,9 @@ import pytest
 from repro.utils.lp import LPError, reset_stack_cache_stats, solve_lp
 from repro.utils.lp_backends import (
     BACKENDS,
-    LPBackendError,
+    DEFAULT_MAX_MODELS,
     PersistentStackSolver,
-    highs_available,
     resolve_backend,
-)
-
-needs_highs = pytest.mark.skipif(
-    not highs_available(), reason="optional highspy extra not installed"
-)
-needs_no_highs = pytest.mark.skipif(
-    highs_available(), reason="tests the highspy-absent fallback"
 )
 
 BOX_H = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
@@ -56,29 +46,25 @@ class TestResolveBackend:
             resolve_backend("cplex")
 
     def test_auto_resolves_to_an_effective_backend(self):
-        effective = resolve_backend("auto")
-        assert effective in ("highs", "scipy")
-        assert effective == ("highs" if highs_available() else "scipy")
+        # The default stays cold and bitwise.
+        assert resolve_backend("auto") == "scipy"
 
-    @needs_no_highs
     def test_auto_falls_back_silently(self):
         assert resolve_backend("auto") == "scipy"
 
-    @needs_no_highs
-    def test_explicit_highs_errors_without_highspy(self):
-        with pytest.raises(LPBackendError, match="highspy"):
-            resolve_backend("highs")
+    def test_explicit_highs_is_warm(self):
+        assert resolve_backend("highs") == "highs"
 
-    @needs_no_highs
-    def test_persistent_solver_needs_highspy(self):
-        with pytest.raises(LPBackendError, match="highspy"):
-            _solver()
+    def test_highs_degrades_to_cold_without_the_core(self, monkeypatch):
+        from repro.utils import lp
+
+        monkeypatch.setattr(lp, "_core", None)
+        assert resolve_backend("highs") == "scipy"
 
     def test_backends_tuple_is_the_request_vocabulary(self):
         assert BACKENDS == ("auto", "highs", "scipy")
 
 
-@needs_highs
 class TestPersistentStackSolver:
     def test_matches_scalar_solves(self):
         solver = _solver()
@@ -152,6 +138,13 @@ class TestPersistentStackSolver:
         assert solver.model_builds == 4
         assert len(solver._models) == 2
 
+    def test_default_keeps_two_models(self):
+        solver = _solver()
+        assert solver.max_models == DEFAULT_MAX_MODELS == 2
+        for k in (1, 2, 3):
+            solver.solve_batch(np.zeros((k, 1)))
+        assert sorted(solver._models) == [2, 3]
+
     def test_value_shape_validation(self):
         solver = _solver()
         with pytest.raises(ValueError, match="varying"):
@@ -173,9 +166,10 @@ class TestPersistentStackSolver:
             )
         with pytest.raises(ValueError, match="chunk_size"):
             _solver(chunk_size=0)
+        with pytest.raises(ValueError, match="max_models"):
+            _solver(max_models=0)
 
 
-@needs_highs
 class TestHighsMatchesScipyStack:
     def test_against_solve_lp_batch(self):
         """The two backends attain identical optimal values on the same

@@ -31,11 +31,6 @@ from repro.framework import BatchRunner, LockstepEngine, SafetyMonitor
 from repro.invariance import strengthened_safe_set
 from repro.skipping import AlwaysSkipPolicy, PeriodicSkipPolicy
 from repro.utils.lp import reset_stack_cache_stats, stack_cache_stats
-from repro.utils.lp_backends import LPBackendError, highs_available
-
-needs_highs = pytest.mark.skipif(
-    not highs_available(), reason="optional highspy extra not installed"
-)
 
 ROOT_SEED = 424242
 HORIZON = 18
@@ -194,7 +189,6 @@ class TestBackendSelection:
         for a, b in zip(via_auto, via_scipy):
             assert abs(a.cost - b.cost) <= 1e-9
 
-    @needs_highs
     def test_highs_backend_plan_equivalent(self, rmpc_rig):
         _system, mpc, _xi, xp, _mf = rmpc_rig
         try:
@@ -204,7 +198,6 @@ class TestBackendSelection:
             mpc.set_lp_backend("auto")
         assert report["equivalent"], report
 
-    @needs_highs
     def test_highs_backend_warm_starts(self, rmpc_rig):
         """Consecutive equal-k batches reuse one persistent model."""
         _system, mpc, _xi, xp, _mf = rmpc_rig
@@ -221,7 +214,6 @@ class TestBackendSelection:
             mpc.set_lp_backend("auto")
             mpc.release_stacks()
 
-    @needs_highs
     def test_highs_fallback_names_infeasible_state(self, rmpc_rig):
         """The named-state fallback contract holds under highs too."""
         _system, mpc, _xi, xp, _mf = rmpc_rig
@@ -236,18 +228,6 @@ class TestBackendSelection:
             mpc.set_lp_backend("auto")
         assert mpc.solve_count == 1  # row 0 scalar re-solve only
         mpc.reset()
-
-    def test_backend_missing_highs_raises_in_batch(self, rmpc_rig):
-        """Explicit `highs` without highspy fails loudly, not silently."""
-        if highs_available():
-            pytest.skip("highspy installed; fallback error path inert")
-        _system, mpc, _xi, xp, _mf = rmpc_rig
-        try:
-            mpc.set_lp_backend("highs")
-            with pytest.raises(LPBackendError, match="highspy"):
-                mpc.solve_batch(_feasible_states(xp, 3))
-        finally:
-            mpc.set_lp_backend("auto")
 
     def test_released_controller_reclaims_stacks(self, rmpc_rig):
         """Dropping a controller must free its stacks: they live on the
@@ -353,8 +333,8 @@ class TestLockstepStackedEngine:
     def test_exact_solves_is_backend_invariant(self, rmpc_rig, backend):
         """The exact_solves audit tier routes through the scalar scipy
         path under every backend request, so its records match the serial
-        engine bitwise whatever --lp-backend asks for (with `highs`, even
-        when highspy is absent — the stacked path is never entered)."""
+        engine bitwise whatever --lp-backend asks for (with `highs` the
+        warm stacked path is never entered)."""
         system, mpc, _xi, xp, _mf = rmpc_rig
         make = self._runners(rmpc_rig)
         factory = self._disturbances(system)
@@ -368,18 +348,23 @@ class TestLockstepStackedEngine:
             mpc.set_lp_backend("auto")
         assert serial.deterministic_records() == exact.deterministic_records()
 
-    @needs_highs
     def test_stacked_lockstep_highs_backend(self, rmpc_rig):
         """A full lockstep run on the warm-started backend: safe
-        episodes, plan-equivalent solves, same episode count."""
+        episodes, plan-equivalent solves, same episode count — and the
+        request applies to the run only, leaving the (shared)
+        controller's own setting alone."""
         system, mpc, _xi, xp, _mf = rmpc_rig
-        make = self._runners(rmpc_rig)
+        # Periodic skipping runs every row together: real stacked batches.
+        make = self._runners(rmpc_rig, lambda: PeriodicSkipPolicy(2))
         factory = self._disturbances(system)
         states = _feasible_states(xp, 4)
         try:
             stacked = make(LockstepEngine, lp_backend="highs").run_seeded(
                 states, factory, ROOT_SEED
             )
+            assert mpc.lp_backend == "auto"
+            assert mpc._persistent is not None
+            assert mpc._persistent.warm_solves > 0
         finally:
             mpc.set_lp_backend("auto")
             mpc.release_stacks()
@@ -434,11 +419,10 @@ def test_scenario_zoo_batch_contract(name):
         assert report["equivalent"], (name, report)
 
 
-@needs_highs
 @pytest.mark.parametrize("name", scenario_registry.list_scenarios())
 def test_scenario_zoo_highs_backend_equivalence(name):
     """Every stacked-LP scenario controller is plan-equivalent under the
-    warm-started highs backend too (scalar reference solves stay scipy,
+    warm-started highs backend too (scalar reference solves stay cold,
     so this is a cross-backend check)."""
     case = scenario_registry.build(name)
     controller = case.controller
@@ -446,5 +430,10 @@ def test_scenario_zoo_highs_backend_equivalence(name):
         pytest.skip(f"{name}: closed-form controller, no LP backend")
     states = case.sample_initial_states(np.random.default_rng(7), 4)
     controller.set_lp_backend("highs")
-    report = verify_plan_equivalence(controller, states)
+    try:
+        report = verify_plan_equivalence(controller, states)
+    finally:
+        # The controller is the cached one every later build returns.
+        controller.set_lp_backend("auto")
+        controller.release_stacks()
     assert report["equivalent"], (name, report)

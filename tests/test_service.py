@@ -13,7 +13,9 @@ via ``scenario_builds_total`` and store hit/miss counters).
 from __future__ import annotations
 
 import json
+import sys
 import threading
+import time
 
 import pytest
 
@@ -33,6 +35,7 @@ from repro.experiments.serialization import (
     execution_to_dict,
 )
 from repro.observability import metrics as obs
+from repro.service import jobs as jobs_module
 from repro.service import (
     JobManager,
     ResultStore,
@@ -266,6 +269,47 @@ class TestJobManager:
         with pytest.raises(RuntimeError, match="shut down"):
             manager.submit_plan(make_plan())
 
+    def test_oldest_finished_jobs_are_evicted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 1)
+        manager = JobManager(tmp_path / "store")
+        try:
+            first = manager.submit_plan(make_plan((5,)))
+            assert first.wait(timeout=300)
+            # Stall the third job's cell so it is still live when the
+            # second one finishes and triggers an eviction pass.
+            stall = chaos.FaultPlan(
+                cell_delays=(
+                    chaos.CellDelay(key="thermal@horizon=7", seconds=2.0),
+                )
+            )
+            with chaos.inject(stall):
+                second = manager.submit_plan(make_plan((6,)))
+                third = manager.submit_plan(make_plan((7,)))
+                assert second.wait(timeout=300)
+                _wait_evicted(manager, first.id)
+                # Unfinished jobs are never evicted.
+                assert not third.done
+                assert manager.get(third.id) is third
+                assert manager.get(second.id) is second
+                assert third.wait(timeout=300)
+            _wait_evicted(manager, second.id)
+            assert manager.jobs() == [third]
+        finally:
+            manager.shutdown()
+
+
+def _wait_evicted(manager, job_id, timeout=30.0):
+    """Poll until ``job_id`` is gone (eviction runs after the job's
+    terminal state is published)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            manager.get(job_id)
+        except KeyError:
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"{job_id} was not evicted")
+
 
 # ----------------------------------------------------------------------
 # HTTP API: the service determinism proof
@@ -369,6 +413,24 @@ class TestServiceHTTP:
             service._request("GET", "/v1/nope")
         assert info.value.status == 404
 
+    def test_evicted_job_is_404(self, service, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 1)
+        first = service.submit(make_plan())
+        assert service.wait(first, timeout=300)["state"] == "done"
+        second = service.submit(make_plan())
+        assert service.wait(second, timeout=300)["state"] == "done"
+        deadline = time.monotonic() + 30
+        while True:
+            try:
+                service.status(first)
+            except ServiceError as exc:
+                assert exc.status == 404
+                break
+            assert time.monotonic() < deadline, "first job never evicted"
+            time.sleep(0.01)
+        assert service.status(second)["state"] == "done"
+        assert [job["id"] for job in service.jobs()] == [second]
+
     def test_cancel_route(self, service):
         first = service.submit(make_plan())
         queued = service.submit(make_plan((7, 8)))
@@ -411,5 +473,46 @@ class TestSharedStoreConcurrency:
                 )
                 assert found is not None, reason
         finally:
+            for manager in managers:
+                manager.shutdown()
+
+
+# ----------------------------------------------------------------------
+# Warm-started LPs under concurrent jobs
+# ----------------------------------------------------------------------
+class TestWarmBackendThreads:
+    def test_managers_share_one_warm_rmpc_controller(self, tmp_path):
+        """Three executor threads (more than cores) drive the one cached
+        RMPC controller's persistent HiGHS models at once, switching
+        threads often; the solver's lock makes them take turns (without
+        it this crashed the interpreter)."""
+        execution = ExecutionConfig(
+            engine="lockstep", jobs=1, telemetry=True, lp_backend="highs"
+        )
+        plan = SweepPlan.for_scenarios(
+            ["thermal"],
+            axes=(ParameterAxis("horizon", tuple(range(5, 11))),),
+            execution=execution,
+            **PLAN_KW,
+        )
+        managers = [JobManager(tmp_path / f"store{i}") for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            jobs = [manager.submit_plan(plan) for manager in managers]
+            for job in jobs:
+                assert job.wait(timeout=300)
+                assert job.state == "done", job.error
+                assert job.result.ok
+                assert counter_total(
+                    job.result.telemetry, "lp_solves_total",
+                    path="persistent",
+                ) > 0
+                for row in job.result.rows():
+                    assert row["max_violation"] <= 0.0
+            keys = [[row["key"] for row in job.result.rows()] for job in jobs]
+            assert keys[0] == keys[1] == keys[2]
+        finally:
+            sys.setswitchinterval(interval)
             for manager in managers:
                 manager.shutdown()
