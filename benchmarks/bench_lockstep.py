@@ -266,7 +266,7 @@ def run_warm_start_benchmark(
         solve-ms/step, speedup over scipy, max per-step cost deviation,
         ``ok``) and the workload shape.
     """
-    from repro.utils.lp import reset_stack_cache_stats
+    from repro.utils.lp import STACK_CACHE_METRIC
 
     if case is None:
         case = build_case_study()
@@ -290,7 +290,7 @@ def run_warm_start_benchmark(
     for backend in ("scipy", "highs"):
         mpc.set_lp_backend(backend)
         mpc.release_stacks()  # cold start for every timed row
-        reset_stack_cache_stats()
+        _obs.registry().reset(STACK_CACHE_METRIC)
         max_cost_diff = 0.0
         tick = time.perf_counter()
         for step_states, reference in zip(sequence, reference_costs):

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.observability.metrics import registry as _telemetry
 from repro.utils.lp import LPError, lp_feasible, maximize, maximize_batch, solve_lp
 from repro.utils.validation import as_matrix, as_vector
 
@@ -26,6 +27,15 @@ __all__ = ["HPolytope", "MembershipTester", "EmptySetError"]
 # computations chain many LPs, so this is deliberately looser than solver
 # precision.
 DEFAULT_TOL = 1e-7
+
+#: Redundancy-removal LPs by ``phase`` (``screen`` / ``recheck``).
+REDUNDANCY_LPS_METRIC = "geometry_redundancy_lps_total"
+
+#: How far the screen relaxes each block's own row (finite, so every
+#: block stays bounded in its objective), and the relative margin a
+#: screen maximum must clear to settle a row as essential.
+_SCREEN_RELAXATION = 1e3
+_SCREEN_MARGIN = 1e-6
 
 
 class EmptySetError(ValueError):
@@ -445,18 +455,36 @@ class HPolytope:
 
         A halfspace is redundant iff maximising its normal over the
         remaining constraints (with the row itself relaxed) cannot exceed
-        its offset.  Duplicate rows are collapsed first to keep the LP
-        count down.
+        its offset.  Near-duplicate rows are collapsed first
+        (:func:`_dedupe_rows`); then the rows are checked in order, each
+        against the rows still kept (the *serial loop*), so an earlier
+        removal widens every later check.
+
+        One stacked screen LP settles most rows first.  Block ``i`` of the
+        screen maximises ``H_i x`` over *every* row, with row ``i`` relaxed
+        to ``h_i + 1e3`` (finite, so no block is unbounded).  That region
+        lies inside every region the serial check of row ``i`` can use (a
+        subset of the other rows, row ``i`` dropped), so the screen maximum
+        is a lower bound on the serial one.  A row whose screen maximum
+        exceeds ``h_i + tol + 1e-6·(1 + |h_i|)`` is therefore essential and
+        the serial loop would keep it too; the relative margin absorbs both
+        solvers' own error.  Every other row — flagged, near the margin,
+        or all of them when the stacked LP fails (an empty set) — goes
+        through the unchanged serial loop, in the same order and with the
+        same running mask, so the result is exactly the serial loop's.
+        Each LP counts one ``geometry_redundancy_lps_total{phase}``
+        (``screen`` / ``recheck``).
         """
         H, h = _dedupe_rows(self.H, self.h)
+        essential = _screen_essential(H, h, tol)
+        reg = _telemetry()
         keep = np.ones(len(h), dtype=bool)
-        for i in range(len(h)):
-            if not keep[i]:
-                continue
+        for i in np.flatnonzero(~essential):
             mask = keep.copy()
             mask[i] = False
             if not np.any(mask):
                 continue
+            reg.inc(REDUNDANCY_LPS_METRIC, phase="recheck")
             try:
                 value = maximize(H[i], H[mask], h[mask]).value
             except LPError:
@@ -703,25 +731,87 @@ def _normalize_rows(H: np.ndarray, h: np.ndarray) -> tuple:
     return H / norms[:, None], h / norms
 
 
-def _dedupe_rows(H: np.ndarray, h: np.ndarray, tol: float = 1e-10) -> tuple:
-    """Collapse duplicate normals, keeping the tightest offset for each."""
-    keep_H = []
-    keep_h = []
-    for a, b in zip(H, h):
-        for idx, existing in enumerate(keep_H):
-            if np.allclose(existing, a, atol=tol):
-                keep_h[idx] = min(keep_h[idx], b)
-                break
-        else:
-            keep_H.append(a.copy())
-            keep_h.append(b)
-    return np.array(keep_H), np.array(keep_h)
+def _screen_essential(H: np.ndarray, h: np.ndarray, tol: float) -> np.ndarray:
+    """Rows the serial redundancy loop is sure to keep, from one stacked
+    LP (see :meth:`HPolytope.remove_redundancies` for why this is exact).
+
+    Returns all-False — every row left to the serial loop — for two rows
+    or fewer and when the stacked LP fails.
+    """
+    m = len(h)
+    if m <= 2:
+        return np.zeros(m, dtype=bool)
+    rhs = np.tile(h, (m, 1))
+    rhs[np.diag_indices(m)] += _SCREEN_RELAXATION
+    _telemetry().inc(REDUNDANCY_LPS_METRIC, phase="screen")
+    try:
+        values = maximize_batch(H, H, rhs)
+    except LPError:
+        return np.zeros(m, dtype=bool)
+    return values > h + tol + _SCREEN_MARGIN * (1.0 + np.abs(h))
 
 
-def _unique_rows(arr: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Deduplicate rows of ``arr`` up to ``tol`` (order-preserving)."""
-    out: list = []
-    for row in arr:
-        if not any(np.allclose(row, prev, atol=tol) for prev in out):
-            out.append(row)
-    return np.array(out)
+#: ``np.allclose``'s default relative tolerance, which both greedy row
+#: matchers below inherited from their ``np.allclose`` loops.
+_ALLCLOSE_RTOL = 1e-5
+#: Absolute tolerances of :func:`_dedupe_rows` and :func:`_unique_rows`.
+_DEDUPE_ATOL = 1e-10
+_UNIQUE_ATOL = 1e-8
+
+
+def _first_matches(A: np.ndarray, atol: float, scale_by_earlier: bool) -> np.ndarray:
+    """Greedy first-match grouping of the rows of ``A``.
+
+    Row ``j`` joins the first earlier representative ``r`` it is close
+    to, else it becomes a representative itself — exactly the loop
+    ``for r in reps: if np.allclose(x, y, atol=atol)``.  Closeness is
+    ``np.allclose``'s formula for finite rows, ``|x - y| <= atol +
+    rtol·|y|``, with ``y`` the earlier row when ``scale_by_earlier`` and
+    the later row otherwise.  The ``(m, m)`` closeness matrix is built one
+    column at a time, so no ``(m, m, n)`` temporary is ever allocated.
+
+    Returns:
+        ``(m,)`` int array: the index of each row's representative (a
+        representative maps to itself).
+    """
+    m = A.shape[0]
+    close = np.ones((m, m), dtype=bool)  # close[r, j]: r earlier, j later
+    for column in A.T:
+        x, y = column[:, None], column[None, :]
+        if scale_by_earlier:
+            x, y = y, x
+        close &= np.abs(x - y) <= atol + _ALLCLOSE_RTOL * np.abs(y)
+    close = np.triu(close, 1)
+    rep = np.arange(m)
+    is_rep = np.ones(m, dtype=bool)
+    for j in np.flatnonzero(close.any(axis=0)):
+        earlier = np.flatnonzero(close[:j, j] & is_rep[:j])
+        if earlier.size:
+            is_rep[j] = False
+            rep[j] = earlier[0]
+    return rep
+
+
+def _dedupe_rows(H: np.ndarray, h: np.ndarray, tol: float = _DEDUPE_ATOL) -> tuple:
+    """Collapse duplicate normals, keeping the tightest offset for each.
+
+    Bitwise-equal to the greedy ``np.allclose(existing, row, atol=tol)``
+    loop with ``min`` over each group's offsets, taken in row order (so
+    between ``0.0`` and ``-0.0`` the first one wins, as ``min`` keeps it).
+    """
+    rep = _first_matches(H, tol, scale_by_earlier=False)
+    reps = np.flatnonzero(rep == np.arange(len(rep)))
+    group = np.searchsorted(reps, rep)
+    # Smallest offset per group, ties broken by row order.
+    order = np.lexsort((np.arange(len(h)), h, group))
+    first = order[np.r_[0, np.flatnonzero(np.diff(group[order])) + 1]]
+    return H[reps], h[first]
+
+
+def _unique_rows(arr: np.ndarray, tol: float = _UNIQUE_ATOL) -> np.ndarray:
+    """Deduplicate rows of ``arr`` up to ``tol`` (order-preserving).
+
+    Bitwise-equal to the greedy ``np.allclose(row, kept, atol=tol)`` loop.
+    """
+    rep = _first_matches(arr, tol, scale_by_earlier=True)
+    return arr[rep == np.arange(len(rep))]

@@ -46,8 +46,6 @@ __all__ = [
     "maximize",
     "solve_lp_batch",
     "maximize_batch",
-    "stack_cache_stats",
-    "reset_stack_cache_stats",
 ]
 
 #: Solves by ``path`` (``scalar`` / ``stacked`` / ``persistent``).
@@ -122,12 +120,32 @@ class LPMatrix:
 
     @classmethod
     def stacked(cls, a_ub, a_eq, k: int) -> "LPMatrix":
-        """``[diag(a_ub, …); diag(a_eq, …)]`` for ``k`` blocks."""
-        ub = sp.block_diag([_as_csr_block(a_ub)] * k, format="csr")
-        eq = None if a_eq is None else sp.block_diag(
-            [_as_csr_block(a_eq)] * k, format="csr"
-        )
-        return cls.from_blocks(ub, eq, ub.shape[1])
+        """``[diag(a_ub, …); diag(a_eq, …)]`` for ``k`` blocks.
+
+        Built from the one-block combined CSC: ``data`` is tiled and
+        ``indices``/``indptr`` are shifted per block, with every block's
+        equality rows after all ``k · rows_ub`` inequality rows.  The arrays
+        and their dtypes equal those of ``scipy.sparse.block_diag`` followed
+        by :meth:`from_blocks`, so HiGHS sees identical input.
+        """
+        if sp.issparse(a_ub) or sp.issparse(a_eq):
+            a_ub, a_eq = (None if b is None else _as_csr_block(b)
+                          for b in (a_ub, a_eq))
+        one = cls.from_blocks(a_ub, a_eq, np.shape(a_ub)[1])
+        rows_ub, rows_eq, nnz = one.rows_ub, one.rows_eq, one.data.size
+        # scipy's index dtype rule: int32 unless a dimension or nnz overflows.
+        biggest = k * max(rows_ub + rows_eq, one.cols, nnz)
+        dtype = np.int32 if biggest <= np.iinfo(np.int32).max else np.int64
+        block = np.arange(k, dtype=np.int64)[:, None]
+        ub = one.indices < rows_ub
+        base = np.where(ub, one.indices, one.indices + (k - 1) * rows_ub)
+        shift = np.where(ub, rows_ub, rows_eq)
+        indptr = np.empty(k * one.cols + 1, dtype=dtype)
+        indptr[:-1] = (one.indptr[:-1] + block * nnz).ravel()
+        indptr[-1] = k * nnz
+        indices = (base + block * shift).ravel().astype(dtype)
+        return cls(indptr, indices, np.tile(one.data, k),
+                   k * rows_ub, k * rows_eq)
 
     def blocks(self):
         """``(A_ub, A_eq)`` as sparse matrices (None when empty)."""
@@ -305,57 +323,9 @@ def solve_prepared(
 # ----------------------------------------------------------------------
 # Block-diagonal stacks
 # ----------------------------------------------------------------------
-#: Anonymous block-diagonal stacks keyed on ``(id(a_ub), id(a_eq), k)``,
-#: LRU-bounded (hits refresh recency).  This cache serves *ownerless*
-#: callers only — the geometry layer's support sweeps over ephemeral
-#: polytopes, where entries are cheap to rebuild and churn is expected.
-#: Long-lived callers (controllers) must NOT rely on it: it keys on
-#: object identity and keeps strong references to the source matrices,
-#: so a dead caller's matrices stay pinned until LRU churn evicts them,
-#: and an unrelated sweep can evict a hot entry mid-run.  They own a
-#: :class:`BlockStack` instead (the warm-started
-#: :class:`~repro.utils.lp_backends.PersistentStackSolver` likewise owns
-#: its models), so their stacks live and die with the owner.
-_STACK_CACHE: dict = {}
-_STACK_CACHE_MAX = 64
-
-#: Registry counter behind the legacy hit/miss accessors: labelled by
-#: ``cache`` (``owned`` BlockStack vs the ``anonymous`` module LRU) and
-#: ``event`` (``hit`` / ``miss``).
+#: Registry counter of owned :class:`BlockStack` builds, labelled
+#: ``cache="owned"`` and ``event`` (``hit`` / ``miss``).
 STACK_CACHE_METRIC = "lp_stack_cache_events_total"
-
-
-def stack_cache_stats() -> dict:
-    """Hit/miss counters of the block-diagonal stack builds — the
-    anonymous LRU cache and every owned :class:`BlockStack` update the
-    same counters.  Counters are cumulative; call
-    :func:`reset_stack_cache_stats` first for order-independent
-    assertions in tests and benchmarks.
-
-    .. deprecated:: PR 8
-        Thin shim over the unified telemetry registry — read
-        ``lp_stack_cache_events_total`` from
-        :func:`repro.observability.registry` for the labelled
-        (owned/anonymous) breakdown.
-    """
-    reg = _telemetry()
-    return {
-        "hits": reg.total(STACK_CACHE_METRIC, event="hit"),
-        "misses": reg.total(STACK_CACHE_METRIC, event="miss"),
-    }
-
-
-def reset_stack_cache_stats() -> None:
-    """Zero the hit/miss counters (cached stacks themselves are kept).
-
-    Tests and benchmarks asserting on hit rates call this first so the
-    numbers do not depend on what ran earlier in the process.
-
-    .. deprecated:: PR 8
-        Thin shim over the unified telemetry registry — equivalent to
-        ``registry().reset("lp_stack_cache_events_total")``.
-    """
-    _telemetry().reset(STACK_CACHE_METRIC)
 
 
 def _as_csr_block(matrix):
@@ -367,15 +337,13 @@ def _as_csr_block(matrix):
 class BlockStack:
     """Owner-held block-diagonal stacks for one ``(a_ub, a_eq)`` pair.
 
-    Explicit ownership replaces global-cache pinning: a long-lived caller
-    (e.g. :class:`~repro.controllers.rmpc.RobustMPC`) holds one
-    ``BlockStack`` for its constraint matrices and passes it to
+    A long-lived caller (e.g. :class:`~repro.controllers.rmpc.RobustMPC`)
+    holds one ``BlockStack`` for its constraint matrices and passes it to
     :func:`solve_lp_batch` via ``stack=``.  The built stacks — combined
     CSC :class:`LPMatrix` arrays, so a stacked solve only rewrites the
-    right-hand sides — live on this object, never in the module-level
-    LRU, so an unrelated sweep of ephemeral polytopes cannot evict them
-    mid-run, and when the owner is garbage-collected the stacks (and the
-    source matrices they reference) are reclaimed with it.
+    right-hand sides — live on this object, and when the owner is
+    garbage-collected the stacks (and the source matrices they
+    reference) are reclaimed with it.
 
     Args:
         a_ub: Shared inequality block (dense or scipy sparse).
@@ -421,22 +389,6 @@ class BlockStack:
 
     def __len__(self) -> int:
         return len(self._stacks)
-
-
-def _stacked_blocks(a_ub, a_eq, k: int) -> LPMatrix:
-    """The combined stack for ``k`` blocks, cached per (ids, k)."""
-    key = (id(a_ub), None if a_eq is None else id(a_eq), k)
-    cached = _STACK_CACHE.pop(key, None)
-    if cached is not None:
-        _telemetry().inc(STACK_CACHE_METRIC, cache="anonymous", event="hit")
-        _STACK_CACHE[key] = cached  # re-insert: LRU recency refresh
-        return cached[0]
-    _telemetry().inc(STACK_CACHE_METRIC, cache="anonymous", event="miss")
-    matrix = LPMatrix.stacked(a_ub, a_eq, k)
-    while len(_STACK_CACHE) >= _STACK_CACHE_MAX:
-        _STACK_CACHE.pop(next(iter(_STACK_CACHE)))
-    _STACK_CACHE[key] = (matrix, a_ub, a_eq)
-    return matrix
 
 
 def _stack_rhs(rhs, k: int, rows: int, name: str) -> np.ndarray:
@@ -522,12 +474,11 @@ def solve_lp_batch(
     Eq.-5 problems that differ only in their initial-state equalities.
 
     The stacks are built sparse (memory ``O(k · nnz)``) as combined CSC
-    :class:`LPMatrix` arrays.  Anonymous callers get them cached per
-    ``(a_ub, a_eq, k)`` identity in a module-level LRU; long-lived
-    callers pass an owned :class:`BlockStack` via ``stack`` so repeated
-    calls over the same shared matrices — the per-step pattern of the
-    lockstep engine — only rewrite the RHS vectors, without pinning
-    anything in (or being evicted from) the global cache.
+    :class:`LPMatrix` arrays.  Callers without a ``stack`` get a fresh
+    one per call (tens of µs: the one-block CSC tiled ``k`` times);
+    long-lived callers pass an owned :class:`BlockStack` via ``stack`` so
+    repeated calls over the same shared matrices — the per-step pattern
+    of the lockstep engine — only rewrite the RHS vectors.
 
     Because the blocks are fully decoupled, the stacked optimum restricted
     to block ``i`` attains exactly the optimal *value* of problem ``i``
@@ -543,8 +494,7 @@ def solve_lp_batch(
         b_eq: ``(rows_eq,)`` shared or ``(k, rows_eq)`` per-block RHS;
             required iff ``a_eq`` is given.
         stack: Optional owned :class:`BlockStack` built over exactly
-            ``(a_ub, a_eq)``; when given, its stacks are used instead of
-            the module-level cache.
+            ``(a_ub, a_eq)``; when given, its cached stacks are used.
 
     Raises:
         LPError: If the stacked LP fails.  Any single infeasible or
@@ -575,7 +525,7 @@ def solve_lp_batch(
             )
         matrix = stack.stacked(k)
     else:
-        matrix = _stacked_blocks(a_ub, a_eq, k)
+        matrix = LPMatrix.stacked(a_ub, a_eq, k)
     stacked_b = _stack_rhs(b_ub, k, rows, "b_ub")
     stacked_b_eq = None
     if a_eq is not None:

@@ -12,7 +12,7 @@ The solved family throughout: ``min x0 + x1`` over the unit box with
 import numpy as np
 import pytest
 
-from repro.utils.lp import LPError, reset_stack_cache_stats, solve_lp
+from repro.utils.lp import LPError, solve_lp
 from repro.utils.lp_backends import (
     BACKENDS,
     DEFAULT_MAX_MODELS,
@@ -176,7 +176,6 @@ class TestHighsMatchesScipyStack:
         stacked family (the plan-equivalent contract at the LP layer)."""
         from repro.utils.lp import solve_lp_batch
 
-        reset_stack_cache_stats()
         pins = np.linspace(-0.9, 0.9, 7).reshape(-1, 1)
         persistent = _solver().solve_batch(pins)
         b_eq = pins  # per-block equality RHS, one varying row

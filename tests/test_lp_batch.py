@@ -6,21 +6,33 @@ replaced in `pontryagin_difference`, `minkowski_sum`, `bounding_box`,
 `is_bounded` and `contains_polytope`.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.geometry import HPolytope
+from repro.observability import metrics as obs
 from repro.utils.lp import (
+    STACK_CACHE_METRIC,
     BlockStack,
     LPError,
     maximize,
     maximize_batch,
-    reset_stack_cache_stats,
     solve_lp,
     solve_lp_batch,
-    stack_cache_stats,
 )
+
+
+def _stack_events() -> dict:
+    """Owned-stack hit/miss counts in the ambient registry."""
+    reg = obs.registry()
+    return {
+        "hits": reg.value(STACK_CACHE_METRIC, cache="owned", event="hit"),
+        "misses": reg.value(STACK_CACHE_METRIC, cache="owned", event="miss"),
+    }
 
 
 @pytest.fixture
@@ -152,42 +164,93 @@ class TestSolveLPBatchEqualities:
                 a_eq=np.array([[1.0, 0.0]]), b_eq=np.zeros((3, 2)),
             )
 
-    def test_stack_cache_reuses_same_matrices(self, pentagon, rng):
+    def test_unowned_stack_is_rebuilt_per_call(self, pentagon, rng):
+        """Without a ``stack`` nothing is cached: repeats rebuild the same
+        stack, record no cache events and solve bitwise-identically."""
         objectives = rng.normal(size=(4, 2))
-        solve_lp_batch(objectives, pentagon.H, pentagon.h)  # warm k=4
-        reset_stack_cache_stats()
-        solve_lp_batch(rng.normal(size=(4, 2)), pentagon.H, pentagon.h)
-        assert stack_cache_stats() == {"hits": 1, "misses": 0}
-        # A different batch size is a different stack: miss, not hit.
-        solve_lp_batch(rng.normal(size=(5, 2)), pentagon.H, pentagon.h)
-        assert stack_cache_stats() == {"hits": 1, "misses": 1}
+        with obs.scoped_registry() as reg:
+            first = solve_lp_batch(objectives, pentagon.H, pentagon.h)
+            again = solve_lp_batch(objectives, pentagon.H, pentagon.h)
+            assert reg.total(STACK_CACHE_METRIC) == 0
+        for left, right in zip(first, again):
+            assert left.x.tobytes() == right.x.tobytes()
+
+
+class TestConcurrentStacks:
+    def test_threads_share_unowned_stacks(self, pentagon, unit_box):
+        """Regression: four threads stacking over more (matrix, k) pairs
+        than the old 64-entry module-level stack LRU held used to race on
+        its eviction (``KeyError``)."""
+        polys = [pentagon, unit_box] + [
+            HPolytope.from_box([-s, -1.0], [s, 2.0])
+            for s in np.linspace(0.5, 3.0, 10)
+        ]
+        directions = [np.random.default_rng(k).normal(size=(k, 2))
+                      for k in range(2, 10)]
+        expected = {
+            (p, k): maximize_batch(d, poly.H, poly.h).tobytes()
+            for p, poly in enumerate(polys)
+            for k, d in enumerate(directions)
+        }
+        start = threading.Barrier(4, timeout=30)
+        errors = []
+
+        def work(seed):
+            order = np.random.default_rng(seed).permutation(len(expected))
+            keys = list(expected)
+            try:
+                start.wait()
+                for _ in range(3):
+                    for idx in order:
+                        p, k = keys[idx]
+                        got = maximize_batch(
+                            directions[k], polys[p].H, polys[p].h
+                        )
+                        assert got.tobytes() == expected[(p, k)]
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(seed,))
+                   for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
 
 class TestBlockStack:
-    """Owner-held stacks: the per-controller replacement for pinning
-    long-lived matrices in the module-level id-keyed LRU cache."""
+    """Owner-held stacks: a long-lived caller's cached stacks."""
 
     def test_owned_stack_matches_anonymous_path(self, pentagon, rng):
         objectives = rng.normal(size=(5, 2))
         stack = BlockStack(pentagon.H)
-        owned = solve_lp_batch(
-            objectives, pentagon.H, pentagon.h, stack=stack
-        )
-        anonymous = solve_lp_batch(objectives, pentagon.H, pentagon.h)
+        with obs.scoped_registry():
+            owned = solve_lp_batch(
+                objectives, pentagon.H, pentagon.h, stack=stack
+            )
+            anonymous = solve_lp_batch(objectives, pentagon.H, pentagon.h)
+            assert _stack_events() == {"hits": 0, "misses": 1}
         for left, right in zip(owned, anonymous):
-            assert left.value == pytest.approx(right.value, abs=1e-10)
+            assert left.x.tobytes() == right.x.tobytes()
         assert len(stack) == 1  # the k=5 stack lives on the owner
 
     def test_owned_stack_counts_in_shared_stats(self, pentagon, rng):
         stack = BlockStack(pentagon.H)
-        reset_stack_cache_stats()
-        solve_lp_batch(
-            rng.normal(size=(3, 2)), pentagon.H, pentagon.h, stack=stack
-        )
-        solve_lp_batch(
-            rng.normal(size=(3, 2)), pentagon.H, pentagon.h, stack=stack
-        )
-        assert stack_cache_stats() == {"hits": 1, "misses": 1}
+        with obs.scoped_registry():
+            solve_lp_batch(
+                rng.normal(size=(3, 2)), pentagon.H, pentagon.h, stack=stack
+            )
+            solve_lp_batch(
+                rng.normal(size=(3, 2)), pentagon.H, pentagon.h, stack=stack
+            )
+            assert _stack_events() == {"hits": 1, "misses": 1}
 
     def test_mismatched_stack_rejected(self, pentagon, unit_box):
         stack = BlockStack(unit_box.H)
@@ -205,11 +268,11 @@ class TestBlockStack:
         stack.release()
         assert len(stack) == 0
         # Rebuilt transparently on the next solve.
-        reset_stack_cache_stats()
-        solve_lp_batch(
-            rng.normal(size=(4, 2)), pentagon.H, pentagon.h, stack=stack
-        )
-        assert stack_cache_stats()["misses"] == 1
+        with obs.scoped_registry():
+            solve_lp_batch(
+                rng.normal(size=(4, 2)), pentagon.H, pentagon.h, stack=stack
+            )
+            assert _stack_events()["misses"] == 1
 
     def test_lru_bounded_entries(self, pentagon, rng):
         stack = BlockStack(pentagon.H, max_entries=2)

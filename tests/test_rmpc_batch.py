@@ -30,7 +30,8 @@ from repro.controllers import (
 from repro.framework import BatchRunner, LockstepEngine, SafetyMonitor
 from repro.invariance import strengthened_safe_set
 from repro.skipping import AlwaysSkipPolicy, PeriodicSkipPolicy
-from repro.utils.lp import reset_stack_cache_stats, stack_cache_stats
+from repro.observability import metrics as obs
+from repro.utils.lp import STACK_CACHE_METRIC
 
 ROOT_SEED = 424242
 HORIZON = 18
@@ -158,11 +159,12 @@ class TestSolveBatchPlanEquivalence:
         mpc.set_lp_backend("scipy")
         try:
             mpc.solve_batch(states)  # warm the owner's k=5 stack
-            reset_stack_cache_stats()
-            mpc.solve_batch(_feasible_states(xp, 5, seed=11))
+            with obs.scoped_registry() as reg:
+                mpc.solve_batch(_feasible_states(xp, 5, seed=11))
         finally:
             mpc.set_lp_backend("auto")
-        assert stack_cache_stats() == {"hits": 1, "misses": 0}
+        assert reg.value(STACK_CACHE_METRIC, cache="owned", event="hit") == 1
+        assert reg.total(STACK_CACHE_METRIC, event="miss") == 0
 
 
 class TestBackendSelection:

@@ -33,12 +33,7 @@ from repro.experiments import (
     run_sweep,
 )
 from repro.observability import metrics as obs_metrics
-from repro.utils.lp import (
-    STACK_CACHE_METRIC,
-    BlockStack,
-    reset_stack_cache_stats,
-    stack_cache_stats,
-)
+from repro.utils.lp import STACK_CACHE_METRIC, BlockStack
 from repro.utils.parallel import fork_map
 
 
@@ -256,16 +251,14 @@ class TestRenderings:
 
 
 # ----------------------------------------------------------------------
-# Satellite: legacy cache-stats shims read through the registry
+# Owned block-stack cache events in the registry
 # ----------------------------------------------------------------------
-class TestCacheStatsShims:
-    def test_blockstack_events_reach_shim_and_registry(self):
+class TestStackCacheMetric:
+    def test_blockstack_events_reach_registry(self):
         with obs.scoped_registry():
-            reset_stack_cache_stats()
             stack = BlockStack(np.eye(2))
             stack.stacked(3)
             stack.stacked(3)
-            assert stack_cache_stats() == {"hits": 1, "misses": 1}
             reg = obs.registry()
             assert reg.value(
                 STACK_CACHE_METRIC, cache="owned", event="hit"
@@ -273,8 +266,8 @@ class TestCacheStatsShims:
             assert reg.value(
                 STACK_CACHE_METRIC, cache="owned", event="miss"
             ) == 1
-            reset_stack_cache_stats()
-            assert stack_cache_stats() == {"hits": 0, "misses": 0}
+            reg.reset(STACK_CACHE_METRIC)
+            assert reg.total(STACK_CACHE_METRIC) == 0
 
 
 # ----------------------------------------------------------------------
@@ -294,7 +287,7 @@ def _metric_arrays(cell) -> dict:
 @pytest.fixture(scope="module")
 def warm_thermal():
     """Synthesise the thermal cell's sets and run one throwaway sweep so
-    every in-process cache (builder, stacked-LP blocks, nesting proofs)
+    every in-process cache (builder, nesting proofs)
     is at steady state before any telemetry-equality assertion — forked
     workers inherit warm caches through the process image, so cold
     first runs would legitimately differ from sharded ones."""
