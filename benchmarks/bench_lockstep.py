@@ -60,12 +60,7 @@ from machine import machine_info, visible_cpus
 
 from repro.acc import acc_disturbance_factory, build_case_study
 from repro.controllers import LinearFeedback, lqr_gain, verify_plan_equivalence
-from repro.framework import (
-    BatchRunner,
-    ParallelBatchRunner,
-    StageProfiler,
-    numba_available,
-)
+from repro.framework import BatchRunner, ParallelBatchRunner, StageProfiler
 from repro.observability import metrics as _obs
 from repro.skipping import AlwaysSkipPolicy
 
@@ -97,14 +92,12 @@ def run_benchmark(
 ) -> dict:
     """Time one batch per (controller configuration, engine).
 
-    The ``linear`` configuration gets two extra lockstep rows on top of
-    the plain (fused-numpy, timing-on) one: ``lockstep-fast`` drops the
-    per-row wall-clock amortisation (``collect_timing=False``), and —
-    when the optional numba extra is importable — ``lockstep-kernel``
-    runs the compiled closed-form step kernel (JIT warm-up excluded from
-    the timed run).  Both stay on the bitwise contract.  With
-    ``profile=True`` every lockstep row carries a per-stage wall-clock
-    breakdown (:class:`~repro.framework.StageProfiler`).
+    The ``linear`` configuration gets one extra lockstep row on top of
+    the plain (timing-on) one: ``lockstep-fast`` drops the per-row
+    wall-clock amortisation (``collect_timing=False``) and stays on the
+    bitwise contract.  With ``profile=True`` every lockstep row carries
+    a per-stage wall-clock breakdown
+    (:class:`~repro.framework.StageProfiler`).
 
     Returns:
         Dict with per-configuration throughput, speedup over that
@@ -169,29 +162,16 @@ def _run_benchmark(
              serial_result, serial_seconds),
             ("parallel", make_runner(ParallelBatchRunner, jobs=jobs),
              "bitwise", None, None),
-            ("lockstep", lockstep_runner("lockstep", kernel="numpy"),
+            ("lockstep", lockstep_runner("lockstep"),
              "bitwise" if bitwise else "plan-equivalent", None, None),
         ]
         if bitwise:
-            # Fused numpy path with per-row timing amortisation skipped.
+            # Per-row timing amortisation skipped.
             engines.append(
                 ("lockstep-fast",
-                 lockstep_runner("lockstep-fast", kernel="numpy",
-                                 collect_timing=False),
+                 lockstep_runner("lockstep-fast", collect_timing=False),
                  "bitwise", None, None)
             )
-            if numba_available():
-                # Untimed JIT warm-up so the row measures steady state.
-                make_runner(
-                    BatchRunner, engine="lockstep", kernel="numba",
-                    collect_timing=False,
-                ).run_seeded(states[:2], factory, root_seed=seed)
-                engines.append(
-                    ("lockstep-kernel",
-                     lockstep_runner("lockstep-kernel", kernel="numba",
-                                     collect_timing=False),
-                     "bitwise", None, None)
-                )
         if not bitwise:
             # Audit mode: scalar solves restore bitwise parity, timing
             # what the engine alone (without solve stacking) buys.
@@ -240,7 +220,6 @@ def _run_benchmark(
         "seed": seed,
         "cpus": visible_cpus(),
         "machine": machine_info(),
-        "numba_available": numba_available(),
         "profiled": profile,
         "rows": rows,
     }

@@ -150,7 +150,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--sweep-scenarios", nargs="+", default=["thermal", "pendulum"],
-        metavar="NAME", dest="sweep_scenarios",
+        metavar="NAME", dest="snapshot_scenarios",
         help="scenarios of the snapshot-smoke sweep",
     )
     parser.add_argument("--episodes", type=int, default=32)
@@ -202,7 +202,7 @@ def main(argv=None) -> int:
     )
 
     smoke = run_snapshot_smoke(
-        args.sweep_scenarios, max(2, args.episodes // 4),
+        args.snapshot_scenarios, max(2, args.episodes // 4),
         max(10, args.horizon // 2), args.seed,
     )
     print(

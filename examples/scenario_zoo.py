@@ -7,17 +7,25 @@ Shows the three levels of the scenario subsystem:
 2. a custom scenario — declare any constrained LTI plant as a
    :class:`ScenarioSpec` and get the full paper machinery (certified XI,
    strengthened X', monitor, sampler) from one ``build_case_study`` call;
-3. the cross-scenario sweep — the Table-I-style paired comparison run
-   over every registered scenario through the lockstep engine.
+3. the experiment API — the Table-I-style paired comparison, run on one
+   scenario (``run_experiment``) and swept over every registered
+   scenario (``run_sweep``) through the lockstep engine.
 
 Run:  PYTHONPATH=src python examples/scenario_zoo.py
 """
 
-import numpy as np
-
 from repro import scenarios
+from repro.experiments import (
+    ExecutionConfig,
+    ExperimentSpec,
+    SweepPlan,
+    run_experiment,
+    run_sweep,
+)
 from repro.geometry import HPolytope
 from repro.scenarios import ScenarioSpec, build_case_study
+
+LOCKSTEP = ExecutionConfig(engine="lockstep")
 
 
 def tour_registry():
@@ -55,9 +63,11 @@ def build_custom_scenario():
     print(f"  X': {case.strengthened_set.num_constraints} constraints, "
           f"radius {xp_radius:.3f}")
 
-    # The returned case study is ready for Algorithm 1.
-    result = scenarios.evaluate_scenario(
-        case, num_cases=4, horizon=30, seed=7, engine="lockstep"
+    # The spec is ready for a paired experiment (the run reuses the
+    # sets just built: the builder caches by the spec's numbers).
+    result = run_experiment(
+        ExperimentSpec(scenario=spec, num_cases=4, horizon=30, seed=7),
+        LOCKSTEP,
     )
     saving = 100 * result.energy_saving("bang_bang").mean()
     print(f"  bang-bang energy saving over 4 paired cases: {saving:.1f}%")
@@ -66,8 +76,11 @@ def build_custom_scenario():
 
 def cross_scenario_sweep():
     print("=== cross-scenario sweep (lockstep engine) ===")
-    results = scenarios.sweep_scenarios(
-        num_cases=4, horizon=30, seed=1, engine="lockstep"
+    results = run_sweep(
+        SweepPlan.for_scenarios(
+            scenarios.list_scenarios(), execution=LOCKSTEP,
+            num_cases=4, horizon=30, seed=1,
+        )
     )
     print(f"  {'scenario':<14} {'bang-bang saving':>17} {'skip%':>6} {'safe':>5}")
     for result in results:
@@ -75,7 +88,7 @@ def cross_scenario_sweep():
         print(
             f"  {result.scenario:<14} "
             f"{100 * result.energy_saving('bang_bang').mean():16.1f}% "
-            f"{100 * stats.skip_rate.mean():5.0f}% "
+            f"{100 * stats.metrics['skip_rate'].mean():5.0f}% "
             f"{str(result.always_safe):>5}"
         )
 

@@ -25,10 +25,4 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.9",
     install_requires=["numpy", "scipy"],
-    extras_require={
-        # JIT-compiled closed-form lockstep step kernel
-        # (repro.framework.kernel); kernel="auto" falls back to the
-        # bitwise-identical fused numpy path without it.
-        "numba": ["numba"],
-    },
 )

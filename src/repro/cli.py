@@ -254,8 +254,8 @@ def _cmd_sweep(args) -> int:
     execution = ExecutionConfig(
         engine=args.engine, jobs=args.jobs, exact_solves=args.exact_solves,
         lp_backend=args.lp_backend, collect_timing=args.collect_timing,
-        kernel=args.kernel, telemetry=telemetry_on,
-        on_error=args.on_error, cell_retries=args.cell_retries,
+        telemetry=telemetry_on, on_error=args.on_error,
+        cell_retries=args.cell_retries,
         cell_timeout=args.cell_timeout,
         worker_retries=args.worker_retries,
     )
@@ -350,8 +350,7 @@ def _build_submit_plan(args):
     execution = ExecutionConfig(
         engine=args.engine, jobs=args.jobs, exact_solves=args.exact_solves,
         lp_backend=args.lp_backend, collect_timing=args.collect_timing,
-        kernel=args.kernel, telemetry=args.telemetry,
-        on_error=args.on_error,
+        telemetry=args.telemetry, on_error=args.on_error,
     )
     return SweepPlan.for_scenarios(
         names,
@@ -471,8 +470,7 @@ def _cmd_batch(args) -> int:
         runner = BatchRunner(
             case.system, controller, engine=engine,
             exact_solves=args.exact_solves, lp_backend=args.lp_backend,
-            collect_timing=args.collect_timing, kernel=args.kernel,
-            **common,
+            collect_timing=args.collect_timing, **common,
         )
     rng = np.random.default_rng(args.seed)
     states = case.sample_initial_states(rng, args.episodes)
@@ -583,20 +581,13 @@ def _add_lp_backend_flag(parser) -> None:
     )
 
 
-def _add_kernel_flags(parser) -> None:
-    """Attach the lockstep ``--kernel`` / ``--no-timing`` pair."""
-    parser.add_argument(
-        "--kernel", choices=("auto", "numba", "numpy"), default="auto",
-        help="lockstep only: compiled closed-form step kernel ('auto' = "
-             "numba kernel when importable and the run is eligible, numpy "
-             "otherwise; 'numba' requires it and fails loudly; 'numpy' "
-             "never compiles); bitwise-identical either way",
-    )
+def _add_timing_flag(parser) -> None:
+    """Attach the lockstep ``--no-timing`` flag."""
     parser.add_argument(
         "--no-timing", action="store_false", dest="collect_timing",
         help="lockstep only: skip per-row wall-clock collection (timing "
              "columns read zero; deterministic metrics are unchanged bit "
-             "for bit; required for the compiled kernel tier)",
+             "for bit)",
     )
 
 
@@ -685,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write records to this path (.csv for CSV, else JSON)",
     )
     _add_engine_flag(p_bat)
-    _add_kernel_flags(p_bat)
+    _add_timing_flag(p_bat)
     _add_telemetry_flags(p_bat)
     p_bat.set_defaults(func=_cmd_batch)
 
@@ -735,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
              "parity with the serial engine",
     )
     _add_lp_backend_flag(p_swp)
-    _add_kernel_flags(p_swp)
+    _add_timing_flag(p_swp)
     p_swp.add_argument(
         "--on-error", choices=("fail", "record", "retry"), default="fail",
         dest="on_error",
@@ -827,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
              "parity with the serial engine",
     )
     _add_lp_backend_flag(p_sub)
-    _add_kernel_flags(p_sub)
+    _add_timing_flag(p_sub)
     p_sub.add_argument(
         "--on-error", choices=("fail", "record", "retry"), default="fail",
         dest="on_error",

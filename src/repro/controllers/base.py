@@ -73,22 +73,6 @@ class Controller(ABC):
         """
         return self.compute_rowwise(states)
 
-    def affine_feedback(self):
-        """The controller's closed form as ``u = clip(K x + c)``, or None.
-
-        Controllers that are a saturated affine law return a 4-tuple
-        ``(K, offset, lower, upper)`` — any entry may be ``None`` (no
-        gain / no offset / no saturation).  This is the eligibility
-        handshake for the compiled lockstep kernel tier
-        (:mod:`repro.framework.kernel`): the fused step loop evaluates
-        exactly these pieces with the same multiply + pairwise-reduce
-        rounding as :meth:`compute_batch`, so only controllers whose
-        batch path *is* that expression may return non-None.  Everything
-        else (stacked-LP solvers, learned controllers) returns ``None``
-        and keeps the numpy per-step pipeline.
-        """
-        return None
-
     def __call__(self, state) -> np.ndarray:
         return self.compute(state)
 
@@ -109,7 +93,3 @@ class ConstantController(Controller):
     def compute_batch(self, states) -> np.ndarray:
         X = np.atleast_2d(np.asarray(states, dtype=float))
         return np.tile(self.value, (X.shape[0], 1))
-
-    def affine_feedback(self):
-        """Constant output: no gain, offset = value, no saturation."""
-        return (None, self.value, None, None)

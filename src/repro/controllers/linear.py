@@ -62,10 +62,6 @@ class LinearFeedback(Controller):
             U = np.clip(U, self._lower, self._upper)
         return U
 
-    def affine_feedback(self):
-        """``u = clip(K x)`` — the compiled-kernel closed form (no offset)."""
-        return (self.K, None, self._lower, self._upper)
-
 
 def lqr_gain(A, B, Q, R) -> np.ndarray:
     """Infinite-horizon discrete LQR gain.

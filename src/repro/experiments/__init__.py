@@ -15,9 +15,8 @@ paper's whole Sec.-IV evaluation)::
     result = run_sweep(plan)        # cells sharded across fork workers
     result.to_csv("sweep.csv")      # stable row keys, exact round-trip
 
-The legacy entry points (``repro.acc.experiments.evaluate_approaches``,
-``repro.scenarios.evaluate_scenario``/``sweep_scenarios``, CLI ``sweep``)
-are thin clients of this package.
+The ACC entry point ``repro.acc.experiments.evaluate_approaches`` and the
+CLI ``sweep``/``submit`` verbs are thin clients of this package.
 """
 
 from repro.experiments.checkpoint import SweepCheckpoint

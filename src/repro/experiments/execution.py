@@ -17,11 +17,11 @@ bitwise; request ``exact_solves=True`` for record-for-record audits.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.framework.evaluation import ENGINES
-from repro.framework.kernel import KERNELS
 from repro.utils.lp_backends import BACKENDS
 
 __all__ = ["ExecutionConfig", "ON_ERROR_MODES", "SHARD_STRATEGIES"]
@@ -65,13 +65,7 @@ class ExecutionConfig:
         collect_timing: Lockstep only — maintain the per-row amortised
             wall-clock arrays (the default).  ``False`` zeroes the
             timing-derived metrics and leaves every deterministic metric
-            bitwise-unchanged; required for the compiled kernel tier.
-        kernel: Lockstep only — compiled-kernel request
-            (``"auto"``: numba kernel when importable and the cell is
-            eligible, numpy otherwise; ``"numba"``: require it;
-            ``"numpy"``: never; see :mod:`repro.framework.kernel`).
-            The kernel tier is bitwise, so deterministic metrics are
-            kernel-invariant by construction.
+            bitwise-unchanged.
         telemetry: Collect full telemetry for the sweep — spans, folded
             stage timings, and a metrics snapshot embedded per
             :class:`~repro.experiments.result.CellResult` and on the
@@ -110,7 +104,6 @@ class ExecutionConfig:
     lp_backend: Optional[str] = None
     shard: str = "auto"
     collect_timing: bool = True
-    kernel: str = "auto"
     telemetry: bool = False
     on_error: str = "fail"
     cell_retries: int = 1
@@ -118,6 +111,25 @@ class ExecutionConfig:
     worker_retries: int = 2
 
     def __post_init__(self):
+        # Payloads arrive from JSON (the HTTP service, plan files): a
+        # wrong-typed value must be a ValueError naming the field, not a
+        # TypeError from a comparison below — or, worse, a truthy string
+        # silently accepted as a bool.
+        for name in ("exact_solves", "collect_timing", "telemetry"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
+        for name in ("jobs", "cell_retries", "worker_retries"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if self.cell_timeout is not None and (
+            isinstance(self.cell_timeout, bool)
+            or not isinstance(self.cell_timeout, numbers.Real)
+        ):
+            raise ValueError(
+                f"cell_timeout must be None or a number, got {self.cell_timeout!r}"
+            )
         if self.engine not in ENGINES:
             raise ValueError(
                 f"engine must be one of {ENGINES}, got {self.engine!r}"
@@ -132,10 +144,6 @@ class ExecutionConfig:
         if self.shard not in SHARD_STRATEGIES:
             raise ValueError(
                 f"shard must be one of {SHARD_STRATEGIES}, got {self.shard!r}"
-            )
-        if self.kernel not in KERNELS:
-            raise ValueError(
-                f"kernel must be one of {KERNELS}, got {self.kernel!r}"
             )
         if self.on_error not in ON_ERROR_MODES:
             raise ValueError(

@@ -405,7 +405,6 @@ def _cell_config(cell: GridCell, execution: ExecutionConfig) -> dict:
         "exact_solves": execution.exact_solves,
         "lp_backend": execution.lp_backend,
         "collect_timing": execution.collect_timing,
-        "kernel": execution.kernel,
         "pattern": spec.pattern,
         "overrides": [[key, repr(value)] for key, value in cell.overrides],
     }
@@ -450,7 +449,6 @@ def _evaluate_cell(
             exact_solves=execution.exact_solves,
             lp_backend=execution.lp_backend,
             collect_timing=execution.collect_timing,
-            kernel=execution.kernel,
             solver_effort=solver_effort,
         )
     except RMPCInfeasibleError as exc:

@@ -3,7 +3,6 @@
 from repro.framework.accounting import RunStats, computation_saving
 from repro.framework.evaluation import ENGINES, default_engine, paired_evaluation
 from repro.framework.intermittent import IntermittentController, run_controller_only
-from repro.framework.kernel import KERNELS, KernelError, numba_available, resolve_kernel
 from repro.framework.lockstep import lockstep_controller_only, run_lockstep
 from repro.framework.monitor import SafetyMonitor, SafetyViolationError, StateClass
 from repro.framework.profiling import StageProfiler
@@ -33,10 +32,6 @@ __all__ = [
     "LockstepEngine",
     "run_lockstep",
     "lockstep_controller_only",
-    "KERNELS",
-    "KernelError",
-    "numba_available",
-    "resolve_kernel",
     "StageProfiler",
     "BatchResult",
     "EpisodeRecord",

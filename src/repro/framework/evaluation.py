@@ -126,7 +126,6 @@ def paired_evaluation(
     exact_solves: bool = False,
     lp_backend: Optional[str] = None,
     collect_timing: bool = True,
-    kernel: str = "auto",
     profiler=None,
     solver_effort: Optional[dict] = None,
 ) -> Dict[str, List[tuple]]:
@@ -163,8 +162,6 @@ def paired_evaluation(
         collect_timing: Lockstep only — ``False`` skips per-row
             wall-clock collection (timing-derived metrics read zero;
             everything else is bitwise-unchanged).
-        kernel: Lockstep only — compiled-kernel request
-            (``auto|numba|numpy``; see :mod:`repro.framework.kernel`).
         profiler: Lockstep only — optional
             :class:`~repro.framework.profiling.StageProfiler`; stage
             costs accumulate across all approaches evaluated.  When
@@ -241,7 +238,6 @@ def paired_evaluation(
                         exact_solves=exact_solves,
                         lp_backend=lp_backend,
                         collect_timing=collect_timing,
-                        kernel=kernel,
                         profiler=approach_profiler,
                     )
                 else:
@@ -257,7 +253,6 @@ def paired_evaluation(
                         exact_solves=exact_solves,
                         lp_backend=lp_backend,
                         collect_timing=collect_timing,
-                        kernel=kernel,
                         profiler=approach_profiler,
                     )
                 if own_profiler is not None:

@@ -21,15 +21,6 @@ functions here step an ``(N, n)`` state matrix for ``N`` episodes
 * the plant advances every active row in one
   :meth:`~repro.systems.lti.DiscreteLTISystem.step_batch` call.
 
-On top of the numpy pipeline sits an optional **compiled kernel tier**
-(:mod:`repro.framework.kernel`): for fully closed-form configurations —
-an affine controller, context-free policies, uniform monitors, timing
-collection off — the entire classify → decide → control → step loop runs
-as one numba-compiled pass over the batch and horizon, bitwise-identical
-to the numpy path.  Select it with ``kernel="auto"|"numba"|"numpy"``
-(mirroring the ``lp_backend`` vocabulary: ``auto`` falls back silently,
-an explicit ``numba`` raises when it cannot run).
-
 This is the only execution engine that raises episodes/sec on a
 single-core host — process fan-out (:class:`ParallelBatchRunner`) needs
 physical cores, lockstep only needs numpy.
@@ -44,8 +35,7 @@ Determinism contract — two tiers, selected by the controller's
   produce (wall-clock timing arrays excepted — the shared per-step cost
   is amortised uniformly over the rows that paid it, and zeroed when
   ``collect_timing=False``).  The differential test harness proves
-  record-for-record equality against the serial engine, on both the
-  numpy and the compiled-kernel tier.
+  record-for-record equality against the serial engine.
 * **plan-equivalent** (stacked LP controllers, i.e.
   :class:`~repro.controllers.rmpc.RobustMPC` with its block-diagonal
   :meth:`solve_batch`): when an LP has multiple optimal vertices, the
@@ -54,10 +44,9 @@ Determinism contract — two tiers, selected by the controller's
   attains the identical optimal cost (within 1e-9), every applied input
   is feasible in ``U``, and Theorem 1 keeps all episodes violation-free.
   :func:`repro.controllers.rmpc.verify_plan_equivalence` is the
-  differential check for this tier.  Such controllers expose no affine
-  closed form, so the compiled kernel never touches them — the only
-  change this engine applies to their pipeline is the fused (bitwise)
-  classification above.
+  differential check for this tier.  The only change this engine
+  applies to their pipeline is the fused (bitwise) classification
+  above.
 
 Passing ``exact_solves=True`` opts out of the stacked path: non-bitwise
 controllers are routed through row-by-row
@@ -100,12 +89,6 @@ import numpy as np
 
 from repro.controllers.base import Controller
 from repro.framework.accounting import RunStats
-from repro.framework.kernel import (
-    KernelError,
-    fused_rollout,
-    kernel_ineligibility,
-    resolve_kernel,
-)
 from repro.framework.monitor import SafetyMonitor, SafetyViolationError
 from repro.framework.profiling import StageProfiler, active_profiler
 from repro.geometry import MembershipTester
@@ -193,81 +176,12 @@ def _padded_realisations(realisations, n: int) -> tuple:
     return padded, horizons
 
 
-def _context_free_run_flags(policy, t_max: int, count: int) -> np.ndarray:
-    """Precompute the ``(t_max, N)`` RUN mask for a context-free policy.
-
-    ``decide_batch_at`` decisions are a pure function of the step index
-    (row-uniform — the same contract the per-step fast path already
-    leans on), so the whole schedule can be materialised up front for
-    the compiled kernel.
-    """
-    flags = np.zeros((t_max, count), dtype=np.int64)
-    for t in range(t_max):
-        flags[t] = np.asarray(policy.decide_batch_at(t, count)) == RUN
-    return flags
-
-
-def _dispatch_reason_tag(request: str, outcome: str, reason) -> str:
-    """Compact label for why kernel dispatch landed where it did (full
-    ineligibility prose stays in the KernelError / docs)."""
-    if outcome == "numba":
-        return "eligible"
-    if reason is None:
-        return "numpy-requested" if request == "numpy" else "numba-unavailable"
-    if "affine" in reason:
-        return "no-affine-form"
-    if "context-free" in reason:
-        return "policy-not-context-free"
-    if "strict" in reason:
-        return "mixed-strict"
-    if "timing" in reason:
-        return "collect-timing"
-    if "MAX_KERNEL_DIM" in reason:
-        return "dimension"
-    return "other"
-
-
-def _record_dispatch(request: str, outcome: str, reason, mode: str) -> None:
-    """Count one kernel-dispatch decision (auto resolution outcome plus
-    the ineligibility reason when the numpy path was selected)."""
-    _telemetry().inc(
-        "lockstep_kernel_dispatch_total",
-        request=request,
-        outcome=outcome,
-        reason=_dispatch_reason_tag(request, outcome, reason),
-        mode=mode,
-    )
-
-
 def _record_batch(mode: str, count: int, horizons) -> None:
     """Per-run episode/step counters (one call per lockstep entry)."""
     reg = _telemetry()
     reg.inc("lockstep_runs_total", mode=mode)
     reg.inc("lockstep_episodes_total", count, mode=mode)
     reg.inc("lockstep_steps_total", int(horizons.sum()), mode=mode)
-
-
-def _kernel_stats(
-    states, inputs, decisions, forced, W, horizons
-) -> List[RunStats]:
-    """Slice fused-rollout buffers into per-episode :class:`RunStats`.
-
-    The kernel tier requires ``collect_timing=False``, so the timing
-    arrays are zero-filled — exactly what the numpy path produces under
-    the same flag.
-    """
-    return [
-        RunStats(
-            states=states[i, : horizons[i] + 1].copy(),
-            inputs=inputs[i, : horizons[i]].copy(),
-            decisions=decisions[i, : horizons[i]].copy(),
-            forced=forced[i, : horizons[i]].copy(),
-            controller_seconds=np.zeros(horizons[i]),
-            monitor_seconds=np.zeros(horizons[i]),
-            disturbances=W[i, : horizons[i]].copy(),
-        )
-        for i in range(len(horizons))
-    ]
 
 
 def run_lockstep(
@@ -283,7 +197,6 @@ def run_lockstep(
     exact_solves: bool = False,
     lp_backend: Optional[str] = None,
     collect_timing: bool = True,
-    kernel: str = "auto",
     profiler: Optional[StageProfiler] = None,
 ) -> List[RunStats]:
     """Run ``N`` Algorithm-1 episodes in lockstep.
@@ -320,18 +233,10 @@ def run_lockstep(
             in :class:`RunStats` (the default).  ``False`` skips every
             ``perf_counter`` call and leaves the timing arrays
             zero-filled — all other record fields are unchanged bit for
-            bit.  Required for the compiled kernel tier.
-        kernel: Compiled-kernel request — ``"auto"`` (default: use the
-            numba kernel when importable *and* this run is eligible,
-            else the numpy path, silently), ``"numba"`` (require it;
-            :class:`~repro.framework.kernel.KernelError` when it cannot
-            run), or ``"numpy"`` (never).  See
-            :func:`repro.framework.kernel.kernel_ineligibility` for the
-            eligibility rules.
+            bit.
         profiler: Optional :class:`~repro.framework.profiling.StageProfiler`
             charged with per-stage wall clock (``classify`` / ``decide``
-            / ``control`` / ``step``, or ``kernel`` for a fused compiled
-            pass).  ``None`` or a disabled profiler costs one pointer
+            / ``control`` / ``step``).  ``None`` or a disabled profiler costs one pointer
             check per stage.
 
     Returns:
@@ -341,8 +246,6 @@ def run_lockstep(
         ValueError: If any initial state is outside ``XI``.
         SafetyViolationError: Under a strict monitor, as soon as any
             episode's state leaves ``XI``.
-        KernelError: Under an explicit ``kernel="numba"`` request that
-            cannot be honoured.
     """
     if memory_length < 1:
         raise ValueError("memory_length must be >= 1")
@@ -388,58 +291,6 @@ def run_lockstep(
         policy.reset()
     controller.reset()
     _record_batch("monitored", count, horizons)
-
-    resolved = resolve_kernel(kernel)
-    if resolved == "numba":
-        uniform_strict = all(
-            monitor.strict == reference.strict for monitor in monitors
-        )
-        reason = kernel_ineligibility(
-            controller,
-            n,
-            m,
-            context_free=context_free,
-            uniform_strict=uniform_strict,
-            collect_timing=collect_timing,
-        )
-        if reason is None:
-            _record_dispatch(kernel, "numba", None, "monitored")
-            prof = active_profiler(profiler)
-            ptick = prof.tick() if prof is not None else 0.0
-            run_flags = _context_free_run_flags(policies[0], t_max, count)
-            states, inputs, decisions, forced, violations, abort_t, abort_i = (
-                fused_rollout(
-                    system,
-                    controller,
-                    sset,
-                    iset,
-                    tol,
-                    skip_u,
-                    X0,
-                    W,
-                    horizons,
-                    run_flags,
-                    strict=reference.strict,
-                )
-            )
-            total_violations = int(violations.sum())
-            if total_violations:
-                _telemetry().inc("safety_violations_total", total_violations)
-            for i in np.flatnonzero(violations):
-                monitors[i].violations += int(violations[i])
-            if prof is not None:
-                prof.add("kernel", ptick)
-            if abort_t >= 0:
-                raise SafetyViolationError(
-                    f"state {states[abort_i, abort_t]} left the robust "
-                    "invariant set"
-                )
-            return _kernel_stats(states, inputs, decisions, forced, W, horizons)
-        if kernel == "numba":
-            raise KernelError(f"kernel='numba' requested but {reason}")
-        _record_dispatch(kernel, "numpy", reason, "monitored")
-    else:
-        _record_dispatch(kernel, "numpy", None, "monitored")
 
     compute_batch = _batch_compute_fn(controller, exact_solves, lp_backend)
     membership = MembershipTester((sset, iset), tol)
@@ -561,7 +412,6 @@ def lockstep_controller_only(
     exact_solves: bool = False,
     lp_backend: Optional[str] = None,
     collect_timing: bool = True,
-    kernel: str = "auto",
     profiler: Optional[StageProfiler] = None,
 ) -> List[RunStats]:
     """Vectorised :func:`~repro.framework.intermittent.run_controller_only`.
@@ -570,11 +420,10 @@ def lockstep_controller_only(
     RMPC-only baseline leg of ``evaluate_approaches``, in lockstep.
     ``exact_solves`` and ``lp_backend`` select the determinism tier and
     stacked-solve backend exactly as in :func:`run_lockstep`, as do
-    ``collect_timing``, ``kernel`` and ``profiler`` (the kernel tier runs
-    the same fused loop with classification skipped and every step a
-    RUN).  This is the workload where the warm-started ``highs`` backend
-    shines: the stacked LP is identical every step except for its
-    initial-state RHS, at a constant batch height.
+    ``collect_timing`` and ``profiler``.  This is the workload where the
+    warm-started ``highs`` backend shines: the stacked LP is identical
+    every step except for its initial-state RHS, at a constant batch
+    height.
 
     Returns:
         ``N`` :class:`RunStats` with all decisions 1 and zero monitor time.
@@ -588,37 +437,6 @@ def lockstep_controller_only(
     t_max = W.shape[1]
     controller.reset()
     _record_batch("controller_only", count, horizons)
-
-    resolved = resolve_kernel(kernel)
-    if resolved == "numba":
-        reason = kernel_ineligibility(
-            controller, n, m, collect_timing=collect_timing
-        )
-        if reason is None:
-            _record_dispatch(kernel, "numba", None, "controller_only")
-            prof = active_profiler(profiler)
-            ptick = prof.tick() if prof is not None else 0.0
-            run_flags = np.ones((t_max, count), dtype=np.int64)
-            states, inputs, decisions, forced, _, _, _ = fused_rollout(
-                system,
-                controller,
-                None,
-                None,
-                0.0,
-                np.zeros(m),
-                X0,
-                W,
-                horizons,
-                run_flags,
-            )
-            if prof is not None:
-                prof.add("kernel", ptick)
-            return _kernel_stats(states, inputs, decisions, forced, W, horizons)
-        if kernel == "numba":
-            raise KernelError(f"kernel='numba' requested but {reason}")
-        _record_dispatch(kernel, "numpy", reason, "controller_only")
-    else:
-        _record_dispatch(kernel, "numpy", None, "controller_only")
 
     compute_batch = _batch_compute_fn(controller, exact_solves, lp_backend)
     prof = active_profiler(profiler)

@@ -19,11 +19,9 @@ Design constraints, in order:
   reads: :meth:`StageProfiler.add` returns the ``perf_counter`` value it
   just took, which is the next stage's start tick — one clock read per
   stage boundary instead of two.
-* **Free-form stages.**  Stage names are plain strings; the numpy
-  lockstep path reports ``classify`` / ``decide`` / ``control`` /
-  ``step`` (context materialisation is charged to ``decide``) and the
-  compiled fast path reports a single fused ``kernel`` stage (see
-  :mod:`repro.framework.kernel`).
+* **Free-form stages.**  Stage names are plain strings; the lockstep
+  loop reports ``classify`` / ``decide`` / ``control`` / ``step``
+  (context materialisation is charged to ``decide``).
 
 Typical use::
 

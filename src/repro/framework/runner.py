@@ -286,8 +286,6 @@ class BatchRunner:
             wall-clock arrays (the default).  ``False`` skips every
             ``perf_counter`` call; the timing record fields read zero
             and everything else is unchanged bit for bit.
-        kernel: Lockstep only — compiled-kernel request
-            (``auto|numba|numpy``; :mod:`repro.framework.kernel`).
         profiler: Lockstep only — optional
             :class:`~repro.framework.profiling.StageProfiler` charged
             with per-stage wall clock across the batch.
@@ -306,7 +304,6 @@ class BatchRunner:
         exact_solves: bool = False,
         lp_backend: Optional[str] = None,
         collect_timing: bool = True,
-        kernel: str = "auto",
         profiler=None,
     ):
         if engine not in ("serial", "lockstep"):
@@ -325,7 +322,6 @@ class BatchRunner:
         self.exact_solves = exact_solves
         self.lp_backend = lp_backend
         self.collect_timing = collect_timing
-        self.kernel = kernel
         self.profiler = profiler
         self._policy_takes_rng = _accepts_rng(policy_factory)
 
@@ -414,7 +410,6 @@ class BatchRunner:
                 exact_solves=self.exact_solves,
                 lp_backend=self.lp_backend,
                 collect_timing=self.collect_timing,
-                kernel=self.kernel,
                 profiler=self.profiler,
             )
             for episode, stats in enumerate(stats_list):
@@ -506,7 +501,6 @@ class LockstepEngine(BatchRunner):
         exact_solves: bool = False,
         lp_backend: Optional[str] = None,
         collect_timing: bool = True,
-        kernel: str = "auto",
         profiler=None,
     ):
         super().__init__(
@@ -521,7 +515,6 @@ class LockstepEngine(BatchRunner):
             exact_solves=exact_solves,
             lp_backend=lp_backend,
             collect_timing=collect_timing,
-            kernel=kernel,
             profiler=profiler,
         )
 

@@ -6,7 +6,6 @@ Every module logs under ``repro.<package>.<module>`` via the idiomatic
 ``logging.getLogger(__name__)`` — e.g. ``repro.scenarios.builder``
 (certified-set synthesis / cache activity), ``repro.utils.lp_backends``
 (LP backend resolution and persistent-model builds),
-``repro.framework.lockstep`` (kernel dispatch decisions),
 ``repro.experiments.runner`` (grid-cell progress), and ``repro.cli``.
 Attaching a handler to the root ``"repro"`` logger captures all of
 them; nothing is emitted by default (the namespace inherits the
@@ -15,7 +14,7 @@ root logger's WARNING threshold and has no handler until
 
 The CLI maps its ``-v/--verbose`` count onto this: no flag → WARNING,
 ``-v`` → INFO (one line per scenario synthesis / cell / backend
-decision), ``-vv`` → DEBUG (cache probes, dispatch reasons).
+decision), ``-vv`` → DEBUG (cache probes, model builds, per-cell shapes).
 """
 
 from __future__ import annotations

@@ -25,13 +25,6 @@ from repro.scenarios.spec import ScenarioSpec, ScenarioSynthesisError
 # Populate the registry with the built-in zoo (must come after the
 # builder/registry imports above; the library leans on both).
 from repro.scenarios import library as _library  # noqa: E402,F401
-from repro.scenarios.evaluate import (
-    ScenarioApproachStats,
-    ScenarioComparison,
-    default_policies,
-    evaluate_scenario,
-    sweep_scenarios,
-)
 
 __all__ = [
     "ScenarioSpec",
@@ -45,9 +38,4 @@ __all__ = [
     "get",
     "build",
     "list_scenarios",
-    "ScenarioApproachStats",
-    "ScenarioComparison",
-    "default_policies",
-    "evaluate_scenario",
-    "sweep_scenarios",
 ]

@@ -114,6 +114,17 @@ class TestParser:
         assert second.values == (0.5, 1)
         assert args.jobs == 2
 
+    @pytest.mark.parametrize("command", ["batch", "sweep", "submit"])
+    def test_kernel_flag_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args([command, "--kernel", "numpy"])
+        assert info.value.code == 2
+        assert "--kernel" in capsys.readouterr().err
+        # The lockstep timing switch that shared its helper stays.
+        assert not build_parser().parse_args(
+            [command, "--no-timing"]
+        ).collect_timing
+
     def test_sweep_axis_flag_rejects_malformed(self):
         for bad in ("horizon", "horizon=1:2", "horizon=a:b:c", "=1:2:3",
                     "horizon=1:2:0"):

@@ -21,7 +21,7 @@ from repro.experiments import (
 from repro.geometry import HPolytope
 from repro.scenarios import ScenarioSpec, build_case_study
 from repro.scenarios.builder import _CACHE as _BUILDER_CACHE
-from repro.skipping import AlwaysSkipPolicy
+from repro.skipping import AlwaysSkipPolicy, PeriodicSkipPolicy
 
 
 def cheap_spec(name="exp_thermal", **overrides) -> ScenarioSpec:
@@ -319,6 +319,22 @@ class TestRunExperiment:
             )
         )
         assert list(cell.approaches) == ["baseline", "custom"]
+
+    def test_policies_mapping_runs_named_approach(self):
+        cell = run_experiment(
+            ExperimentSpec(
+                scenario=cheap_spec(),
+                approaches=("every3",),
+                policies={"every3": PeriodicSkipPolicy(3)},
+                num_cases=3,
+                horizon=8,
+                seed=2,
+            )
+        )
+        assert list(cell.approaches) == ["baseline", "every3"]
+        every3 = cell.approaches["every3"].metrics
+        assert every3["energy"].shape == (3,)
+        assert (every3["skip_rate"] <= 2 / 3 + 1e-12).all()
 
     def test_pattern_requires_acc(self):
         with pytest.raises(ValueError, match="requires scenario 'acc'"):

@@ -11,13 +11,16 @@ from per-episode seed streams.
 import numpy as np
 import pytest
 
+from repro import scenarios
 from repro.controllers import ConstantController, LinearFeedback, lqr_gain
 from repro.controllers.base import Controller
 from repro.framework import (
     BatchRunner,
+    IntermittentController,
     LockstepEngine,
     ParallelBatchRunner,
     SafetyMonitor,
+    SafetyViolationError,
     lockstep_controller_only,
     run_controller_only,
     run_lockstep,
@@ -399,6 +402,162 @@ class TestLockstepControllerOnly:
         assert lockstep_controller_only(
             runner.system, runner.controller, np.empty((0, 2)), []
         ) == []
+
+
+def assert_runs_equal(left, right):
+    """Every deterministic :class:`RunStats` field equal, bit for bit."""
+    assert len(left) == len(right)
+    for a, b in zip(left, right):
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.inputs, b.inputs)
+        assert np.array_equal(a.decisions, b.decisions)
+        assert np.array_equal(a.forced, b.forced)
+        assert np.array_equal(a.disturbances, b.disturbances)
+
+
+def serial_runs(system, controller, monitors, policies, states, realisations, **kw):
+    """The serial oracle: one Algorithm-1 loop per episode."""
+    return [
+        IntermittentController(system, controller, monitor, policy, **kw).run(x0, w)
+        for monitor, policy, x0, w in zip(monitors, policies, states, realisations)
+    ]
+
+
+@pytest.fixture
+def di_sets(double_integrator, di_feedback):
+    """Double integrator, saturated LQR feedback, XI and X', and a
+    monitor factory with a selectable ``strict`` flag."""
+    system = double_integrator
+    K = di_feedback.K
+    seed_set = system.safe_set.intersect(system.input_set.linear_preimage(K))
+    xi = maximal_rpi(
+        system.closed_loop_matrix(K), seed_set, system.disturbance_set
+    ).invariant_set
+    xp = strengthened_safe_set(system, xi)
+
+    def monitors(count, strict=True):
+        return [
+            SafetyMonitor(
+                strengthened_set=xp, invariant_set=xi,
+                safe_set=system.safe_set, strict=strict,
+            )
+            for _ in range(count)
+        ]
+
+    def realisations(count, horizon, seed):
+        rng = np.random.default_rng(seed)
+        lo, hi = system.disturbance_set.bounding_box()
+        return [rng.uniform(lo, hi, size=(horizon, system.n)) for _ in range(count)]
+
+    return system, di_feedback, monitors, realisations, xi
+
+
+def _zero_input(system):
+    return ConstantController(np.zeros(system.m))
+
+
+def _destabilising(system):
+    return LinearFeedback(-lqr_gain(system.A, system.B, np.eye(2), np.eye(1)))
+
+
+#: Controllers that drive episodes out of XI under AlwaysRun.
+LEAKY_CONTROLLERS = {"zero_input": _zero_input, "destabilising": _destabilising}
+
+
+class TestViolationParity:
+    """Episodes that leave XI: lockstep and the serial loop count the
+    same violations (non-strict) and both abort (strict)."""
+
+    @pytest.mark.parametrize("name", sorted(LEAKY_CONTROLLERS))
+    def test_non_strict_violation_counts(self, di_sets, name):
+        system, _c, monitors, realisations, xi = di_sets
+        controller = LEAKY_CONTROLLERS[name](system)
+        states = xi.sample(np.random.default_rng(7), 4)
+        W = realisations(len(states), 40, 11)
+        serial_monitors = monitors(len(states), strict=False)
+        serial = serial_runs(
+            system, controller, serial_monitors,
+            [AlwaysRunPolicy() for _ in states], states, W,
+        )
+        lockstep_monitors = monitors(len(states), strict=False)
+        lockstep = run_lockstep(
+            system, controller, lockstep_monitors,
+            [AlwaysRunPolicy() for _ in states], states, W,
+        )
+        assert_runs_equal(serial, lockstep)
+        counts = [m.violations for m in serial_monitors]
+        assert counts == [m.violations for m in lockstep_monitors]
+        assert sum(counts) > 0, "scenario must actually violate"
+
+    def test_strict_abort_parity(self, di_sets):
+        """A batch raises under both engines or under neither (which
+        episode is named may differ: serial is episode-major)."""
+        system, _c, monitors, realisations, xi = di_sets
+        controller = _destabilising(system)
+        states = xi.sample(np.random.default_rng(7), 5)
+        W = realisations(len(states), 60, 11)
+        for monitor, x0, w in zip(monitors(len(states)), states, W):
+            runner = IntermittentController(
+                system, controller, monitor, AlwaysRunPolicy()
+            )
+            with pytest.raises(SafetyViolationError):
+                runner.run(x0, w)
+        lockstep_monitors = monitors(len(states))
+        with pytest.raises(SafetyViolationError, match="left the robust"):
+            run_lockstep(
+                system, controller, lockstep_monitors,
+                [AlwaysRunPolicy() for _ in states], states, W,
+            )
+        assert sum(m.violations for m in lockstep_monitors) >= 1
+
+    def test_saturated_controller_only_parity(self, di_sets):
+        system, controller, _m, realisations, xi = di_sets
+        states = xi.sample(np.random.default_rng(5), 6)
+        W = realisations(len(states), HORIZON, 20260807)
+        batch = lockstep_controller_only(system, controller, states, W)
+        serial = [
+            run_controller_only(system, controller, x0, w)
+            for x0, w in zip(states, W)
+        ]
+        assert_runs_equal(serial, batch)
+        assert all(stats.decisions.all() for stats in batch)
+
+
+class TestScenarioZooParity:
+    """Serial ≡ lockstep, record for record, on every registered scenario.
+
+    ``exact_solves=True`` keeps RMPC scenarios on the scalar path (the
+    bitwise tier); monitors are non-strict so any excursion becomes a
+    counted violation that must match across engines too.
+    """
+
+    CASES = 3
+    STEPS = 15
+
+    @pytest.mark.parametrize("name", scenarios.list_scenarios())
+    def test_serial_lockstep_parity(self, name):
+        case = scenarios.build(name)
+        states = case.sample_initial_states(np.random.default_rng(1), self.CASES)
+        factory = case.disturbance_factory(self.STEPS)
+        realisations = [
+            factory(e, np.random.default_rng(100 + e)) for e in range(self.CASES)
+        ]
+        serial_monitors = [case.make_monitor(strict=False) for _ in states]
+        serial = serial_runs(
+            case.system, case.controller, serial_monitors,
+            [PeriodicSkipPolicy(2) for _ in states], states, realisations,
+            skip_input=case.skip_input,
+        )
+        lockstep_monitors = [case.make_monitor(strict=False) for _ in states]
+        lockstep = run_lockstep(
+            case.system, case.controller, lockstep_monitors,
+            [PeriodicSkipPolicy(2) for _ in states], states, realisations,
+            skip_input=case.skip_input, exact_solves=True,
+        )
+        assert_runs_equal(serial, lockstep)
+        assert [m.violations for m in serial_monitors] == [
+            m.violations for m in lockstep_monitors
+        ]
 
 
 class TestRunLockstepValidation:

@@ -119,7 +119,6 @@ class TestLockstepProfiling:
             [PeriodicSkipPolicy(2) for _ in states],
             states,
             realisations,
-            kernel="numpy",
             profiler=profiler,
         )
         assert set(profiler.stages) == {"classify", "decide", "control", "step"}
@@ -132,8 +131,7 @@ class TestLockstepProfiling:
         system, controller, _monitors, states, realisations = di_setup
         profiler = StageProfiler()
         lockstep_controller_only(
-            system, controller, states, realisations,
-            kernel="numpy", profiler=profiler,
+            system, controller, states, realisations, profiler=profiler
         )
         assert set(profiler.stages) == {"control", "step"}
 
@@ -147,7 +145,6 @@ class TestLockstepProfiling:
             [PeriodicSkipPolicy(2) for _ in states],
             states,
             realisations,
-            kernel="numpy",
             profiler=profiler,
         )
         assert profiler.stages == ()
@@ -157,12 +154,11 @@ class TestLockstepProfiling:
         plain = run_lockstep(
             system, controller, monitors(len(states)),
             [PeriodicSkipPolicy(2) for _ in states], states, realisations,
-            kernel="numpy",
         )
         profiled = run_lockstep(
             system, controller, monitors(len(states)),
             [PeriodicSkipPolicy(2) for _ in states], states, realisations,
-            kernel="numpy", profiler=StageProfiler(),
+            profiler=StageProfiler(),
         )
         for a, b in zip(plain, profiled):
             assert np.array_equal(a.states, b.states)

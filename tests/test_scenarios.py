@@ -1,5 +1,6 @@
 """Tests for the scenario zoo: spec validation, builder synthesis,
-registry behaviour, cache hygiene and the cross-scenario sweep."""
+registry behaviour, cache hygiene and scenario execution through the
+experiment API."""
 
 from __future__ import annotations
 
@@ -353,57 +354,35 @@ class TestScenarioExecution:
         )
         assert max(r.max_violation for r in serial.records) <= 0.0
 
-    def test_evaluate_scenario_engines_agree(self, thermal_case):
-        results = {
-            engine: scenarios.evaluate_scenario(
-                thermal_case, num_cases=4, horizon=12, seed=3, engine=engine
-            )
+    def test_run_experiment_engines_agree(self, thermal_case):
+        from repro.experiments import ExecutionConfig, ExperimentSpec, run_experiment
+
+        spec = ExperimentSpec(
+            scenario=thermal_case.spec, num_cases=4, horizon=12, seed=3
+        )
+        a, b = (
+            run_experiment(spec, ExecutionConfig(engine=engine))
             for engine in ("serial", "lockstep")
-        }
-        a, b = results["serial"], results["lockstep"]
-        assert np.array_equal(a.baseline.energy, b.baseline.energy)
+        )
+        assert list(a.approaches) == list(b.approaches)
         for name in a.approaches:
-            assert np.array_equal(
-                a.approaches[name].energy, b.approaches[name].energy
-            )
-            assert np.array_equal(
-                a.approaches[name].forced_steps, b.approaches[name].forced_steps
-            )
+            for metric in ("energy", "forced_steps"):
+                assert np.array_equal(
+                    a.approaches[name].metrics[metric],
+                    b.approaches[name].metrics[metric],
+                )
 
-    def test_evaluate_scenario_paired_and_safe(self, thermal_case):
-        result = scenarios.evaluate_scenario(
-            thermal_case, num_cases=5, horizon=10, seed=2
-        )
-        assert result.scenario == "test_thermal"
-        assert result.baseline.energy.shape == (5,)
-        for name, stats in result.approaches.items():
-            assert stats.energy.shape == (5,)
-            assert result.energy_saving(name).shape == (5,)
-        assert result.always_safe
-        # Bang-bang skips whenever allowed => never more energy than the
-        # run-every-step baseline on the same realisations.
-        assert (result.energy_saving("bang_bang") >= -1e-12).all()
+    def test_sweep_subset(self):
+        from repro.experiments import SweepPlan, run_sweep
 
-    def test_evaluate_scenario_rejects_baseline_name(self, thermal_case):
-        with pytest.raises(ValueError, match="baseline"):
-            scenarios.evaluate_scenario(
-                thermal_case, policies={"baseline": AlwaysSkipPolicy()}
-            )
-
-    def test_stats_unknown_approach(self, thermal_case):
-        result = scenarios.evaluate_scenario(
-            thermal_case, num_cases=2, horizon=5
-        )
-        with pytest.raises(ValueError, match="unknown approach"):
-            result.stats("nope")
-
-    def test_sweep_subset(self, thermal_case):
         scenarios.register("test_thermal", lambda: thermal_like_spec())
         try:
-            results = scenarios.sweep_scenarios(
-                ["test_thermal"], num_cases=3, horizon=8, seed=1
+            result = run_sweep(
+                SweepPlan.for_scenarios(
+                    ["test_thermal"], num_cases=3, horizon=8, seed=1
+                )
             )
         finally:
             scenarios.unregister("test_thermal")
-        assert [r.scenario for r in results] == ["test_thermal"]
-        assert results[0].always_safe
+        assert [cell.scenario for cell in result] == ["test_thermal"]
+        assert result.always_safe

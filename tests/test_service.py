@@ -13,6 +13,7 @@ via ``scenario_builds_total`` and store hit/miss counters).
 from __future__ import annotations
 
 import json
+import re
 import sys
 import threading
 import time
@@ -47,6 +48,21 @@ from repro.utils import chaos
 
 PLAN_KW = dict(num_cases=2, horizon=6, seed=3)
 EXEC = ExecutionConfig(engine="lockstep", jobs=1, telemetry=True)
+
+#: Wrong-typed execution values a JSON payload can carry; each must be a
+#: ValueError naming its field (HTTP 400), never a TypeError (500) or a
+#: silently truthy flag.
+MALFORMED_EXECUTION = [
+    ("jobs", "2"),
+    ("jobs", True),
+    ("cell_retries", None),
+    ("worker_retries", 1.5),
+    ("exact_solves", "no"),
+    ("collect_timing", 0),
+    ("telemetry", None),
+    ("cell_timeout", "30"),
+    ("cell_timeout", True),
+]
 
 
 def make_plan(values=(5, 6)):
@@ -127,7 +143,7 @@ class TestPlanSerialization:
         execution = ExecutionConfig(
             engine="lockstep", jobs=3, exact_solves=True,
             lp_backend="scipy", shard="none", collect_timing=False,
-            kernel="numpy", telemetry=True, on_error="retry",
+            telemetry=True, on_error="retry",
             cell_retries=2, cell_timeout=9.5, worker_retries=1,
         )
         assert execution_from_dict(
@@ -137,6 +153,23 @@ class TestPlanSerialization:
     def test_unknown_execution_field_rejected(self):
         with pytest.raises(ValueError, match="unknown execution fields"):
             execution_from_dict({"engine": "serial", "bogus": 1})
+
+    @pytest.mark.parametrize("field, value", MALFORMED_EXECUTION)
+    def test_malformed_execution_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            execution_from_dict({field: value})
+
+    def test_removed_kernel_field_rejected(self):
+        payload = plan_to_dict(make_plan())
+        payload["execution"]["kernel"] = "numpy"
+        with pytest.raises(
+            ValueError, match=re.escape("unknown execution fields: ['kernel']")
+        ):
+            plan_from_dict(payload)
+
+    def test_cell_config_has_no_kernel_key(self):
+        plan = make_plan()
+        assert "kernel" not in _cell_config(plan.cells()[0], plan.execution)
 
     def test_policies_do_not_serialise(self):
         plan = SweepPlan(
@@ -412,6 +445,17 @@ class TestServiceHTTP:
         with pytest.raises(ServiceError) as info:
             service._request("GET", "/v1/nope")
         assert info.value.status == 404
+
+    @pytest.mark.parametrize(
+        "field, value", MALFORMED_EXECUTION + [("kernel", "numpy")]
+    )
+    def test_malformed_execution_is_400(self, service, field, value):
+        payload = plan_to_dict(make_plan())
+        payload["execution"][field] = value
+        with pytest.raises(ServiceError) as info:
+            service.submit(payload)
+        assert info.value.status == 400
+        assert field in str(info.value)
 
     def test_evicted_job_is_404(self, service, monkeypatch):
         monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 1)

@@ -1,136 +1,12 @@
-"""Shim-equivalence: the legacy entry points (`evaluate_scenario`,
-`sweep_scenarios`, `evaluate_approaches`) are thin clients of the
-experiment API and must produce metric-identical results to direct
-`run_experiment`/`run_sweep` calls (serial engine, same seed)."""
+"""Shim-equivalence: the ACC entry point `evaluate_approaches` is a thin
+client of the experiment API and must produce metric-identical results
+to a direct `run_experiment` call (serial engine, same seed)."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro import scenarios
-from repro.experiments import (
-    ExecutionConfig,
-    ExperimentSpec,
-    SweepPlan,
-    run_experiment,
-    run_sweep,
-)
-from repro.geometry import HPolytope
-from repro.scenarios import ScenarioSpec
-from repro.skipping import AlwaysSkipPolicy
-from repro.skipping.heuristics import PeriodicSkipPolicy
-
-
-def shim_spec(name="shim_thermal", **overrides) -> ScenarioSpec:
-    config = dict(
-        name=name,
-        A=[[0.9]],
-        B=[[0.05]],
-        safe_set=HPolytope.from_box([-2.0], [2.0]),
-        input_set=HPolytope.from_box([-15.0], [15.0]),
-        disturbance_set=HPolytope.from_box([-0.1], [0.1]),
-        controller="rmpc",
-        horizon=5,
-    )
-    config.update(overrides)
-    return ScenarioSpec(**config)
-
-
-class TestEvaluateScenarioShim:
-    def test_matches_run_experiment(self):
-        case = scenarios.build_case_study(shim_spec())
-        legacy = scenarios.evaluate_scenario(
-            case, num_cases=4, horizon=10, seed=6, engine="serial"
-        )
-        direct = run_experiment(
-            ExperimentSpec(
-                scenario=case.spec, approaches=None, num_cases=4,
-                horizon=10, seed=6,
-            ),
-            ExecutionConfig(engine="serial"),
-        )
-        assert legacy.scenario == direct.scenario == "shim_thermal"
-        np.testing.assert_array_equal(
-            legacy.baseline.energy, direct.approaches["baseline"].metrics["energy"]
-        )
-        for name in legacy.approaches:
-            for legacy_field, metric in (
-                ("energy", "energy"),
-                ("skip_rate", "skip_rate"),
-                ("forced_steps", "forced_steps"),
-                ("max_violation", "max_violation"),
-            ):
-                np.testing.assert_array_equal(
-                    getattr(legacy.approaches[name], legacy_field),
-                    direct.approaches[name].metrics[metric],
-                )
-
-    def test_custom_policies_flow_through(self):
-        case = scenarios.build_case_study(shim_spec())
-        policies = {"every3": PeriodicSkipPolicy(3)}
-        legacy = scenarios.evaluate_scenario(
-            case, policies=policies, num_cases=3, horizon=8, seed=2
-        )
-        direct = run_experiment(
-            ExperimentSpec(
-                scenario=case.spec, approaches=("every3",),
-                policies={"every3": PeriodicSkipPolicy(3)},
-                num_cases=3, horizon=8, seed=2,
-            )
-        )
-        assert list(legacy.approaches) == ["every3"]
-        np.testing.assert_array_equal(
-            legacy.approaches["every3"].energy,
-            direct.approaches["every3"].metrics["energy"],
-        )
-
-    def test_baseline_policy_name_still_rejected(self):
-        case = scenarios.build_case_study(shim_spec())
-        with pytest.raises(ValueError, match="baseline"):
-            scenarios.evaluate_scenario(
-                case, policies={"baseline": AlwaysSkipPolicy()}
-            )
-
-
-class TestSweepScenariosShim:
-    def test_matches_run_sweep(self):
-        scenarios.register("shim_a", lambda: shim_spec("shim_a"))
-        scenarios.register(
-            "shim_b", lambda: shim_spec("shim_b", A=[[0.8]])
-        )
-        try:
-            legacy = scenarios.sweep_scenarios(
-                ["shim_a", "shim_b"], num_cases=3, horizon=8, seed=4
-            )
-            direct = run_sweep(
-                SweepPlan(
-                    experiments=[
-                        ExperimentSpec(scenario=name, approaches=None,
-                                       num_cases=3, horizon=8, seed=4)
-                        for name in ("shim_a", "shim_b")
-                    ],
-                    execution=ExecutionConfig(engine="serial"),
-                )
-            )
-        finally:
-            scenarios.unregister("shim_a")
-            scenarios.unregister("shim_b")
-        assert [r.scenario for r in legacy] == [c.scenario for c in direct]
-        for comparison, cell in zip(legacy, direct):
-            np.testing.assert_array_equal(
-                comparison.baseline.energy,
-                cell.approaches["baseline"].metrics["energy"],
-            )
-            for name in comparison.approaches:
-                np.testing.assert_array_equal(
-                    comparison.approaches[name].energy,
-                    cell.approaches[name].metrics["energy"],
-                )
-                np.testing.assert_array_equal(
-                    comparison.approaches[name].max_violation,
-                    cell.approaches[name].metrics["max_violation"],
-                )
+from repro.experiments import ExecutionConfig, ExperimentSpec, run_experiment
 
 
 class TestEvaluateApproachesShim:

@@ -320,7 +320,7 @@ class TestTelemetryTransparency:
                 ExperimentSpec(**SPEC), ExecutionConfig(engine="lockstep")
             )
             reg = obs.registry()
-            assert reg.total("lockstep_kernel_dispatch_total") > 0
+            assert reg.total("lockstep_runs_total") > 0
             assert reg.total("rmpc_solves_total") > 0
             assert reg.total("lockstep_steps_total") > 0
             # ... but the hot-path span tier stayed off.
