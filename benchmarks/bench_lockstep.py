@@ -42,9 +42,16 @@ the incumbent basis).  The row is judged by *solve time per lockstep
 step*; both backends must attain identical per-step total optimal cost
 (plan-equivalent tier).
 
+The whole benchmark runs under an enabled metrics registry, so every
+lockstep row also carries its per-stage wall-clock breakdown
+(classify / decide / control / step), read as the before/after delta of
+the engine's ``lockstep_stage_seconds`` / ``lockstep_stage_calls``
+telemetry.  A lockstep row missing any stage fails the run too — the
+gate on the registry timing path.
+
 Every run also writes a ``BENCH_lockstep.json`` perf-trajectory artifact
-(per-row episodes/sec + speedups, machine info) so successive commits
-can be compared; disable with ``--artifact ''``.
+(per-row episodes/sec + speedups + stage breakdowns, machine info) so
+successive commits can be compared; disable with ``--artifact ''``.
 """
 
 from __future__ import annotations
@@ -60,9 +67,12 @@ from machine import machine_info, visible_cpus
 
 from repro.acc import acc_disturbance_factory, build_case_study
 from repro.controllers import LinearFeedback, lqr_gain, verify_plan_equivalence
-from repro.framework import BatchRunner, ParallelBatchRunner, StageProfiler
+from repro.framework import BatchRunner, ParallelBatchRunner
 from repro.observability import metrics as _obs
 from repro.skipping import AlwaysSkipPolicy
+
+#: The lockstep loop's stages; every lockstep row must report all four.
+STAGES = ("classify", "decide", "control", "step")
 
 
 def _configurations(case) -> dict:
@@ -81,6 +91,38 @@ def _configurations(case) -> dict:
     }
 
 
+def _stage_totals() -> dict:
+    """Cumulative ``stage -> (seconds, calls)`` in the ambient registry."""
+    reg = _obs.registry()
+    return {
+        stage: (
+            reg.total("lockstep_stage_seconds", stage=stage),
+            reg.total("lockstep_stage_calls", stage=stage),
+        )
+        for stage in STAGES
+    }
+
+
+def _stage_breakdown(before: dict, after: dict) -> dict:
+    """``{stage: {seconds, calls, share}}`` between two :func:`_stage_totals`
+    probes; stages the run never charged are left out."""
+    spent = {
+        stage: (after[stage][0] - before[stage][0],
+                after[stage][1] - before[stage][1])
+        for stage in STAGES
+    }
+    spent = {stage: pair for stage, pair in spent.items() if pair[1] > 0}
+    total = sum(seconds for seconds, _ in spent.values())
+    return {
+        stage: {
+            "seconds": seconds,
+            "calls": calls,
+            "share": seconds / total if total > 0 else 0.0,
+        }
+        for stage, (seconds, calls) in spent.items()
+    }
+
+
 def run_benchmark(
     episodes: int,
     horizon: int,
@@ -88,16 +130,15 @@ def run_benchmark(
     seed: int,
     experiment: str = "overall",
     controllers=("linear", "rmpc"),
-    profile: bool = False,
 ) -> dict:
     """Time one batch per (controller configuration, engine).
 
     The ``linear`` configuration gets one extra lockstep row on top of
     the plain (timing-on) one: ``lockstep-fast`` drops the per-row
     wall-clock amortisation (``collect_timing=False``) and stays on the
-    bitwise contract.  With ``profile=True`` every lockstep row carries
-    a per-stage wall-clock breakdown
-    (:class:`~repro.framework.StageProfiler`).
+    bitwise contract.  Every lockstep row carries its per-stage
+    wall-clock breakdown (``profile``) and the stages it failed to
+    report (``missing_stages``, empty when the registry path works).
 
     Returns:
         Dict with per-configuration throughput, speedup over that
@@ -108,7 +149,7 @@ def run_benchmark(
     """
     with _obs.scoped_registry(enabled=True) as reg:
         report = _run_benchmark(
-            episodes, horizon, jobs, seed, experiment, controllers, profile
+            episodes, horizon, jobs, seed, experiment, controllers
         )
         report["telemetry"] = reg.snapshot()
     return report
@@ -121,7 +162,6 @@ def _run_benchmark(
     seed: int,
     experiment: str,
     controllers,
-    profile: bool,
 ) -> dict:
     case = build_case_study()
     factory = acc_disturbance_factory(case, experiment, horizon)
@@ -133,7 +173,6 @@ def _run_benchmark(
     for name in controllers:
         controller, monitor_factory = available[name]
         bitwise = getattr(controller, "bitwise_batch", True)
-        profilers = {}
 
         def make_runner(cls, **extra):
             return cls(
@@ -145,9 +184,7 @@ def _run_benchmark(
                 **extra,
             )
 
-        def lockstep_runner(engine_name, **extra):
-            if profile:
-                profilers[engine_name] = extra["profiler"] = StageProfiler()
+        def lockstep_runner(**extra):
             return make_runner(BatchRunner, engine="lockstep", **extra)
 
         def timed(runner):
@@ -162,14 +199,14 @@ def _run_benchmark(
              serial_result, serial_seconds),
             ("parallel", make_runner(ParallelBatchRunner, jobs=jobs),
              "bitwise", None, None),
-            ("lockstep", lockstep_runner("lockstep"),
+            ("lockstep", lockstep_runner(),
              "bitwise" if bitwise else "plan-equivalent", None, None),
         ]
         if bitwise:
             # Per-row timing amortisation skipped.
             engines.append(
                 ("lockstep-fast",
-                 lockstep_runner("lockstep-fast", collect_timing=False),
+                 lockstep_runner(collect_timing=False),
                  "bitwise", None, None)
             )
         if not bitwise:
@@ -177,13 +214,14 @@ def _run_benchmark(
             # what the engine alone (without solve stacking) buys.
             engines.append(
                 ("lockstep-exact",
-                 make_runner(BatchRunner, engine="lockstep",
-                             exact_solves=True),
+                 lockstep_runner(exact_solves=True),
                  "bitwise", None, None)
             )
         for engine, runner, contract, result, seconds in engines:
+            before = _stage_totals()
             if result is None:
                 result, seconds = timed(runner)
+            stages = _stage_breakdown(before, _stage_totals())
             identical = result.deterministic_records() == reference
             if contract == "bitwise":
                 ok = identical
@@ -211,8 +249,11 @@ def _run_benchmark(
                 "ok": ok,
                 "equivalence": equivalence,
             }
-            if engine in profilers:
-                row["profile"] = profilers[engine].report()
+            if engine.startswith("lockstep"):
+                row["profile"] = stages
+                row["missing_stages"] = [
+                    stage for stage in STAGES if stage not in stages
+                ]
             rows.append(row)
     return {
         "episodes": episodes,
@@ -220,7 +261,6 @@ def _run_benchmark(
         "seed": seed,
         "cpus": visible_cpus(),
         "machine": machine_info(),
-        "profiled": profile,
         "rows": rows,
     }
 
@@ -326,11 +366,6 @@ def main(argv=None) -> int:
              "(0 disables)",
     )
     parser.add_argument(
-        "--profile", action="store_true",
-        help="attach a StageProfiler to every lockstep row and record "
-             "the per-stage wall-clock breakdown in the artifact",
-    )
-    parser.add_argument(
         "--artifact", default="BENCH_lockstep.json",
         help="perf-trajectory artifact path ('' disables writing)",
     )
@@ -339,7 +374,7 @@ def main(argv=None) -> int:
 
     report = run_benchmark(
         args.episodes, args.horizon, args.jobs, args.seed,
-        args.experiment, args.controllers, profile=args.profile,
+        args.experiment, args.controllers,
     )
     print(
         f"lockstep benchmark: {report['episodes']} episodes x "
@@ -356,18 +391,15 @@ def main(argv=None) -> int:
             f"{row['speedup']:>7.2f}x {row['contract']:>15} "
             f"{str(row['ok']):>5}"
         )
-    if args.profile:
-        print("\nstage breakdown (share of profiled wall-clock)")
-        for row in report["rows"]:
-            if "profile" not in row:
-                continue
-            breakdown = ", ".join(
-                f"{stage} {data['share']:.0%}"
-                for stage, data in row["profile"].items()
-            )
-            print(
-                f"{row['controller']:<11} {row['engine']:<15} {breakdown}"
-            )
+    print("\nstage breakdown (share of lockstep stage wall-clock)")
+    for row in report["rows"]:
+        if "profile" not in row:
+            continue
+        breakdown = ", ".join(
+            f"{stage} {data['share']:.0%}"
+            for stage, data in row["profile"].items()
+        )
+        print(f"{row['controller']:<11} {row['engine']:<15} {breakdown}")
     if args.warm_steps > 0 and "rmpc" in args.controllers:
         warm = run_warm_start_benchmark(
             args.episodes, args.warm_steps, args.seed
@@ -392,26 +424,32 @@ def main(argv=None) -> int:
             with open(path, "w") as handle:
                 json.dump(report, handle, indent=2)
             print(f"report written to {path}")
-    failed = [row for row in report["rows"] if not row["ok"]]
+    failed = False
     for row in report.get("warm_start", {}).get("rows", ()):
         if not row["ok"]:
-            failed.append(row)
+            failed = True
             print(
                 f"ERROR: warm-start backend {row['backend']} deviated from "
                 f"the reference costs (max diff {row['max_cost_diff']:.2e})"
             )
-    for row in failed:
-        if "engine" not in row:
-            continue  # warm-start failure, already printed above
-        print(
-            f"ERROR: {row['controller']}/{row['engine']} failed its "
-            f"{row['contract']} determinism check"
-            + (
-                f" ({row['equivalence']})"
-                if row["equivalence"] is not None
-                else ""
+    for row in report["rows"]:
+        if not row["ok"]:
+            failed = True
+            print(
+                f"ERROR: {row['controller']}/{row['engine']} failed its "
+                f"{row['contract']} determinism check"
+                + (
+                    f" ({row['equivalence']})"
+                    if row["equivalence"] is not None
+                    else ""
+                )
             )
-        )
+        if row.get("missing_stages"):
+            failed = True
+            print(
+                f"ERROR: {row['controller']}/{row['engine']} reported no "
+                f"lockstep_stage_seconds for {row['missing_stages']}"
+            )
     return 1 if failed else 0
 
 

@@ -24,7 +24,7 @@ the two-tier determinism contract (see ``repro.framework.lockstep``):
   never saw a state leave ``XI`` (it would raise), and no visited state
   violates the safe set ``X`` (``max_violation <= 0``) under any engine;
 * **telemetry transparency** — the same paired evaluation run with full
-  telemetry (spans, stage profiling, metrics) produces bitwise-identical
+  telemetry (spans, stage timing, metrics) produces bitwise-identical
   deterministic metric arrays to the telemetry-off run, for every
   scenario (the :mod:`repro.observability` hard contract).
 
@@ -63,7 +63,7 @@ def telemetry_parity(name: str, episodes: int, horizon: int, seed: int) -> bool:
 
     Runs the scenario's paired lockstep evaluation twice — once plain,
     once with full telemetry (cell/episode-batch spans, per-approach
-    stage profiling, solver-effort probes) — and compares every
+    stage timing, solver-effort probes) — and compares every
     deterministic per-case metric array exactly.
     """
     spec = ExperimentSpec(

@@ -11,7 +11,7 @@ Two sections, both of which must pass for a zero exit code:
 * **Overhead gate** — the lockstep paired evaluation of a *linear*
   scenario (closed-form κ, so engine overhead is not hidden behind LP
   solves) is timed with telemetry off and with full telemetry on
-  (cell/episode-batch spans, per-approach stage profiling,
+  (cell/episode-batch spans, lockstep stage timing,
   solver-effort probes).  Min-of-repeats per configuration; the run
   passes when telemetry-on wall clock is within ``--max-overhead``
   (default 5%) of telemetry-off, or within the absolute jitter floor

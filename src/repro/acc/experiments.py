@@ -255,9 +255,6 @@ class ComparisonResult:
             )
         return stats
 
-    # Backwards-compatible private alias (used before stats() was public).
-    _stats = stats
-
 
 def table1_axis(experiments: tuple = ("ex1", "ex2", "ex3", "ex4", "ex5")):
     """Table I's vf-range sweep as a declarative parameter axis.

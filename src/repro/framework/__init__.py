@@ -5,13 +5,11 @@ from repro.framework.evaluation import ENGINES, default_engine, paired_evaluatio
 from repro.framework.intermittent import IntermittentController, run_controller_only
 from repro.framework.lockstep import lockstep_controller_only, run_lockstep
 from repro.framework.monitor import SafetyMonitor, SafetyViolationError, StateClass
-from repro.framework.profiling import StageProfiler
 from repro.framework.runner import (
     DETERMINISTIC_FIELDS,
     BatchResult,
     BatchRunner,
     EpisodeRecord,
-    LockstepEngine,
     ParallelBatchRunner,
     spawn_episode_seeds,
 )
@@ -29,10 +27,8 @@ __all__ = [
     "paired_evaluation",
     "BatchRunner",
     "ParallelBatchRunner",
-    "LockstepEngine",
     "run_lockstep",
     "lockstep_controller_only",
-    "StageProfiler",
     "BatchResult",
     "EpisodeRecord",
     "DETERMINISTIC_FIELDS",

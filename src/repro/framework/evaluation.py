@@ -4,9 +4,11 @@ The paper's Sec.-IV comparisons all share one shape: run several control
 approaches — the κ-every-step baseline plus monitored skipping policies —
 over the *identical* set of (initial state, disturbance realisation)
 pairs, and reduce every episode to a tuple of metrics.  This module owns
-that shape, scenario-agnostically; the ACC experiment harness
-(:func:`repro.acc.experiments.evaluate_approaches`) and the cross-scenario
-sweep (:mod:`repro.scenarios.evaluate`) are both thin clients.
+that shape, scenario-agnostically; the experiment runner
+(:func:`repro.experiments.run_experiment` / :func:`~repro.experiments.
+run_sweep`, one call per grid cell) is its client, and the ACC harness
+(:func:`repro.acc.experiments.evaluate_approaches`) reaches it through
+the runner.
 
 Engine semantics match the batch runners: ``"serial"`` is the reference
 case-major loop, ``"parallel"`` fans cases out over forked workers
@@ -19,7 +21,6 @@ values — only wall-clock-derived entries vary.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -30,7 +31,6 @@ from repro.framework.accounting import RunStats
 from repro.framework.intermittent import IntermittentController, run_controller_only
 from repro.framework.lockstep import lockstep_controller_only, run_lockstep
 from repro.framework.monitor import SafetyMonitor
-from repro.framework.profiling import StageProfiler
 from repro.observability import metrics as _obs
 from repro.skipping.base import SkippingPolicy
 from repro.systems.lti import DiscreteLTISystem
@@ -72,23 +72,6 @@ def _probe_delta(before: tuple, after: tuple) -> tuple:
     return tuple(b - a for a, b in zip(before, after))
 
 
-def _fold_stages(reg, prof: StageProfiler, approach: str) -> None:
-    """Fold a per-approach StageProfiler into the registry: seconds as
-    wall-clock counters (excluded from deterministic snapshots), call
-    counts as plain counters, and one leaf span per stage."""
-    for stage, row in prof.report().items():
-        reg.inc(
-            "lockstep_stage_seconds", row["seconds"],
-            stage=stage, approach=approach,
-        )
-        reg.inc(
-            "lockstep_stage_calls", row["calls"],
-            stage=stage, approach=approach,
-        )
-        reg.trace.add_span(
-            f"stage:{stage}", duration=row["seconds"], calls=row["calls"]
-        )
-
 #: The execution engines every evaluation entry point accepts.
 ENGINES = ("serial", "parallel", "lockstep")
 
@@ -126,7 +109,6 @@ def paired_evaluation(
     exact_solves: bool = False,
     lp_backend: Optional[str] = None,
     collect_timing: bool = True,
-    profiler=None,
     solver_effort: Optional[dict] = None,
 ) -> Dict[str, List[tuple]]:
     """Run every approach over every case; collect per-case metric tuples.
@@ -162,13 +144,6 @@ def paired_evaluation(
         collect_timing: Lockstep only — ``False`` skips per-row
             wall-clock collection (timing-derived metrics read zero;
             everything else is bitwise-unchanged).
-        profiler: Lockstep only — optional
-            :class:`~repro.framework.profiling.StageProfiler`; stage
-            costs accumulate across all approaches evaluated.  When
-            telemetry is enabled and no profiler is passed, the lockstep
-            engine creates one per approach and folds its stages into
-            the registry (``lockstep_stage_seconds`` + ``stage:*``
-            spans).
         solver_effort: Optional out-parameter: pass a dict and it is
             filled with approach name → solver-effort mapping
             (``solve_count``, ``scalar_solves``, ``stacked_solves``,
@@ -204,7 +179,6 @@ def paired_evaluation(
     want_effort = solver_effort is not None
 
     if engine == "lockstep":
-        reg = _obs.active()
         collected: Dict[str, List[tuple]] = {}
         for name, policy in approaches.items():
             if policy is not None and not getattr(policy, "stateless", False):
@@ -214,21 +188,13 @@ def paired_evaluation(
                     "only serial-equivalent for stateless policies "
                     "(for DRL, evaluate with epsilon=0)"
                 )
-            approach_profiler = profiler
-            own_profiler = None
-            if reg is not None and profiler is None:
-                own_profiler = StageProfiler()
-                approach_profiler = own_profiler
-            span_cm = (
-                reg.span(
-                    "episode-batch",
-                    approach=name, engine="lockstep", cases=num_cases,
-                )
-                if reg is not None
-                else nullcontext()
-            )
             before = _solver_probe() if (want_effort and instrumented) else None
-            with span_cm:
+            # A no-op context when telemetry is off; when on, the
+            # engine's ``stage:*`` leaves nest under this span.
+            with _obs.registry().span(
+                "episode-batch",
+                approach=name, engine="lockstep", cases=num_cases,
+            ):
                 if policy is None:
                     stats_list = lockstep_controller_only(
                         system,
@@ -238,7 +204,6 @@ def paired_evaluation(
                         exact_solves=exact_solves,
                         lp_backend=lp_backend,
                         collect_timing=collect_timing,
-                        profiler=approach_profiler,
                     )
                 else:
                     stats_list = run_lockstep(
@@ -253,10 +218,7 @@ def paired_evaluation(
                         exact_solves=exact_solves,
                         lp_backend=lp_backend,
                         collect_timing=collect_timing,
-                        profiler=approach_profiler,
                     )
-                if own_profiler is not None:
-                    _fold_stages(reg, own_profiler, name)
             if want_effort:
                 solver_effort[name] = (
                     _effort_dict(_probe_delta(before, _solver_probe()))
@@ -308,16 +270,10 @@ def paired_evaluation(
             out = evaluate_case(i)
             return out, case_reg.snapshot()
 
-    active_reg = _obs.active()
-    span_cm = (
-        active_reg.span(
-            "episode-batch",
-            engine=engine, cases=num_cases, approaches=len(approaches),
-        )
-        if active_reg is not None
-        else nullcontext()
-    )
-    with span_cm:
+    with _obs.registry().span(
+        "episode-batch",
+        engine=engine, cases=num_cases, approaches=len(approaches),
+    ):
         pairs = fork_map(
             evaluate_case_scoped,
             range(num_cases),

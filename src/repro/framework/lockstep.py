@@ -90,9 +90,8 @@ import numpy as np
 from repro.controllers.base import Controller
 from repro.framework.accounting import RunStats
 from repro.framework.monitor import SafetyMonitor, SafetyViolationError
-from repro.framework.profiling import StageProfiler, active_profiler
 from repro.geometry import MembershipTester
-from repro.observability.metrics import registry as _telemetry
+from repro.observability import metrics as _obs
 from repro.skipping.base import RUN, DecisionContext, SkippingPolicy
 from repro.systems.lti import DiscreteLTISystem
 from repro.utils.validation import as_vector
@@ -178,10 +177,27 @@ def _padded_realisations(realisations, n: int) -> tuple:
 
 def _record_batch(mode: str, count: int, horizons) -> None:
     """Per-run episode/step counters (one call per lockstep entry)."""
-    reg = _telemetry()
+    reg = _obs.registry()
     reg.inc("lockstep_runs_total", mode=mode)
     reg.inc("lockstep_episodes_total", count, mode=mode)
     reg.inc("lockstep_steps_total", int(horizons.sum()), mode=mode)
+
+
+def _record_stages(reg, mode: str, steps: int, seconds: dict) -> None:
+    """Fold one run's per-stage wall clock into the enabled registry.
+
+    Seconds land in ``lockstep_stage_seconds{stage,mode}`` (a wall-clock
+    counter, excluded from deterministic snapshots), the number of steps
+    each stage was charged in ``lockstep_stage_calls{stage,mode}``, and
+    every stage becomes one ``stage:<name>`` leaf span under the open
+    span (``paired_evaluation``'s per-approach ``episode-batch``).
+    """
+    if not steps:
+        return
+    for stage, spent in seconds.items():
+        reg.inc("lockstep_stage_seconds", spent, stage=stage, mode=mode)
+        reg.inc("lockstep_stage_calls", steps, stage=stage, mode=mode)
+        reg.trace.add_span(f"stage:{stage}", duration=spent, calls=steps)
 
 
 def run_lockstep(
@@ -197,7 +213,6 @@ def run_lockstep(
     exact_solves: bool = False,
     lp_backend: Optional[str] = None,
     collect_timing: bool = True,
-    profiler: Optional[StageProfiler] = None,
 ) -> List[RunStats]:
     """Run ``N`` Algorithm-1 episodes in lockstep.
 
@@ -234,10 +249,12 @@ def run_lockstep(
             ``perf_counter`` call and leaves the timing arrays
             zero-filled — all other record fields are unchanged bit for
             bit.
-        profiler: Optional :class:`~repro.framework.profiling.StageProfiler`
-            charged with per-stage wall clock (``classify`` / ``decide``
-            / ``control`` / ``step``).  ``None`` or a disabled profiler costs one pointer
-            check per stage.
+
+    With telemetry enabled (:func:`repro.observability.metrics.active`),
+    the run's per-stage wall clock — ``classify`` / ``decide`` /
+    ``control`` / ``step`` — is reported to the ambient registry under
+    ``mode="monitored"``; disabled, every stage boundary costs one
+    ``is not None`` test.
 
     Returns:
         ``N`` :class:`RunStats`, aligned with the inputs.
@@ -294,7 +311,8 @@ def run_lockstep(
 
     compute_batch = _batch_compute_fn(controller, exact_solves, lp_backend)
     membership = MembershipTester((sset, iset), tol)
-    prof = active_profiler(profiler)
+    reg = _obs.active()
+    classify_s = decide_s = control_s = step_s = 0.0
 
     states = np.empty((count, t_max + 1, n))
     inputs = np.zeros((count, t_max, m))
@@ -319,14 +337,14 @@ def run_lockstep(
             history[idx, t % r] = w_t
             window = np.arange(t + 1, t + 1 + r) % r
 
-        if prof is not None:
-            ptick = prof.tick()
+        if reg is not None:
+            t0 = time.perf_counter()
         if collect_timing:
             tick = time.perf_counter()
         in_strengthened, in_invariant = membership.contains_each(X[idx])
         unsafe = ~in_strengthened & ~in_invariant
         if np.any(unsafe):
-            _telemetry().inc(
+            _obs.registry().inc(
                 "safety_violations_total", int(np.count_nonzero(unsafe))
             )
             for gi in idx[unsafe]:
@@ -337,8 +355,8 @@ def run_lockstep(
                     )
         free_idx = idx[in_strengthened]
         forced_idx = idx[~in_strengthened]
-        if prof is not None:
-            ptick = prof.add("classify", ptick)
+        if reg is not None:
+            t1 = time.perf_counter()
 
         if not len(free_idx):
             choices = np.zeros(0, dtype=int)
@@ -365,8 +383,8 @@ def run_lockstep(
                 )
         if collect_timing and len(idx):
             monitor_seconds[idx, t] = (time.perf_counter() - tick) / len(idx)
-        if prof is not None:
-            ptick = prof.add("decide", ptick)
+        if reg is not None:
+            t2 = time.perf_counter()
 
         run_idx = np.concatenate([forced_idx, free_idx[choices == RUN]])
         skip_idx = free_idx[choices != RUN]
@@ -381,15 +399,26 @@ def run_lockstep(
                     time.perf_counter() - tick
                 ) / len(run_idx)
         inputs[skip_idx, t] = skip_u
-        if prof is not None:
-            ptick = prof.add("control", ptick)
+        if reg is not None:
+            t3 = time.perf_counter()
 
         nxt = system.step_batch(X[idx], inputs[idx, t], w_t)
         X[idx] = nxt
         states[idx, t + 1] = nxt
-        if prof is not None:
-            prof.add("step", ptick)
+        if reg is not None:
+            # One clock read per stage boundary; context materialisation
+            # is charged to ``decide``.
+            classify_s += t1 - t0
+            decide_s += t2 - t1
+            control_s += t3 - t2
+            step_s += time.perf_counter() - t3
 
+    if reg is not None:
+        _record_stages(
+            reg, "monitored", t_max,
+            {"classify": classify_s, "decide": decide_s,
+             "control": control_s, "step": step_s},
+        )
     return [
         RunStats(
             states=states[i, : horizons[i] + 1].copy(),
@@ -412,18 +441,18 @@ def lockstep_controller_only(
     exact_solves: bool = False,
     lp_backend: Optional[str] = None,
     collect_timing: bool = True,
-    profiler: Optional[StageProfiler] = None,
 ) -> List[RunStats]:
     """Vectorised :func:`~repro.framework.intermittent.run_controller_only`.
 
     κ runs on every row of every step (no monitor, no skipping) — the
-    RMPC-only baseline leg of ``evaluate_approaches``, in lockstep.
-    ``exact_solves`` and ``lp_backend`` select the determinism tier and
-    stacked-solve backend exactly as in :func:`run_lockstep`, as do
-    ``collect_timing`` and ``profiler``.  This is the workload where the
-    warm-started ``highs`` backend shines: the stacked LP is identical
-    every step except for its initial-state RHS, at a constant batch
-    height.
+    κ-every-step baseline leg of :func:`~repro.framework.evaluation.
+    paired_evaluation`, in lockstep.  ``exact_solves``, ``lp_backend``
+    and ``collect_timing`` behave exactly as in :func:`run_lockstep`.
+    With telemetry enabled, the ``control`` and ``step`` stage times are
+    reported to the ambient registry under ``mode="controller_only"``.
+    This is the workload where the warm-started ``highs`` backend
+    shines: the stacked LP is identical every step except for its
+    initial-state RHS, at a constant batch height.
 
     Returns:
         ``N`` :class:`RunStats` with all decisions 1 and zero monitor time.
@@ -439,7 +468,8 @@ def lockstep_controller_only(
     _record_batch("controller_only", count, horizons)
 
     compute_batch = _batch_compute_fn(controller, exact_solves, lp_backend)
-    prof = active_profiler(profiler)
+    reg = _obs.active()
+    control_s = step_s = 0.0
 
     states = np.empty((count, t_max + 1, n))
     inputs = np.zeros((count, t_max, m))
@@ -448,21 +478,27 @@ def lockstep_controller_only(
     X = X0.copy()
     for t in range(t_max):
         idx = np.flatnonzero(horizons > t)
-        if prof is not None:
-            ptick = prof.tick()
+        if reg is not None:
+            t0 = time.perf_counter()
         if collect_timing:
             tick = time.perf_counter()
         inputs[idx, t] = compute_batch(X[idx])
         if collect_timing and len(idx):
             controller_seconds[idx, t] = (time.perf_counter() - tick) / len(idx)
-        if prof is not None:
-            ptick = prof.add("control", ptick)
+        if reg is not None:
+            t1 = time.perf_counter()
         nxt = system.step_batch(X[idx], inputs[idx, t], W[idx, t])
         X[idx] = nxt
         states[idx, t + 1] = nxt
-        if prof is not None:
-            prof.add("step", ptick)
+        if reg is not None:
+            control_s += t1 - t0
+            step_s += time.perf_counter() - t1
 
+    if reg is not None:
+        _record_stages(
+            reg, "controller_only", t_max,
+            {"control": control_s, "step": step_s},
+        )
     return [
         RunStats(
             states=states[i, : horizons[i] + 1].copy(),

@@ -12,7 +12,7 @@ Three execution engines share one record format:
 * :class:`ParallelBatchRunner` — fans episodes out over forked worker
   processes (:func:`repro.utils.parallel.fork_map`) and merges the
   results back in episode order;
-* :class:`LockstepEngine` (or ``BatchRunner(engine="lockstep")``) —
+* ``BatchRunner(engine="lockstep")`` —
   steps an ``(N, n)`` state matrix for all episodes simultaneously
   (:mod:`repro.framework.lockstep`); the only engine that raises
   episodes/sec on a single core.
@@ -62,7 +62,6 @@ __all__ = [
     "BatchResult",
     "BatchRunner",
     "ParallelBatchRunner",
-    "LockstepEngine",
     "DETERMINISTIC_FIELDS",
     "spawn_episode_seeds",
 ]
@@ -285,10 +284,11 @@ class BatchRunner:
         collect_timing: Lockstep only — maintain the per-row amortised
             wall-clock arrays (the default).  ``False`` skips every
             ``perf_counter`` call; the timing record fields read zero
-            and everything else is unchanged bit for bit.
-        profiler: Lockstep only — optional
-            :class:`~repro.framework.profiling.StageProfiler` charged
-            with per-stage wall clock across the batch.
+            and everything else is unchanged bit for bit.  With
+            telemetry enabled the lockstep engine also reports its
+            per-stage wall clock to the ambient registry
+            (``lockstep_stage_seconds``; see
+            :func:`~repro.framework.lockstep.run_lockstep`).
     """
 
     def __init__(
@@ -304,7 +304,6 @@ class BatchRunner:
         exact_solves: bool = False,
         lp_backend: Optional[str] = None,
         collect_timing: bool = True,
-        profiler=None,
     ):
         if engine not in ("serial", "lockstep"):
             raise ValueError(
@@ -322,7 +321,6 @@ class BatchRunner:
         self.exact_solves = exact_solves
         self.lp_backend = lp_backend
         self.collect_timing = collect_timing
-        self.profiler = profiler
         self._policy_takes_rng = _accepts_rng(policy_factory)
 
     # ------------------------------------------------------------------
@@ -410,7 +408,6 @@ class BatchRunner:
                 exact_solves=self.exact_solves,
                 lp_backend=self.lp_backend,
                 collect_timing=self.collect_timing,
-                profiler=self.profiler,
             )
             for episode, stats in enumerate(stats_list):
                 result.append(self._record(episode, stats))
@@ -475,47 +472,6 @@ class BatchRunner:
                 episode, np.random.default_rng(seeds[episode])
             ),
             self._policy_provider(len(states), seeds=seeds),
-        )
-
-
-class LockstepEngine(BatchRunner):
-    """:class:`BatchRunner` preset to the vectorised lockstep engine.
-
-    Identical records to the serial engine for bitwise controllers;
-    plan-equivalent for stacked LP controllers unless
-    ``exact_solves=True`` — see the two-tier determinism contract in
-    :mod:`repro.framework.lockstep` for the mechanics and caveats.
-    Constructor arguments are those of :class:`BatchRunner` (without
-    ``engine``).
-    """
-
-    def __init__(
-        self,
-        system: DiscreteLTISystem,
-        controller: Controller,
-        monitor_factory: Callable[[], SafetyMonitor],
-        policy_factory: Callable[..., SkippingPolicy],
-        skip_input=None,
-        memory_length: int = 1,
-        reveal_future: bool = False,
-        exact_solves: bool = False,
-        lp_backend: Optional[str] = None,
-        collect_timing: bool = True,
-        profiler=None,
-    ):
-        super().__init__(
-            system,
-            controller,
-            monitor_factory,
-            policy_factory,
-            skip_input=skip_input,
-            memory_length=memory_length,
-            reveal_future=reveal_future,
-            engine="lockstep",
-            exact_solves=exact_solves,
-            lp_backend=lp_backend,
-            collect_timing=collect_timing,
-            profiler=profiler,
         )
 
 

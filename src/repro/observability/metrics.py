@@ -11,17 +11,18 @@ into one place with one ``snapshot()`` / ``reset()`` surface, plus run
 traces (:mod:`repro.observability.trace`) and renderings (JSON snapshot,
 Prometheus text, aligned table).
 
-Cost model (mirrors :func:`~repro.framework.profiling.active_profiler`)
------------------------------------------------------------------------
+Cost model
+----------
 * **Structural counters are always on.**  Sites that fire at most once
   per solve / cache probe / model build / episode batch record
   unconditionally — a dict update is noise next to an LP solve, and it
   keeps the legacy cache-stats shims working without any setup.
 * **Hot-path instrumentation is gated.**  Anything that would fire per
-  simulation step (stage profiling, spans) is guarded by
-  :func:`active`, which returns the ambient registry iff telemetry is
+  simulation step (the lockstep loop's stage timing, spans) is guarded
+  by :func:`active`, which returns the ambient registry iff telemetry is
   enabled and ``None`` otherwise — a single ``is not None`` test on the
-  disabled path, exactly like ``active_profiler``.
+  disabled path.  The lockstep loop reads it once per run, sums its
+  stage seconds in locals, and reports them at exit.
 
 Hard contract (gated by ``tests/test_telemetry.py``): telemetry never
 touches deterministic record fields — every engine record is
@@ -355,7 +356,7 @@ def active() -> Optional[MetricsRegistry]:
 
 
 def enable_telemetry() -> MetricsRegistry:
-    """Turn on the hot-path tier (spans, stage folding) globally."""
+    """Turn on the hot-path tier (spans, lockstep stage timing) globally."""
     reg = _REGISTRY_VAR.get()
     reg.enabled = True
     return reg

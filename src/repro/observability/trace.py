@@ -5,9 +5,9 @@ observability layer's answer to "where did this sweep spend its time,
 structurally?".  The experiment runner opens a ``sweep`` span, each grid
 cell runs under a ``cell`` span, :func:`~repro.framework.evaluation.
 paired_evaluation` opens an ``episode-batch`` span per approach, and the
-per-stage wall-clock of the lockstep hot loop (classify / decide /
-control / step, measured by :class:`~repro.framework.profiling.
-StageProfiler`) is folded in as leaf ``stage:*`` spans.
+lockstep hot loop (:mod:`repro.framework.lockstep`) reports its
+per-stage wall clock (classify / decide / control / step) as leaf
+``stage:*`` spans under whichever span is open.
 
 Spans are collected **only when telemetry is enabled** — the engines'
 deterministic record fields never depend on them, and
@@ -39,8 +39,8 @@ class Span:
         name: Free-form span name (``sweep``, ``cell``, ...).
         attributes: JSON-safe key/value annotations.
         start: Wall-clock epoch seconds when the span opened (None for
-            synthetic spans added after the fact, e.g. folded profiler
-            stages).
+            synthetic spans added after the fact, e.g. the lockstep
+            loop's ``stage:*`` leaves).
         duration: Seconds the span was open (None while still open).
         children: Child :class:`Span` objects or already-serialised span
             dicts merged from forked workers.
@@ -98,7 +98,8 @@ class RunTrace:
 
     def add_span(self, name: str, duration: Optional[float] = None, **attributes):
         """Record an already-measured span (no wall-clock start) under
-        the current span — how folded profiler stages become leaves."""
+        the current span — how the lockstep loop's stage times become
+        ``stage:*`` leaves."""
         node = Span(name, attributes)
         node.duration = duration
         self._file(node)

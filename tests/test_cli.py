@@ -217,6 +217,27 @@ class TestExecution:
         assert "scenario=thermal" in out
         assert "2 episodes" in out
 
+    def test_batch_lockstep_telemetry_records_stage_timing(
+        self, capsys, tmp_path
+    ):
+        """``batch --engine lockstep --telemetry-out`` carries the lockstep
+        loop's stage breakdown: all four stages, as counters and spans."""
+        import json
+
+        path = tmp_path / "t.json"
+        assert main(
+            ["batch", "--scenario", "lane_keeping", "--episodes", "8",
+             "--horizon", "20", "--engine", "lockstep",
+             "--telemetry-out", str(path)]
+        ) == 0
+        snapshot = json.loads(path.read_text())
+        stages = {"classify", "decide", "control", "step"}
+        seconds = snapshot["counters"]["lockstep_stage_seconds"]
+        assert {entry["labels"]["stage"] for entry in seconds} == stages
+        assert {span["name"] for span in snapshot["spans"]} == {
+            f"stage:{stage}" for stage in stages
+        }
+
     def test_sweep_command_runs_and_reports_safe(self, capsys):
         assert main(
             ["sweep", "--scenarios", "thermal", "--cases", "2",

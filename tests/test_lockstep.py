@@ -17,7 +17,6 @@ from repro.controllers.base import Controller
 from repro.framework import (
     BatchRunner,
     IntermittentController,
-    LockstepEngine,
     ParallelBatchRunner,
     SafetyMonitor,
     SafetyViolationError,
@@ -87,7 +86,7 @@ class TestLockstepMatchesSerial:
         serial = make(BatchRunner, policy_factory).run_seeded(
             states, factory, ROOT_SEED
         )
-        lockstep = make(LockstepEngine, policy_factory).run_seeded(
+        lockstep = make(BatchRunner, policy_factory, engine="lockstep").run_seeded(
             states, factory, ROOT_SEED
         )
         assert len(serial) == len(lockstep) == len(states)
@@ -99,7 +98,7 @@ class TestLockstepMatchesSerial:
         serial = make(BatchRunner, policy_factory).run_seeded(
             states, factory, ROOT_SEED
         )
-        lockstep = make(LockstepEngine, policy_factory).run_seeded(
+        lockstep = make(BatchRunner, policy_factory, engine="lockstep").run_seeded(
             states, factory, ROOT_SEED
         )
         assert serial.deterministic_records() == lockstep.deterministic_records()
@@ -126,7 +125,7 @@ class TestLockstepMatchesSerial:
             return lambda episode: rng.uniform(-0.02, 0.02, size=(HORIZON, 2))
 
         serial = make(BatchRunner).run(states, sampler_with(np.random.default_rng(11)))
-        lockstep = make(LockstepEngine).run(
+        lockstep = make(BatchRunner, engine="lockstep").run(
             states, sampler_with(np.random.default_rng(11))
         )
         assert serial.deterministic_records() == lockstep.deterministic_records()
@@ -135,7 +134,9 @@ class TestLockstepMatchesSerial:
         make, factory, states, _xp = di_batch
         kwargs = dict(memory_length=4, reveal_future=True)
         serial = make(BatchRunner, lambda: PeriodicSkipPolicy(2), **kwargs)
-        lockstep = make(LockstepEngine, lambda: PeriodicSkipPolicy(2), **kwargs)
+        lockstep = make(
+            BatchRunner, lambda: PeriodicSkipPolicy(2), engine="lockstep", **kwargs
+        )
         assert (
             serial.run_seeded(states, factory, ROOT_SEED).deterministic_records()
             == lockstep.run_seeded(states, factory, ROOT_SEED).deterministic_records()
@@ -149,7 +150,9 @@ class TestLockstepMatchesSerial:
             return rng.uniform(-0.02, 0.02, size=(5 + 7 * episode, 2))
 
         serial = make(BatchRunner).run_seeded(states, ragged, ROOT_SEED)
-        lockstep = make(LockstepEngine).run_seeded(states, ragged, ROOT_SEED)
+        lockstep = make(BatchRunner, engine="lockstep").run_seeded(
+            states, ragged, ROOT_SEED
+        )
         assert serial.deterministic_records() == lockstep.deterministic_records()
 
     def test_all_rows_forced_step(self, di_batch):
@@ -168,7 +171,7 @@ class TestLockstepMatchesSerial:
             serial = make(BatchRunner, policy_factory).run_seeded(
                 states, factory, ROOT_SEED
             )
-            lockstep = make(LockstepEngine, policy_factory).run_seeded(
+            lockstep = make(BatchRunner, policy_factory, engine="lockstep").run_seeded(
                 states, factory, ROOT_SEED
             )
             assert serial.deterministic_records() == lockstep.deterministic_records()
@@ -203,7 +206,7 @@ class TestLockstepMatchesSerial:
 
     def test_seed_stability_and_sensitivity(self, di_batch):
         make, factory, states, _xp = di_batch
-        runner = make(LockstepEngine, AlwaysRunPolicy)
+        runner = make(BatchRunner, AlwaysRunPolicy, engine="lockstep")
         first = runner.run_seeded(states, factory, ROOT_SEED)
         again = runner.run_seeded(states, factory, ROOT_SEED)
         other = runner.run_seeded(states, factory, ROOT_SEED + 1)
@@ -212,7 +215,9 @@ class TestLockstepMatchesSerial:
 
     def test_empty_batch(self, di_batch):
         make, factory, _states, _xp = di_batch
-        result = make(LockstepEngine).run_seeded(np.empty((0, 2)), factory, ROOT_SEED)
+        result = make(BatchRunner, engine="lockstep").run_seeded(
+            np.empty((0, 2)), factory, ROOT_SEED
+        )
         assert len(result) == 0
         with pytest.raises(ValueError, match="empty"):
             result.mean("energy")
@@ -220,7 +225,7 @@ class TestLockstepMatchesSerial:
     def test_rejects_initial_outside_xi(self, di_batch):
         make, factory, _states, _xp = di_batch
         with pytest.raises(ValueError, match="invariant set"):
-            make(LockstepEngine).run_seeded(
+            make(BatchRunner, engine="lockstep").run_seeded(
                 np.array([[50.0, 50.0]]), factory, ROOT_SEED
             )
 
@@ -239,7 +244,9 @@ class TestStochasticPolicySeeding:
         make, factory, states, _xp = di_batch
         pf = lambda rng: RandomSkipPolicy(0.5, rng)
         serial = make(BatchRunner, pf).run_seeded(states, factory, ROOT_SEED)
-        lockstep = make(LockstepEngine, pf).run_seeded(states, factory, ROOT_SEED)
+        lockstep = make(BatchRunner, pf, engine="lockstep").run_seeded(
+            states, factory, ROOT_SEED
+        )
         parallel = make(ParallelBatchRunner, pf, jobs=3).run_seeded(
             states, factory, ROOT_SEED
         )
@@ -285,7 +292,9 @@ class TestStochasticPolicySeeding:
         make, factory, states, _xp = di_batch
         pf = lambda period=3: PeriodicSkipPolicy(period)
         serial = make(BatchRunner, pf).run_seeded(states, factory, ROOT_SEED)
-        lockstep = make(LockstepEngine, pf).run_seeded(states, factory, ROOT_SEED)
+        lockstep = make(BatchRunner, pf, engine="lockstep").run_seeded(
+            states, factory, ROOT_SEED
+        )
         reference = make(
             BatchRunner, lambda: PeriodicSkipPolicy(3)
         ).run_seeded(states, factory, ROOT_SEED)
@@ -871,9 +880,10 @@ class TestCollectTiming:
 
     def test_runner_threads_collect_timing(self, di_batch):
         make, factory, states, _xp = di_batch
-        timed = make(LockstepEngine, lambda: PeriodicSkipPolicy(2))
+        timed = make(BatchRunner, lambda: PeriodicSkipPolicy(2), engine="lockstep")
         untimed = make(
-            LockstepEngine, lambda: PeriodicSkipPolicy(2), collect_timing=False
+            BatchRunner, lambda: PeriodicSkipPolicy(2), engine="lockstep",
+            collect_timing=False,
         )
         a = timed.run_seeded(states, factory, ROOT_SEED)
         b = untimed.run_seeded(states, factory, ROOT_SEED)

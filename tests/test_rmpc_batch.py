@@ -27,7 +27,7 @@ from repro.controllers import (
     rmpc_invariant_set,
     verify_plan_equivalence,
 )
-from repro.framework import BatchRunner, LockstepEngine, SafetyMonitor
+from repro.framework import BatchRunner, SafetyMonitor
 from repro.invariance import strengthened_safe_set
 from repro.skipping import AlwaysSkipPolicy, PeriodicSkipPolicy
 from repro.observability import metrics as obs
@@ -285,7 +285,7 @@ class TestLockstepStackedEngine:
         factory = self._disturbances(system)
         states = _feasible_states(xp, 4)
         serial = make(BatchRunner).run_seeded(states, factory, ROOT_SEED)
-        exact = make(LockstepEngine, exact_solves=True).run_seeded(
+        exact = make(BatchRunner, engine="lockstep", exact_solves=True).run_seeded(
             states, factory, ROOT_SEED
         )
         assert serial.deterministic_records() == exact.deterministic_records()
@@ -300,7 +300,9 @@ class TestLockstepStackedEngine:
         factory = self._disturbances(system)
         states = _feasible_states(xp, 4)
         serial = make(BatchRunner).run_seeded(states, factory, ROOT_SEED)
-        stacked = make(LockstepEngine).run_seeded(states, factory, ROOT_SEED)
+        stacked = make(BatchRunner, engine="lockstep").run_seeded(
+            states, factory, ROOT_SEED
+        )
         assert len(stacked) == len(serial) == len(states)
         for record in stacked.records:
             assert record.max_violation <= 0.0
@@ -320,8 +322,10 @@ class TestLockstepStackedEngine:
         make = self._runners(rmpc_rig)
         factory = self._disturbances(system)
         serial = make(BatchRunner).run_seeded(states, factory, ROOT_SEED)
-        stacked = make(LockstepEngine).run_seeded(states, factory, ROOT_SEED)
-        exact = make(LockstepEngine, exact_solves=True).run_seeded(
+        stacked = make(BatchRunner, engine="lockstep").run_seeded(
+            states, factory, ROOT_SEED
+        )
+        exact = make(BatchRunner, engine="lockstep", exact_solves=True).run_seeded(
             states, factory, ROOT_SEED
         )
         assert serial.deterministic_records() == exact.deterministic_records()
@@ -344,7 +348,8 @@ class TestLockstepStackedEngine:
         serial = make(BatchRunner).run_seeded(states, factory, ROOT_SEED)
         try:
             exact = make(
-                LockstepEngine, exact_solves=True, lp_backend=backend
+                BatchRunner, engine="lockstep", exact_solves=True,
+                lp_backend=backend,
             ).run_seeded(states, factory, ROOT_SEED)
         finally:
             mpc.set_lp_backend("auto")
@@ -361,9 +366,9 @@ class TestLockstepStackedEngine:
         factory = self._disturbances(system)
         states = _feasible_states(xp, 4)
         try:
-            stacked = make(LockstepEngine, lp_backend="highs").run_seeded(
-                states, factory, ROOT_SEED
-            )
+            stacked = make(
+                BatchRunner, engine="lockstep", lp_backend="highs"
+            ).run_seeded(states, factory, ROOT_SEED)
             assert mpc.lp_backend == "auto"
             assert mpc._persistent is not None
             assert mpc._persistent.warm_solves > 0
@@ -394,9 +399,9 @@ class TestLockstepStackedEngine:
         states = _feasible_states(xp, 4)
 
         def run(**kw):
-            return LockstepEngine(
+            return BatchRunner(
                 system, controller, monitor_factory,
-                lambda: PeriodicSkipPolicy(2), **kw,
+                lambda: PeriodicSkipPolicy(2), engine="lockstep", **kw,
             ).run_seeded(states, factory, ROOT_SEED)
 
         assert (

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro import observability as obs
+from repro.controllers import LinearFeedback, lqr_gain
 from repro.experiments import (
     ExecutionConfig,
     ExperimentSpec,
@@ -32,7 +33,15 @@ from repro.experiments import (
     run_experiment,
     run_sweep,
 )
+from repro.framework import (
+    BatchRunner,
+    SafetyMonitor,
+    lockstep_controller_only,
+    run_lockstep,
+)
+from repro.invariance import maximal_rpi, strengthened_safe_set
 from repro.observability import metrics as obs_metrics
+from repro.skipping import PeriodicSkipPolicy
 from repro.utils.lp import STACK_CACHE_METRIC, BlockStack
 from repro.utils.parallel import fork_map
 
@@ -301,7 +310,103 @@ def warm_thermal():
     return plan
 
 
+#: The stages each lockstep mode reports to ``lockstep_stage_seconds``.
+STAGES = {
+    "monitored": {"classify", "decide", "control", "step"},
+    "controller_only": {"control", "step"},
+}
+#: Engine-level lockstep entry points (``batch_runner`` is the
+#: ``BatchRunner(engine="lockstep")`` path the CLI ``batch`` verb uses).
+ENTRIES = ("run_lockstep", "controller_only", "batch_runner")
+DI_HORIZON = 20
+
+
+@pytest.fixture
+def di_rig(double_integrator):
+    """A double integrator under LQR with certified XI/X', four start
+    states and seeded realisations — a closed-form (bitwise) rig."""
+    system = double_integrator
+    K = lqr_gain(system.A, system.B, np.eye(2), np.eye(1))
+    seed_set = system.safe_set.intersect(system.input_set.linear_preimage(K))
+    xi = maximal_rpi(
+        system.closed_loop_matrix(K), seed_set, system.disturbance_set
+    ).invariant_set
+    xp = strengthened_safe_set(system, xi)
+    lo, hi = system.disturbance_set.bounding_box()
+    rng = np.random.default_rng(42)
+    states = xp.sample(np.random.default_rng(5), 4)
+    return dict(
+        system=system,
+        controller=LinearFeedback(K),
+        monitor_factory=lambda: SafetyMonitor(
+            strengthened_set=xp, invariant_set=xi, safe_set=system.safe_set
+        ),
+        states=states,
+        realisations=[
+            rng.uniform(lo, hi, size=(DI_HORIZON, system.n)) for _ in states
+        ],
+    )
+
+
+def _run_entry(entry: str, rig: dict) -> tuple:
+    """Run one lockstep entry point on ``rig``; returns the stage mode it
+    reports under and its deterministic output (raw bytes of every
+    non-timing array, so equality is bitwise)."""
+    system, controller = rig["system"], rig["controller"]
+    states, realisations = rig["states"], rig["realisations"]
+    if entry == "batch_runner":
+        result = BatchRunner(
+            system, controller, rig["monitor_factory"],
+            lambda: PeriodicSkipPolicy(2), engine="lockstep",
+        ).run(states, lambda episode: realisations[episode])
+        return "monitored", result.deterministic_records()
+    if entry == "controller_only":
+        mode = "controller_only"
+        stats = lockstep_controller_only(
+            system, controller, states, realisations
+        )
+    else:
+        mode = "monitored"
+        stats = run_lockstep(
+            system, controller,
+            [rig["monitor_factory"]() for _ in states],
+            [PeriodicSkipPolicy(2) for _ in states],
+            states, realisations,
+        )
+    return mode, [
+        tuple(
+            getattr(run, name).tobytes()
+            for name in ("states", "inputs", "decisions", "forced")
+        )
+        for run in stats
+    ]
+
+
+def _walk_spans(spans):
+    for span in spans:
+        yield span
+        yield from _walk_spans(span["children"])
+
+
 class TestTelemetryTransparency:
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_engine_records_bitwise_identical(self, di_rig, entry):
+        with obs.scoped_registry(enabled=False):
+            _, plain = _run_entry(entry, di_rig)
+        with obs.scoped_registry(enabled=True):
+            _, instrumented = _run_entry(entry, di_rig)
+        assert plain == instrumented
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_disabled_records_no_stage_timing(self, di_rig, entry):
+        with obs.scoped_registry(enabled=False) as reg:
+            _run_entry(entry, di_rig)
+            snap = reg.snapshot()
+        assert reg.total("lockstep_steps_total") > 0
+        assert "lockstep_stage_seconds" not in snap["counters"]
+        assert "lockstep_stage_calls" not in snap["counters"]
+        assert snap["spans"] == []
+
     def test_lockstep_records_bitwise_identical(self, warm_thermal):
         spec = ExperimentSpec(**SPEC)
         plain = run_experiment(
@@ -325,6 +430,55 @@ class TestTelemetryTransparency:
             assert reg.total("lockstep_steps_total") > 0
             # ... but the hot-path span tier stayed off.
             assert reg.snapshot()["spans"] == []
+
+
+class TestLockstepStageTiming:
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_engine_reports_every_stage(self, di_rig, entry):
+        with obs.scoped_registry(enabled=True) as reg:
+            mode, _ = _run_entry(entry, di_rig)
+            snap = reg.snapshot()
+        stages = STAGES[mode]
+        seconds = snap["counters"]["lockstep_stage_seconds"]
+        assert {e["labels"]["stage"] for e in seconds} == stages
+        assert {e["labels"]["mode"] for e in seconds} == {mode}
+        assert sum(e["value"] for e in seconds) > 0.0
+        # Every stage is charged once per step.
+        assert {
+            e["labels"]["stage"]: e["value"]
+            for e in snap["counters"]["lockstep_stage_calls"]
+        } == dict.fromkeys(stages, DI_HORIZON)
+        # No span was open, so the stage leaves are roots.
+        assert sorted(span["name"] for span in snap["spans"]) == sorted(
+            f"stage:{stage}" for stage in stages
+        )
+
+    def test_experiment_stages_nest_under_each_approach(self, warm_thermal):
+        cell = run_experiment(
+            ExperimentSpec(**SPEC),
+            ExecutionConfig(engine="lockstep", telemetry=True),
+        )
+        by_mode = {}
+        for entry in cell.telemetry["counters"]["lockstep_stage_seconds"]:
+            labels = entry["labels"]
+            by_mode.setdefault(labels["mode"], set()).add(labels["stage"])
+        assert by_mode == STAGES
+        batches = [
+            span for span in _walk_spans(cell.telemetry["spans"])
+            if span["name"] == "episode-batch"
+        ]
+        assert {span["attributes"]["approach"] for span in batches} == set(
+            cell.approaches
+        )
+        for span in batches:
+            mode = (
+                "controller_only"
+                if span["attributes"]["approach"] == "baseline"
+                else "monitored"
+            )
+            assert {child["name"] for child in span["children"]} == {
+                f"stage:{stage}" for stage in STAGES[mode]
+            }
 
 
 class TestShardedTelemetryMerge:
