@@ -13,8 +13,8 @@
 
 import numpy as np
 
-from benchmarks.conftest import HORIZON, emit, pct
-from repro.acc import build_case_study, evaluate_approaches
+from benchmarks.conftest import compare, emit, pct
+from repro.acc import build_case_study
 from repro.acc.model import ACCParameters
 from repro.invariance import k_step_strengthened_sets
 from repro.traffic.fuel import FuelModel, HBEFA3Fuel
@@ -28,9 +28,8 @@ def bench_ablation_fuel_convexity(benchmark, acc_case, overall_agent):
     try:
         for quad in (0.0, 2e-7, 8e-7):
             acc_case.fuel_meter.__init__(FuelModel(quadratic=quad))
-            result = evaluate_approaches(
-                acc_case, "overall", num_cases=12, horizon=HORIZON,
-                seed=1, agent=agent,
+            result = compare(
+                acc_case, "overall", num_cases=12, seed=1, agent=agent
             )
             bb = float(result.fuel_saving("bang_bang").mean())
             drl = float(result.fuel_saving("drl").mean())
@@ -59,12 +58,10 @@ def bench_ablation_skip_mode(benchmark, acc_case):
     rows = []
     info = {}
     for name, case in (("coast", acc_case), ("trim", trim_case)):
-        result = evaluate_approaches(
-            case, "overall", num_cases=10, horizon=HORIZON, seed=1
-        )
+        result = compare(case, "overall", num_cases=10, seed=1)
         fuel = float(result.fuel_saving("bang_bang").mean())
         energy = float(result.energy_saving("bang_bang").mean())
-        skip = float(result.bang_bang.skip_rate.mean())
+        skip = float(result.stats("bang_bang").metrics["skip_rate"].mean())
         info[name] = {"fuel": fuel, "energy": energy, "skip": skip}
         rows.append((name, pct(fuel), pct(energy), f"{skip:.2f}"))
     emit(
@@ -118,11 +115,8 @@ def bench_ablation_reward_weights(benchmark, acc_case):
         agent, _env, _history = train_skipping_agent(
             acc_case, "overall", episodes=25, seed=0, weight_energy=w2
         )
-        result = evaluate_approaches(
-            acc_case, "overall", num_cases=6, horizon=HORIZON, seed=1,
-            agent=agent,
-        )
-        skip = float(result.drl.skip_rate.mean())
+        result = compare(acc_case, "overall", num_cases=6, seed=1, agent=agent)
+        skip = float(result.stats("drl").metrics["skip_rate"].mean())
         skip_rates[w2] = skip
         rows.append((w2, f"{skip:.2f}", pct(float(result.fuel_saving('drl').mean()))))
     emit(

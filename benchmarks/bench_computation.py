@@ -16,10 +16,9 @@ kernels time κ_R and the monitor+Ω path.
 
 import numpy as np
 
-from benchmarks.conftest import HORIZON, emit, pct
-from repro.acc import evaluate_approaches
+from benchmarks.conftest import HORIZON, compare, emit, pct
+from repro.acc import greedy_drl_policy
 from repro.framework import computation_saving
-from repro.skipping import DRLSkippingPolicy
 
 
 def bench_rmpc_step(benchmark, acc_case, rng=np.random.default_rng(3)):
@@ -36,11 +35,8 @@ def bench_rmpc_step(benchmark, acc_case, rng=np.random.default_rng(3)):
 
 def bench_monitor_and_policy_step(benchmark, acc_case, overall_agent):
     """Per-step cost of the X'-membership check plus the DQN forward."""
-    agent, env, _history = overall_agent
-    policy = DRLSkippingPolicy(
-        agent, state_scale=env.state_scale,
-        disturbance_scale=env.disturbance_scale,
-    )
+    agent, _env, _history = overall_agent
+    policy = greedy_drl_policy(acc_case, agent)
     monitor = acc_case.make_monitor()
     rng = np.random.default_rng(4)
     states = acc_case.strengthened_set.sample(rng, 32)
@@ -65,12 +61,11 @@ def bench_monitor_and_policy_step(benchmark, acc_case, overall_agent):
 def bench_overall_computation_saving(benchmark, acc_case, overall_agent):
     """The full Sec. IV-A computation-saving figure on this host."""
     agent, _env, _history = overall_agent
-    result = evaluate_approaches(
-        acc_case, "overall", num_cases=8, horizon=HORIZON, seed=5, agent=agent
-    )
-    t_controller = result.rmpc_only.mean_controller_ms / 1e3
-    t_monitor = result.drl.mean_monitor_ms / 1e3
-    skipped = float(result.drl.skip_rate.mean()) * HORIZON
+    result = compare(acc_case, "overall", num_cases=8, seed=5, agent=agent)
+    drl = result.stats("drl")
+    t_controller = result.stats("baseline").mean_controller_ms / 1e3
+    t_monitor = drl.mean_monitor_ms / 1e3
+    skipped = float(drl.metrics["skip_rate"].mean()) * HORIZON
     saving = computation_saving(t_controller, t_monitor, HORIZON, int(skipped))
     emit(
         "Sec. IV-A — computation saving (paper: ~60%, 79.4 skips/100)",

@@ -13,21 +13,20 @@ runs once and its table is attached as ``extra_info``.
 
 import numpy as np
 
-from benchmarks.conftest import CASES_FIG4, HORIZON, emit, pct
-from repro.acc import FIG4_BIN_EDGES, evaluate_approaches
+from benchmarks.conftest import CASES_FIG4, HORIZON, compare, emit, pct
+from repro.acc import FIG4_BIN_EDGES, saving_histogram
 from repro.framework import IntermittentController
 from repro.skipping import AlwaysSkipPolicy
 
 
 def bench_fig4_fuel_saving_histogram(benchmark, acc_case, overall_agent):
     agent, _env, _history = overall_agent
-    result = evaluate_approaches(
-        acc_case, "overall", num_cases=CASES_FIG4, horizon=HORIZON,
-        seed=1, agent=agent,
+    result = compare(
+        acc_case, "overall", num_cases=CASES_FIG4, seed=1, agent=agent
     )
 
-    bb_hist = result.saving_histogram("bang_bang")
-    drl_hist = result.saving_histogram("drl")
+    bb_hist = saving_histogram(result.fuel_saving("bang_bang"))
+    drl_hist = saving_histogram(result.fuel_saving("drl"))
     labels = [
         f"{int(100*a)}%-{int(100*b)}%"
         for a, b in zip(FIG4_BIN_EDGES[:-1], FIG4_BIN_EDGES[1:])
@@ -53,7 +52,9 @@ def bench_fig4_fuel_saving_histogram(benchmark, acc_case, overall_agent):
     benchmark.extra_info["drl_mean_saving"] = drl_mean
     benchmark.extra_info["bb_histogram"] = bb_hist.tolist()
     benchmark.extra_info["drl_histogram"] = drl_hist.tolist()
-    benchmark.extra_info["drl_skip_rate"] = float(result.drl.skip_rate.mean())
+    benchmark.extra_info["drl_skip_rate"] = float(
+        result.stats("drl").metrics["skip_rate"].mean()
+    )
 
     # Paper shape: both approaches save on average, DRL saves more.
     assert bb_mean > 0.0

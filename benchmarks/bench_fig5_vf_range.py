@@ -10,12 +10,9 @@ per range (Table I is exactly this parameter sweep).  The timed kernel
 is one evaluation episode on the narrowest range.
 """
 
-import numpy as np
-
-from benchmarks.conftest import CASES, EPISODES, HORIZON, RESTARTS, emit, pct
+from benchmarks.conftest import CASES, EPISODES, RESTARTS, compare, emit, pct
 from repro.acc import (
     case_study_for_experiment,
-    evaluate_approaches,
     experiment_vf_range,
     train_skipping_agent,
 )
@@ -32,10 +29,7 @@ def bench_fig5_saving_vs_vf_range(benchmark, acc_case):
             case, experiment, episodes=EPISODES, seed=0,
             restarts=RESTARTS, validation_cases=6,
         )
-        result = evaluate_approaches(
-            case, experiment, num_cases=CASES, horizon=HORIZON,
-            seed=1, agent=agent,
-        )
+        result = compare(case, experiment, num_cases=CASES, seed=1, agent=agent)
         drl = float(result.fuel_saving("drl").mean())
         bb = float(result.fuel_saving("bang_bang").mean())
         savings[experiment] = drl
@@ -45,7 +39,7 @@ def bench_fig5_saving_vs_vf_range(benchmark, acc_case):
                 str(experiment_vf_range(experiment)),
                 pct(drl),
                 pct(bb),
-                f"{result.drl.skip_rate.mean():.2f}",
+                f"{result.stats('drl').metrics['skip_rate'].mean():.2f}",
             )
         )
     emit(
@@ -60,8 +54,4 @@ def bench_fig5_saving_vs_vf_range(benchmark, acc_case):
 
     # Timed kernel: a single paired evaluation case on Ex.5.
     case5 = case_study_for_experiment("ex5")
-    benchmark(
-        lambda: evaluate_approaches(
-            case5, "ex5", num_cases=1, horizon=HORIZON, seed=7
-        )
-    )
+    benchmark(lambda: compare(case5, "ex5", num_cases=1, seed=7))

@@ -10,10 +10,8 @@ safe sets; only the pattern (and the trained agent) differs.  The timed
 kernel is one evaluation episode on Ex.10.
 """
 
-import numpy as np
-
-from benchmarks.conftest import CASES, EPISODES, HORIZON, RESTARTS, emit, pct
-from repro.acc import evaluate_approaches, train_skipping_agent
+from benchmarks.conftest import CASES, EPISODES, RESTARTS, compare, emit, pct
+from repro.acc import train_skipping_agent
 
 EXPERIMENTS = ("ex6", "ex7", "ex8", "ex9", "ex10")
 
@@ -27,9 +25,8 @@ def bench_fig6_saving_vs_regularity(benchmark, acc_case):
             acc_case, experiment, episodes=EPISODES, seed=0,
             restarts=RESTARTS, validation_cases=6,
         )
-        result = evaluate_approaches(
-            acc_case, experiment, num_cases=CASES, horizon=HORIZON,
-            seed=1, agent=agent,
+        result = compare(
+            acc_case, experiment, num_cases=CASES, seed=1, agent=agent
         )
         drl = float(result.fuel_saving("drl").mean())
         bb = float(result.fuel_saving("bang_bang").mean())
@@ -37,7 +34,7 @@ def bench_fig6_saving_vs_regularity(benchmark, acc_case):
         gaps[experiment] = drl - bb
         rows.append(
             (experiment, pct(drl), pct(bb), pct(drl - bb),
-             f"{result.drl.forced_steps.mean():.1f}")
+             f"{result.stats('drl').metrics['forced_steps'].mean():.1f}")
         )
     emit(
         "Fig. 6 — saving vs regularity (paper: rises Ex.7→Ex.10, Ex.6 outlier)",
@@ -57,8 +54,4 @@ def bench_fig6_saving_vs_regularity(benchmark, acc_case):
     assert gaps["ex10"] > gaps["ex7"]
     assert all(s > 0.0 for s in savings.values())
 
-    benchmark(
-        lambda: evaluate_approaches(
-            acc_case, "ex10", num_cases=1, horizon=HORIZON, seed=7
-        )
-    )
+    benchmark(lambda: compare(acc_case, "ex10", num_cases=1, seed=7))

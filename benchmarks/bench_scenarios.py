@@ -81,7 +81,7 @@ def telemetry_parity(name: str, episodes: int, horizon: int, seed: int) -> bool:
     )
 
 
-def bench_scenario(
+def scenario_row(
     name: str, episodes: int, horizon: int, seed: int
 ) -> dict:
     """One scenario's build + serial/lockstep timing + parity row."""
@@ -152,7 +152,7 @@ def run_benchmark(
     """Bench every requested scenario; returns rows + the overall verdict."""
     if names is None:
         names = scenarios.list_scenarios()
-    rows = [bench_scenario(name, episodes, horizon, seed) for name in names]
+    rows = [scenario_row(name, episodes, horizon, seed) for name in names]
     return {
         "episodes": episodes,
         "horizon": horizon,

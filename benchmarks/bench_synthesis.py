@@ -41,7 +41,7 @@ def _bits(H, h) -> tuple:
     return H.shape, H.tobytes(), h.tobytes()
 
 
-def bench_scenario(name: str) -> dict:
+def scenario_row(name: str) -> dict:
     """Cold-synthesise ``name`` and replay its redundancy removals."""
     calls = []
     busy = [0.0]
@@ -102,7 +102,7 @@ def main(argv=None) -> int:
     print(f"{'scenario':<14}{'synth s':>9}{'rr s':>8}{'calls':>7}"
           f"{'screen':>8}{'recheck':>9}{'oracle LPs':>12}{'oracle s':>10}  ok")
     for name in names:
-        row = bench_scenario(name)
+        row = scenario_row(name)
         rows.append(row)
         print(f"{name:<14}{row['synth_s']:>9.3f}"
               f"{row['remove_redundancies_s']:>8.3f}"

@@ -16,7 +16,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.acc import build_case_study, train_skipping_agent
+from repro.acc import build_case_study, greedy_drl_policy, train_skipping_agent
+from repro.experiments import ExperimentSpec, run_experiment
 
 FULL = os.environ.get("REPRO_FULL", "0") == "1"
 
@@ -51,6 +52,23 @@ def overall_agent(acc_case):
         restarts=RESTARTS_FIG4,
     )
     return agent, env, history
+
+
+def compare(case, experiment, num_cases, seed, agent=None, horizon=HORIZON):
+    """The paired Sec.-IV comparison on ``case``: the κ-every-step
+    ``"baseline"``, bang-bang and — given an agent — greedy DRL."""
+    policies = {} if agent is None else {"drl": greedy_drl_policy(case, agent)}
+    return run_experiment(
+        ExperimentSpec(
+            scenario=case,
+            pattern=experiment,
+            approaches=("bang_bang", *policies),
+            num_cases=num_cases,
+            horizon=horizon,
+            seed=seed,
+            policies=policies,
+        )
+    )
 
 
 def emit(title: str, rows: list, header: tuple) -> None:

@@ -19,7 +19,8 @@ Run:  python examples/acc_energy_saving.py
 
 import numpy as np
 
-from repro.acc import build_case_study, evaluate_approaches, train_skipping_agent
+from repro.acc import build_case_study, greedy_drl_policy, train_skipping_agent
+from repro.experiments import ExperimentSpec, run_experiment
 from repro.framework import computation_saving
 
 
@@ -38,28 +39,35 @@ def main():
           f"last 10 {np.mean(history.returns[-10:]):.4f}")
 
     print("Evaluating 12 paired cases x 100 steps...")
-    result = evaluate_approaches(
-        case, "overall", num_cases=12, horizon=100, seed=1, agent=agent
+    cell = run_experiment(
+        ExperimentSpec(
+            scenario=case, pattern="overall",
+            approaches=("bang_bang", "drl"),
+            num_cases=12, horizon=100, seed=1,
+            policies={"drl": greedy_drl_policy(case, agent)},
+        )
     )
 
     print(f"\n{'approach':<12} {'fuel[g]':>8} {'saving':>8} "
           f"{'energy':>8} {'skip%':>6} {'forced':>7}")
-    rows = [
-        ("RMPC-only", result.rmpc_only, None),
-        ("bang-bang", result.bang_bang, "bang_bang"),
-        ("DRL", result.drl, "drl"),
-    ]
-    for name, stats, key in rows:
-        saving = "-" if key is None else f"{100*result.fuel_saving(key).mean():.1f}%"
+    for name, key in (("RMPC-only", "baseline"), ("bang-bang", "bang_bang"),
+                      ("DRL", "drl")):
+        metrics = cell.stats(key).metrics
+        saving = (
+            "-" if key == "baseline"
+            else f"{100*cell.fuel_saving(key).mean():.1f}%"
+        )
         print(
-            f"{name:<12} {stats.fuel.mean():8.2f} {saving:>8} "
-            f"{stats.energy.mean():8.1f} {100*stats.skip_rate.mean():5.0f}% "
-            f"{stats.forced_steps.mean():7.1f}"
+            f"{name:<12} {metrics['fuel'].mean():8.2f} {saving:>8} "
+            f"{metrics['energy'].mean():8.1f} "
+            f"{100*metrics['skip_rate'].mean():5.0f}% "
+            f"{metrics['forced_steps'].mean():7.1f}"
         )
 
-    t_controller = result.rmpc_only.mean_controller_ms / 1e3
-    t_monitor = result.drl.mean_monitor_ms / 1e3
-    skipped = int(result.drl.skip_rate.mean() * 100)
+    drl = cell.stats("drl")
+    t_controller = cell.stats("baseline").mean_controller_ms / 1e3
+    t_monitor = drl.mean_monitor_ms / 1e3
+    skipped = int(drl.metrics["skip_rate"].mean() * 100)
     saving = computation_saving(t_controller, t_monitor, 100, skipped)
     print(f"\ncomputation: controller {1e3*t_controller:.2f} ms/step vs "
           f"monitor+NN {1e3*t_monitor:.3f} ms/step")

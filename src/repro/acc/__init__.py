@@ -9,12 +9,11 @@ from repro.acc.case_study import (
 from repro.acc.env import ACCSkippingEnv
 from repro.acc.experiments import (
     FIG4_BIN_EDGES,
-    ApproachStats,
-    ComparisonResult,
     acc_disturbance_factory,
     case_study_for_experiment,
-    evaluate_approaches,
     experiment_vf_range,
+    greedy_drl_policy,
+    saving_histogram,
     train_skipping_agent,
 )
 from repro.acc.model import ACCCoordinates, ACCParameters, build_acc_system
@@ -30,10 +29,9 @@ __all__ = [
     "ACCSkippingEnv",
     "train_skipping_agent",
     "acc_disturbance_factory",
-    "evaluate_approaches",
+    "greedy_drl_policy",
     "case_study_for_experiment",
     "experiment_vf_range",
-    "ApproachStats",
-    "ComparisonResult",
+    "saving_histogram",
     "FIG4_BIN_EDGES",
 ]

@@ -4,27 +4,34 @@ Provides, for every experiment id (``overall``, ``ex1`` … ``ex10``):
 
 * the correctly-parameterised case study (Ex.1–Ex.5 change the
   front-velocity range, hence the disturbance set and the safe sets);
-* double-DQN training of the skipping agent on that scenario;
-* paired evaluation of the three approaches — RMPC-only, bang-bang
-  (Eq. 7) and DRL-based opportunistic intermittent control — on shared
-  disturbance realisations, reporting fuel (HBEFA3 surrogate), the formal
-  Σ‖u‖₁ energy, skip rates and timing.
+* double-DQN training of the skipping agent on that scenario, and the
+  greedy evaluation policy built from it (:func:`greedy_drl_policy`);
+* the Fig.-4 saving histogram (:func:`saving_histogram`).
+
+The paired evaluation itself — RMPC-only (the ``"baseline"`` leg),
+bang-bang (Eq. 7) and DRL-based opportunistic intermittent control on
+shared disturbance realisations — is one
+:func:`repro.experiments.run_experiment` call::
+
+    cell = run_experiment(ExperimentSpec(
+        scenario=case, pattern=experiment,
+        approaches=("bang_bang", "drl"),
+        policies={"drl": greedy_drl_policy(case, agent)},
+    ))
+    cell.fuel_saving("drl")        # per-case saving vs the baseline
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.acc.case_study import ACCCaseStudy, build_case_study
 from repro.acc.env import ACCSkippingEnv
-from repro.framework.evaluation import default_engine
 from repro.rl.dqn import DQNConfig, DoubleDQNAgent
 from repro.rl.schedule import LinearSchedule
-from repro.rl.training import TrainingHistory, train_dqn
-from repro.skipping.base import SkippingPolicy
+from repro.rl.training import train_dqn
 from repro.skipping.drl import DRLSkippingPolicy
 from repro.traffic.patterns import experiment_pattern
 
@@ -32,16 +39,29 @@ __all__ = [
     "experiment_vf_range",
     "case_study_for_experiment",
     "train_skipping_agent",
+    "greedy_drl_policy",
     "acc_disturbance_factory",
     "table1_axis",
-    "ApproachStats",
-    "ComparisonResult",
-    "evaluate_approaches",
+    "saving_histogram",
     "FIG4_BIN_EDGES",
 ]
 
 #: Fuel-saving histogram bin edges of the paper's Fig. 4 (fractions).
 FIG4_BIN_EDGES = np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+
+
+def saving_histogram(savings, edges=FIG4_BIN_EDGES) -> np.ndarray:
+    """Fig.-4-style histogram of per-case savings (counts per bin).
+
+    Savings outside ``edges`` are clipped into the first/last bin, so
+    every case is counted.
+    """
+    savings = np.asarray(savings, dtype=float)
+    counts, _ = np.histogram(
+        np.clip(savings, edges[0], edges[-1] - 1e-9), bins=edges
+    )
+    return counts
+
 
 #: Table I — front-velocity range per experiment id.
 _EXPERIMENT_VF_RANGES = {
@@ -108,10 +128,12 @@ def train_skipping_agent(
     results implicitly rely on.
 
     Returns:
-        ``(agent, env, history)`` of the selected restart — the env is
-        returned because its normalisation scales are needed to build
-        the evaluation policy.
+        ``(agent, env, history)`` of the selected restart; evaluate the
+        agent with :func:`greedy_drl_policy`, which normalises
+        observations exactly as ``env`` did.
     """
+    from repro.experiments import ExperimentSpec, run_experiment
+
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     best = None
@@ -154,15 +176,39 @@ def train_skipping_agent(
         )
         if restarts == 1:
             return agent, env, history
-        validation = evaluate_approaches(
-            case, experiment, num_cases=validation_cases,
-            horizon=episode_steps, seed=9999, agent=agent,
+        validation = run_experiment(
+            ExperimentSpec(
+                scenario=case,
+                pattern=experiment,
+                num_cases=validation_cases,
+                horizon=episode_steps,
+                seed=9999,
+                policies={"drl": greedy_drl_policy(case, agent)},
+            )
         )
         score = float(validation.fuel_saving("drl").mean())
         if score > best_score:
             best_score = score
             best = (agent, env, history)
     return best
+
+
+def greedy_drl_policy(
+    case: ACCCaseStudy, agent: DoubleDQNAgent
+) -> DRLSkippingPolicy:
+    """The greedy (ε = 0) evaluation policy of ``agent`` on ``case``.
+
+    Observations are normalised exactly as :class:`ACCSkippingEnv`
+    normalised them in training (safe-set bounding box, ``w_bound``).
+    Greedy decisions are a pure function of the context, so the policy
+    is stateless and runs under every engine, lockstep included.
+    """
+    lower, upper = case.system.safe_set.bounding_box()
+    return DRLSkippingPolicy(
+        agent,
+        state_scale=np.maximum(np.abs(lower), np.abs(upper)),
+        disturbance_scale=max(case.params.w_bound, 1e-6),
+    )
 
 
 def acc_disturbance_factory(case: ACCCaseStudy, experiment: str, horizon: int):
@@ -179,81 +225,6 @@ def acc_disturbance_factory(case: ACCCaseStudy, experiment: str, horizon: int):
         return case.coords.disturbance_from_vf(pattern.generate(horizon))
 
     return factory
-
-
-@dataclass
-class ApproachStats:
-    """Per-case metrics of one control approach over the evaluation set.
-
-    Attributes:
-        fuel: Trip fuel per case [g].
-        energy: Σ‖u‖₁ per case on raw commands (Problem-1 objective;
-            coast-mode skips cost zero, matching the paper's zero input).
-        skip_rate: Fraction of skipped steps per case.
-        forced_steps: Monitor-forced steps per case.
-        mean_controller_ms: Mean κ wall-clock per invocation [ms].
-        mean_monitor_ms: Mean monitor+Ω wall-clock per step [ms].
-    """
-
-    fuel: np.ndarray
-    energy: np.ndarray
-    skip_rate: np.ndarray
-    forced_steps: np.ndarray
-    mean_controller_ms: float
-    mean_monitor_ms: float
-
-
-@dataclass
-class ComparisonResult:
-    """Paired comparison of the three approaches (paper Sec. IV).
-
-    All arrays are aligned per evaluation case (same initial state and
-    disturbance realisation across approaches).
-    """
-
-    experiment: str
-    rmpc_only: ApproachStats
-    bang_bang: ApproachStats
-    drl: Optional[ApproachStats]
-
-    def fuel_saving(self, approach: str) -> np.ndarray:
-        """Per-case fractional fuel saving of ``approach`` vs RMPC-only."""
-        stats = self.stats(approach)
-        return (self.rmpc_only.fuel - stats.fuel) / self.rmpc_only.fuel
-
-    def energy_saving(self, approach: str) -> np.ndarray:
-        """Per-case fractional Σ‖u‖₁ saving vs RMPC-only (0/0 → 0)."""
-        stats = self.stats(approach)
-        base = self.rmpc_only.energy
-        out = np.zeros_like(base)
-        nonzero = base > 1e-12
-        out[nonzero] = (base[nonzero] - stats.energy[nonzero]) / base[nonzero]
-        return out
-
-    def saving_histogram(self, approach: str, edges=FIG4_BIN_EDGES) -> np.ndarray:
-        """Fig.-4-style histogram of fuel savings (counts per bin)."""
-        savings = self.fuel_saving(approach)
-        counts, _ = np.histogram(np.clip(savings, edges[0], edges[-1] - 1e-9), bins=edges)
-        return counts
-
-    def stats(self, approach: str) -> ApproachStats:
-        """Per-approach stats by name (``rmpc_only``/``bang_bang``/``drl``).
-
-        Raises:
-            ValueError: For unknown names or when the DRL leg was not
-                evaluated (no agent passed).
-        """
-        mapping = {
-            "bang_bang": self.bang_bang,
-            "drl": self.drl,
-            "rmpc_only": self.rmpc_only,
-        }
-        stats = mapping.get(approach)
-        if stats is None:
-            raise ValueError(
-                f"approach {approach!r} unavailable (was a DRL agent passed?)"
-            )
-        return stats
 
 
 def table1_axis(experiments: tuple = ("ex1", "ex2", "ex3", "ex4", "ex5")):
@@ -276,123 +247,3 @@ def table1_axis(experiments: tuple = ("ex1", "ex2", "ex3", "ex4", "ex5")):
     for experiment in experiments:
         experiment_vf_range(experiment)  # validate ids eagerly
     return ParameterAxis(name="experiment", values=tuple(experiments))
-
-
-def evaluate_approaches(
-    case: ACCCaseStudy,
-    experiment: str,
-    num_cases: int = 50,
-    horizon: int = 100,
-    seed: int = 1,
-    agent: Optional[DoubleDQNAgent] = None,
-    drl_policy: Optional[SkippingPolicy] = None,
-    memory_length: int = 1,
-    jobs: int = 1,
-    engine: Optional[str] = None,
-    exact_solves: bool = False,
-    lp_backend: Optional[str] = None,
-) -> ComparisonResult:
-    """Run the paired three-way comparison of the paper's Sec. IV.
-
-    Deprecated thin client of :func:`repro.experiments.run_experiment`
-    (metric-identical: the ACC pattern workload draws the pattern,
-    initial states and realisations in the historical order).  New code
-    should build an :class:`~repro.experiments.spec.ExperimentSpec` with
-    ``scenario="acc"`` and ``pattern=experiment`` directly — that adds
-    parameter axes (:func:`table1_axis`) and sharded grids this wrapper
-    never grew.
-
-    Each case draws an initial state in ``X'`` and one front-vehicle
-    trace; all approaches see the identical realisation.
-
-    Args:
-        case: The scenario's case study.
-        experiment: Paper experiment id (chooses the vf pattern).
-        num_cases: Number of evaluation cases (paper: 500).
-        horizon: Steps per case (paper: 100).
-        seed: Evaluation seed (independent of training).
-        agent: Trained DQN agent; omit to skip the DRL approach.
-        drl_policy: Pre-built policy overriding ``agent``.
-        memory_length: ``r`` used when building the DRL policy.
-        jobs: Worker processes for the per-case fan-out (``None``/0 = one
-            per CPU; only meaningful for the parallel engine).  All
-            realisations are drawn up front in the parent, so any
-            ``jobs``/``engine`` choice yields the same
-            fuel/energy/skip/forced numbers — only the wall-clock columns
-            (``mean_controller_ms``/``mean_monitor_ms``) vary.  (Sole
-            exception: lockstep's stacked κ_R solves are plan-equivalent,
-            not bitwise — see ``engine``/``exact_solves`` below.)
-        engine: ``"serial"`` (per-case loop, forces ``jobs=1``),
-            ``"parallel"`` (per-case fork fan-out over ``jobs`` workers)
-            or ``"lockstep"`` (all cases of one approach advance as a
-            single state matrix; single-core friendly).  ``None`` keeps
-            the legacy behaviour: parallel iff ``jobs != 1``.  The DRL
-            leg requires a stateless (ε = 0) policy under lockstep.
-            Under lockstep κ_R solves its LPs stacked, which is
-            plan-equivalent rather than bitwise to the other engines —
-            pass ``exact_solves=True`` for record-for-record parity
-            (see :mod:`repro.framework.lockstep`).
-        exact_solves: Lockstep only — keep κ_R on the scalar solve path
-            for bitwise parity with the serial engine instead of the
-            plan-equivalent stacked solve.
-        lp_backend: Lockstep only — stacked-solve backend request
-            (``auto|highs|scipy``; see :mod:`repro.utils.lp_backends`).
-            ``None`` keeps the controller's own setting.
-
-    Returns:
-        A :class:`ComparisonResult`.
-    """
-    from repro.experiments import ExecutionConfig, ExperimentSpec, run_experiment
-
-    engine = default_engine(engine, jobs)  # validates; None = legacy inference
-    if engine == "serial":
-        jobs = 1
-
-    policy_drl = drl_policy
-    if policy_drl is None and agent is not None:
-        lower, upper = case.system.safe_set.bounding_box()
-        policy_drl = DRLSkippingPolicy(
-            agent,
-            state_scale=np.maximum(np.abs(lower), np.abs(upper)),
-            disturbance_scale=max(case.params.w_bound, 1e-6),
-        )
-
-    approaches = ("bang_bang",) + (() if policy_drl is None else ("drl",))
-    spec = ExperimentSpec(
-        # The case itself (not just its parameters): the ACC workload
-        # then evaluates exactly the object the caller built — customised
-        # controllers/monitors and non-default parameter sets included.
-        scenario=case,
-        pattern=experiment,
-        approaches=approaches,
-        num_cases=num_cases,
-        horizon=horizon,
-        seed=seed,
-        memory_length=memory_length,
-        policies=None if policy_drl is None else {"drl": policy_drl},
-    )
-    cell = run_experiment(
-        spec,
-        ExecutionConfig(
-            engine=engine, jobs=jobs, exact_solves=exact_solves,
-            lp_backend=lp_backend,
-        ),
-    )
-
-    def finalize(name: str) -> ApproachStats:
-        stats = cell.approaches[name]
-        return ApproachStats(
-            fuel=stats.metrics["fuel"],
-            energy=stats.metrics["energy"],
-            skip_rate=stats.metrics["skip_rate"],
-            forced_steps=stats.metrics["forced_steps"],
-            mean_controller_ms=stats.mean_controller_ms,
-            mean_monitor_ms=stats.mean_monitor_ms,
-        )
-
-    return ComparisonResult(
-        experiment=experiment,
-        rmpc_only=finalize("baseline"),
-        bang_bang=finalize("bang_bang"),
-        drl=finalize("drl") if policy_drl is not None else None,
-    )

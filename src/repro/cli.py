@@ -112,65 +112,77 @@ def _cmd_sets(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    from repro.acc import build_case_study, evaluate_approaches, train_skipping_agent
+def _acc_comparison(args, experiment: str):
+    """Train the DRL agent for ``experiment`` and run the paired Sec.-IV
+    comparison on that experiment's Table-I case study.
 
-    case = build_case_study()
-    _echo(f"training DQN ({args.episodes} episodes, {args.restarts} restart(s))...")
+    The one evaluation path of ``compare`` and ``experiment``: both
+    verbs evaluate on :func:`~repro.acc.case_study_for_experiment`, so
+    Ex.2–Ex.5 run on their own vf range and certified sets.
+    """
+    from repro.acc import (
+        case_study_for_experiment,
+        greedy_drl_policy,
+        train_skipping_agent,
+    )
+    from repro.experiments import ExecutionConfig, ExperimentSpec, run_experiment
+
+    case = case_study_for_experiment(experiment)
     agent, _env, _history = train_skipping_agent(
-        case, args.experiment, episodes=args.episodes, seed=args.seed,
+        case, experiment, episodes=args.episodes, seed=args.seed,
         restarts=args.restarts,
     )
-    result = evaluate_approaches(
-        case, args.experiment, num_cases=args.cases, horizon=args.horizon,
-        seed=args.seed + 1, agent=agent, jobs=args.jobs,
-        engine=_resolve_engine(args), exact_solves=args.exact_solves,
-        lp_backend=args.lp_backend,
+    return run_experiment(
+        ExperimentSpec(
+            scenario=case,
+            pattern=experiment,
+            approaches=("bang_bang", "drl"),
+            num_cases=args.cases,
+            horizon=args.horizon,
+            seed=args.seed + 1,
+            policies={"drl": greedy_drl_policy(case, agent)},
+        ),
+        ExecutionConfig(
+            engine=_resolve_engine(args), jobs=args.jobs,
+            exact_solves=args.exact_solves, lp_backend=args.lp_backend,
+        ),
     )
+
+
+def _cmd_compare(args) -> int:
+    _echo(f"training DQN ({args.episodes} episodes, {args.restarts} restart(s))...")
+    cell = _acc_comparison(args, args.experiment)
     _echo(f"\n{'approach':<12} {'fuel[g]':>8} {'saving':>8} {'skip%':>6}")
-    _echo(f"{'RMPC-only':<12} {result.rmpc_only.fuel.mean():8.2f} {'-':>8} {0:5d}%")
+    baseline = cell.stats("baseline").metrics
+    _echo(f"{'RMPC-only':<12} {baseline['fuel'].mean():8.2f} {'-':>8} {0:5d}%")
     for name in ("bang_bang", "drl"):
-        stats = result.stats(name)
+        metrics = cell.stats(name).metrics
         _echo(
-            f"{name:<12} {stats.fuel.mean():8.2f} "
-            f"{100*result.fuel_saving(name).mean():7.2f}% "
-            f"{100*stats.skip_rate.mean():5.0f}%"
+            f"{name:<12} {metrics['fuel'].mean():8.2f} "
+            f"{100*cell.fuel_saving(name).mean():7.2f}% "
+            f"{100*metrics['skip_rate'].mean():5.0f}%"
         )
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    from repro.acc import (
-        case_study_for_experiment,
-        evaluate_approaches,
-        train_skipping_agent,
-    )
-
-    case = case_study_for_experiment(args.name)
-    agent, _env, _history = train_skipping_agent(
-        case, args.name, episodes=args.episodes, seed=args.seed,
-        restarts=args.restarts,
-    )
-    result = evaluate_approaches(
-        case, args.name, num_cases=args.cases, horizon=args.horizon,
-        seed=args.seed + 1, agent=agent, jobs=args.jobs,
-        engine=_resolve_engine(args), exact_solves=args.exact_solves,
-        lp_backend=args.lp_backend,
-    )
+    cell = _acc_comparison(args, args.name)
+    drl = cell.stats("drl").metrics
     _echo(
-        f"{args.name}: DRL saving {100*result.fuel_saving('drl').mean():.2f}%  "
-        f"bang-bang {100*result.fuel_saving('bang_bang').mean():.2f}%  "
-        f"(skip {result.drl.skip_rate.mean():.2f}, "
-        f"forced {result.drl.forced_steps.mean():.1f})"
+        f"{args.name}: DRL saving {100*cell.fuel_saving('drl').mean():.2f}%  "
+        f"bang-bang {100*cell.fuel_saving('bang_bang').mean():.2f}%  "
+        f"(skip {drl['skip_rate'].mean():.2f}, "
+        f"forced {drl['forced_steps'].mean():.1f})"
     )
     return 0
 
 
 def _resolve_engine(args) -> str:
-    """The effective engine: explicit ``--engine`` wins, else ``--jobs``."""
-    from repro.framework.evaluation import default_engine
-
-    return default_engine(args.engine, args.jobs)
+    """The effective engine: an explicit ``--engine`` wins, else
+    parallel iff ``--jobs != 1`` (argparse ``choices`` validates)."""
+    if args.engine is not None:
+        return args.engine
+    return "parallel" if args.jobs != 1 else "serial"
 
 
 def _parse_axis(text: str):
@@ -436,13 +448,12 @@ def _cmd_batch(args) -> int:
 
     engine = _resolve_engine(args)
     if args.scenario == "acc":
-        from repro.acc import acc_disturbance_factory, build_case_study
+        from repro.acc import acc_disturbance_factory, case_study_for_experiment
 
-        case = build_case_study()
+        experiment = args.experiment or "overall"
+        case = case_study_for_experiment(experiment)
         controller = case.mpc
-        factory = acc_disturbance_factory(
-            case, args.experiment or "overall", args.horizon
-        )
+        factory = acc_disturbance_factory(case, experiment, args.horizon)
     else:
         if args.experiment is not None:
             _echo(

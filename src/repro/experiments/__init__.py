@@ -15,8 +15,9 @@ paper's whole Sec.-IV evaluation)::
     result = run_sweep(plan)        # cells sharded across fork workers
     result.to_csv("sweep.csv")      # stable row keys, exact round-trip
 
-The ACC entry point ``repro.acc.experiments.evaluate_approaches`` and the
-CLI ``sweep``/``submit`` verbs are thin clients of this package.
+The paper's ACC comparison (``ExperimentSpec(scenario="acc",
+pattern="ex3", ...)`` — the CLI ``compare``/``experiment`` verbs) and
+the CLI ``sweep``/``submit`` verbs are thin clients of this package.
 """
 
 from repro.experiments.checkpoint import SweepCheckpoint

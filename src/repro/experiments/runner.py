@@ -9,8 +9,7 @@ under the default cell-sharding strategy — fans whole cells out over
 Determinism: a cell's metrics depend only on its spec (scenario +
 overrides, seed, cases, horizon) and the engine tier — never on worker
 scheduling — because every realisation is derived from the spec's seed
-before any episode runs, exactly as the legacy entry points drew them,
-and sharded cells must use stateless policies (enforced), so no policy
+before any episode runs, and sharded cells must use stateless policies (enforced), so no policy
 state can leak between cells of an in-process run either.
 Sharding therefore reproduces the ``jobs=1`` run record-for-record; only
 cross-*engine* comparisons of stacked-LP controllers drop to the
@@ -249,9 +248,10 @@ def _acc_workload(spec: ExperimentSpec, overrides: tuple) -> _Workload:
     Override keys: :class:`~repro.acc.model.ACCParameters` fields,
     ``"pattern"`` (front-vehicle pattern id), or ``"experiment"`` (paper
     id setting the pattern *and* its Table-I ``vf_range`` together).
-    The RNG consumption order (pattern, initial states, realisations)
-    matches the historical ``evaluate_approaches`` draw for draw, so
-    grid cells reproduce the paper harness metric-for-metric.
+    The RNG consumption order is fixed — pattern, initial states, then
+    one realisation per case — so a cell's metrics depend only on the
+    spec, and a pre-built case and its ``"experiment"``-override rebuild
+    agree metric-for-metric.
     """
     from repro.acc.case_study import ACCCaseStudy
     from repro.acc.case_study import build_case_study as build_acc_case

@@ -1,7 +1,7 @@
 """Runtime framework: safety monitor, Algorithm 1 loop, accounting."""
 
 from repro.framework.accounting import RunStats, computation_saving
-from repro.framework.evaluation import ENGINES, default_engine, paired_evaluation
+from repro.framework.evaluation import ENGINES, paired_evaluation
 from repro.framework.intermittent import IntermittentController, run_controller_only
 from repro.framework.lockstep import lockstep_controller_only, run_lockstep
 from repro.framework.monitor import SafetyMonitor, SafetyViolationError, StateClass
@@ -23,7 +23,6 @@ __all__ = [
     "RunStats",
     "computation_saving",
     "ENGINES",
-    "default_engine",
     "paired_evaluation",
     "BatchRunner",
     "ParallelBatchRunner",

@@ -6,9 +6,8 @@ over the *identical* set of (initial state, disturbance realisation)
 pairs, and reduce every episode to a tuple of metrics.  This module owns
 that shape, scenario-agnostically; the experiment runner
 (:func:`repro.experiments.run_experiment` / :func:`~repro.experiments.
-run_sweep`, one call per grid cell) is its client, and the ACC harness
-(:func:`repro.acc.experiments.evaluate_approaches`) reaches it through
-the runner.
+run_sweep`, one call per grid cell) is its only client; the ACC
+comparison of the paper reaches it through the runner too.
 
 Engine semantics match the batch runners: ``"serial"`` is the reference
 case-major loop, ``"parallel"`` fans cases out over forked workers
@@ -36,7 +35,7 @@ from repro.skipping.base import SkippingPolicy
 from repro.systems.lti import DiscreteLTISystem
 from repro.utils.parallel import fork_map
 
-__all__ = ["ENGINES", "default_engine", "paired_evaluation"]
+__all__ = ["ENGINES", "paired_evaluation"]
 
 
 def _solver_probe() -> tuple:
@@ -74,24 +73,6 @@ def _probe_delta(before: tuple, after: tuple) -> tuple:
 
 #: The execution engines every evaluation entry point accepts.
 ENGINES = ("serial", "parallel", "lockstep")
-
-
-def default_engine(engine: Optional[str], jobs: int) -> str:
-    """Resolve the legacy engine inference shared by the old entry points.
-
-    An explicit ``engine`` wins; ``None`` keeps the historical behaviour
-    of the pre-spec API (parallel iff ``jobs != 1``).
-
-    Raises:
-        ValueError: For names outside :data:`ENGINES`.
-    """
-    if engine is None:
-        return "parallel" if jobs != 1 else "serial"
-    if engine not in ENGINES:
-        raise ValueError(
-            f"engine must be one of {ENGINES}, got {engine!r}"
-        )
-    return engine
 
 
 def paired_evaluation(

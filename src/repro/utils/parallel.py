@@ -1,8 +1,9 @@
 """Fork-based order-preserving parallel map with worker supervision.
 
 The batch layers (:class:`repro.framework.runner.ParallelBatchRunner`,
-:func:`repro.acc.experiments.evaluate_approaches`, the sharded grid
-sweeps of :mod:`repro.experiments`) fan work out over worker processes.
+the ``"parallel"`` engine of :func:`repro.framework.evaluation.
+paired_evaluation`, the sharded grid sweeps of :mod:`repro.experiments`)
+fan work out over worker processes.
 They all go through :func:`fork_map`, which uses the ``fork`` start
 method deliberately:
 

@@ -11,10 +11,11 @@ from repro.acc import (
     ACCParameters,
     ACCSkippingEnv,
     build_acc_system,
-    evaluate_approaches,
     experiment_vf_range,
+    saving_histogram,
 )
 from repro.acc.model import ACCCoordinates
+from repro.experiments import ExperimentSpec, run_experiment
 from repro.framework import IntermittentController
 from repro.invariance import is_rci
 from repro.skipping import AlwaysSkipPolicy
@@ -234,32 +235,37 @@ class TestACCEnv:
             self._env(acc_case, rng, reward_mode="watts")
 
 
+def _bang_bang_cell(case, num_cases, horizon, seed):
+    return run_experiment(
+        ExperimentSpec(
+            scenario=case, pattern="overall", approaches=("bang_bang",),
+            num_cases=num_cases, horizon=horizon, seed=seed,
+        )
+    )
+
+
 class TestEvaluation:
     def test_paired_comparison_small(self, acc_case):
-        res = evaluate_approaches(
-            acc_case, "overall", num_cases=3, horizon=40, seed=3
-        )
-        assert res.rmpc_only.fuel.shape == (3,)
-        assert res.bang_bang.fuel.shape == (3,)
-        assert res.drl is None
+        cell = _bang_bang_cell(acc_case, num_cases=3, horizon=40, seed=3)
+        assert cell.stats("baseline").metrics["fuel"].shape == (3,)
+        bang = cell.stats("bang_bang").metrics
+        assert bang["fuel"].shape == (3,)
+        assert set(cell.approaches) == {"baseline", "bang_bang"}
         # Bang-bang skips most steps and never violates safety (strict
         # monitors would have raised inside the run otherwise).
-        assert res.bang_bang.skip_rate.mean() > 0.5
-        with pytest.raises(ValueError, match="unavailable"):
-            res.fuel_saving("drl")
+        assert bang["skip_rate"].mean() > 0.5
+        assert cell.always_safe
+        with pytest.raises(ValueError, match="unknown approach"):
+            cell.fuel_saving("drl")
 
     def test_histogram_counts_sum(self, acc_case):
-        res = evaluate_approaches(
-            acc_case, "overall", num_cases=4, horizon=30, seed=4
-        )
-        counts = res.saving_histogram("bang_bang")
+        cell = _bang_bang_cell(acc_case, num_cases=4, horizon=30, seed=4)
+        counts = saving_histogram(cell.fuel_saving("bang_bang"))
         assert counts.sum() == 4
 
     def test_energy_saving_zero_base_guard(self, acc_case):
-        res = evaluate_approaches(
-            acc_case, "overall", num_cases=2, horizon=20, seed=5
-        )
-        savings = res.energy_saving("bang_bang")
+        cell = _bang_bang_cell(acc_case, num_cases=2, horizon=20, seed=5)
+        savings = cell.energy_saving("bang_bang")
         assert np.all(np.isfinite(savings))
 
     def test_bang_bang_equals_framework_run(self, acc_case, rng):

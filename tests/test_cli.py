@@ -190,6 +190,78 @@ class TestExecution:
             == results["lockstep"].deterministic_records()
         )
 
+    _SMALL = ["--cases", "2", "--episodes", "2", "--horizon", "8",
+              "--restarts", "1"]
+
+    def test_compare_command_end_to_end(self, acc_case, capsys):
+        assert main(["compare", *self._SMALL]) == 0
+        rows = {
+            line.split()[0]: line.split()[1:]
+            for line in capsys.readouterr().out.splitlines()
+            if line.split()[:1] in (["RMPC-only"], ["bang_bang"], ["drl"])
+        }
+        assert set(rows) == {"RMPC-only", "bang_bang", "drl"}
+        assert rows["RMPC-only"][1:] == ["-", "0%"]
+        for name in ("bang_bang", "drl"):
+            fuel, saving, skip = rows[name]
+            assert float(fuel) > 0
+            assert saving.endswith("%") and skip.endswith("%")
+
+    def test_experiment_command_end_to_end(self, acc_case, capsys):
+        assert main(["experiment", "ex1", *self._SMALL]) == 0
+        out = capsys.readouterr().out.strip()
+        assert out.startswith("ex1: DRL saving ")
+        assert "bang-bang" in out and "skip" in out and "forced" in out
+
+    def test_compare_and_experiment_share_table1_case(self, capsys):
+        """Both verbs evaluate ex3 on its own Table-I vf range, so they
+        print the same savings at the same seeds."""
+        assert main(["compare", "--experiment", "ex3", *self._SMALL]) == 0
+        rows = {
+            line.split()[0]: line.split()[2]
+            for line in capsys.readouterr().out.splitlines()
+            if line.split()[:1] in (["bang_bang"], ["drl"])
+        }
+        assert main(["experiment", "ex3", *self._SMALL]) == 0
+        out = capsys.readouterr().out
+        assert f"DRL saving {rows['drl']}" in out
+        assert f"bang-bang {rows['bang_bang']}" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--experiment", "ex3", *_SMALL],
+            ["experiment", "ex3", *_SMALL],
+            ["batch", "--experiment", "ex3", "--episodes", "2",
+             "--horizon", "8"],
+        ],
+        ids=["compare", "experiment", "batch"],
+    )
+    def test_acc_verbs_evaluate_table1_case(self, argv, monkeypatch):
+        """Regression: every ACC verb runs exN on the case synthesised
+        for exN's Table-I vf range, not on the default (30, 50) case."""
+        import repro.acc as acc
+        import repro.experiments as experiments
+        from repro.acc import experiment_vf_range
+
+        seen = []
+        real_run, real_factory = (
+            experiments.run_experiment, acc.acc_disturbance_factory
+        )
+
+        def spy_run(spec, execution=None):
+            seen.append(spec.scenario.params.vf_range)
+            return real_run(spec, execution)
+
+        def spy_factory(case, experiment, horizon):
+            seen.append(case.params.vf_range)
+            return real_factory(case, experiment, horizon)
+
+        monkeypatch.setattr(experiments, "run_experiment", spy_run)
+        monkeypatch.setattr(acc, "acc_disturbance_factory", spy_factory)
+        assert main(argv) == 0
+        assert seen == [experiment_vf_range("ex3")]
+
     def test_scenarios_command_lists_zoo(self, capsys):
         assert main(["scenarios"]) == 0
         out = capsys.readouterr().out

@@ -1,10 +1,12 @@
 """Tests for the declarative experiment API (`repro.experiments`):
 spec/axis/plan validation, grid expansion, cache-correct axis points,
 sharded execution determinism, result round-trips, and the ACC Table-I
-acceptance criterion (a single sweep reproduces the legacy harness
-metric-for-metric)."""
+acceptance criterion (a single sweep over `table1_axis` reproduces the
+pre-built Table-I case studies metric-for-metric)."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -593,56 +595,43 @@ class TestResultSerialisation:
 
 
 # ----------------------------------------------------------------------
-# Acceptance (a): one run_sweep reproduces the ACC Table-I comparison
-# metric-for-metric against the legacy harness.
+# Acceptance (a): one run_sweep over table1_axis (the ACC case rebuilt
+# per point) reproduces the pre-built Table-I case studies
+# metric-for-metric.
 # ----------------------------------------------------------------------
 class TestACCTableOne:
-    def test_table1_axis_sweep_matches_evaluate_approaches(self, acc_case):
-        from repro.acc.experiments import (
-            case_study_for_experiment,
-            evaluate_approaches,
-            table1_axis,
-        )
+    def test_table1_axis_sweep_matches_prebuilt_cases(self, acc_case):
+        from repro.acc.experiments import case_study_for_experiment, table1_axis
 
         experiments = ("ex1", "ex4")  # ex1 shares the session fixture's build
-        plan = SweepPlan(
-            experiments=[
-                ExperimentSpec(
-                    scenario="acc",
-                    pattern="overall",
-                    approaches=("bang_bang",),
-                    num_cases=4,
-                    horizon=12,
-                    seed=77,
-                )
-            ],
-            axes=[table1_axis(experiments)],
+        spec = ExperimentSpec(
+            scenario="acc",
+            pattern="overall",
+            approaches=("bang_bang",),
+            num_cases=4,
+            horizon=12,
+            seed=77,
         )
-        sweep = run_sweep(plan)
+        sweep = run_sweep(
+            SweepPlan(experiments=[spec], axes=[table1_axis(experiments)])
+        )
         assert [cell.key for cell in sweep] == [
             "acc@experiment=ex1",
             "acc@experiment=ex4",
         ]
         for cell, experiment in zip(sweep, experiments):
-            legacy = evaluate_approaches(
-                case_study_for_experiment(experiment),
-                experiment,
-                num_cases=4,
-                horizon=12,
-                seed=77,
+            prebuilt = run_experiment(
+                replace(
+                    spec,
+                    scenario=case_study_for_experiment(experiment),
+                    pattern=experiment,
+                )
             )
-            baseline = cell.approaches["baseline"].metrics
-            bang = cell.approaches["bang_bang"].metrics
-            np.testing.assert_array_equal(baseline["fuel"], legacy.rmpc_only.fuel)
-            np.testing.assert_array_equal(baseline["energy"], legacy.rmpc_only.energy)
-            np.testing.assert_array_equal(bang["fuel"], legacy.bang_bang.fuel)
-            np.testing.assert_array_equal(bang["energy"], legacy.bang_bang.energy)
+            for approach in ("baseline", "bang_bang"):
+                swept = cell.stats(approach).metrics
+                built = prebuilt.stats(approach).metrics
+                for metric in ("fuel", "energy", "skip_rate", "forced_steps"):
+                    np.testing.assert_array_equal(swept[metric], built[metric])
             np.testing.assert_array_equal(
-                bang["skip_rate"], legacy.bang_bang.skip_rate
-            )
-            np.testing.assert_array_equal(
-                bang["forced_steps"], legacy.bang_bang.forced_steps
-            )
-            assert cell.fuel_saving("bang_bang") == pytest.approx(
-                legacy.fuel_saving("bang_bang")
+                cell.fuel_saving("bang_bang"), prebuilt.fuel_saving("bang_bang")
             )
