@@ -29,18 +29,18 @@ Two controller configurations are timed:
   while fork-based parallelism pays overhead on a single-CPU container.
 * ``rmpc`` — the paper's robust MPC κ_R.  Lockstep stacks the per-step
   Eq.-5 LPs of all running episodes into one sparse block-diagonal HiGHS
-  solve (``RobustMPC.solve_batch``); the ``lockstep-exact`` row times the
-  ``exact_solves=True`` audit mode, which keeps the scalar path and so
-  bounds what the engine alone buys.
+  solve (``RobustMPC.solve_batch``, warm-started by default); the
+  ``lockstep-exact`` row times the ``exact_solves=True`` audit mode,
+  which keeps the scalar path and so bounds what the engine alone buys.
 
 A third section times the *LP backends* head to head on the stacked
 κ_R solve itself (``--warm-steps N``): the same receding-horizon batch
-sequence is solved by the cold scipy path (every step re-factorises)
-and by the warm-started persistent-HiGHS backend (the model is passed
-once, each step only rewrites the initial-state equality RHS and reuses
-the incumbent basis).  The row is judged by *solve time per lockstep
-step*; both backends must attain identical per-step total optimal cost
-(plan-equivalent tier).
+sequence is solved cold (``scipy``: a fresh stacked ``solve_lp_batch``
+per step, which re-factorises from scratch) and warm (``highs``, the
+default: each step only rewrites the initial-state equality RHS and
+reuses the incumbent basis).  The row is judged by *solve time per
+lockstep step*; both backends must attain identical per-step total
+optimal cost (plan-equivalent tier).
 
 The whole benchmark runs under an enabled metrics registry, so every
 lockstep row also carries its per-stage wall-clock breakdown
@@ -285,8 +285,6 @@ def run_warm_start_benchmark(
         solve-ms/step, speedup over scipy, max per-step cost deviation,
         ``ok``) and the workload shape.
     """
-    from repro.utils.lp import STACK_CACHE_METRIC
-
     if case is None:
         case = build_case_study()
     mpc = case.mpc
@@ -294,6 +292,7 @@ def run_warm_start_benchmark(
 
     # Reference rollout (scipy): fixes the batches both backends solve
     # and the per-step total optimal costs they must both attain.
+    default_backend = mpc.lp_backend
     mpc.set_lp_backend("scipy")
     sequence = [states]
     reference_costs = []
@@ -308,8 +307,7 @@ def run_warm_start_benchmark(
     scipy_seconds = None
     for backend in ("scipy", "highs"):
         mpc.set_lp_backend(backend)
-        mpc.release_stacks()  # cold start for every timed row
-        _obs.registry().reset(STACK_CACHE_METRIC)
+        mpc.reset()  # cold start for every timed row
         max_cost_diff = 0.0
         tick = time.perf_counter()
         for step_states, reference in zip(sequence, reference_costs):
@@ -327,15 +325,13 @@ def run_warm_start_benchmark(
                 "seconds": seconds,
                 "solve_ms_per_step": 1e3 * seconds / steps,
                 "speedup_vs_scipy": scipy_seconds / seconds,
-                "warm_solves": getattr(mpc._persistent, "warm_solves", 0)
-                if backend == "highs"
-                else 0,
+                "warm_solves": mpc._persistent_solver().warm_solves,
                 "max_cost_diff": max_cost_diff,
                 "ok": max_cost_diff <= tol,
             }
         )
-    mpc.set_lp_backend("auto")
-    mpc.release_stacks()
+    mpc.set_lp_backend(default_backend)
+    mpc.reset()
     return {
         "episodes": episodes,
         "steps": steps,

@@ -585,10 +585,10 @@ def _add_lp_backend_flag(parser) -> None:
     parser.add_argument(
         "--lp-backend", choices=("auto", "highs", "scipy"), default=None,
         dest="lp_backend",
-        help="lockstep only: stacked-solve LP backend ('auto' and "
-             "'scipy' = cold, bitwise with linprog; 'highs' = "
-             "warm-started persistent HiGHS, plan-equivalent); default: "
-             "keep each controller's own setting",
+        help="lockstep only: stacked-solve LP backend ('highs' = "
+             "warm-started persistent HiGHS, plan-equivalent, the RMPC "
+             "default; 'scipy' and its alias 'auto' = cold, bitwise with "
+             "linprog); default: keep each controller's own setting",
     )
 
 

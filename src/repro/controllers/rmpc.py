@@ -16,26 +16,28 @@ the initial-state equality right-hand side, into a per-call copy.
 
 Batch solving: :meth:`RobustMPC.solve_batch` stacks the ``k`` per-state
 Eq.-5 problems into one block-diagonal HiGHS solve — the blocks share
-every matrix and differ only in the initial-state equality RHS.  Every LP
-runs on scipy's bundled HiGHS core through :mod:`repro.utils.lp`; the
-``lp_backend`` argument (``auto|highs|scipy`` — see
+every matrix and differ only in the initial-state equality RHS.  The
+``lp_backend`` request (``auto|highs|scipy`` — see
 :mod:`repro.utils.lp_backends`) picks how the stack is solved:
 
-* ``auto`` / ``scipy`` (the default) — cold:
-  :func:`repro.utils.lp.solve_lp_batch` over this controller's owned
-  :class:`~repro.utils.lp.BlockStack`; every call re-factorises from
-  scratch and returns exactly what ``linprog`` would.
-* ``highs`` — warm: a :class:`~repro.utils.lp_backends.PersistentStackSolver`
-  owned by this controller keeps the stacked model in a persistent HiGHS
-  instance and only rewrites the initial-state equality RHS between
-  calls, warm-starting from the previous solve's basis.
+* ``highs`` (the default) — warm: a
+  :class:`~repro.utils.lp_backends.PersistentStackSolver` owned by this
+  controller keeps the stacked model in a persistent HiGHS instance per
+  batch size, only rewrites the initial-state rows between calls, and
+  starts each call from the previous call's basis.
+  :meth:`RobustMPC.reset` drops the models, and every engine run starts
+  with ``reset()``, so a run's plans depend only on its own batches (a
+  sharded ``jobs=k`` sweep equals ``jobs=1``).
+* ``scipy`` / ``auto`` — cold: one fresh stacked
+  :func:`repro.utils.lp.solve_lp_batch` per call, which returns exactly
+  what ``linprog`` would.  Without the bundled HiGHS core every request
+  resolves to this path.
 
-Under either backend each block attains exactly the scalar optimum
-*value*, but when an LP has multiple optimal vertices the stacked solve
-may return a different one than ``k`` scalar solves would (and a
-warm-started solve a different one than a cold one) — the
-*plan-equivalent* tier of the determinism contract (see
-:mod:`repro.framework.lockstep`), which is why the class declares
+Each block attains exactly the scalar optimum *value*, but when an LP has
+multiple optimal vertices the stacked solve may return a different one
+than ``k`` scalar solves would (and a warm-started solve a different one
+than a cold one) — the *plan-equivalent* tier of the determinism contract
+(see :mod:`repro.framework.lockstep`), which is why the class declares
 ``bitwise_batch = False``.  The scalar path (and with it the
 ``exact_solves=True`` audit tier) is always the cold solve and is
 therefore backend-invariant.
@@ -43,18 +45,20 @@ therefore backend-invariant.
 Thread-safety contract: after construction, the scalar solve paths
 treat the assembled LP data as read-only (right-hand sides are modified
 on per-call copies), so one controller instance is safe to share across
-forked workers and re-entrant *scalar* calls.  :meth:`solve_batch` under
-the ``highs`` backend mutates its persistent solver in place; the solver
-serialises its solves with its own lock, so threads sharing a controller
-take turns (forked workers are fine — the solver is built lazily, so
-each worker builds its own).  The remaining mutable state is the
-``solve_count`` accounting counter, whose increments are not atomic —
-exact counts are only guaranteed for unthreaded use (forked workers each
-count their own copy).
+forked workers and re-entrant *scalar* calls.  :meth:`solve_batch`
+mutates a persistent solver in place, so each thread gets its own
+(built lazily; :meth:`reset` releases the calling thread's): threads
+sharing a controller neither contend nor see each other's warm starts,
+and a forked worker's runs start from ``reset()`` like any other run.
+The remaining mutable state is the ``solve_count``
+accounting counter, whose increments are not atomic — exact counts are
+only guaranteed for unthreaded use (forked workers each count their own
+copy).
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -69,7 +73,6 @@ from repro.invariance.rci import maximal_rpi
 from repro.observability.metrics import registry as _telemetry
 from repro.systems.lti import DiscreteLTISystem
 from repro.utils.lp import (
-    BlockStack,
     LPError,
     LPMatrix,
     solve_lp_batch,
@@ -144,9 +147,9 @@ class RobustMPC(Controller):
             set.  When None, an LQR gain with identity weights is used.
         tighten_with_closed_loop: If True, propagate the disturbance with
             ``A + B K`` (Chisci) instead of the paper's open-loop ``A``.
-        lp_backend: Stacked-solve backend request — ``"auto"`` (default)
-            or ``"scipy"`` for the cold solve, ``"highs"`` for the
-            warm-started persistent one.  Scalar solves are always cold
+        lp_backend: Stacked-solve backend request — ``"highs"``
+            (default) for the warm-started solve, ``"scipy"`` or
+            ``"auto"`` for the cold one.  Scalar solves are always cold
             (see the module docstring).
     """
 
@@ -165,7 +168,7 @@ class RobustMPC(Controller):
         terminal_set: Optional[HPolytope] = None,
         tube_gain=None,
         tighten_with_closed_loop: bool = False,
-        lp_backend: str = "auto",
+        lp_backend: str = "highs",
     ):
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
@@ -201,13 +204,13 @@ class RobustMPC(Controller):
         self.terminal_set = terminal_set
 
         self._assemble_lp()
-        # This controller owns its stacks: the cold backend's CSC stacks
-        # live on the BlockStack, the highs backend's persistent models
-        # on the lazily-built PersistentStackSolver — nothing is pinned
-        # in the module-level LRU cache, so dropping the controller
-        # reclaims everything (see repro.utils.lp).
-        self._stack = BlockStack(self._A_ub, self._A_eq)
-        self._persistent = None
+        # This controller owns its stacks: the persistent models live on
+        # lazily-built PersistentStackSolvers, not in a module-level
+        # cache, so dropping the controller reclaims them.  One solver
+        # per thread: a run's warm starts must follow only that run's
+        # batches, even while another thread runs the same (cached)
+        # controller.
+        self._persistent = threading.local()
         self._solve_count = 0
         # Always-on effort accounting behind the solver-effort columns of
         # SweepResult.rows(): scalar vs stacked split, fallback events,
@@ -361,8 +364,8 @@ class RobustMPC(Controller):
         Sticky: the setting persists until changed again and is what
         :meth:`solve_batch` uses when a call names no backend (the
         execution engines name one per call instead, so a run never
-        changes a shared controller's setting).  An already-built persistent
-        solver is kept (switching back to ``highs`` reuses its
+        changes a shared controller's setting).  An already-built
+        persistent solver is kept (switching back to ``highs`` reuses its
         warm-started models).
         """
         if backend not in BACKENDS:
@@ -371,10 +374,12 @@ class RobustMPC(Controller):
             )
         self.lp_backend = backend
 
-    def _persistent_solver(self):
-        """The owned warm-started HiGHS solver, built on first use."""
-        if self._persistent is None:
-            self._persistent = PersistentStackSolver(
+    def _persistent_solver(self) -> PersistentStackSolver:
+        """The calling thread's persistent HiGHS solver, built on first
+        use."""
+        solver = getattr(self._persistent, "solver", None)
+        if solver is None:
+            solver = self._persistent.solver = PersistentStackSolver(
                 cost=self._cost,
                 a_ub=self._A_ub,
                 b_ub=self._b_ub,
@@ -384,32 +389,19 @@ class RobustMPC(Controller):
                     self._x0_rows.start, self._x0_rows.stop
                 ),
             )
-        return self._persistent
-
-    def release_stacks(self) -> None:
-        """Eagerly free the owned CSC stacks and persistent HiGHS models.
-
-        Purely a memory knob — both are rebuilt transparently on the
-        next :meth:`solve_batch`.  (Dropping the controller reclaims
-        them anyway; nothing lives in a global cache.)
-        """
-        self._stack.release()
-        if self._persistent is not None:
-            self._persistent.release()
-            self._persistent = None
+        return solver
 
     def solve_batch(self, states, lp_backend=None) -> List[RMPCSolution]:
         """Solve Eq. (5) at every row of ``states`` in one stacked LP.
 
         The ``k`` per-state problems share every constraint matrix and
         differ only in the initial-state equality RHS, so they stack
-        into a single block-diagonal solve, run by the backend
+        into a single block-diagonal solve, warm or cold as
         ``lp_backend`` requests for this call (default: the controller's
-        own setting) — the cold rebuild path or the warm-started
-        persistent solver (see the class docstring).  Each returned
-        plan attains exactly the scalar optimum value; the optimal
-        vertex may differ when the LP is degenerate (plan-equivalent
-        tier).  Counts ``k`` solves.
+        own setting; see the module docstring).  Each
+        returned plan attains exactly the scalar optimum value; the
+        optimal vertex may differ when the LP is degenerate
+        (plan-equivalent tier).  Counts ``k`` solves.
 
         If the stacked solve fails — any single infeasible state sinks
         the whole stack, and the solver does not say which block — the
@@ -418,6 +410,8 @@ class RobustMPC(Controller):
         state.  Accounting stays consistent under the fallback: the
         failed stacked attempt counts zero (it produced no plans) and
         each successful scalar re-solve counts one, under both backends.
+        A failed warm attempt also drops the persistent models, so the
+        next call solves as a freshly built controller would.
 
         Returns:
             ``k`` :class:`RMPCSolution`, aligned with the input rows.
@@ -455,7 +449,6 @@ class RobustMPC(Controller):
                     self._b_ub,
                     a_eq=self._A_eq,
                     b_eq=b_eq,
-                    stack=self._stack,
                 )
         except LPError:
             # Scalar fallback: re-solve row by row so the infeasibility
@@ -537,6 +530,11 @@ class RobustMPC(Controller):
         }
 
     def reset(self) -> None:
+        """Zero the accounting and drop the calling thread's persistent
+        models, so the next run's plans do not depend on earlier runs."""
+        solver = getattr(self._persistent, "solver", None)
+        if solver is not None:
+            solver.release()
         self._solve_count = 0
         self._scalar_solves = 0
         self._stacked_solves = 0

@@ -49,8 +49,8 @@ class ExecutionConfig:
             for record-for-record parity with the serial engine instead
             of the plan-equivalent stacked solve.
         lp_backend: Lockstep only — stacked-solve backend request
-            (``"auto"`` / ``"scipy"``: cold; ``"highs"``: warm-started
-            persistent HiGHS; see :mod:`repro.utils.lp_backends`).
+            (``"highs"``: warm-started, the RMPC default; ``"auto"`` /
+            ``"scipy"``: cold; see :mod:`repro.utils.lp_backends`).
             ``None`` (default) keeps each controller's own setting.  Deterministic metrics are
             backend-invariant only at the plan-equivalent tier; pass
             ``exact_solves=True`` for bitwise (and trivially

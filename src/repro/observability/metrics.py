@@ -3,9 +3,8 @@
 Why one registry
 ----------------
 Before this module the repo's operational counters were scattered:
-``RobustMPC._solve_count``, the ``BlockStack`` hit/miss dict in
-``repro.utils.lp``, ``PersistentStackSolver.model_builds``, the
-scenario-builder cache, the monitor nesting-proof cache — each with its
+``RobustMPC._solve_count``, ``PersistentStackSolver.model_builds``,
+the scenario-builder cache, the monitor nesting-proof cache — each with its
 own accessor and reset semantics.  :class:`MetricsRegistry` folds them
 into one place with one ``snapshot()`` / ``reset()`` surface, plus run
 traces (:mod:`repro.observability.trace`) and renderings (JSON snapshot,

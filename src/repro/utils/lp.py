@@ -21,7 +21,6 @@ solver failure.
 from __future__ import annotations
 
 import logging
-import threading
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
 
@@ -38,7 +37,6 @@ __all__ = [
     "LPSolution",
     "LPMatrix",
     "LPOutcome",
-    "BlockStack",
     "highs_core",
     "solve_prepared",
     "solve_lp",
@@ -211,21 +209,23 @@ class _Core:
         else:
             status = highs.getModelStatus()
             if status == self.optimal:
-                return self._checked(highs, matrix, row_upper)
+                return self._checked(highs, matrix.rows_ub, row_upper)
         return LPOutcome(self.status_map.get(status, 4), None, None,
                          highs.modelStatusToString(status))
 
-    def _checked(self, highs, matrix: LPMatrix, row_upper) -> LPOutcome:
+    def _checked(self, highs, rows_ub: int, row_upper) -> LPOutcome:
         """The optimal point, demoted to status 4 when a residual is beyond
-        the tolerance (``linprog``'s ``_check_result``)."""
+        the tolerance (``linprog``'s ``_check_result``); the first
+        ``rows_ub`` of ``row_upper`` bound inequalities, the rest are
+        equality right-hand sides."""
         solution = highs.getSolution()
         x = np.array(solution.col_value)
         fun = highs.getInfo().objective_function_value
         slack = row_upper - np.array(solution.row_value)
         if (
             np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
-            or (slack[: matrix.rows_ub] < -_RESIDUAL_TOL).any()
-            or (np.abs(slack[matrix.rows_ub :]) > _RESIDUAL_TOL).any()
+            or (slack[:rows_ub] < -_RESIDUAL_TOL).any()
+            or (np.abs(slack[rows_ub:]) > _RESIDUAL_TOL).any()
         ):
             return LPOutcome(4, x, fun, "solution violates the constraints")
         return LPOutcome(0, x, fun, "Optimal")
@@ -323,72 +323,10 @@ def solve_prepared(
 # ----------------------------------------------------------------------
 # Block-diagonal stacks
 # ----------------------------------------------------------------------
-#: Registry counter of owned :class:`BlockStack` builds, labelled
-#: ``cache="owned"`` and ``event`` (``hit`` / ``miss``).
-STACK_CACHE_METRIC = "lp_stack_cache_events_total"
-
-
 def _as_csr_block(matrix):
     if sp.issparse(matrix):
         return matrix.tocsr()
     return sp.csr_matrix(np.asarray(matrix, dtype=float))
-
-
-class BlockStack:
-    """Owner-held block-diagonal stacks for one ``(a_ub, a_eq)`` pair.
-
-    A long-lived caller (e.g. :class:`~repro.controllers.rmpc.RobustMPC`)
-    holds one ``BlockStack`` for its constraint matrices and passes it to
-    :func:`solve_lp_batch` via ``stack=``.  The built stacks — combined
-    CSC :class:`LPMatrix` arrays, so a stacked solve only rewrites the
-    right-hand sides — live on this object, and when the owner is
-    garbage-collected the stacks (and the source matrices they
-    reference) are reclaimed with it.
-
-    Args:
-        a_ub: Shared inequality block (dense or scipy sparse).
-        a_eq: Optional shared equality block.
-        max_entries: Distinct batch sizes kept (LRU-bounded; one entry
-            per ``k`` the owner solves at).
-    """
-
-    def __init__(self, a_ub, a_eq=None, max_entries: int = 8):
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self._a_ub = a_ub
-        self._a_eq = a_eq
-        self._max_entries = int(max_entries)
-        self._stacks: dict = {}  # k -> LPMatrix, LRU order
-        self._lock = threading.Lock()
-
-    def matches(self, a_ub, a_eq) -> bool:
-        """True iff this stack owns exactly the given block matrices."""
-        return a_ub is self._a_ub and a_eq is self._a_eq
-
-    def stacked(self, k: int) -> LPMatrix:
-        """The combined ``[diag(a_ub, …); diag(a_eq, …)]`` for ``k`` blocks."""
-        with self._lock:
-            cached = self._stacks.pop(k, None)
-            if cached is not None:
-                self._stacks[k] = cached  # re-insert: LRU recency refresh
-        if cached is not None:
-            _telemetry().inc(STACK_CACHE_METRIC, cache="owned", event="hit")
-            return cached
-        _telemetry().inc(STACK_CACHE_METRIC, cache="owned", event="miss")
-        matrix = LPMatrix.stacked(self._a_ub, self._a_eq, k)
-        with self._lock:
-            while len(self._stacks) >= self._max_entries:
-                self._stacks.pop(next(iter(self._stacks)))
-            self._stacks[k] = matrix
-        return matrix
-
-    def release(self) -> None:
-        """Drop every built stack (they are rebuilt on the next solve)."""
-        with self._lock:
-            self._stacks.clear()
-
-    def __len__(self) -> int:
-        return len(self._stacks)
 
 
 def _stack_rhs(rhs, k: int, rows: int, name: str) -> np.ndarray:
@@ -459,7 +397,7 @@ def lp_feasible(a_ub, b_ub, a_eq=None, b_eq=None) -> bool:
 
 
 def solve_lp_batch(
-    objectives, a_ub, b_ub, a_eq=None, b_eq=None, stack=None
+    objectives, a_ub, b_ub, a_eq=None, b_eq=None
 ) -> List[LPSolution]:
     """Minimise every row of ``objectives`` over shared block constraints.
 
@@ -473,12 +411,12 @@ def solve_lp_batch(
     :meth:`repro.controllers.rmpc.RobustMPC.solve_batch` stack ``k``
     Eq.-5 problems that differ only in their initial-state equalities.
 
-    The stacks are built sparse (memory ``O(k · nnz)``) as combined CSC
-    :class:`LPMatrix` arrays.  Callers without a ``stack`` get a fresh
-    one per call (tens of µs: the one-block CSC tiled ``k`` times);
-    long-lived callers pass an owned :class:`BlockStack` via ``stack`` so
-    repeated calls over the same shared matrices — the per-step pattern
-    of the lockstep engine — only rewrite the RHS vectors.
+    The stack is built sparse (memory ``O(k · nnz)``) as a combined CSC
+    :class:`LPMatrix`, fresh per call (tens of µs: the one-block CSC
+    tiled ``k`` times).  Repeated solves over the same shared matrices
+    that differ only in equality right-hand sides — the RMPC's per-step
+    pattern — go through
+    :class:`~repro.utils.lp_backends.PersistentStackSolver` instead.
 
     Because the blocks are fully decoupled, the stacked optimum restricted
     to block ``i`` attains exactly the optimal *value* of problem ``i``
@@ -493,8 +431,6 @@ def solve_lp_batch(
         a_eq: Optional shared equality block.
         b_eq: ``(rows_eq,)`` shared or ``(k, rows_eq)`` per-block RHS;
             required iff ``a_eq`` is given.
-        stack: Optional owned :class:`BlockStack` built over exactly
-            ``(a_ub, a_eq)``; when given, its cached stacks are used.
 
     Raises:
         LPError: If the stacked LP fails.  Any single infeasible or
@@ -517,15 +453,7 @@ def solve_lp_batch(
         b = np.asarray(b_ub, dtype=float).reshape(-1)
         be = None if b_eq is None else np.asarray(b_eq, dtype=float).reshape(-1)
         return [solve_lp(C[0], a_ub=a_ub, b_ub=b, a_eq=a_eq, b_eq=be)]
-    if stack is not None:
-        if not stack.matches(a_ub, a_eq):
-            raise ValueError(
-                "stack was built for different block matrices than the "
-                "(a_ub, a_eq) passed to solve_lp_batch"
-            )
-        matrix = stack.stacked(k)
-    else:
-        matrix = LPMatrix.stacked(a_ub, a_eq, k)
+    matrix = LPMatrix.stacked(a_ub, a_eq, k)
     stacked_b = _stack_rhs(b_ub, k, rows, "b_ub")
     stacked_b_eq = None
     if a_eq is not None:

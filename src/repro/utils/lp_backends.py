@@ -1,28 +1,33 @@
-"""The two ways of running the stacked Eq.-5 solves of
+"""The warm-started persistent stacked solve behind
 :meth:`repro.controllers.rmpc.RobustMPC.solve_batch`.
 
-Both run on scipy's bundled HiGHS core (:mod:`repro.utils.lp`); nothing is
-optional.  A backend *request* (``"auto"``, ``"highs"`` or ``"scipy"``) is
-mapped by :func:`resolve_backend` to the effective backend:
+A :class:`PersistentStackSolver` keeps one HiGHS model (on scipy's bundled
+core, :mod:`repro.utils.lp`) per chunk size.  Each solve only rewrites the
+varying equality rows (``changeRowBounds``) and re-runs from the previous
+solve's basis — across lockstep steps the stack changes in nothing else.
+A warm solve attains the cold optimal cost but may land on a different
+optimal *vertex* of a degenerate LP (the plan-equivalent tier of
+:mod:`repro.framework.lockstep`).
 
-* ``"scipy"`` (also ``"auto"``, the default) — cold: one fresh solve per
-  batch over the cached CSC stack (:func:`repro.utils.lp.solve_lp_batch`),
-  bitwise-identical to ``linprog``.
-* ``"highs"`` — warm: a persistent HiGHS model per chunk size
-  (:class:`PersistentStackSolver`).  Each solve only rewrites the varying
-  equality rows (``changeRowBounds``) and re-runs from the previous basis —
-  across lockstep steps the stack changes in nothing else.  A warm solve
-  attains the cold optimal cost but may land on a different optimal
-  *vertex* of a degenerate LP (the plan-equivalent tier of
-  :mod:`repro.framework.lockstep`), which is why the default stays cold;
-  ``exact_solves=True`` audits stay on the scalar path under every backend.
-  ``"highs"`` resolves to ``"scipy"`` only when the core failed its
-  import-time check.
+A backend *request* (``"auto"``, ``"highs"`` or ``"scipy"``) is mapped by
+:func:`resolve_backend` to the effective backend:
+
+* ``"highs"`` (the RMPC default) — warm, on a :class:`PersistentStackSolver`.
+* ``"scipy"`` (and ``"auto"``, its alias) — cold: one fresh stacked solve
+  per call (:func:`repro.utils.lp.solve_lp_batch`), bitwise-identical to
+  ``linprog``.  ``"highs"`` resolves to ``"scipy"`` too when the core
+  failed its import-time check.
+
+``RobustMPC.reset()`` — called at the start of every engine run — drops
+its models with :meth:`PersistentStackSolver.release`, so a run's plans
+(and its model-build counts) depend only on that run's batches.
+``exact_solves=True`` audits stay on the cold scalar path under every
+backend.
 
 Thread-safety: a :class:`PersistentStackSolver` mutates its HiGHS
 instances in place, so solves and releases hold a per-solver lock and
-threads sharing one controller take turns.  Forked workers build their own
-solver lazily.
+threads sharing one solver take turns.  ``RobustMPC`` keeps one solver per
+thread, so concurrent runs never see each other's warm starts.
 """
 
 from __future__ import annotations
@@ -98,7 +103,7 @@ class _ChunkModel:
     built (``passModel``) exactly once, then every :meth:`solve` only
     rewrites the varying equality rows and re-runs — HiGHS reuses the
     incumbent basis, so repeated solves skip the from-scratch
-    factorisation the cold path pays every call.
+    factorisation a cold solve pays every call.
     """
 
     def __init__(self, owner: "PersistentStackSolver", blocks: int):
@@ -108,21 +113,24 @@ class _ChunkModel:
         self._core = core
         self.blocks = k = int(blocks)
         matrix = LPMatrix.stacked(owner.a_ub, owner.a_eq, k)
-        rows_ub = owner.rows_ub * k
-        row_upper = np.concatenate(
+        self._rows_ub = rows_ub = owner.rows_ub * k
+        # Kept current as the varying rows change: the residual check
+        # reads the model's right-hand sides from here.
+        self._row_upper = np.concatenate(
             [np.tile(owner.b_ub, k), np.tile(owner.b_eq, k)]
         )
-        row_lower = row_upper.copy()
+        row_lower = self._row_upper.copy()
         row_lower[:rows_ub] = -np.inf
         self._highs, _ = core.model(
-            np.tile(owner.cost, k), matrix, row_lower, row_upper
+            np.tile(owner.cost, k), matrix, row_lower, self._row_upper
         )
 
         # Flat row indices of the varying equality entries: block i's
         # varying rows live at rows_ub + i*rows_eq + varying.
         vary = np.asarray(owner.varying_eq_rows, dtype=np.int64)
         offsets = rows_ub + owner.rows_eq * np.arange(k, dtype=np.int64)
-        self._vary_idx = (offsets[:, None] + vary[None, :]).reshape(-1).tolist()
+        self._vary_idx = (offsets[:, None] + vary[None, :]).reshape(-1)
+        self._vary_rows = self._vary_idx.tolist()
         self._n = owner.block_cols
         self.solves = 0
 
@@ -137,15 +145,16 @@ class _ChunkModel:
 
         Raises:
             LPError: If HiGHS does not reach optimality (infeasible,
-                unbounded, or a numerical failure).
+                unbounded, or a numerical failure) or the point fails
+                ``linprog``'s residual check.
         """
         highs = self._highs
+        values = np.asarray(values, dtype=float).reshape(-1)
+        self._row_upper[self._vary_idx] = values
         change = highs.changeRowBounds
-        for row, value in zip(
-            self._vary_idx, np.asarray(values, dtype=float).reshape(-1).tolist()
-        ):
+        for row, value in zip(self._vary_rows, values.tolist()):
             change(row, value, value)
-        highs.run()
+        failed = highs.run() == self._core.error
         status = highs.getModelStatus()
         reg = _telemetry()
         reg.inc(LP_SOLVES_METRIC, path="persistent")
@@ -156,13 +165,18 @@ class _ChunkModel:
             start="warm" if self.solves else "cold",
         )
         self.solves += 1
-        if status != self._core.optimal:
+        if failed or status != self._core.optimal:
             raise LPError(
                 f"persistent stacked LP ({self.blocks} blocks) failed: "
                 f"{highs.modelStatusToString(status)}"
             )
-        solution = np.asarray(highs.getSolution().col_value, dtype=float)
-        return solution.reshape(self.blocks, self._n)
+        outcome = self._core._checked(highs, self._rows_ub, self._row_upper)
+        if not outcome.success:
+            raise LPError(
+                f"persistent stacked LP ({self.blocks} blocks) failed: "
+                f"{outcome.message}"
+            )
+        return outcome.x.reshape(self.blocks, self._n)
 
     def release(self) -> None:
         self._highs.clear()
@@ -175,7 +189,7 @@ class PersistentStackSolver:
     *and* the per-chunk-size HiGHS instances — so the controller that
     holds this solver is the explicit owner of its stacks: nothing is
     pinned in a global cache, and dropping the controller reclaims the
-    models (see the ownership contract in :mod:`repro.utils.lp`).
+    models.
 
     The solved problem family is ``min cost @ x`` subject to
     ``a_ub x <= b_ub`` and ``a_eq x = b_eq`` per block, where only the
@@ -183,8 +197,10 @@ class PersistentStackSolver:
     between calls (the RMPC initial-state pattern).  Batches of ``k``
     blocks are split into chunks of at most ``chunk_size`` (see
     :data:`DEFAULT_CHUNK_SIZE`); each distinct chunk size keeps one
-    persistent model, LRU-bounded by ``max_models``.  Solves and
-    releases hold a per-solver lock, so threads take turns.
+    persistent model, LRU-bounded by ``max_models``.  :meth:`release`
+    drops every model, and so does a failed solve: the next solve of
+    each chunk size is then cold on a fresh model.  Solves and releases
+    hold a per-solver lock, so threads take turns.
 
     Args:
         cost: ``(n,)`` shared per-block objective.
@@ -264,10 +280,13 @@ class PersistentStackSolver:
             ``k`` :class:`~repro.utils.lp.LPSolution`, aligned with the
             input rows.  Nothing partial: if any chunk fails the whole
             batch raises and no chunk's results are returned, so callers
-            can fall back to scalar solves without double counting.
+            can fall back to scalar solves without double counting.  A
+            failure also drops every model, so the next call solves as a
+            fresh solver would.
 
         Raises:
-            LPError: If any chunk's solve does not reach optimality.
+            LPError: If any chunk's solve does not reach optimality or
+                fails the residual check.
         """
         V = np.atleast_2d(np.asarray(values, dtype=float))
         k = V.shape[0]
@@ -282,12 +301,16 @@ class PersistentStackSolver:
         with self._lock:
             self.solve_calls += 1
             start = 0
-            while start < k:
-                stop = min(start + self.chunk_size, k)
-                points[start:stop] = self._model(stop - start).solve(
-                    V[start:stop]
-                )
-                start = stop
+            try:
+                while start < k:
+                    stop = min(start + self.chunk_size, k)
+                    points[start:stop] = self._model(stop - start).solve(
+                        V[start:stop]
+                    )
+                    start = stop
+            except LPError:
+                self._release()
+                raise
         costs = points @ self.cost
         return [
             LPSolution(x=points[i], value=float(costs[i]), status=0)
@@ -299,10 +322,13 @@ class PersistentStackSolver:
         """Solves served by an already-built model (basis reuse)."""
         return sum(max(0, model.solves - 1) for model in self._models.values())
 
+    def _release(self) -> None:
+        for model in self._models.values():
+            model.release()
+        self._models.clear()
+
     def release(self) -> None:
-        """Free every persistent model (the stacks die with the owner
-        anyway; this releases the HiGHS memory eagerly)."""
+        """Free every persistent model; the next solve of each chunk size
+        builds a fresh one and starts cold."""
         with self._lock:
-            for model in self._models.values():
-                model.release()
-            self._models.clear()
+            self._release()

@@ -1,8 +1,8 @@
 """Tests for the LP backends (repro.utils.lp_backends).
 
 Both backends run on scipy's bundled HiGHS core, so every test runs
-everywhere: ``auto``/``scipy`` resolve to the cold path, ``highs`` to the
-warm-started :class:`PersistentStackSolver`.
+everywhere: ``auto``/``scipy`` resolve to the cold stacked solve,
+``highs`` to the warm-started :class:`PersistentStackSolver`.
 
 The solved family throughout: ``min x0 + x1`` over the unit box with
 ``x0`` pinned per block (``x0 = v``), whose optimum is ``v - 1`` at
@@ -12,7 +12,7 @@ The solved family throughout: ``min x0 + x1`` over the unit box with
 import numpy as np
 import pytest
 
-from repro.utils.lp import LPError, solve_lp
+from repro.utils.lp import LPError, solve_lp, solve_lp_batch
 from repro.utils.lp_backends import (
     BACKENDS,
     DEFAULT_MAX_MODELS,
@@ -46,7 +46,7 @@ class TestResolveBackend:
             resolve_backend("cplex")
 
     def test_auto_resolves_to_an_effective_backend(self):
-        # The default stays cold and bitwise.
+        # "auto" is an alias of the cold, bitwise "scipy".
         assert resolve_backend("auto") == "scipy"
 
     def test_auto_falls_back_silently(self):
@@ -174,8 +174,6 @@ class TestHighsMatchesScipyStack:
     def test_against_solve_lp_batch(self):
         """The two backends attain identical optimal values on the same
         stacked family (the plan-equivalent contract at the LP layer)."""
-        from repro.utils.lp import solve_lp_batch
-
         pins = np.linspace(-0.9, 0.9, 7).reshape(-1, 1)
         persistent = _solver().solve_batch(pins)
         b_eq = pins  # per-block equality RHS, one varying row
@@ -185,3 +183,29 @@ class TestHighsMatchesScipyStack:
         )
         for left, right in zip(persistent, stacked):
             assert left.value == pytest.approx(right.value, abs=1e-9)
+
+
+class TestSolverState:
+    def test_row_bounds_tracked_for_the_residual_check(self):
+        """The residual check reads the model's right-hand sides from the
+        chunk's copy, which must follow every rewrite."""
+        solver = _solver()
+        for pins in ([[0.1], [0.2], [0.3]], [[-0.5], [0.5], [0.0]]):
+            solver.solve_batch(pins)
+        [model] = solver._models.values()
+        assert np.array_equal(
+            model._row_upper, model._highs.getLp().row_upper_
+        )
+
+    def test_failure_clears_every_model(self):
+        """After a failed batch the solver solves as a fresh one would."""
+        solver = _solver(chunk_size=2)
+        solver.solve_batch(np.full((3, 1), 0.4))
+        with pytest.raises(LPError):
+            solver.solve_batch([[0.0], [0.1], [3.0]])
+        assert solver.warm_solves == 0
+        pins = np.array([[0.2], [-0.3], [0.6]])
+        again = solver.solve_batch(pins)
+        fresh = _solver(chunk_size=2).solve_batch(pins)
+        for got, want in zip(again, fresh):
+            assert got.x.tobytes() == want.x.tobytes()

@@ -14,25 +14,13 @@ import pytest
 import scipy.sparse as sp
 
 from repro.geometry import HPolytope
-from repro.observability import metrics as obs
 from repro.utils.lp import (
-    STACK_CACHE_METRIC,
-    BlockStack,
     LPError,
     maximize,
     maximize_batch,
     solve_lp,
     solve_lp_batch,
 )
-
-
-def _stack_events() -> dict:
-    """Owned-stack hit/miss counts in the ambient registry."""
-    reg = obs.registry()
-    return {
-        "hits": reg.value(STACK_CACHE_METRIC, cache="owned", event="hit"),
-        "misses": reg.value(STACK_CACHE_METRIC, cache="owned", event="miss"),
-    }
 
 
 @pytest.fixture
@@ -165,13 +153,11 @@ class TestSolveLPBatchEqualities:
             )
 
     def test_unowned_stack_is_rebuilt_per_call(self, pentagon, rng):
-        """Without a ``stack`` nothing is cached: repeats rebuild the same
-        stack, record no cache events and solve bitwise-identically."""
+        """Nothing is cached: repeats rebuild the same stack and solve
+        bitwise-identically."""
         objectives = rng.normal(size=(4, 2))
-        with obs.scoped_registry() as reg:
-            first = solve_lp_batch(objectives, pentagon.H, pentagon.h)
-            again = solve_lp_batch(objectives, pentagon.H, pentagon.h)
-            assert reg.total(STACK_CACHE_METRIC) == 0
+        first = solve_lp_batch(objectives, pentagon.H, pentagon.h)
+        again = solve_lp_batch(objectives, pentagon.H, pentagon.h)
         for left, right in zip(first, again):
             assert left.x.tobytes() == right.x.tobytes()
 
@@ -223,64 +209,6 @@ class TestConcurrentStacks:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-
-
-class TestBlockStack:
-    """Owner-held stacks: a long-lived caller's cached stacks."""
-
-    def test_owned_stack_matches_anonymous_path(self, pentagon, rng):
-        objectives = rng.normal(size=(5, 2))
-        stack = BlockStack(pentagon.H)
-        with obs.scoped_registry():
-            owned = solve_lp_batch(
-                objectives, pentagon.H, pentagon.h, stack=stack
-            )
-            anonymous = solve_lp_batch(objectives, pentagon.H, pentagon.h)
-            assert _stack_events() == {"hits": 0, "misses": 1}
-        for left, right in zip(owned, anonymous):
-            assert left.x.tobytes() == right.x.tobytes()
-        assert len(stack) == 1  # the k=5 stack lives on the owner
-
-    def test_owned_stack_counts_in_shared_stats(self, pentagon, rng):
-        stack = BlockStack(pentagon.H)
-        with obs.scoped_registry():
-            solve_lp_batch(
-                rng.normal(size=(3, 2)), pentagon.H, pentagon.h, stack=stack
-            )
-            solve_lp_batch(
-                rng.normal(size=(3, 2)), pentagon.H, pentagon.h, stack=stack
-            )
-            assert _stack_events() == {"hits": 1, "misses": 1}
-
-    def test_mismatched_stack_rejected(self, pentagon, unit_box):
-        stack = BlockStack(unit_box.H)
-        with pytest.raises(ValueError, match="different block matrices"):
-            solve_lp_batch(
-                np.ones((3, 2)), pentagon.H, pentagon.h, stack=stack
-            )
-
-    def test_release_drops_built_stacks(self, pentagon, rng):
-        stack = BlockStack(pentagon.H)
-        solve_lp_batch(
-            rng.normal(size=(4, 2)), pentagon.H, pentagon.h, stack=stack
-        )
-        assert len(stack) == 1
-        stack.release()
-        assert len(stack) == 0
-        # Rebuilt transparently on the next solve.
-        with obs.scoped_registry():
-            solve_lp_batch(
-                rng.normal(size=(4, 2)), pentagon.H, pentagon.h, stack=stack
-            )
-            assert _stack_events()["misses"] == 1
-
-    def test_lru_bounded_entries(self, pentagon, rng):
-        stack = BlockStack(pentagon.H, max_entries=2)
-        for k in (2, 3, 4):
-            solve_lp_batch(
-                rng.normal(size=(k, 2)), pentagon.H, pentagon.h, stack=stack
-            )
-        assert len(stack) == 2
 
 
 class TestMaximizeBatch:

@@ -31,7 +31,6 @@ from repro.framework import BatchRunner, SafetyMonitor
 from repro.invariance import strengthened_safe_set
 from repro.skipping import AlwaysSkipPolicy, PeriodicSkipPolicy
 from repro.observability import metrics as obs
-from repro.utils.lp import STACK_CACHE_METRIC
 
 ROOT_SEED = 424242
 HORIZON = 18
@@ -152,19 +151,17 @@ class TestSolveBatchPlanEquivalence:
         mpc.reset()
 
     def test_stack_cache_hit_on_repeat(self, rmpc_rig):
-        """Repeated batch solves over one controller's matrices must
-        reuse its owned CSR stack (only the RHS changes)."""
+        """Repeated warm batch solves over one controller's matrices reuse
+        its owned persistent model (only the RHS changes); a cold request
+        in between builds none."""
         _system, mpc, _xi, xp, _mf = rmpc_rig
-        states = _feasible_states(xp, 5)
-        mpc.set_lp_backend("scipy")
-        try:
-            mpc.solve_batch(states)  # warm the owner's k=5 stack
-            with obs.scoped_registry() as reg:
-                mpc.solve_batch(_feasible_states(xp, 5, seed=11))
-        finally:
-            mpc.set_lp_backend("auto")
-        assert reg.value(STACK_CACHE_METRIC, cache="owned", event="hit") == 1
-        assert reg.total(STACK_CACHE_METRIC, event="miss") == 0
+        mpc.solve_batch(_feasible_states(xp, 5))  # build the k=5 model
+        builds = mpc._persistent_solver().model_builds
+        for backend in ("scipy", "highs"):
+            mpc.solve_batch(
+                _feasible_states(xp, 5, seed=11), lp_backend=backend
+            )
+        assert mpc._persistent_solver().model_builds == builds
 
 
 class TestBackendSelection:
@@ -174,7 +171,7 @@ class TestBackendSelection:
             RobustMPC(system, horizon=2, lp_backend="cplex")
         with pytest.raises(ValueError, match="lp_backend"):
             mpc.set_lp_backend("cplex")
-        assert mpc.lp_backend == "auto"  # unchanged by the rejection
+        assert mpc.lp_backend == "highs"  # unchanged by the rejection
 
     def test_auto_matches_explicit_scipy_costs(self, rmpc_rig):
         """Whatever `auto` resolves to, the batch attains the scipy
@@ -187,34 +184,29 @@ class TestBackendSelection:
             mpc.set_lp_backend("auto")
             via_auto = mpc.solve_batch(states)
         finally:
-            mpc.set_lp_backend("auto")
+            mpc.set_lp_backend("highs")
         for a, b in zip(via_auto, via_scipy):
             assert abs(a.cost - b.cost) <= 1e-9
 
     def test_highs_backend_plan_equivalent(self, rmpc_rig):
         _system, mpc, _xi, xp, _mf = rmpc_rig
-        try:
-            mpc.set_lp_backend("highs")
-            report = verify_plan_equivalence(mpc, _feasible_states(xp, 6))
-        finally:
-            mpc.set_lp_backend("auto")
+        report = verify_plan_equivalence(mpc, _feasible_states(xp, 6))
+        assert mpc.lp_backend == "highs"  # the default
         assert report["equivalent"], report
 
     def test_highs_backend_warm_starts(self, rmpc_rig):
         """Consecutive equal-k batches reuse one persistent model."""
         _system, mpc, _xi, xp, _mf = rmpc_rig
-        try:
-            mpc.set_lp_backend("highs")
-            mpc.release_stacks()  # cold start for this test
-            mpc.solve_batch(_feasible_states(xp, 4, seed=31))
-            solver = mpc._persistent
-            assert solver is not None and solver.model_builds == 1
-            mpc.solve_batch(_feasible_states(xp, 4, seed=32))
-            assert solver.model_builds == 1
-            assert solver.warm_solves == 1
-        finally:
-            mpc.set_lp_backend("auto")
-            mpc.release_stacks()
+        mpc.reset()  # cold start for this test
+        mpc.solve_batch(_feasible_states(xp, 4, seed=31))
+        solver = mpc._persistent_solver()
+        builds = solver.model_builds
+        assert solver.warm_solves == 0
+        mpc.solve_batch(_feasible_states(xp, 4, seed=32))
+        assert solver.model_builds == builds
+        assert solver.warm_solves == 1
+        mpc.reset()
+        assert solver.warm_solves == 0
 
     def test_highs_fallback_names_infeasible_state(self, rmpc_rig):
         """The named-state fallback contract holds under highs too."""
@@ -222,12 +214,8 @@ class TestBackendSelection:
         states = _feasible_states(xp, 3)
         states[1] = [4.9, 1.99]
         mpc.reset()
-        try:
-            mpc.set_lp_backend("highs")
-            with pytest.raises(RMPCInfeasibleError, match=r"4\.9"):
-                mpc.solve_batch(states)
-        finally:
-            mpc.set_lp_backend("auto")
+        with pytest.raises(RMPCInfeasibleError, match=r"4\.9"):
+            mpc.solve_batch(states, lp_backend="highs")
         assert mpc.solve_count == 1  # row 0 scalar re-solve only
         mpc.reset()
 
@@ -242,24 +230,31 @@ class TestBackendSelection:
         other = RobustMPC(
             system, horizon=4, terminal_set=mpc.terminal_set
         )
-        other.set_lp_backend("scipy")
         other.solve_batch(_feasible_states(xp, 3, seed=41))
-        assert len(other._stack) == 1
-        stack_ref = weakref.ref(other._stack)
+        assert len(other._persistent_solver()._models) == 1
+        stack_ref = weakref.ref(other._persistent_solver())
         matrix_ref = weakref.ref(other._A_ub)
         del other
         gc.collect()
         assert stack_ref() is None
         assert matrix_ref() is None
 
-    def test_release_stacks_is_transparent(self, rmpc_rig):
-        _system, mpc, _xi, xp, _mf = rmpc_rig
+    def test_reset_is_transparent(self, rmpc_rig):
+        """After reset() a warm controller solves exactly as a freshly
+        built one: its plans depend on nothing solved before."""
+        system, mpc, _xi, xp, _mf = rmpc_rig
         states = _feasible_states(xp, 3, seed=51)
-        before = mpc.solve_batch(states)
-        mpc.release_stacks()
+        for seed in (52, 53):
+            mpc.solve_batch(_feasible_states(xp, 3, seed=seed))
+        mpc.reset()
         after = mpc.solve_batch(states)
-        for a, b in zip(before, after):
-            assert abs(a.cost - b.cost) <= 1e-9
+        fresh = RobustMPC(
+            system, horizon=mpc.horizon, terminal_set=mpc.terminal_set
+        ).solve_batch(states)
+        for a, b in zip(after, fresh):
+            assert a.inputs.tobytes() == b.inputs.tobytes()
+            assert a.states.tobytes() == b.states.tobytes()
+            assert a.cost == b.cost
 
 
 class TestLockstepStackedEngine:
@@ -346,13 +341,11 @@ class TestLockstepStackedEngine:
         factory = self._disturbances(system)
         states = _feasible_states(xp, 4)
         serial = make(BatchRunner).run_seeded(states, factory, ROOT_SEED)
-        try:
-            exact = make(
-                BatchRunner, engine="lockstep", exact_solves=True,
-                lp_backend=backend,
-            ).run_seeded(states, factory, ROOT_SEED)
-        finally:
-            mpc.set_lp_backend("auto")
+        exact = make(
+            BatchRunner, engine="lockstep", exact_solves=True,
+            lp_backend=backend,
+        ).run_seeded(states, factory, ROOT_SEED)
+        assert mpc.lp_backend == "highs"
         assert serial.deterministic_records() == exact.deterministic_records()
 
     def test_stacked_lockstep_highs_backend(self, rmpc_rig):
@@ -365,16 +358,16 @@ class TestLockstepStackedEngine:
         make = self._runners(rmpc_rig, lambda: PeriodicSkipPolicy(2))
         factory = self._disturbances(system)
         states = _feasible_states(xp, 4)
+        mpc.set_lp_backend("scipy")
         try:
             stacked = make(
                 BatchRunner, engine="lockstep", lp_backend="highs"
             ).run_seeded(states, factory, ROOT_SEED)
-            assert mpc.lp_backend == "auto"
-            assert mpc._persistent is not None
-            assert mpc._persistent.warm_solves > 0
+            assert mpc.lp_backend == "scipy"
+            assert mpc._persistent_solver().warm_solves > 0
         finally:
-            mpc.set_lp_backend("auto")
-            mpc.release_stacks()
+            mpc.set_lp_backend("highs")
+            mpc.reset()
         assert len(stacked) == len(states)
         for record in stacked.records:
             assert record.max_violation <= 0.0
@@ -436,11 +429,13 @@ def test_scenario_zoo_highs_backend_equivalence(name):
     if getattr(controller, "bitwise_batch", True):
         pytest.skip(f"{name}: closed-form controller, no LP backend")
     states = case.sample_initial_states(np.random.default_rng(7), 4)
-    controller.set_lp_backend("highs")
+    # The controller is the cached one every later build returns.
+    assert controller.lp_backend == "highs"
+    controller.solve_batch(case.sample_initial_states(
+        np.random.default_rng(8), 4
+    ))  # warm state from an unrelated batch
     try:
         report = verify_plan_equivalence(controller, states)
     finally:
-        # The controller is the cached one every later build returns.
-        controller.set_lp_backend("auto")
-        controller.release_stacks()
+        controller.reset()
     assert report["equivalent"], (name, report)

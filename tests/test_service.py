@@ -527,9 +527,10 @@ class TestSharedStoreConcurrency:
 class TestWarmBackendThreads:
     def test_managers_share_one_warm_rmpc_controller(self, tmp_path):
         """Three executor threads (more than cores) drive the one cached
-        RMPC controller's persistent HiGHS models at once, switching
-        threads often; the solver's lock makes them take turns (without
-        it this crashed the interpreter)."""
+        RMPC controller at once, switching threads often.  Each thread
+        solves on its own persistent HiGHS models (sharing them crashed
+        the interpreter without a lock, and interleaved warm starts
+        with one), so every job's rows are the same."""
         execution = ExecutionConfig(
             engine="lockstep", jobs=1, telemetry=True, lp_backend="highs"
         )
@@ -554,8 +555,8 @@ class TestWarmBackendThreads:
                 ) > 0
                 for row in job.result.rows():
                     assert row["max_violation"] <= 0.0
-            keys = [[row["key"] for row in job.result.rows()] for job in jobs]
-            assert keys[0] == keys[1] == keys[2]
+            rows = [job.result.deterministic_rows() for job in jobs]
+            assert rows[0] == rows[1] == rows[2]
         finally:
             sys.setswitchinterval(interval)
             for manager in managers:

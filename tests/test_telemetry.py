@@ -42,7 +42,6 @@ from repro.framework import (
 from repro.invariance import maximal_rpi, strengthened_safe_set
 from repro.observability import metrics as obs_metrics
 from repro.skipping import PeriodicSkipPolicy
-from repro.utils.lp import STACK_CACHE_METRIC, BlockStack
 from repro.utils.parallel import fork_map
 
 
@@ -257,26 +256,6 @@ class TestRenderings:
         assert obs.render_table(
             obs.MetricsRegistry().snapshot()
         ) == "(empty telemetry snapshot)\n"
-
-
-# ----------------------------------------------------------------------
-# Owned block-stack cache events in the registry
-# ----------------------------------------------------------------------
-class TestStackCacheMetric:
-    def test_blockstack_events_reach_registry(self):
-        with obs.scoped_registry():
-            stack = BlockStack(np.eye(2))
-            stack.stacked(3)
-            stack.stacked(3)
-            reg = obs.registry()
-            assert reg.value(
-                STACK_CACHE_METRIC, cache="owned", event="hit"
-            ) == 1
-            assert reg.value(
-                STACK_CACHE_METRIC, cache="owned", event="miss"
-            ) == 1
-            reg.reset(STACK_CACHE_METRIC)
-            assert reg.total(STACK_CACHE_METRIC) == 0
 
 
 # ----------------------------------------------------------------------
