@@ -144,7 +144,7 @@ def _acc_comparison(args, experiment: str):
         ),
         ExecutionConfig(
             engine=_resolve_engine(args), jobs=args.jobs,
-            exact_solves=args.exact_solves, lp_backend=args.lp_backend,
+            exact_solves=args.exact_solves,
         ),
     )
 
@@ -265,8 +265,8 @@ def _cmd_sweep(args) -> int:
     telemetry_on = args.telemetry or bool(args.telemetry_out)
     execution = ExecutionConfig(
         engine=args.engine, jobs=args.jobs, exact_solves=args.exact_solves,
-        lp_backend=args.lp_backend, collect_timing=args.collect_timing,
-        telemetry=telemetry_on, on_error=args.on_error,
+        collect_timing=args.collect_timing, telemetry=telemetry_on,
+        on_error=args.on_error,
         cell_retries=args.cell_retries,
         cell_timeout=args.cell_timeout,
         worker_retries=args.worker_retries,
@@ -361,8 +361,8 @@ def _build_submit_plan(args):
     names = args.scenarios or scenarios.list_scenarios()
     execution = ExecutionConfig(
         engine=args.engine, jobs=args.jobs, exact_solves=args.exact_solves,
-        lp_backend=args.lp_backend, collect_timing=args.collect_timing,
-        telemetry=args.telemetry, on_error=args.on_error,
+        collect_timing=args.collect_timing, telemetry=args.telemetry,
+        on_error=args.on_error,
     )
     return SweepPlan.for_scenarios(
         names,
@@ -480,7 +480,7 @@ def _cmd_batch(args) -> int:
     else:
         runner = BatchRunner(
             case.system, controller, engine=engine,
-            exact_solves=args.exact_solves, lp_backend=args.lp_backend,
+            exact_solves=args.exact_solves,
             collect_timing=args.collect_timing, **common,
         )
     rng = np.random.default_rng(args.seed)
@@ -576,19 +576,6 @@ def _add_engine_flag(parser) -> None:
         help="lockstep only: keep MPC solves on the scalar path for "
              "record-for-record parity with the serial engine (default: "
              "stacked block-diagonal solves, plan-equivalent)",
-    )
-    _add_lp_backend_flag(parser)
-
-
-def _add_lp_backend_flag(parser) -> None:
-    """Attach the shared ``--lp-backend`` choice to a subcommand parser."""
-    parser.add_argument(
-        "--lp-backend", choices=("auto", "highs", "scipy"), default=None,
-        dest="lp_backend",
-        help="lockstep only: stacked-solve LP backend ('highs' = "
-             "warm-started persistent HiGHS, plan-equivalent, the RMPC "
-             "default; 'scipy' and its alias 'auto' = cold, bitwise with "
-             "linprog); default: keep each controller's own setting",
     )
 
 
@@ -736,14 +723,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="lockstep only: scalar MPC solves for record-for-record "
              "parity with the serial engine",
     )
-    _add_lp_backend_flag(p_swp)
     _add_timing_flag(p_swp)
     p_swp.add_argument(
         "--on-error", choices=("fail", "record", "retry"), default="fail",
         dest="on_error",
         help="cell-failure policy: abort the sweep (fail, default), "
              "record a structured CellFailure and keep going (record), "
-             "or retry the cell first — with a scipy LP-backend "
+             "or retry the cell first — with an --exact-solves "
              "degradation for solver errors (retry)",
     )
     p_swp.add_argument(
@@ -828,7 +814,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="lockstep only: scalar MPC solves for record-for-record "
              "parity with the serial engine",
     )
-    _add_lp_backend_flag(p_sub)
     _add_timing_flag(p_sub)
     p_sub.add_argument(
         "--on-error", choices=("fail", "record", "retry"), default="fail",

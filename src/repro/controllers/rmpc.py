@@ -16,9 +16,11 @@ the initial-state equality right-hand side, into a per-call copy.
 
 Batch solving: :meth:`RobustMPC.solve_batch` stacks the ``k`` per-state
 Eq.-5 problems into one block-diagonal HiGHS solve — the blocks share
-every matrix and differ only in the initial-state equality RHS.  The
-``lp_backend`` request (``auto|highs|scipy`` — see
-:mod:`repro.utils.lp_backends`) picks how the stack is solved:
+every matrix and differ only in the initial-state equality RHS.  How
+the stack is solved is this controller's own setting — its
+``lp_backend`` (``auto|highs|scipy``, see :mod:`repro.utils.lp_backends`;
+changed with :meth:`RobustMPC.set_lp_backend`).  No run or call
+overrides it:
 
 * ``highs`` (the default) — warm: a
   :class:`~repro.utils.lp_backends.PersistentStackSolver` owned by this
@@ -212,13 +214,6 @@ class RobustMPC(Controller):
         # controller.
         self._persistent = threading.local()
         self._solve_count = 0
-        # Always-on effort accounting behind the solver-effort columns of
-        # SweepResult.rows(): scalar vs stacked split, fallback events,
-        # and the backend the last stacked solve actually used.
-        self._scalar_solves = 0
-        self._stacked_solves = 0
-        self._stacked_fallbacks = 0
-        self._last_stacked_backend = None
 
     # ------------------------------------------------------------------
     # LP assembly
@@ -354,19 +349,16 @@ class RobustMPC(Controller):
                 f"RMPC infeasible at x={x} (status={res.status})"
             )
         self._solve_count += 1
-        self._scalar_solves += 1
         _telemetry().inc("rmpc_solves_total", path="scalar")
         return self._unpack(res.x, res.fun)
 
     def set_lp_backend(self, backend: str) -> None:
         """Re-select the stacked-solve backend (``auto|highs|scipy``).
 
-        Sticky: the setting persists until changed again and is what
-        :meth:`solve_batch` uses when a call names no backend (the
-        execution engines name one per call instead, so a run never
-        changes a shared controller's setting).  An already-built
-        persistent solver is kept (switching back to ``highs`` reuses its
-        warm-started models).
+        Sticky: the setting persists until changed again, and every
+        :meth:`solve_batch` uses it — the execution engines never
+        override it.  An already-built persistent solver is kept
+        (switching back to ``highs`` reuses its warm-started models).
         """
         if backend not in BACKENDS:
             raise ValueError(
@@ -391,17 +383,16 @@ class RobustMPC(Controller):
             )
         return solver
 
-    def solve_batch(self, states, lp_backend=None) -> List[RMPCSolution]:
+    def solve_batch(self, states) -> List[RMPCSolution]:
         """Solve Eq. (5) at every row of ``states`` in one stacked LP.
 
         The ``k`` per-state problems share every constraint matrix and
         differ only in the initial-state equality RHS, so they stack
-        into a single block-diagonal solve, warm or cold as
-        ``lp_backend`` requests for this call (default: the controller's
-        own setting; see the module docstring).  Each
-        returned plan attains exactly the scalar optimum value; the
-        optimal vertex may differ when the LP is degenerate
-        (plan-equivalent tier).  Counts ``k`` solves.
+        into a single block-diagonal solve, warm or cold as the
+        controller's ``lp_backend`` setting says (see the module
+        docstring).  Each returned plan attains exactly the scalar
+        optimum value; the optimal vertex may differ when the LP is
+        degenerate (plan-equivalent tier).  Counts ``k`` solves.
 
         If the stacked solve fails — any single infeasible state sinks
         the whole stack, and the solver does not say which block — the
@@ -427,8 +418,7 @@ class RobustMPC(Controller):
         k = X.shape[0]
         stacked_backend = None
         try:
-            backend = self.lp_backend if lp_backend is None else lp_backend
-            if k > 1 and resolve_backend(backend) == "highs":
+            if k > 1 and resolve_backend(self.lp_backend) == "highs":
                 # Persistent warm-started stack: only the initial-state
                 # equality RHS is rewritten between calls.  All-or-
                 # nothing: a failed chunk discards every chunk's result
@@ -455,7 +445,6 @@ class RobustMPC(Controller):
             # (or numerical failure) is attributed to the exact episode.
             # solve() does the per-row counting; the failed stacked
             # attempt deliberately counts nothing.
-            self._stacked_fallbacks += 1
             _telemetry().inc("rmpc_stacked_fallbacks_total")
             out = []
             for i, x in enumerate(X):
@@ -469,11 +458,8 @@ class RobustMPC(Controller):
         self._solve_count += k
         if stacked_backend is None:
             # k == 1 took the scalar solver inside solve_lp_batch.
-            self._scalar_solves += 1
             _telemetry().inc("rmpc_solves_total", path="scalar")
         else:
-            self._stacked_solves += k
-            self._last_stacked_backend = stacked_backend
             _telemetry().inc(
                 "rmpc_solves_total", k, path="stacked", backend=stacked_backend
             )
@@ -484,7 +470,7 @@ class RobustMPC(Controller):
         """κ_R(x): first input of the optimal plan (receding horizon)."""
         return self.solve(state).inputs[0]
 
-    def compute_batch(self, states, lp_backend=None) -> np.ndarray:
+    def compute_batch(self, states) -> np.ndarray:
         """κ_R on every row via one stacked solve (see :meth:`solve_batch`).
 
         Plan-equivalent to row-wise :meth:`compute`, not bitwise: each
@@ -495,9 +481,7 @@ class RobustMPC(Controller):
         X = np.atleast_2d(np.asarray(states, dtype=float))
         if X.shape[0] == 0:
             return np.zeros((0, self.input_dim))
-        return np.stack(
-            [sol.inputs[0] for sol in self.solve_batch(X, lp_backend)]
-        )
+        return np.stack([sol.inputs[0] for sol in self.solve_batch(X)])
 
     def is_feasible(self, state) -> bool:
         """Feasibility probe without raising.
@@ -516,19 +500,6 @@ class RobustMPC(Controller):
         :meth:`is_feasible` probes count zero."""
         return self._solve_count
 
-    @property
-    def solver_stats(self) -> dict:
-        """Effort breakdown behind :attr:`solve_count`: the scalar vs
-        stacked split, stacked→scalar fallback events, and the backend
-        the last stacked solve used (None until one ran).  Zeroed by
-        :meth:`reset` together with the count."""
-        return {
-            "scalar_solves": self._scalar_solves,
-            "stacked_solves": self._stacked_solves,
-            "stacked_fallbacks": self._stacked_fallbacks,
-            "lp_backend": self._last_stacked_backend,
-        }
-
     def reset(self) -> None:
         """Zero the accounting and drop the calling thread's persistent
         models, so the next run's plans do not depend on earlier runs."""
@@ -536,10 +507,6 @@ class RobustMPC(Controller):
         if solver is not None:
             solver.release()
         self._solve_count = 0
-        self._scalar_solves = 0
-        self._stacked_solves = 0
-        self._stacked_fallbacks = 0
-        self._last_stacked_backend = None
 
 
 def verify_plan_equivalence(

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.framework.evaluation import ENGINES
-from repro.utils.lp_backends import BACKENDS
 
 __all__ = ["ExecutionConfig", "ON_ERROR_MODES", "SHARD_STRATEGIES"]
 
@@ -47,14 +46,9 @@ class ExecutionConfig:
             ``"parallel"`` engine it is the per-case fan-out width.
         exact_solves: Lockstep only — keep MPC solves on the scalar path
             for record-for-record parity with the serial engine instead
-            of the plan-equivalent stacked solve.
-        lp_backend: Lockstep only — stacked-solve backend request
-            (``"highs"``: warm-started, the RMPC default; ``"auto"`` /
-            ``"scipy"``: cold; see :mod:`repro.utils.lp_backends`).
-            ``None`` (default) keeps each controller's own setting.  Deterministic metrics are
-            backend-invariant only at the plan-equivalent tier; pass
-            ``exact_solves=True`` for bitwise (and trivially
-            backend-invariant) audits.
+            of the plan-equivalent stacked solve.  How a stacked batch
+            is solved is each controller's own setting, not a run
+            option (see :mod:`repro.utils.lp_backends`).
         shard: ``"cell"`` — fan whole grid cells out over
             :func:`repro.utils.parallel.fork_map` workers;
             ``"none"`` — evaluate cells sequentially in-process (``jobs``
@@ -82,9 +76,10 @@ class ExecutionConfig:
             ``SweepResult.failures`` and the grid keeps going.
             ``"retry"`` — like ``"record"`` but the cell is first
             re-attempted up to ``cell_retries`` times (with a one-shot
-            scipy-backend degradation for solver errors) before a
-            failure is recorded.  Evaluated cells stay bitwise-identical
-            under every mode; only which cells *exist* can differ.
+            degradation to ``exact_solves=True``, the scalar reference
+            path, for solver errors) before a failure is recorded.
+            Evaluated cells stay bitwise-identical under every mode;
+            only which cells *exist* can differ.
         cell_retries: ``on_error="retry"`` only — extra attempts per
             failing cell before its failure is recorded.
         cell_timeout: Optional per-cell wall-clock budget [s] under cell
@@ -101,7 +96,6 @@ class ExecutionConfig:
     engine: str = "serial"
     jobs: int = 1
     exact_solves: bool = False
-    lp_backend: Optional[str] = None
     shard: str = "auto"
     collect_timing: bool = True
     telemetry: bool = False
@@ -136,11 +130,6 @@ class ExecutionConfig:
             )
         if self.jobs < 0:
             raise ValueError("jobs must be >= 0 (0 = one worker per CPU)")
-        if self.lp_backend is not None and self.lp_backend not in BACKENDS:
-            raise ValueError(
-                f"lp_backend must be None or one of {BACKENDS}, "
-                f"got {self.lp_backend!r}"
-            )
         if self.shard not in SHARD_STRATEGIES:
             raise ValueError(
                 f"shard must be one of {SHARD_STRATEGIES}, got {self.shard!r}"

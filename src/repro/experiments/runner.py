@@ -74,7 +74,7 @@ RECOVERABLE_CELL_ERRORS = (
 )
 
 #: The subset for which the graceful-degradation chain applies: one
-#: re-attempt on the cold (``scipy``) LP backend before recording.
+#: re-attempt with ``exact_solves=True`` (scalar solves) before recording.
 _SOLVER_ERRORS = (LPError,)
 
 logger = logging.getLogger(__name__)
@@ -403,7 +403,6 @@ def _cell_config(cell: GridCell, execution: ExecutionConfig) -> dict:
         "memory_length": spec.memory_length,
         "engine": execution.engine,
         "exact_solves": execution.exact_solves,
-        "lp_backend": execution.lp_backend,
         "collect_timing": execution.collect_timing,
         "pattern": spec.pattern,
         "overrides": [[key, repr(value)] for key, value in cell.overrides],
@@ -447,7 +446,6 @@ def _evaluate_cell(
             engine=execution.engine,
             jobs=inner_jobs,
             exact_solves=execution.exact_solves,
-            lp_backend=execution.lp_backend,
             collect_timing=execution.collect_timing,
             solver_effort=solver_effort,
         )
@@ -524,15 +522,16 @@ def _guarded_cell(
 
     Retry discipline under ``on_error="retry"``: up to ``cell_retries``
     plain re-attempts; a solver-layer error
-    (:data:`_SOLVER_ERRORS`) additionally earns one re-attempt on the
-    cold (``scipy``) LP backend — the graceful-degradation chain —
-    before anything is recorded.  The scipy attempt also runs under
-    ``on_error="record"`` (degrade-then-record), never under ``"fail"``.
+    (:data:`_SOLVER_ERRORS`) additionally earns one re-attempt with
+    ``exact_solves=True`` — the scalar reference path every engine has,
+    the graceful-degradation chain — before anything is recorded (not
+    when ``exact_solves`` is already set).  The degraded attempt also
+    runs under ``on_error="record"`` (degrade-then-record), never under
+    ``"fail"``.
     """
     mode = execution.on_error
     budget = 1 + (execution.cell_retries if mode == "retry" else 0)
     execution_now = execution
-    degraded = False
     attempt = 0
     while True:
         attempt += 1
@@ -548,15 +547,13 @@ def _guarded_cell(
                 raise
             if (
                 isinstance(exc, _SOLVER_ERRORS)
-                and not degraded
-                and execution_now.lp_backend != "scipy"
+                and not execution_now.exact_solves
             ):
                 logger.warning(
-                    "cell %s: %s on lp_backend=%r; degrading to scipy",
-                    cell.key, type(exc).__name__, execution_now.lp_backend,
+                    "cell %s: %s; degrading to exact_solves",
+                    cell.key, type(exc).__name__,
                 )
-                degraded = True
-                execution_now = replace(execution_now, lp_backend="scipy")
+                execution_now = replace(execution_now, exact_solves=True)
                 continue
             if mode == "retry" and attempt < budget:
                 logger.warning(
@@ -642,7 +639,7 @@ def run_sweep(
     ``execution.on_error`` — abort (``"fail"``, the default), record a
     :class:`~repro.experiments.result.CellFailure` on
     ``SweepResult.failures`` (``"record"``), or retry first
-    (``"retry"``, with a scipy-backend degradation for solver errors).
+    (``"retry"``, with an ``exact_solves`` degradation for solver errors).
     Recovery never perturbs results: a re-run cell is re-forked from the
     parent's unchanged state, failed attempts discard their telemetry
     scope, and the recovery counters (``worker_respawns_total``,

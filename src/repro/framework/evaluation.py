@@ -88,7 +88,6 @@ def paired_evaluation(
     engine: str = "serial",
     jobs: int = 1,
     exact_solves: bool = False,
-    lp_backend: Optional[str] = None,
     collect_timing: bool = True,
     solver_effort: Optional[dict] = None,
 ) -> Dict[str, List[tuple]]:
@@ -115,13 +114,10 @@ def paired_evaluation(
         exact_solves: Lockstep only — keep the scalar path for
             non-bitwise (stacked LP) controllers so results match the
             serial engine record for record; the default stacked path is
-            plan-equivalent (see :mod:`repro.framework.lockstep`).
-        lp_backend: Lockstep only — stacked-solve backend request
-            (``auto|highs|scipy``; :mod:`repro.utils.lp_backends`)
-            threaded to controllers exposing ``set_lp_backend``; ``None``
-            keeps the controller's own setting.  The serial/parallel
-            engines and ``exact_solves`` audits always use scalar scipy
-            solves and are backend-invariant.
+            plan-equivalent (see :mod:`repro.framework.lockstep`).  How
+            a stacked batch is solved is the controller's own setting;
+            the serial/parallel engines and ``exact_solves`` audits
+            always run scalar solves.
         collect_timing: Lockstep only — ``False`` skips per-row
             wall-clock collection (timing-derived metrics read zero;
             everything else is bitwise-unchanged).
@@ -183,7 +179,6 @@ def paired_evaluation(
                         initial_states,
                         realisations,
                         exact_solves=exact_solves,
-                        lp_backend=lp_backend,
                         collect_timing=collect_timing,
                     )
                 else:
@@ -197,7 +192,6 @@ def paired_evaluation(
                         skip_input=skip_input,
                         memory_length=memory_length,
                         exact_solves=exact_solves,
-                        lp_backend=lp_backend,
                         collect_timing=collect_timing,
                     )
             if want_effort:

@@ -81,9 +81,8 @@ Caveats mirroring the serial semantics they replace:
 
 from __future__ import annotations
 
-import functools
 import time
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -99,26 +98,18 @@ from repro.utils.validation import as_vector
 __all__ = ["run_lockstep", "lockstep_controller_only"]
 
 
-def _batch_compute_fn(
-    controller: Controller, exact_solves: bool, lp_backend=None
-):
+def _batch_compute_fn(controller: Controller, exact_solves: bool):
     """The engine's per-step κ evaluator under the two-tier contract.
 
     ``exact_solves`` only changes anything for controllers that declare
     ``bitwise_batch = False``: their stacked batch path is swapped for
     the row-by-row scalar reference, restoring bitwise parity with the
-    serial engine.  A non-None ``lp_backend`` is passed with every batch
-    call to controllers that expose ``set_lp_backend`` (stacked-LP
-    solvers) and ignored by everything else — the scalar/exact path is
-    backend-invariant by construction.  The controller's own setting is
-    left alone, so a run never changes what later runs of a shared
-    (cached) controller use, and concurrent runs cannot switch each
-    other's backend.
+    serial engine.  How a stacked batch is solved is the controller's
+    own choice (e.g. :meth:`~repro.controllers.rmpc.RobustMPC.
+    set_lp_backend`); the engine never overrides it.
     """
     if exact_solves and not getattr(controller, "bitwise_batch", True):
         return controller.compute_rowwise
-    if lp_backend is not None and hasattr(controller, "set_lp_backend"):
-        return functools.partial(controller.compute_batch, lp_backend=lp_backend)
     return controller.compute_batch
 
 
@@ -211,7 +202,6 @@ def run_lockstep(
     memory_length: int = 1,
     reveal_future: bool = False,
     exact_solves: bool = False,
-    lp_backend: Optional[str] = None,
     collect_timing: bool = True,
 ) -> List[RunStats]:
     """Run ``N`` Algorithm-1 episodes in lockstep.
@@ -239,11 +229,6 @@ def run_lockstep(
             through the row-by-row scalar path for record-for-record
             parity with the serial engine (see the module's two-tier
             determinism contract).  No effect on bitwise controllers.
-        lp_backend: Stacked-solve backend request (``auto|highs|scipy``,
-            see :mod:`repro.utils.lp_backends`) applied to controllers
-            exposing ``set_lp_backend``; ``None`` (default) leaves the
-            controller's own setting untouched.  Irrelevant under
-            ``exact_solves`` (the scalar path is backend-invariant).
         collect_timing: Maintain the per-row amortised wall-clock arrays
             in :class:`RunStats` (the default).  ``False`` skips every
             ``perf_counter`` call and leaves the timing arrays
@@ -309,7 +294,7 @@ def run_lockstep(
     controller.reset()
     _record_batch("monitored", count, horizons)
 
-    compute_batch = _batch_compute_fn(controller, exact_solves, lp_backend)
+    compute_batch = _batch_compute_fn(controller, exact_solves)
     membership = MembershipTester((sset, iset), tol)
     reg = _obs.active()
     classify_s = decide_s = control_s = step_s = 0.0
@@ -439,18 +424,17 @@ def lockstep_controller_only(
     initial_states,
     realisations,
     exact_solves: bool = False,
-    lp_backend: Optional[str] = None,
     collect_timing: bool = True,
 ) -> List[RunStats]:
     """Vectorised :func:`~repro.framework.intermittent.run_controller_only`.
 
     κ runs on every row of every step (no monitor, no skipping) — the
     κ-every-step baseline leg of :func:`~repro.framework.evaluation.
-    paired_evaluation`, in lockstep.  ``exact_solves``, ``lp_backend``
-    and ``collect_timing`` behave exactly as in :func:`run_lockstep`.
+    paired_evaluation`, in lockstep.  ``exact_solves`` and
+    ``collect_timing`` behave exactly as in :func:`run_lockstep`.
     With telemetry enabled, the ``control`` and ``step`` stage times are
     reported to the ambient registry under ``mode="controller_only"``.
-    This is the workload where the warm-started ``highs`` backend
+    This is the workload where the RMPC's warm-started stacked solve
     shines: the stacked LP is identical every step except for its
     initial-state RHS, at a constant batch height.
 
@@ -467,7 +451,7 @@ def lockstep_controller_only(
     controller.reset()
     _record_batch("controller_only", count, horizons)
 
-    compute_batch = _batch_compute_fn(controller, exact_solves, lp_backend)
+    compute_batch = _batch_compute_fn(controller, exact_solves)
     reg = _obs.active()
     control_s = step_s = 0.0
 

@@ -274,13 +274,9 @@ class BatchRunner:
             row-by-row scalar path, trading the stacked-solve speedup
             for bitwise record-for-record parity with the serial engine
             (the default stacked path is *plan-equivalent*; see the
-            two-tier contract in :mod:`repro.framework.lockstep`).
-        lp_backend: Lockstep only — stacked-solve backend request
-            (``auto|highs|scipy``; :mod:`repro.utils.lp_backends`)
-            applied to controllers exposing ``set_lp_backend``.  ``None``
-            (default) leaves the controller's own setting untouched; the
-            serial engine and ``exact_solves`` audits are
-            backend-invariant (scalar scipy solves either way).
+            two-tier contract in :mod:`repro.framework.lockstep`).  How
+            a stacked batch is solved is the controller's own setting
+            (:meth:`~repro.controllers.rmpc.RobustMPC.set_lp_backend`).
         collect_timing: Lockstep only — maintain the per-row amortised
             wall-clock arrays (the default).  ``False`` skips every
             ``perf_counter`` call; the timing record fields read zero
@@ -302,7 +298,6 @@ class BatchRunner:
         reveal_future: bool = False,
         engine: str = "serial",
         exact_solves: bool = False,
-        lp_backend: Optional[str] = None,
         collect_timing: bool = True,
     ):
         if engine not in ("serial", "lockstep"):
@@ -319,7 +314,6 @@ class BatchRunner:
         self.reveal_future = reveal_future
         self.engine = engine
         self.exact_solves = exact_solves
-        self.lp_backend = lp_backend
         self.collect_timing = collect_timing
         self._policy_takes_rng = _accepts_rng(policy_factory)
 
@@ -406,7 +400,6 @@ class BatchRunner:
                 memory_length=self.memory_length,
                 reveal_future=self.reveal_future,
                 exact_solves=self.exact_solves,
-                lp_backend=self.lp_backend,
                 collect_timing=self.collect_timing,
             )
             for episode, stats in enumerate(stats_list):

@@ -9,8 +9,10 @@ A warm solve attains the cold optimal cost but may land on a different
 optimal *vertex* of a degenerate LP (the plan-equivalent tier of
 :mod:`repro.framework.lockstep`).
 
-A backend *request* (``"auto"``, ``"highs"`` or ``"scipy"``) is mapped by
-:func:`resolve_backend` to the effective backend:
+A backend *request* (``"auto"``, ``"highs"`` or ``"scipy"``) is set per
+controller only — ``RobustMPC``'s ``lp_backend`` argument or
+``RobustMPC.set_lp_backend``; no run, call or CLI option overrides it —
+and :func:`resolve_backend` maps it to the effective backend:
 
 * ``"highs"`` (the RMPC default) — warm, on a :class:`PersistentStackSolver`.
 * ``"scipy"`` (and ``"auto"``, its alias) — cold: one fresh stacked solve

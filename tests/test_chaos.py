@@ -322,7 +322,7 @@ class TestSolverDegradation:
     def serial_reference(self, serial_plan):
         return run_sweep(serial_plan, ExecutionConfig(engine="serial"))
 
-    def test_backend_error_degrades_to_scipy(
+    def test_backend_error_degrades_to_exact_solves(
         self, serial_plan, serial_reference
     ):
         fault = chaos.FaultPlan(
@@ -334,18 +334,38 @@ class TestSolverDegradation:
                 ExecutionConfig(engine="serial", on_error="retry"),
             )
         assert result.ok
-        # The scalar-solve serial engine is backend-invariant bitwise,
-        # so the degraded re-run reproduces the reference exactly; the
-        # cell's config records that it ran on the fallback backend.
+        # The scalar-solve serial engine is exact already, so the
+        # degraded re-run reproduces the reference exactly; the cell's
+        # config records that it ran on the scalar reference path.
         assert result.deterministic_rows() == (
             serial_reference.deterministic_rows()
         )
-        assert result.cell(K_CELL).config["lp_backend"] == "scipy"
+        assert result.cell(K_CELL).config["exact_solves"] is True
+
+    def test_lockstep_backend_error_degrades_to_exact_solves(
+        self, serial_plan, serial_reference
+    ):
+        # On the lockstep engine the degraded attempt leaves the stacked
+        # (plan-equivalent) RMPC solve for the scalar one, so the
+        # recovered cell equals the serial reference bitwise.
+        fault = chaos.FaultPlan(
+            cell_faults=(chaos.CellFault(key=K_CELL, error=LPError),)
+        )
+        with chaos.inject(fault):
+            result = run_sweep(
+                serial_plan,
+                ExecutionConfig(engine="lockstep", on_error="retry"),
+            )
+        assert result.ok
+        assert result.cell(K_CELL).config["exact_solves"] is True
+        assert result.deterministic_rows() == (
+            serial_reference.deterministic_rows()
+        )
 
     def test_degradation_also_runs_before_recording(self, serial_plan):
         # Under on_error="record" a solver error still earns the single
-        # scipy attempt (degrade-then-record); with the fault firing on
-        # both attempts the failure carries both.
+        # exact_solves attempt (degrade-then-record); with the fault
+        # firing on both attempts the failure carries both.
         fault = chaos.FaultPlan(
             cell_faults=(
                 chaos.CellFault(

@@ -63,19 +63,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["batch", "--engine", "warp"])
 
-    def test_lp_backend_flag_on_all_engine_commands(self):
-        for argv in (
-            ["batch", "--lp-backend", "scipy"],
-            ["compare", "--lp-backend", "highs"],
-            ["experiment", "ex1", "--lp-backend", "auto"],
-            ["sweep", "--lp-backend", "scipy"],
-        ):
-            assert build_parser().parse_args(argv).lp_backend == argv[-1]
-        # Default None: keep each controller's own backend setting.
-        assert build_parser().parse_args(["batch"]).lp_backend is None
-        assert build_parser().parse_args(["sweep"]).lp_backend is None
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["batch", "--lp-backend", "cplex"])
+    @pytest.mark.parametrize(
+        "command", ["compare", "experiment", "batch", "sweep", "submit"]
+    )
+    def test_lp_backend_flag_is_gone(self, command, capsys):
+        # How κ_R's stack is solved is the controller's own setting; no
+        # verb overrides it.
+        verb = [command, "ex1"] if command == "experiment" else [command]
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(verb + ["--lp-backend", "scipy"])
+        assert info.value.code == 2
+        assert "--lp-backend" in capsys.readouterr().err
+        # The audit tier that replaces it for bitwise checks stays.
+        args = build_parser().parse_args(verb + ["--exact-solves"])
+        assert args.exact_solves
 
     def test_batch_scenario_flag(self):
         assert build_parser().parse_args(["batch"]).scenario == "acc"

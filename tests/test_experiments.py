@@ -6,7 +6,7 @@ pre-built Table-I case studies metric-for-metric)."""
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -134,14 +134,15 @@ class TestExecutionConfig:
             ExecutionConfig(jobs=-1)
         with pytest.raises(ValueError, match="shard"):
             ExecutionConfig(shard="episode")
-        with pytest.raises(ValueError, match="lp_backend"):
-            ExecutionConfig(lp_backend="cplex")
 
-    def test_lp_backend_values(self):
-        # None (default) means "leave each controller's setting alone".
-        assert ExecutionConfig().lp_backend is None
-        for name in ("auto", "highs", "scipy"):
-            assert ExecutionConfig(lp_backend=name).lp_backend == name
+    def test_lp_backend_field_is_gone(self):
+        # The stacked-solve route is a controller setting, not a run
+        # option: ten execution fields, none of them lp_backend.
+        names = [field.name for field in fields(ExecutionConfig)]
+        assert len(names) == 10
+        assert "lp_backend" not in names
+        with pytest.raises(TypeError, match="lp_backend"):
+            ExecutionConfig(lp_backend="scipy")
 
     def test_cell_shard_rejects_parallel_engine(self):
         with pytest.raises(ValueError, match="nest"):

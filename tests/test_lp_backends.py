@@ -49,8 +49,28 @@ class TestResolveBackend:
         # "auto" is an alias of the cold, bitwise "scipy".
         assert resolve_backend("auto") == "scipy"
 
-    def test_auto_falls_back_silently(self):
+    def test_auto_falls_back_silently(self, monkeypatch, caplog):
+        # Without the bundled core, "auto" still resolves (to the cold
+        # path) and an RMPC left on its default "highs" setting solves
+        # its stack through linprog: no error, no warning.
+        from repro.controllers import RobustMPC
+        from repro.observability import metrics as obs
+        from repro.utils import lp
+        from tests.conftest import make_double_integrator
+
+        mpc = RobustMPC(make_double_integrator(), horizon=3)
+        monkeypatch.setattr(lp, "_core", None)
         assert resolve_backend("auto") == "scipy"
+        assert mpc.lp_backend == "highs"
+        states = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]])
+        with caplog.at_level("WARNING"), obs.scoped_registry() as reg:
+            batch = mpc.solve_batch(states)
+            assert reg.total(lp.FALLBACK_METRIC, path="stacked") == 1
+            assert reg.total(
+                "rmpc_solves_total", path="stacked", backend="scipy"
+            ) == 3
+        assert len(batch) == 3
+        assert not caplog.records
 
     def test_explicit_highs_is_warm(self):
         assert resolve_backend("highs") == "highs"

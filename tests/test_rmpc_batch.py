@@ -157,10 +157,12 @@ class TestSolveBatchPlanEquivalence:
         _system, mpc, _xi, xp, _mf = rmpc_rig
         mpc.solve_batch(_feasible_states(xp, 5))  # build the k=5 model
         builds = mpc._persistent_solver().model_builds
-        for backend in ("scipy", "highs"):
-            mpc.solve_batch(
-                _feasible_states(xp, 5, seed=11), lp_backend=backend
-            )
+        try:
+            for backend in ("scipy", "highs"):
+                mpc.set_lp_backend(backend)
+                mpc.solve_batch(_feasible_states(xp, 5, seed=11))
+        finally:
+            mpc.set_lp_backend("highs")
         assert mpc._persistent_solver().model_builds == builds
 
 
@@ -215,7 +217,8 @@ class TestBackendSelection:
         states[1] = [4.9, 1.99]
         mpc.reset()
         with pytest.raises(RMPCInfeasibleError, match=r"4\.9"):
-            mpc.solve_batch(states, lp_backend="highs")
+            mpc.solve_batch(states)
+        assert mpc.lp_backend == "highs"  # the default
         assert mpc.solve_count == 1  # row 0 scalar re-solve only
         mpc.reset()
 
@@ -333,40 +336,39 @@ class TestLockstepStackedEngine:
     @pytest.mark.parametrize("backend", ["scipy", "highs"])
     def test_exact_solves_is_backend_invariant(self, rmpc_rig, backend):
         """The exact_solves audit tier routes through the scalar scipy
-        path under every backend request, so its records match the serial
-        engine bitwise whatever --lp-backend asks for (with `highs` the
-        warm stacked path is never entered)."""
+        path under every controller setting, so its records match the
+        serial engine bitwise whatever the controller's lp_backend is
+        (with `highs` the warm stacked path is never entered)."""
         system, mpc, _xi, xp, _mf = rmpc_rig
         make = self._runners(rmpc_rig)
         factory = self._disturbances(system)
         states = _feasible_states(xp, 4)
         serial = make(BatchRunner).run_seeded(states, factory, ROOT_SEED)
-        exact = make(
-            BatchRunner, engine="lockstep", exact_solves=True,
-            lp_backend=backend,
-        ).run_seeded(states, factory, ROOT_SEED)
-        assert mpc.lp_backend == "highs"
+        mpc.set_lp_backend(backend)
+        try:
+            exact = make(
+                BatchRunner, engine="lockstep", exact_solves=True
+            ).run_seeded(states, factory, ROOT_SEED)
+        finally:
+            mpc.set_lp_backend("highs")
+            mpc.reset()
         assert serial.deterministic_records() == exact.deterministic_records()
 
     def test_stacked_lockstep_highs_backend(self, rmpc_rig):
-        """A full lockstep run on the warm-started backend: safe
-        episodes, plan-equivalent solves, same episode count — and the
-        request applies to the run only, leaving the (shared)
-        controller's own setting alone."""
+        """A full lockstep run on the warm-started backend (the
+        controller's default): safe episodes, warm solves, same episode
+        count."""
         system, mpc, _xi, xp, _mf = rmpc_rig
         # Periodic skipping runs every row together: real stacked batches.
         make = self._runners(rmpc_rig, lambda: PeriodicSkipPolicy(2))
         factory = self._disturbances(system)
         states = _feasible_states(xp, 4)
-        mpc.set_lp_backend("scipy")
         try:
-            stacked = make(
-                BatchRunner, engine="lockstep", lp_backend="highs"
-            ).run_seeded(states, factory, ROOT_SEED)
-            assert mpc.lp_backend == "scipy"
+            stacked = make(BatchRunner, engine="lockstep").run_seeded(
+                states, factory, ROOT_SEED
+            )
             assert mpc._persistent_solver().warm_solves > 0
         finally:
-            mpc.set_lp_backend("highs")
             mpc.reset()
         assert len(stacked) == len(states)
         for record in stacked.records:

@@ -4,9 +4,10 @@
 solve must attain the cold scalar solve's optimal cost (1e-9 relative)
 with a first input in ``U`` on zoo state sequences and on state sequences
 drawn by hypothesis, and a warm lockstep run must stay violation-free.
-A cold request (``lp_backend="scipy"``) must bypass the persistent
-models and stay bitwise-identical to a fresh stacked solve, and
-``reset()`` must make a run's results independent of earlier runs.
+A controller set to the cold solve (``set_lp_backend("scipy")``) must
+bypass the persistent models and stay bitwise-identical to a fresh
+stacked solve, and ``reset()`` must make a run's results independent of
+earlier runs.
 """
 
 import threading
@@ -126,9 +127,15 @@ def test_cold_after_warm_is_bitwise_solve_lp_batch(name):
         for k in (2, 5, 8):
             mpc.solve_batch(case.sample_initial_states(rng, k))  # warm
             states = case.sample_initial_states(rng, k)
-            with obs.scoped_registry() as reg:
-                cold = mpc.solve_batch(states, lp_backend="scipy")
-                assert reg.total(lp.LP_SOLVES_METRIC, path="persistent") == 0
+            mpc.set_lp_backend("scipy")
+            try:
+                with obs.scoped_registry() as reg:
+                    cold = mpc.solve_batch(states)
+                    assert reg.total(
+                        lp.LP_SOLVES_METRIC, path="persistent"
+                    ) == 0
+            finally:
+                mpc.set_lp_backend("highs")
             b_eq = np.tile(mpc._b_eq, (k, 1))
             b_eq[:, mpc._x0_rows] = states
             fresh = solve_lp_batch(
@@ -210,7 +217,9 @@ def test_without_the_core_stacked_solves_go_through_linprog(monkeypatch):
         batch = mpc.solve_batch(states)
         assert reg.total(lp.FALLBACK_METRIC, path="stacked") == 1
         assert reg.total(lp.LP_SOLVES_METRIC, path="persistent") == 0
-    assert mpc.solver_stats["lp_backend"] == "scipy"
+        assert reg.total(
+            "rmpc_solves_total", path="stacked", backend="scipy"
+        ) == 4
     _assert_agrees(mpc, states, batch)
     mpc.reset()
 

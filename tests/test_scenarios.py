@@ -337,7 +337,7 @@ class TestScenarioExecution:
         states = case.sample_initial_states(rng, 5)
         factory = case.disturbance_factory(15)
 
-        def run(engine, **extra):
+        def run(engine):
             return BatchRunner(
                 case.system,
                 case.controller,
@@ -345,13 +345,18 @@ class TestScenarioExecution:
                 policy_factory=AlwaysSkipPolicy,
                 skip_input=case.skip_input,
                 engine=engine,
-                **extra,
             ).run_seeded(states, factory, root_seed=0)
 
-        # Bitwise oracle: the cold stacked solve (a warm one may differ
-        # from it in the last ulp, the plan-equivalent tier).
+        # Bitwise oracle: the controller pinned to the cold stacked solve
+        # (a warm one may differ from it in the last ulp, the
+        # plan-equivalent tier).
         serial = run("serial")
-        lockstep = run("lockstep", lp_backend="scipy")
+        case.controller.set_lp_backend("scipy")
+        try:
+            lockstep = run("lockstep")
+        finally:
+            case.controller.set_lp_backend("highs")
+            case.controller.reset()
         assert (
             serial.deterministic_records() == lockstep.deterministic_records()
         )

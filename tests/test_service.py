@@ -142,7 +142,7 @@ class TestPlanSerialization:
     def test_execution_roundtrips_every_field(self):
         execution = ExecutionConfig(
             engine="lockstep", jobs=3, exact_solves=True,
-            lp_backend="scipy", shard="none", collect_timing=False,
+            shard="none", collect_timing=False,
             telemetry=True, on_error="retry",
             cell_retries=2, cell_timeout=9.5, worker_retries=1,
         )
@@ -170,6 +170,19 @@ class TestPlanSerialization:
     def test_cell_config_has_no_kernel_key(self):
         plan = make_plan()
         assert "kernel" not in _cell_config(plan.cells()[0], plan.execution)
+
+    def test_removed_lp_backend_field_rejected(self):
+        with pytest.raises(
+            ValueError,
+            match=re.escape("unknown execution fields: ['lp_backend']"),
+        ):
+            execution_from_dict({"engine": "lockstep", "lp_backend": "scipy"})
+
+    def test_cell_config_has_no_lp_backend_key(self):
+        plan = make_plan()
+        assert "lp_backend" not in _cell_config(
+            plan.cells()[0], plan.execution
+        )
 
     def test_policies_do_not_serialise(self):
         plan = SweepPlan(
@@ -447,7 +460,8 @@ class TestServiceHTTP:
         assert info.value.status == 404
 
     @pytest.mark.parametrize(
-        "field, value", MALFORMED_EXECUTION + [("kernel", "numpy")]
+        "field, value",
+        MALFORMED_EXECUTION + [("kernel", "numpy"), ("lp_backend", "scipy")],
     )
     def test_malformed_execution_is_400(self, service, field, value):
         payload = plan_to_dict(make_plan())
@@ -531,9 +545,7 @@ class TestWarmBackendThreads:
         solves on its own persistent HiGHS models (sharing them crashed
         the interpreter without a lock, and interleaved warm starts
         with one), so every job's rows are the same."""
-        execution = ExecutionConfig(
-            engine="lockstep", jobs=1, telemetry=True, lp_backend="highs"
-        )
+        execution = ExecutionConfig(engine="lockstep", jobs=1, telemetry=True)
         plan = SweepPlan.for_scenarios(
             ["thermal"],
             axes=(ParameterAxis("horizon", tuple(range(5, 11))),),
