@@ -6,13 +6,21 @@ Standalone script (not a pytest-benchmark kernel) so CI can smoke it::
     PYTHONPATH=src python benchmarks/bench_synthesis.py   # whole zoo
 
 For each scenario it synthesises XI and X′ from scratch (no builder
-cache) and records every :meth:`HPolytope.remove_redundancies` input and
-output.  It reports the cold synthesis seconds, the redundancy-removal
-share, and the LP counts by phase (``screen``: one stacked LP per
-polytope; ``recheck``: serial LPs for the rows the screen could not
-settle).  Then it replays every recorded input through the serial oracle
-(:func:`repro.geometry.reference.remove_redundancies_serial`) and exits
-non-zero unless every output is bitwise-identical.
+cache) and records every :meth:`HPolytope.remove_redundancies` and every
+:func:`repro.invariance.maximal_rpi` input and output (the RMPC terminal
+set, or the linear-feedback XI).  It reports the cold synthesis seconds,
+the LPs it solved, the redundancy-removal share, and the redundancy LP
+counts by phase (``screen``: one stacked LP per polytope; ``recheck``:
+serial LPs for the rows the screen could not settle).  Then it replays
+the recorded inputs through two oracles and exits non-zero unless
+both agree:
+
+* every redundancy removal through the serial loop
+  (:func:`repro.geometry.reference.remove_redundancies_serial`),
+  bitwise;
+* every maximal RPI set through the textbook loop
+  (:func:`repro.geometry.reference.maximal_rpi_reference`),
+  set-equivalent (:func:`repro.geometry.reference.rpi_mismatch`).
 
 Every run writes a ``BENCH_synthesis.json`` artifact (per-scenario rows
 plus machine info); disable with ``--artifact ''``.
@@ -27,12 +35,23 @@ import time
 
 from machine import machine_info
 
+import repro.controllers.rmpc as rmpc_module
+import repro.scenarios.builder as builder_module
 from repro import scenarios
 from repro.geometry import HPolytope
 from repro.geometry.hpolytope import REDUNDANCY_LPS_METRIC
-from repro.geometry.reference import remove_redundancies_serial
+from repro.geometry.reference import (
+    maximal_rpi_reference,
+    remove_redundancies_serial,
+    rpi_mismatch,
+)
+from repro.invariance.rci import maximal_rpi
 from repro.observability import metrics as obs
 from repro.utils.lp import LP_SOLVES_METRIC
+
+#: Where synthesis calls ``maximal_rpi``: the RMPC terminal set and the
+#: linear-feedback XI.
+RPI_CALL_SITES = (rmpc_module, builder_module)
 
 QUICK = ("thermal", "pendulum", "lane_keeping")
 
@@ -42,9 +61,11 @@ def _bits(H, h) -> tuple:
 
 
 def scenario_row(name: str) -> dict:
-    """Cold-synthesise ``name`` and replay its redundancy removals."""
+    """Cold-synthesise ``name`` and replay its redundancy removals and
+    maximal RPI sets."""
     calls = []
-    busy = [0.0]
+    rpi_calls = []
+    busy = [0.0, 0.0]
     original = HPolytope.remove_redundancies
 
     def recording(self, tol=1e-9):
@@ -54,7 +75,16 @@ def scenario_row(name: str) -> dict:
         calls.append((self.H, self.h, tol, result))
         return result
 
+    def recording_rpi(*args, **kwargs):
+        start = time.perf_counter()
+        result = maximal_rpi(*args, **kwargs)
+        busy[1] += time.perf_counter() - start
+        rpi_calls.append((args, kwargs, result))
+        return result
+
     HPolytope.remove_redundancies = recording
+    for site in RPI_CALL_SITES:
+        site.maximal_rpi = recording_rpi
     try:
         with obs.scoped_registry(enabled=False) as reg:
             start = time.perf_counter()
@@ -62,6 +92,8 @@ def scenario_row(name: str) -> dict:
             synth_s = time.perf_counter() - start
     finally:
         HPolytope.remove_redundancies = original
+        for site in RPI_CALL_SITES:
+            site.maximal_rpi = maximal_rpi
 
     mismatches = 0
     with obs.scoped_registry(enabled=False) as oracle_reg:
@@ -70,9 +102,22 @@ def scenario_row(name: str) -> dict:
             reference = remove_redundancies_serial(H, h, tol)
             mismatches += _bits(result.H, result.h) != _bits(*reference)
         oracle_s = time.perf_counter() - start
+    rpi_mismatches = []
+    with obs.scoped_registry(enabled=False):
+        start = time.perf_counter()
+        for args, kwargs, result in rpi_calls:
+            why = rpi_mismatch(result, maximal_rpi_reference(*args, **kwargs))
+            if why is not None:
+                rpi_mismatches.append(why)
+        rpi_oracle_s = time.perf_counter() - start
     return {
         "scenario": name,
         "synth_s": round(synth_s, 4),
+        "lp_solves": reg.total(LP_SOLVES_METRIC),
+        "maximal_rpi_s": round(busy[1], 4),
+        "maximal_rpi_iterations": [r.iterations for *_, r in rpi_calls],
+        "rpi_oracle_s": round(rpi_oracle_s, 4),
+        "rpi_mismatches": rpi_mismatches,
         "remove_redundancies_s": round(busy[0], 4),
         "remove_redundancies_calls": len(calls),
         "rows_in": sum(len(h) for _, h, _, _ in calls),
@@ -99,21 +144,32 @@ def main(argv=None) -> int:
     )
 
     rows = []
-    print(f"{'scenario':<14}{'synth s':>9}{'rr s':>8}{'calls':>7}"
-          f"{'screen':>8}{'recheck':>9}{'oracle LPs':>12}{'oracle s':>10}  ok")
+    print(f"{'scenario':<14}{'synth s':>9}{'LPs':>6}{'rpi s':>8}{'rr s':>8}"
+          f"{'calls':>7}{'screen':>8}{'recheck':>9}{'oracle LPs':>12}"
+          f"{'oracle s':>10}  rr ok  rpi ok")
     for name in names:
         row = scenario_row(name)
         rows.append(row)
-        print(f"{name:<14}{row['synth_s']:>9.3f}"
+        print(f"{name:<14}{row['synth_s']:>9.3f}{row['lp_solves']:>6}"
+              f"{row['maximal_rpi_s']:>8.3f}"
               f"{row['remove_redundancies_s']:>8.3f}"
               f"{row['remove_redundancies_calls']:>7}{row['screen_lps']:>8}"
               f"{row['recheck_lps']:>9}{row['oracle_lps']:>12}"
               f"{row['oracle_replay_s']:>10.3f}  "
-              f"{'yes' if row['mismatches'] == 0 else 'NO'}", flush=True)
-    ok = all(row["mismatches"] == 0 for row in rows)
+              f"{'yes' if row['mismatches'] == 0 else 'NO':>5}  "
+              f"{'yes' if not row['rpi_mismatches'] else 'NO':>6}", flush=True)
+        for why in row["rpi_mismatches"]:
+            print(f"  maximal_rpi mismatch: {why}")
+    redundancy_ok = all(row["mismatches"] == 0 for row in rows)
+    rpi_ok = all(not row["rpi_mismatches"] for row in rows)
+    ok = redundancy_ok and rpi_ok
     total = sum(row["synth_s"] for row in rows)
-    print(f"total cold synthesis {total:.2f} s; "
-          f"{'every set bitwise-identical to the serial oracle' if ok else 'MISMATCH against the serial oracle'}")
+    redundancy = ("every redundancy removal bitwise-identical to the serial "
+                  "oracle" if redundancy_ok
+                  else "MISMATCH against the serial redundancy oracle")
+    rpi = ("every maximal RPI set set-equivalent to the textbook loop"
+           if rpi_ok else "MISMATCH against the textbook maximal RPI loop")
+    print(f"total cold synthesis {total:.2f} s; {redundancy}; {rpi}")
     if args.artifact:
         with open(args.artifact, "w") as fh:
             json.dump({

@@ -6,9 +6,10 @@ reachable sets, tightened MPC constraints and the strengthened safe set of
 the paper are all built from the operations defined here.
 
 Every operation that needs optimisation uses LPs through
-:mod:`repro.utils.lp` (HiGHS); nothing here depends on vertex enumeration
-except :meth:`HPolytope.vertices`, which is only used for reporting,
-sampling and exact 2-D Minkowski sums.
+:mod:`repro.utils.lp` (HiGHS), except supports over an axis box, which
+are closed-form (:meth:`HPolytope.support_batch`); nothing here depends
+on vertex enumeration except :meth:`HPolytope.vertices`, which is only
+used for reporting, sampling and exact 2-D Minkowski sums.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ REDUNDANCY_LPS_METRIC = "geometry_redundancy_lps_total"
 _SCREEN_RELAXATION = 1e3
 _SCREEN_MARGIN = 1e-6
 
+#: ``linprog``'s status code of an unbounded LP (:attr:`LPError.status`).
+_UNBOUNDED = 3
+
 
 class EmptySetError(ValueError):
     """Raised when an operation requires a non-empty polytope."""
@@ -59,7 +63,9 @@ class HPolytope:
         dim: Ambient dimension ``n``.
     """
 
-    __slots__ = ("H", "h", "_vertices_cache", "_cheb_cache", "_bbox_cache")
+    __slots__ = (
+        "H", "h", "_vertices_cache", "_cheb_cache", "_bbox_cache", "_box_cache"
+    )
 
     def __init__(self, H, h, normalize: bool = True):
         H = as_matrix(H, "H")
@@ -75,6 +81,7 @@ class HPolytope:
         self._vertices_cache = None
         self._cheb_cache = None
         self._bbox_cache = None
+        self._box_cache = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -266,6 +273,16 @@ class HPolytope:
         :meth:`pontryagin_difference`, :meth:`minkowski_sum`,
         :meth:`bounding_box` and :meth:`is_bounded`.
 
+        A non-empty axis box (every row ``±e_k``, every axis bounded both
+        ways; every zoo ``W`` and ``U``) needs no LP for two or more
+        directions: the stacked LP's value is ``dᵀx`` at the box vertex
+        ``x = where(d > 0, upper, lower)``, which this returns in the
+        same arithmetic, so the values are equal (a zero support may
+        differ in sign, as the LP's vertex along ``d_k = 0`` axes is
+        arbitrary).  A single direction still goes through
+        :func:`~repro.utils.lp.solve_lp`, whose objective HiGHS sums in its
+        own order; half-open and empty boxes go through the LP and raise.
+
         Raises:
             repro.utils.lp.LPError: If the polytope is empty or unbounded
                 in any of the directions.
@@ -275,6 +292,12 @@ class HPolytope:
             raise ValueError(
                 f"directions have dimension {D.shape[1]}, polytope has {self.dim}"
             )
+        if len(D) > 1:
+            if self._box_cache is None:  # False: not such a box
+                self._box_cache = _axis_box_bounds(self.H, self.h) or False
+            if self._box_cache:
+                lower, upper = self._box_cache
+                return np.einsum("ij,ij->i", D, np.where(D > 0, upper, lower))
         return maximize_batch(D, self.H, self.h)
 
     def support_point(self, direction) -> np.ndarray:
@@ -315,18 +338,28 @@ class HPolytope:
         Checked by LP: ``other ⊆ self`` iff for every halfspace ``(a, b)``
         of ``self``, the support of ``other`` in direction ``a`` is at most
         ``b``.  All facet supports are solved as one stacked LP
-        (:meth:`support_batch`); if the stack fails (e.g. ``other``
-        unbounded in some direction) the per-facet loop decides, keeping
-        the early-exit semantics.  An empty ``other`` is a subset of
-        anything.
+        (:meth:`support_batch`).  Only if the stack fails is ``other``
+        tested for emptiness (an empty set is a subset of anything); a
+        non-empty ``other`` then goes through the per-facet loop, where a
+        facet along which ``other`` is unbounded decides False.
+
+        Raises:
+            repro.utils.lp.LPError: If a per-facet LP fails other than by
+                unboundedness.
         """
-        if other.is_empty():
-            return True
         try:
             supports = other.support_batch(self.H)
         except LPError:
+            if other.is_empty():
+                return True
             for a, b in zip(self.H, self.h):
-                if other.support(a) > b + tol:
+                try:
+                    value = other.support(a)
+                except LPError as exc:
+                    if exc.status == _UNBOUNDED:
+                        return False
+                    raise
+                if value > b + tol:
                     return False
             return True
         return bool(np.all(supports <= self.h + tol))
@@ -729,6 +762,32 @@ def _normalize_rows(H: np.ndarray, h: np.ndarray) -> tuple:
     if H.shape[0] == 0:
         raise ValueError("polytope needs at least one non-trivial constraint")
     return H / norms[:, None], h / norms
+
+
+def _axis_box_bounds(H: np.ndarray, h: np.ndarray):
+    """``(lower, upper)`` of ``{x : H x <= h}`` when every row of ``H`` is
+    ``±e_k``, every axis has both a ``+e_k`` and a ``-e_k`` row and
+    ``lower <= upper``; else None.  Repeated rows take the tightest
+    offset."""
+    nonzero = H != 0
+    if not np.all(nonzero.sum(axis=1) == 1):
+        return None
+    axis = np.argmax(nonzero, axis=1)
+    sign = H[np.arange(len(h)), axis]
+    if not np.all(np.abs(sign) == 1.0):
+        return None
+    n = H.shape[1]
+    upper = np.full(n, np.inf)
+    lower = np.full(n, -np.inf)
+    for k, s, b in zip(axis, sign, h):
+        if s > 0:
+            upper[k] = min(upper[k], b)
+        else:
+            lower[k] = max(lower[k], -b)
+    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))
+            and np.all(lower <= upper)):
+        return None
+    return lower, upper
 
 
 def _screen_essential(H: np.ndarray, h: np.ndarray, tol: float) -> np.ndarray:

@@ -139,6 +139,6 @@ def box_hull(poly: HPolytope) -> HPolytope:
 
 
 def support_vector(poly: HPolytope, directions) -> np.ndarray:
-    """Support values of ``poly`` along each row of ``directions``."""
-    D = np.atleast_2d(np.asarray(directions, dtype=float))
-    return np.array([poly.support(d) for d in D])
+    """Support values of ``poly`` along each row of ``directions``
+    (:meth:`HPolytope.support_batch`: one stacked LP, none for a box)."""
+    return poly.support_batch(directions)

@@ -3,18 +3,36 @@
 :meth:`repro.geometry.HPolytope.remove_redundancies` screens rows with one
 stacked LP and matches near-duplicate rows with a vectorised closeness
 matrix; both must return bitwise what the original loops below return.
-These are verbatim copies of those loops (the tests and
-``benchmarks/bench_synthesis.py`` compare against them); nothing in the
-library calls them.
+:func:`repro.invariance.rci.maximal_rpi` maps only the rows each step
+added; it must return a set equivalent to the textbook loop's
+(:func:`rpi_mismatch` states the contract).  These are verbatim copies of
+the original loops (the tests and ``benchmarks/bench_synthesis.py``
+compare against them); nothing in the library calls them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.geometry.hpolytope import EmptySetError
+from repro.invariance.pre import pre_autonomous
+from repro.invariance.rci import InvarianceResult, is_rpi
 from repro.utils.lp import LPError, maximize
+from repro.utils.validation import as_matrix
 
-__all__ = ["remove_redundancies_serial", "dedupe_rows_serial", "unique_rows_serial"]
+__all__ = [
+    "remove_redundancies_serial",
+    "dedupe_rows_serial",
+    "unique_rows_serial",
+    "maximal_rpi_reference",
+    "rpi_mismatch",
+]
+
+#: Set-equivalence contract of :func:`rpi_mismatch`: largest row
+#: difference after the canonical sort, and the mutual-containment
+#: tolerance.
+ROW_ATOL = 1e-12
+CONTAINMENT_TOL = 1e-9
 
 
 def remove_redundancies_serial(H: np.ndarray, h: np.ndarray, tol: float = 1e-9) -> tuple:
@@ -62,3 +80,61 @@ def unique_rows_serial(arr: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         if not any(np.allclose(row, prev, atol=tol) for prev in out):
             out.append(row)
     return np.array(out)
+
+
+def maximal_rpi_reference(
+    M, constraint, disturbance, max_iterations: int = 100, tol: float = 1e-7
+):
+    """The textbook maximal-RPI loop: ``Ω_{k+1} = Ω_k ∩ Pre(Ω_k)``, mapped
+    whole and reduced every step, converged when the two sets contain
+    each other."""
+    M = as_matrix(M, "M")
+    current = constraint
+    for iteration in range(1, max_iterations + 1):
+        try:
+            pre = pre_autonomous(M, current, disturbance)
+            nxt = current.intersect(pre).remove_redundancies()
+        except EmptySetError:
+            # A predecessor so restrictive it is empty by construction
+            # (e.g. the disturbance support exceeds the target's extent).
+            raise ValueError(
+                "no robust positively invariant subset exists"
+            ) from None
+        if nxt.is_empty():
+            raise ValueError("no robust positively invariant subset exists")
+        if current.contains_polytope(nxt, tol) and nxt.contains_polytope(current, tol):
+            return InvarianceResult(nxt, iteration, converged=True)
+        current = nxt
+    if is_rpi(M, current, disturbance, tol=max(tol, 1e-6)):
+        return InvarianceResult(current, max_iterations, converged=False)
+    raise ValueError(
+        f"maximal_rpi did not converge within {max_iterations} iterations"
+    )
+
+
+def _canonical_rows(poly) -> np.ndarray:
+    """``[H | h]`` in lexicographic row order; the sort keys are rounded
+    to 1e-9 so last-ulp noise cannot swap two rows."""
+    rows = np.column_stack([poly.H, poly.h])
+    return rows[np.lexsort(np.round(rows, 9).T[::-1])]
+
+
+def rpi_mismatch(fast, reference):
+    """Why two :class:`~repro.invariance.rci.InvarianceResult` s are not
+    set-equivalent, or None when they are: equal iteration counts and
+    convergence flags, equal row counts, rows within :data:`ROW_ATOL`
+    after the canonical sort, and mutual containment at
+    :data:`CONTAINMENT_TOL`."""
+    if (fast.iterations, fast.converged) != (reference.iterations, reference.converged):
+        return (f"iterations/converged {(fast.iterations, fast.converged)} "
+                f"!= {(reference.iterations, reference.converged)}")
+    a, b = fast.invariant_set, reference.invariant_set
+    if a.num_constraints != b.num_constraints:
+        return f"{a.num_constraints} rows != {b.num_constraints} rows"
+    gap = float(np.max(np.abs(_canonical_rows(a) - _canonical_rows(b))))
+    if gap > ROW_ATOL:
+        return f"sorted rows differ by {gap:.3g} > {ROW_ATOL:g}"
+    if not (a.contains_polytope(b, CONTAINMENT_TOL)
+            and b.contains_polytope(a, CONTAINMENT_TOL)):
+        return f"not mutually contained at {CONTAINMENT_TOL:g}"
+    return None

@@ -11,11 +11,25 @@ Two maximal-set iterations are provided:
   the input free in ``U`` (the textbook Definition 1).  Uses the
   Fourier–Motzkin predecessor.
 
-Both iterate ``Ω_{k+1} = Ω_k ∩ Pre(Ω_k)`` from ``Ω_0 = S`` and stop when
+Both compute ``Ω_{k+1} = Ω_k ∩ Pre(Ω_k)`` from ``Ω_0 = S`` and stop when
 ``Ω_k ⊆ Ω_{k+1}`` (set convergence) or when the iteration budget runs
 out — in the latter case the last iterate is returned only if it is
 verified invariant, otherwise an error is raised, because an unverified
-"invariant" set would silently void the paper's Theorem 1.
+"invariant" set would silently void the paper's Theorem 1.  Convergence
+is tested one way only: ``Ω_{k+1} ⊆ Ω_k`` holds by construction, since
+``Ω_{k+1}`` is ``Ω_k`` with rows added.
+
+:func:`maximal_rpi` builds the sequence incrementally (Gilbert & Tan,
+IEEE TAC 1991).  The autonomous ``Pre`` maps each halfspace on its own,
+so it distributes over intersection, and ``Pre(Ω_{k-1}) ⊇ Ω_k``; hence
+``Ω_{k+1} = Ω_k ∩ Pre(N_k)``, where ``N_k`` are the rows step ``k``
+added.  Each step maps only those rows and keeps a mapped row iff it cuts
+``Ω_k`` — its support over ``Ω_k`` exceeds its offset by more than
+``tol``, all rows screened by one stacked LP.  The set has converged when
+no row cuts; one redundancy removal then runs on the result.  The
+textbook loop, which maps and reduces the whole set every step, is kept
+as :func:`repro.geometry.reference.maximal_rpi_reference`, the
+differential oracle.
 """
 
 from __future__ import annotations
@@ -27,6 +41,7 @@ import numpy as np
 from repro.geometry import HPolytope
 from repro.geometry.hpolytope import EmptySetError
 from repro.invariance.pre import pre_autonomous, pre_controllable
+from repro.utils.lp import LPError
 from repro.utils.validation import as_matrix
 
 __all__ = ["maximal_rpi", "maximal_rci", "is_rpi", "is_rci", "InvarianceResult"]
@@ -65,26 +80,57 @@ def maximal_rpi(
     """
     M = as_matrix(M, "M")
     current = constraint
+    added = constraint
     for iteration in range(1, max_iterations + 1):
-        try:
-            pre = pre_autonomous(M, current, disturbance)
-            nxt = current.intersect(pre).remove_redundancies()
-        except EmptySetError:
-            # A predecessor so restrictive it is empty by construction
-            # (e.g. the disturbance support exceeds the target's extent).
-            raise ValueError(
-                "no robust positively invariant subset exists"
-            ) from None
-        if nxt.is_empty():
-            raise ValueError("no robust positively invariant subset exists")
-        if current.contains_polytope(nxt, tol) and nxt.contains_polytope(current, tol):
-            return InvarianceResult(nxt, iteration, converged=True)
-        current = nxt
+        cutting = _cutting_predecessors(M, current, added, disturbance, tol, iteration)
+        if cutting is None:
+            return InvarianceResult(
+                current.remove_redundancies(), iteration, converged=True
+            )
+        current = current.intersect(cutting)
+        # Map the added rows as the intersection renormalised them, as
+        # the textbook loop does, so the rows stay bitwise-equal to its rows.
+        count = cutting.num_constraints
+        added = HPolytope(current.H[-count:], current.h[-count:], normalize=False)
+    current = current.remove_redundancies()
     if is_rpi(M, current, disturbance, tol=max(tol, 1e-6)):
         return InvarianceResult(current, max_iterations, converged=False)
     raise ValueError(
         f"maximal_rpi did not converge within {max_iterations} iterations"
     )
+
+
+def _cutting_predecessors(M, current, added, disturbance, tol, iteration):
+    """The rows of ``Pre(added)`` that cut ``current`` by more than
+    ``tol``, or None when none does (one stacked support LP).
+
+    Raises:
+        ValueError: If ``current`` is empty or ``Pre(added)`` is empty by
+            construction.
+    """
+    try:
+        mapped = pre_autonomous(M, added, disturbance)
+    except EmptySetError:
+        # A predecessor so restrictive it is empty by construction
+        # (e.g. the disturbance support exceeds the target's extent).
+        raise ValueError("no robust positively invariant subset exists") from None
+    except ValueError:
+        if iteration == 1:
+            raise
+        # The shapes passed step 1, so every added row maps onto a
+        # trivially true constraint (M is singular along it).
+        return None
+    try:
+        cuts = current.support_batch(mapped.H) > mapped.h + tol
+    except LPError:
+        if current.is_empty():
+            raise ValueError(
+                "no robust positively invariant subset exists"
+            ) from None
+        raise
+    if not np.any(cuts):
+        return None
+    return HPolytope(mapped.H[cuts], mapped.h[cuts], normalize=False)
 
 
 def maximal_rci(
@@ -115,7 +161,7 @@ def maximal_rci(
             ) from None
         if nxt.is_empty():
             raise ValueError("no robust control invariant subset exists")
-        if current.contains_polytope(nxt, tol) and nxt.contains_polytope(current, tol):
+        if nxt.contains_polytope(current, tol):
             return InvarianceResult(nxt, iteration, converged=True)
         current = nxt
     if is_rci(A, B, current, input_set, disturbance, tol=max(tol, 1e-6)):

@@ -57,7 +57,15 @@ _RESIDUAL_TOL = float(np.sqrt(1e-9) * 10)
 
 
 class LPError(RuntimeError):
-    """Raised when an LP that was expected to solve does not."""
+    """Raised when an LP that was expected to solve does not.
+
+    ``status`` is ``linprog``'s status code of the failed solve (2
+    infeasible, 3 unbounded, 4 numerical trouble) when one is known.
+    """
+
+    def __init__(self, message: str, status: Optional[int] = None):
+        super().__init__(message)
+        self.status = status
 
 
 class LPOutcome(NamedTuple):
@@ -377,7 +385,9 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LPSolution:
     c = np.asarray(c, dtype=float).reshape(-1)
     res = solve_prepared(c, LPMatrix.from_blocks(a_ub, a_eq, c.size), b_ub, b_eq)
     if not res.success:
-        raise LPError(f"LP failed (status={res.status}): {res.message}")
+        raise LPError(
+            f"LP failed (status={res.status}): {res.message}", res.status
+        )
     return LPSolution(x=res.x, value=float(res.fun), status=res.status)
 
 
@@ -393,7 +403,10 @@ def lp_feasible(a_ub, b_ub, a_eq=None, b_eq=None) -> bool:
         return True
     if res.status == 2:
         return False
-    raise LPError(f"feasibility LP failed (status={res.status}): {res.message}")
+    raise LPError(
+        f"feasibility LP failed (status={res.status}): {res.message}",
+        res.status,
+    )
 
 
 def solve_lp_batch(
@@ -463,7 +476,8 @@ def solve_lp_batch(
     )
     if not res.success:
         raise LPError(
-            f"stacked LP ({k} blocks) failed (status={res.status}): {res.message}"
+            f"stacked LP ({k} blocks) failed (status={res.status}): "
+            f"{res.message}", res.status,
         )
     X = res.x.reshape(k, n)
     values = np.einsum("ij,ij->i", C, X)

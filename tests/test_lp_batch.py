@@ -259,14 +259,12 @@ class TestPolytopeBatchSupport:
 
     def test_contains_polytope_with_unbounded_other(self, unit_box):
         # The batch stack fails on the unbounded operand; the scalar
-        # fallback preserves the legacy semantics: early exit when a
-        # bounded direction already fails, LPError when the first
-        # undecided direction is unbounded.
+        # fallback exits early when a bounded direction already fails,
+        # and an unbounded direction decides False (it used to raise).
         wide_half_plane = HPolytope(np.array([[1.0, 0.0]]), np.array([5.0]))
         assert not unit_box.contains_polytope(wide_half_plane)
-        with pytest.raises(LPError):
-            narrow = HPolytope(np.array([[1.0, 0.0]]), np.array([0.1]))
-            unit_box.contains_polytope(narrow)
+        narrow = HPolytope(np.array([[1.0, 0.0]]), np.array([0.1]))
+        assert not unit_box.contains_polytope(narrow)
         half_plane = HPolytope(np.array([[1.0, 0.0]]), np.array([0.1]))
         assert half_plane.contains_polytope(
             HPolytope.from_box([-0.5, -0.5], [0.0, 0.5])
