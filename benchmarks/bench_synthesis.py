@@ -6,21 +6,27 @@ Standalone script (not a pytest-benchmark kernel) so CI can smoke it::
     PYTHONPATH=src python benchmarks/bench_synthesis.py   # whole zoo
 
 For each scenario it synthesises XI and X′ from scratch (no builder
-cache) and records every :meth:`HPolytope.remove_redundancies` and every
-:func:`repro.invariance.maximal_rpi` input and output (the RMPC terminal
-set, or the linear-feedback XI).  It reports the cold synthesis seconds,
-the LPs it solved, the redundancy-removal share, and the redundancy LP
-counts by phase (``screen``: one stacked LP per polytope; ``recheck``:
-serial LPs for the rows the screen could not settle).  Then it replays
-the recorded inputs through two oracles and exits non-zero unless
-both agree:
+cache) and records every :meth:`HPolytope.remove_redundancies`, every
+:func:`repro.invariance.maximal_rpi` (the RMPC terminal set, or the
+linear-feedback XI) and every
+:func:`repro.controllers.feasible.rmpc_feasible_set` input and output.
+It reports the cold synthesis seconds, the LPs it solved, the
+redundancy-removal share, and the redundancy LP counts by phase
+(``warm``: re-solves of one warm model per polytope; ``cold``: fresh LPs
+for the rows a warm solve could not decide).  Then it replays the
+recorded inputs through three oracles and exits non-zero unless all
+agree:
 
 * every redundancy removal through the serial loop
   (:func:`repro.geometry.reference.remove_redundancies_serial`),
   bitwise;
 * every maximal RPI set through the textbook loop
   (:func:`repro.geometry.reference.maximal_rpi_reference`),
-  set-equivalent (:func:`repro.geometry.reference.rpi_mismatch`).
+  set-equivalent (:func:`repro.geometry.reference.rpi_mismatch`);
+* every RMPC feasible set through the two-prune route, which also prunes
+  each projection before intersecting
+  (:func:`repro.geometry.reference.rmpc_feasible_set_two_prune`),
+  bitwise.
 
 Every run writes a ``BENCH_synthesis.json`` artifact (per-scenario rows
 plus machine info); disable with ``--artifact ''``.
@@ -35,6 +41,7 @@ import time
 
 from machine import machine_info
 
+import repro.controllers.feasible as feasible_module
 import repro.controllers.rmpc as rmpc_module
 import repro.scenarios.builder as builder_module
 from repro import scenarios
@@ -43,6 +50,7 @@ from repro.geometry.hpolytope import REDUNDANCY_LPS_METRIC
 from repro.geometry.reference import (
     maximal_rpi_reference,
     remove_redundancies_serial,
+    rmpc_feasible_set_two_prune,
     rpi_mismatch,
 )
 from repro.invariance.rci import maximal_rpi
@@ -61,10 +69,12 @@ def _bits(H, h) -> tuple:
 
 
 def scenario_row(name: str) -> dict:
-    """Cold-synthesise ``name`` and replay its redundancy removals and
-    maximal RPI sets."""
+    """Cold-synthesise ``name`` and replay its redundancy removals,
+    maximal RPI sets and RMPC feasible sets."""
     calls = []
     rpi_calls = []
+    feasible_calls = []
+    rmpc_feasible_set = feasible_module.rmpc_feasible_set
     busy = [0.0, 0.0]
     original = HPolytope.remove_redundancies
 
@@ -82,9 +92,15 @@ def scenario_row(name: str) -> dict:
         rpi_calls.append((args, kwargs, result))
         return result
 
+    def recording_feasible(controller):
+        result = rmpc_feasible_set(controller)
+        feasible_calls.append((controller, result))
+        return result
+
     HPolytope.remove_redundancies = recording
     for site in RPI_CALL_SITES:
         site.maximal_rpi = recording_rpi
+    feasible_module.rmpc_feasible_set = recording_feasible
     try:
         with obs.scoped_registry(enabled=False) as reg:
             start = time.perf_counter()
@@ -94,6 +110,7 @@ def scenario_row(name: str) -> dict:
         HPolytope.remove_redundancies = original
         for site in RPI_CALL_SITES:
             site.maximal_rpi = maximal_rpi
+        feasible_module.rmpc_feasible_set = rmpc_feasible_set
 
     mismatches = 0
     with obs.scoped_registry(enabled=False) as oracle_reg:
@@ -110,6 +127,14 @@ def scenario_row(name: str) -> dict:
             if why is not None:
                 rpi_mismatches.append(why)
         rpi_oracle_s = time.perf_counter() - start
+    with obs.scoped_registry(enabled=False):
+        start = time.perf_counter()
+        feasible_mismatches = 0
+        for controller, result in feasible_calls:
+            reference = rmpc_feasible_set_two_prune(controller)
+            feasible_mismatches += (_bits(result.H, result.h)
+                                    != _bits(reference.H, reference.h))
+        feasible_oracle_s = time.perf_counter() - start
     return {
         "scenario": name,
         "synth_s": round(synth_s, 4),
@@ -122,11 +147,14 @@ def scenario_row(name: str) -> dict:
         "remove_redundancies_calls": len(calls),
         "rows_in": sum(len(h) for _, h, _, _ in calls),
         "rows_out": sum(result.num_constraints for *_, result in calls),
-        "screen_lps": reg.value(REDUNDANCY_LPS_METRIC, phase="screen"),
-        "recheck_lps": reg.value(REDUNDANCY_LPS_METRIC, phase="recheck"),
+        "warm_lps": reg.value(REDUNDANCY_LPS_METRIC, phase="warm"),
+        "cold_lps": reg.value(REDUNDANCY_LPS_METRIC, phase="cold"),
         "oracle_lps": oracle_reg.total(LP_SOLVES_METRIC),
         "oracle_replay_s": round(oracle_s, 4),
         "mismatches": mismatches,
+        "feasible_sets": len(feasible_calls),
+        "feasible_oracle_s": round(feasible_oracle_s, 4),
+        "feasible_mismatches": feasible_mismatches,
     }
 
 
@@ -145,31 +173,39 @@ def main(argv=None) -> int:
 
     rows = []
     print(f"{'scenario':<14}{'synth s':>9}{'LPs':>6}{'rpi s':>8}{'rr s':>8}"
-          f"{'calls':>7}{'screen':>8}{'recheck':>9}{'oracle LPs':>12}"
-          f"{'oracle s':>10}  rr ok  rpi ok")
+          f"{'calls':>7}{'warm':>7}{'cold':>6}{'oracle LPs':>12}"
+          f"{'oracle s':>10}  rr ok  rpi ok  X_F ok")
     for name in names:
         row = scenario_row(name)
         rows.append(row)
+        feasible_ok = row["feasible_mismatches"] == 0
         print(f"{name:<14}{row['synth_s']:>9.3f}{row['lp_solves']:>6}"
               f"{row['maximal_rpi_s']:>8.3f}"
               f"{row['remove_redundancies_s']:>8.3f}"
-              f"{row['remove_redundancies_calls']:>7}{row['screen_lps']:>8}"
-              f"{row['recheck_lps']:>9}{row['oracle_lps']:>12}"
+              f"{row['remove_redundancies_calls']:>7}{row['warm_lps']:>7}"
+              f"{row['cold_lps']:>6}{row['oracle_lps']:>12}"
               f"{row['oracle_replay_s']:>10.3f}  "
               f"{'yes' if row['mismatches'] == 0 else 'NO':>5}  "
-              f"{'yes' if not row['rpi_mismatches'] else 'NO':>6}", flush=True)
+              f"{'yes' if not row['rpi_mismatches'] else 'NO':>6}  "
+              f"{('yes' if feasible_ok else 'NO') if row['feasible_sets'] else '-':>6}",
+              flush=True)
         for why in row["rpi_mismatches"]:
             print(f"  maximal_rpi mismatch: {why}")
     redundancy_ok = all(row["mismatches"] == 0 for row in rows)
     rpi_ok = all(not row["rpi_mismatches"] for row in rows)
-    ok = redundancy_ok and rpi_ok
+    feasible_ok = all(row["feasible_mismatches"] == 0 for row in rows)
+    ok = redundancy_ok and rpi_ok and feasible_ok
     total = sum(row["synth_s"] for row in rows)
     redundancy = ("every redundancy removal bitwise-identical to the serial "
                   "oracle" if redundancy_ok
                   else "MISMATCH against the serial redundancy oracle")
     rpi = ("every maximal RPI set set-equivalent to the textbook loop"
            if rpi_ok else "MISMATCH against the textbook maximal RPI loop")
-    print(f"total cold synthesis {total:.2f} s; {redundancy}; {rpi}")
+    feasible = ("every RMPC feasible set bitwise-identical to the two-prune "
+                "route" if feasible_ok
+                else "MISMATCH against the two-prune feasible-set route")
+    print(f"total cold synthesis {total:.2f} s; {redundancy}; {rpi}; "
+          f"{feasible}")
     if args.artifact:
         with open(args.artifact, "w") as fh:
             json.dump({

@@ -34,7 +34,7 @@ def rmpc_feasible_set(controller: RobustMPC) -> HPolytope:
 
     Each recursion step projects the lifted nominal one-step problem onto
     the state (Fourier–Motzkin), intersects with the matching tightened
-    constraint and prunes redundancy.
+    constraint and prunes redundancy once, on the intersection.
     """
     system = controller.system
     N = controller.horizon

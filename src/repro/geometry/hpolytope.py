@@ -10,6 +10,10 @@ Every operation that needs optimisation uses LPs through
 are closed-form (:meth:`HPolytope.support_batch`); nothing here depends
 on vertex enumeration except :meth:`HPolytope.vertices`, which is only
 used for reporting, sampling and exact 2-D Minkowski sums.
+Redundancy removal re-solves one warm HiGHS model row by row
+(:class:`repro.utils.lp.WarmRowModel`) and falls back to a cold LP for
+every row the warm solve cannot decide, so its result is the serial
+loop's bitwise (:meth:`HPolytope.remove_redundancies`).
 """
 
 from __future__ import annotations
@@ -19,7 +23,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.observability.metrics import registry as _telemetry
-from repro.utils.lp import LPError, lp_feasible, maximize, maximize_batch, solve_lp
+from repro.utils.lp import (
+    LPError,
+    WarmRowModel,
+    lp_feasible,
+    maximize,
+    maximize_batch,
+    solve_lp,
+)
 from repro.utils.validation import as_matrix, as_vector
 
 __all__ = ["HPolytope", "MembershipTester", "EmptySetError"]
@@ -29,14 +40,12 @@ __all__ = ["HPolytope", "MembershipTester", "EmptySetError"]
 # precision.
 DEFAULT_TOL = 1e-7
 
-#: Redundancy-removal LPs by ``phase`` (``screen`` / ``recheck``).
+#: Redundancy-removal LPs by ``phase`` (``warm`` / ``cold``).
 REDUNDANCY_LPS_METRIC = "geometry_redundancy_lps_total"
 
-#: How far the screen relaxes each block's own row (finite, so every
-#: block stays bounded in its objective), and the relative margin a
-#: screen maximum must clear to settle a row as essential.
-_SCREEN_RELAXATION = 1e3
-_SCREEN_MARGIN = 1e-6
+#: Relative margin a warm redundancy maximum must clear, above or below
+#: ``h_i + tol``, to decide its row without a cold LP.
+_DECISION_MARGIN = 1e-6
 
 #: ``linprog``'s status code of an unbounded LP (:attr:`LPError.status`).
 _UNBOUNDED = 3
@@ -487,44 +496,53 @@ class HPolytope:
         """Return an irredundant representation of the same set.
 
         A halfspace is redundant iff maximising its normal over the
-        remaining constraints (with the row itself relaxed) cannot exceed
-        its offset.  Near-duplicate rows are collapsed first
-        (:func:`_dedupe_rows`); then the rows are checked in order, each
-        against the rows still kept (the *serial loop*), so an earlier
-        removal widens every later check.
+        remaining constraints (with the row itself dropped) cannot exceed
+        its offset by more than ``tol``.  Near-duplicate rows are
+        collapsed first (:func:`_dedupe_rows`); then the rows are checked
+        in order, each against the rows still kept (the *serial loop*), so
+        an earlier removal widens every later check.
 
-        One stacked screen LP settles most rows first.  Block ``i`` of the
-        screen maximises ``H_i x`` over *every* row, with row ``i`` relaxed
-        to ``h_i + 1e3`` (finite, so no block is unbounded).  That region
-        lies inside every region the serial check of row ``i`` can use (a
-        subset of the other rows, row ``i`` dropped), so the screen maximum
-        is a lower bound on the serial one.  A row whose screen maximum
-        exceeds ``h_i + tol + 1e-6·(1 + |h_i|)`` is therefore essential and
-        the serial loop would keep it too; the relative margin absorbs both
-        solvers' own error.  Every other row — flagged, near the margin,
-        or all of them when the stacked LP fails (an empty set) — goes
-        through the unchanged serial loop, in the same order and with the
-        same running mask, so the result is exactly the serial loop's.
-        Each LP counts one ``geometry_redundancy_lps_total{phase}``
-        (``screen`` / ``recheck``).
+        The checks re-solve one warm HiGHS model over the deduplicated
+        rows (:class:`repro.utils.lp.WarmRowModel`): row ``i`` is freed,
+        the cost set to ``-H_i``, and the model re-run from the previous
+        basis; a dropped row keeps its ``+inf`` bound, which is the serial
+        loop's running mask.  The warm LP has the serial check's feasible
+        region and objective, so its optimum differs from the cold one
+        only by solver error.  A warm maximum above ``h_i + tol +
+        1e-6·(1 + |h_i|)`` therefore keeps the row and one below ``h_i +
+        tol - 1e-6·(1 + |h_i|)`` drops it, exactly as the cold check
+        would; an unbounded warm LP keeps the row, as the serial loop
+        does.  Every other row — a value inside the margin, an infeasible
+        or failed solve, a point that fails the residual check, or no
+        bundled core — is re-solved cold with the serial loop's own
+        ``maximize(H[i], H[mask], h[mask])``.  The result is the serial
+        loop's bitwise.  Each LP counts one
+        ``geometry_redundancy_lps_total{phase}`` (``warm`` / ``cold``).
         """
         H, h = _dedupe_rows(self.H, self.h)
-        essential = _screen_essential(H, h, tol)
         reg = _telemetry()
+        model = WarmRowModel.build(H, h) if len(h) > 1 else None
         keep = np.ones(len(h), dtype=bool)
-        for i in np.flatnonzero(~essential):
+        for i in range(len(h)):
             mask = keep.copy()
             mask[i] = False
             if not np.any(mask):
                 continue
-            reg.inc(REDUNDANCY_LPS_METRIC, phase="recheck")
-            try:
-                value = maximize(H[i], H[mask], h[mask]).value
-            except LPError:
-                # Unbounded without this row: the row is essential.
-                continue
-            if value <= h[i] + tol:
+            redundant = None
+            if model is not None:
+                reg.inc(REDUNDANCY_LPS_METRIC, phase="warm")
+                redundant = _warm_redundant(model.maximize_freed(i), h[i], tol)
+            if redundant is None:
+                reg.inc(REDUNDANCY_LPS_METRIC, phase="cold")
+                try:
+                    redundant = maximize(H[i], H[mask], h[mask]).value <= h[i] + tol
+                except LPError:
+                    # Unbounded without this row: the row is essential.
+                    redundant = False
+            if redundant:
                 keep[i] = False
+            elif model is not None:
+                model.restore(i)
         if np.all(keep):
             return HPolytope(H, h, normalize=False)
         return HPolytope(H[keep], h[keep], normalize=False)
@@ -790,24 +808,21 @@ def _axis_box_bounds(H: np.ndarray, h: np.ndarray):
     return lower, upper
 
 
-def _screen_essential(H: np.ndarray, h: np.ndarray, tol: float) -> np.ndarray:
-    """Rows the serial redundancy loop is sure to keep, from one stacked
-    LP (see :meth:`HPolytope.remove_redundancies` for why this is exact).
-
-    Returns all-False — every row left to the serial loop — for two rows
-    or fewer and when the stacked LP fails.
-    """
-    m = len(h)
-    if m <= 2:
-        return np.zeros(m, dtype=bool)
-    rhs = np.tile(h, (m, 1))
-    rhs[np.diag_indices(m)] += _SCREEN_RELAXATION
-    _telemetry().inc(REDUNDANCY_LPS_METRIC, phase="screen")
-    try:
-        values = maximize_batch(H, H, rhs)
-    except LPError:
-        return np.zeros(m, dtype=bool)
-    return values > h + tol + _SCREEN_MARGIN * (1.0 + np.abs(h))
+def _warm_redundant(outcome, offset: float, tol: float):
+    """The serial loop's decision for a row from its warm solve: True
+    (redundant), False (essential), or None when only a cold LP can tell
+    (see :meth:`HPolytope.remove_redundancies`)."""
+    if outcome.status == _UNBOUNDED:
+        return False
+    if not outcome.success:
+        return None
+    value = -outcome.fun
+    margin = _DECISION_MARGIN * (1.0 + abs(offset))
+    if value > offset + tol + margin:
+        return False
+    if value < offset + tol - margin:
+        return True
+    return None
 
 
 #: ``np.allclose``'s default relative tolerance, which both greedy row

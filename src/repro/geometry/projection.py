@@ -2,16 +2,19 @@
 
 The Pre-operator used for maximal robust control invariant sets needs the
 projection of ``{(x, u) : constraints}`` onto the ``x`` block.  We use
-classic Fourier–Motzkin elimination with LP-based redundancy pruning after
-each eliminated variable to keep the representation from exploding; for the
-low input dimensions of this library (``m`` = 1–2) this is fast and exact.
+classic Fourier–Motzkin elimination with LP-based redundancy pruning
+*between* eliminated variables to keep the representation from exploding;
+after the last elimination only duplicate rows are collapsed, because
+every caller intersects the projection with another set and prunes the
+intersection once.  For the low input dimensions of this library (``m`` =
+1–2) this is fast and exact.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry.hpolytope import HPolytope
+from repro.geometry.hpolytope import HPolytope, _dedupe_rows
 
 __all__ = ["eliminate_variable", "project_onto"]
 
@@ -63,15 +66,18 @@ def project_onto(poly: HPolytope, keep: int) -> HPolytope:
     """Project ``poly`` onto its first ``keep`` coordinates.
 
     Eliminates trailing variables one at a time, pruning redundant rows
-    after each elimination (Fourier–Motzkin can square the row count per
-    step, so pruning is essential beyond one variable).
+    between eliminations (Fourier–Motzkin can square the row count per
+    step, so pruning is essential beyond one variable).  After the last
+    elimination the rows are only deduplicated (:func:`_dedupe_rows`, the
+    first step of :meth:`HPolytope.remove_redundancies`): callers prune.
 
     Args:
         poly: Polytope over ``(x, y)`` with ``x`` the first ``keep`` axes.
         keep: Number of leading coordinates to keep (must be < dim).
 
     Returns:
-        The exact orthogonal projection as an :class:`HPolytope`.
+        The exact orthogonal projection as a deduplicated, possibly
+        redundant :class:`HPolytope`.
 
     Raises:
         ValueError: If ``keep`` is not in ``[1, dim)``.
@@ -85,6 +91,10 @@ def project_onto(poly: HPolytope, keep: int) -> HPolytope:
             # Projection is all of R^keep; encode as a huge box.
             big = 1e12
             return HPolytope.from_box([-big] * keep, [big] * keep)
-        pruned = HPolytope(H, h).remove_redundancies()
-        H, h = pruned.H, pruned.h
+        normalized = HPolytope(H, h)
+        if index > keep:
+            pruned = normalized.remove_redundancies()
+            H, h = pruned.H, pruned.h
+        else:
+            H, h = _dedupe_rows(normalized.H, normalized.h)
     return HPolytope(H, h, normalize=False)

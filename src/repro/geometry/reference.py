@@ -1,21 +1,26 @@
 """Serial reference implementations, kept as differential oracles.
 
-:meth:`repro.geometry.HPolytope.remove_redundancies` screens rows with one
-stacked LP and matches near-duplicate rows with a vectorised closeness
-matrix; both must return bitwise what the original loops below return.
-:func:`repro.invariance.rci.maximal_rpi` maps only the rows each step
-added; it must return a set equivalent to the textbook loop's
-(:func:`rpi_mismatch` states the contract).  These are verbatim copies of
-the original loops (the tests and ``benchmarks/bench_synthesis.py``
-compare against them); nothing in the library calls them.
+:meth:`repro.geometry.HPolytope.remove_redundancies` decides rows with
+warm re-solves of one HiGHS model (cold LPs only where a warm value is
+too close to call) and matches near-duplicate rows with a vectorised
+closeness matrix; both must return bitwise what the original loops below
+return.  :func:`repro.invariance.rci.maximal_rpi` maps only the rows each
+step added; it must return a set equivalent to the textbook loop's
+(:func:`rpi_mismatch` states the contract).  The feasible-set recursion
+and :func:`repro.invariance.rci.maximal_rci` prune once per Pre step,
+after intersecting; :func:`rmpc_feasible_set_two_prune` and
+:func:`maximal_rci_two_prune` also prune the projection first, as they
+used to.  These are verbatim copies of the original loops (the tests and
+``benchmarks/bench_synthesis.py`` compare against them); nothing in the
+library calls them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry.hpolytope import EmptySetError
-from repro.invariance.pre import pre_autonomous
+from repro.geometry.hpolytope import EmptySetError, HPolytope
+from repro.invariance.pre import pre_autonomous, pre_controllable
 from repro.invariance.rci import InvarianceResult, is_rpi
 from repro.utils.lp import LPError, maximize
 from repro.utils.validation import as_matrix
@@ -26,6 +31,10 @@ __all__ = [
     "unique_rows_serial",
     "maximal_rpi_reference",
     "rpi_mismatch",
+    "pre_controllable_two_prune",
+    "is_rci_two_prune",
+    "rmpc_feasible_set_two_prune",
+    "maximal_rci_two_prune",
 ]
 
 #: Set-equivalence contract of :func:`rpi_mismatch`: largest row
@@ -110,6 +119,72 @@ def maximal_rpi_reference(
     raise ValueError(
         f"maximal_rpi did not converge within {max_iterations} iterations"
     )
+
+
+def pre_controllable_two_prune(A, B, input_set, target, disturbance):
+    """:func:`repro.invariance.pre.pre_controllable` with the projection
+    pruned, as it was before callers took over the prune."""
+    return pre_controllable(A, B, input_set, target, disturbance).remove_redundancies()
+
+
+def rmpc_feasible_set_two_prune(controller):
+    """:func:`repro.controllers.feasible.rmpc_feasible_set` pruning each
+    Pre step twice: the projection, then its intersection with the
+    stage constraint."""
+    system = controller.system
+    N = controller.horizon
+    zero_disturbance = HPolytope.singleton(np.zeros(system.n))
+    current = controller.terminal_set.intersect(controller.tightened[N])
+    current = current.remove_redundancies()
+    for j in range(N):
+        pre = pre_controllable_two_prune(
+            system.A, system.B, system.input_set, current, zero_disturbance
+        )
+        stage = controller.tightened[N - j - 1]
+        current = pre.intersect(stage).remove_redundancies()
+        if current.is_empty():
+            raise ValueError(
+                "RMPC feasible set is empty — terminal set or tightening "
+                "is too restrictive"
+            )
+    return current
+
+
+def maximal_rci_two_prune(
+    A, B, constraint, input_set, disturbance, max_iterations: int = 50,
+    tol: float = 1e-7,
+):
+    """:func:`repro.invariance.rci.maximal_rci` pruning each Pre step
+    twice: the projection, then its intersection with the current set."""
+    A = as_matrix(A, "A")
+    B = as_matrix(B, "B")
+    current = constraint
+    for iteration in range(1, max_iterations + 1):
+        try:
+            pre = pre_controllable_two_prune(A, B, input_set, current, disturbance)
+            nxt = current.intersect(pre).remove_redundancies()
+        except EmptySetError:
+            raise ValueError(
+                "no robust control invariant subset exists"
+            ) from None
+        if nxt.is_empty():
+            raise ValueError("no robust control invariant subset exists")
+        if nxt.contains_polytope(current, tol):
+            return InvarianceResult(nxt, iteration, converged=True)
+        current = nxt
+    if is_rci_two_prune(A, B, current, input_set, disturbance, tol=max(tol, 1e-6)):
+        return InvarianceResult(current, max_iterations, converged=False)
+    raise ValueError(
+        f"maximal_rci did not converge within {max_iterations} iterations"
+    )
+
+
+def is_rci_two_prune(A, B, candidate, input_set, disturbance, tol: float = 1e-7):
+    """:func:`repro.invariance.rci.is_rci` against the pruned projection."""
+    pre = pre_controllable_two_prune(
+        as_matrix(A, "A"), as_matrix(B, "B"), input_set, candidate, disturbance
+    )
+    return pre.contains_polytope(candidate, tol)
 
 
 def _canonical_rows(poly) -> np.ndarray:

@@ -61,7 +61,10 @@ def pre_controllable(
         {(x, u) : H_T (A x + B u) <= h_T - support_W,  H_U u <= h_U},
 
     which Fourier–Motzkin eliminates exactly (input dimension is small in
-    every use of this library).
+    every use of this library).  The result is deduplicated but may hold
+    redundant rows (:func:`repro.geometry.project_onto`): every caller
+    intersects it with another set and prunes once, or only tests
+    containment.
     """
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")

@@ -29,7 +29,8 @@ added.  Each step maps only those rows and keeps a mapped row iff it cuts
 no row cuts; one redundancy removal then runs on the result.  The
 textbook loop, which maps and reduces the whole set every step, is kept
 as :func:`repro.geometry.reference.maximal_rpi_reference`, the
-differential oracle.
+differential oracle.  :func:`maximal_rci` prunes each step once, after
+intersecting ``Ω_k`` with the (deduplicated, unpruned) projection.
 """
 
 from __future__ import annotations

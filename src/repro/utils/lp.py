@@ -13,7 +13,10 @@ solve returns the bitwise-identical status, ``x`` and objective.
 The private core is imported behind a guard and checked against ``linprog``
 on a small LP at import; if it is missing or disagrees, a warning is logged
 and every solve goes through ``linprog`` (``lp_adapter_fallbacks_total``).
-Every solve counts one ``lp_solves_total{path=scalar|stacked|persistent}``.
+Every solve counts one ``lp_solves_total{path}``: ``scalar`` and
+``stacked`` for a cold solve, ``persistent`` for a warm κ_R stack
+(:mod:`repro.utils.lp_backends`), ``warm`` for a :class:`WarmRowModel`
+re-solve (redundancy removal).
 Variables are always free; the public wrappers raise :class:`LPError` on
 solver failure.
 """
@@ -37,6 +40,7 @@ __all__ = [
     "LPSolution",
     "LPMatrix",
     "LPOutcome",
+    "WarmRowModel",
     "highs_core",
     "solve_prepared",
     "solve_lp",
@@ -46,7 +50,7 @@ __all__ = [
     "maximize_batch",
 ]
 
-#: Solves by ``path`` (``scalar`` / ``stacked`` / ``persistent``).
+#: Solves by ``path`` (``scalar`` / ``stacked`` / ``persistent`` / ``warm``).
 LP_SOLVES_METRIC = "lp_solves_total"
 
 #: Solves routed through ``linprog`` because the core is unusable.
@@ -326,6 +330,78 @@ def solve_prepared(
         reg.inc(FALLBACK_METRIC, path=path)
         return _run_linprog(c, matrix, b_ub, b_eq)
     return core.solve(c, matrix, row_upper)
+
+
+class WarmRowModel:
+    """One HiGHS model over ``{x : H x <= h}``, re-solved warm with one row
+    freed at a time — the serial redundancy loop of
+    :meth:`repro.geometry.HPolytope.remove_redundancies`.
+
+    :meth:`maximize_freed` frees row ``i`` (``changeRowBounds(i, -inf,
+    inf)``), sets the cost to ``-H_i`` and re-runs from the previous
+    solve's basis, so only the first solve presolves and factorises from
+    scratch.  A freed row stays free until :meth:`restore` bounds it
+    again, so a row that is never restored is dropped from every later
+    solve.  The model is built on the checked bundled core with
+    ``linprog``'s options, and every optimum goes through ``linprog``'s
+    residual check against the bounds the model holds at the time (freed
+    rows at ``+inf``).  Each solve counts one
+    ``lp_solves_total{path="warm"}``.
+
+    A model mutates in place and belongs to one loop; nothing is shared
+    between instances.
+    """
+
+    __slots__ = ("_core", "_highs", "_H", "_h", "_row_upper", "_cols")
+
+    def __init__(self, core: "_Core", highs, H: np.ndarray, h: np.ndarray):
+        self._core, self._highs = core, highs
+        self._H, self._h = H, h
+        self._row_upper = h.copy()
+        self._cols = np.arange(H.shape[1], dtype=np.int32)
+
+    @classmethod
+    def build(cls, H, h) -> Optional["WarmRowModel"]:
+        """A model over ``H x <= h``, or None when the bundled core is
+        unusable, an offset is not finite or HiGHS rejects the model (the
+        cold route then solves, or fails, as ``linprog`` would)."""
+        H = np.asarray(H, dtype=float)
+        h = np.asarray(h, dtype=float)
+        core = _core
+        if core is None or not np.isfinite(h).all():
+            return None
+        highs, passed = core.model(
+            np.zeros(H.shape[1]), LPMatrix.from_blocks(H, None, H.shape[1]),
+            np.full(h.size, -np.inf), h,
+        )
+        if passed == core.error:
+            return None
+        return cls(core, highs, H, h)
+
+    def maximize_freed(self, i: int) -> LPOutcome:
+        """Minimise ``-H_i x`` with row ``i`` freed (so the maximum of
+        ``H_i x`` is ``-fun``), warm from the previous solve's basis.
+
+        Returns:
+            ``linprog``'s status, point and objective; status 4 when the
+            run fails or the point fails the residual check.
+        """
+        highs, core = self._highs, self._core
+        highs.changeRowBounds(i, -np.inf, np.inf)
+        self._row_upper[i] = np.inf
+        highs.changeColsCost(self._cols.size, self._cols, -self._H[i])
+        _telemetry().inc(LP_SOLVES_METRIC, path="warm")
+        failed = highs.run() == core.error
+        status = highs.getModelStatus()
+        if not failed and status == core.optimal:
+            return core._checked(highs, self._h.size, self._row_upper)
+        code = 4 if failed else core.status_map.get(status, 4)
+        return LPOutcome(code, None, None, highs.modelStatusToString(status))
+
+    def restore(self, i: int) -> None:
+        """Bound row ``i`` at ``h_i`` again (the row is kept)."""
+        self._highs.changeRowBounds(i, -np.inf, self._h[i])
+        self._row_upper[i] = self._h[i]
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Fast certified-set synthesis agrees bitwise with the serial loops.
 
-:meth:`HPolytope.remove_redundancies` screens rows with one stacked LP,
+:meth:`HPolytope.remove_redundancies` re-solves one warm HiGHS model row
+by row (cold LPs only for rows the warm solve cannot decide),
 ``_dedupe_rows``/``_unique_rows`` match rows with a vectorised closeness
 matrix, and :meth:`LPMatrix.stacked` assembles block-diagonal CSC arrays
 directly.  Each must return exactly what the code it replaced returns:
@@ -26,7 +27,14 @@ from repro.geometry.reference import (
     unique_rows_serial,
 )
 from repro.observability import metrics as obs
-from repro.utils.lp import LPError, LPMatrix, _as_csr_block, maximize
+from repro.utils import lp
+from repro.utils.lp import (
+    LP_SOLVES_METRIC,
+    LPError,
+    LPMatrix,
+    _as_csr_block,
+    maximize,
+)
 
 FAST = settings(max_examples=150, deadline=None)
 
@@ -116,30 +124,32 @@ class TestRemoveRedundancies:
             assert _same(result.H, ref_H) and _same(result.h, ref_h)
 
     @pytest.mark.parametrize("name", ["thermal", "lane_keeping"])
-    def test_synthesis_counts_screens_and_rechecks(self, name, monkeypatch):
-        """One screen per polytope with more than two (deduplicated) rows,
-        and fewer serial re-checks than input rows.  Thermal is 1-D, so
-        deduplication leaves at most two rows and nothing is screened;
-        lane_keeping (4-D) screens."""
-        seen = {"screenable": 0, "rows_in": 0}
+    def test_synthesis_counts_warm_and_cold(self, name, monkeypatch):
+        """Every redundancy LP of a zoo synthesis is a warm re-solve, one
+        per decided row: a polytope decides each of its deduplicated rows
+        but at most one (the last row, once every earlier one is
+        dropped, has nothing to be checked against).  None goes cold."""
+        seen = {"rows": 0, "at_least": 0}
         original = HPolytope.remove_redundancies
 
         def counting(self, tol=1e-9):
-            seen["rows_in"] += self.num_constraints
-            seen["screenable"] += len(_dedupe_rows(self.H, self.h)[1]) > 2
+            rows = len(_dedupe_rows(self.H, self.h)[1])
+            seen["rows"] += rows
+            seen["at_least"] += rows - 1
             return original(self, tol)
 
         monkeypatch.setattr(HPolytope, "remove_redundancies", counting)
         with obs.scoped_registry(enabled=False) as reg:
             scenarios.build_case_study(scenarios.get(name), use_cache=False)
-        screens = reg.value(REDUNDANCY_LPS_METRIC, phase="screen")
-        assert screens == seen["screenable"]
-        assert (screens > 0) == (name != "thermal")
-        assert reg.value(REDUNDANCY_LPS_METRIC, phase="recheck") < seen["rows_in"]
+        warm = reg.value(REDUNDANCY_LPS_METRIC, phase="warm")
+        assert reg.value(REDUNDANCY_LPS_METRIC, phase="cold") == 0
+        assert warm == reg.value(LP_SOLVES_METRIC, path="warm")
+        assert 0 < seen["at_least"] <= warm <= seen["rows"]
 
-    def test_failed_screen_leaves_every_row_to_the_loop(self):
-        """An empty set fails the stacked screen; the serial loop then
-        decides every row, as before."""
+    def test_empty_set_leaves_undecided_rows_cold(self):
+        """On an empty set the warm solves of the rows whose check region
+        is empty report infeasible; those rows go cold, as the serial loop
+        solves them, and the two unbounded checks keep their rows warm."""
         poly = HPolytope(
             np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
             np.array([1.0, -2.0, 1.0, 1.0]),
@@ -148,8 +158,52 @@ class TestRemoveRedundancies:
             fast = poly.remove_redundancies()
         ref_H, ref_h = remove_redundancies_serial(poly.H, poly.h)
         assert _same(fast.H, ref_H) and _same(fast.h, ref_h)
-        assert reg.value(REDUNDANCY_LPS_METRIC, phase="screen") == 1
-        assert reg.value(REDUNDANCY_LPS_METRIC, phase="recheck") == 4
+        assert reg.value(REDUNDANCY_LPS_METRIC, phase="warm") == 4
+        assert reg.value(REDUNDANCY_LPS_METRIC, phase="cold") == 2
+
+    def test_dropped_rows_stay_free_for_later_warm_solves(self):
+        """A dropped row keeps its ``+inf`` bound in the residual check
+        too: after rows 0 and 5 are dropped, every later optimum lies
+        outside them, and each row is still decided warm."""
+        poly = HPolytope(
+            np.array([[1.0, 1.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
+                      [0.0, -1.0], [1.0, -1.0]]),
+            np.array([5.0, 1.0, 1.0, 1.0, 1.0, 5.0]),
+        )
+        with obs.scoped_registry() as reg:
+            fast = poly.remove_redundancies()
+        ref_H, ref_h = remove_redundancies_serial(poly.H, poly.h)
+        assert _same(fast.H, ref_H) and _same(fast.h, ref_h)
+        assert fast.num_constraints == 4
+        assert reg.value(REDUNDANCY_LPS_METRIC, phase="warm") == 6
+        assert reg.value(REDUNDANCY_LPS_METRIC, phase="cold") == 0
+        assert reg.value(LP_SOLVES_METRIC, path="scalar") == 0
+
+    def test_without_core_every_row_goes_cold(self, monkeypatch):
+        """With no bundled core there is no warm model: every decided row
+        is one cold LP (through ``linprog``), and the result is still the
+        serial loop's bitwise."""
+        monkeypatch.setattr(lp, "_core", None)
+        cases = [
+            (HPolytope(
+                np.array([[1.0, 1.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
+                          [0.0, -1.0], [1.0, -1.0]]),
+                np.array([5.0, 1.0, 1.0, 1.0, 1.0, 5.0]),
+            ), 6),
+            (HPolytope(
+                np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                np.array([1.0, -2.0, 1.0, 1.0]),
+            ), 4),
+            (HPolytope(np.array([[1.0, 0.0]]), np.array([1.0])), 0),
+        ]
+        for poly, decided in cases:
+            with obs.scoped_registry() as reg:
+                fast = poly.remove_redundancies()
+            ref_H, ref_h = remove_redundancies_serial(poly.H, poly.h)
+            assert _same(fast.H, ref_H) and _same(fast.h, ref_h)
+            assert reg.value(REDUNDANCY_LPS_METRIC, phase="warm") == 0
+            assert reg.value(REDUNDANCY_LPS_METRIC, phase="cold") == decided
+            assert reg.value(LP_SOLVES_METRIC, path="warm") == 0
 
 
 @st.composite
