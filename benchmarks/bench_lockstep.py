@@ -28,19 +28,13 @@ Two controller configurations are timed:
   engine overhead: it is where lockstep's single-core speedup shows,
   while fork-based parallelism pays overhead on a single-CPU container.
 * ``rmpc`` — the paper's robust MPC κ_R.  Lockstep stacks the per-step
-  Eq.-5 LPs of all running episodes into one sparse block-diagonal HiGHS
-  solve (``RobustMPC.solve_batch``, warm-started by default); the
-  ``lockstep-exact`` row times the ``exact_solves=True`` audit mode,
-  which keeps the scalar path and so bounds what the engine alone buys.
-
-A third section times the *LP backends* head to head on the stacked
-κ_R solve itself (``--warm-steps N``): the same receding-horizon batch
-sequence is solved cold (``scipy``: a fresh stacked ``solve_lp_batch``
-per step, which re-factorises from scratch) and warm (``highs``, the
-default: each step only rewrites the initial-state equality RHS and
-reuses the incumbent basis).  The row is judged by *solve time per
-lockstep step*; both backends must attain identical per-step total
-optimal cost (plan-equivalent tier).
+  Eq.-5 LPs of the monitor-forced episodes into one sparse
+  block-diagonal HiGHS solve (``RobustMPC.solve_batch``, warm-started on
+  one padded persistent model); the ``lockstep-exact`` row times the
+  ``exact_solves=True`` audit mode, which keeps the scalar path and so
+  bounds what the engine alone buys.  Every lockstep row records its
+  persistent-model builds and cold/warm persistent solves
+  (``persistent``), read from the registry like the stage breakdown.
 
 The whole benchmark runs under an enabled metrics registry, so every
 lockstep row also carries its per-stage wall-clock breakdown
@@ -100,6 +94,17 @@ def _stage_totals() -> dict:
             reg.total("lockstep_stage_calls", stage=stage),
         )
         for stage in STAGES
+    }
+
+
+def _persistent_totals() -> dict:
+    """Cumulative persistent-model builds and cold/warm persistent solves
+    in the ambient registry."""
+    reg = _obs.registry()
+    return {
+        "model_builds": reg.total("lp_persistent_model_builds_total"),
+        "cold_solves": reg.total("lp_persistent_solves_total", start="cold"),
+        "warm_solves": reg.total("lp_persistent_solves_total", start="warm"),
     }
 
 
@@ -219,9 +224,14 @@ def _run_benchmark(
             )
         for engine, runner, contract, result, seconds in engines:
             before = _stage_totals()
+            lp_before = _persistent_totals()
             if result is None:
                 result, seconds = timed(runner)
             stages = _stage_breakdown(before, _stage_totals())
+            persistent = {
+                key: value - lp_before[key]
+                for key, value in _persistent_totals().items()
+            }
             identical = result.deterministic_records() == reference
             if contract == "bitwise":
                 ok = identical
@@ -250,6 +260,7 @@ def _run_benchmark(
                 "equivalence": equivalence,
             }
             if engine.startswith("lockstep"):
+                row["persistent"] = persistent
                 row["profile"] = stages
                 row["missing_stages"] = [
                     stage for stage in STAGES if stage not in stages
@@ -261,82 +272,6 @@ def _run_benchmark(
         "seed": seed,
         "cpus": visible_cpus(),
         "machine": machine_info(),
-        "rows": rows,
-    }
-
-
-def run_warm_start_benchmark(
-    episodes: int,
-    steps: int,
-    seed: int,
-    case=None,
-) -> dict:
-    """Solve-time per lockstep step of the stacked κ_R solve, per backend.
-
-    Materialises one nominal receding-horizon state sequence (each step's
-    batch is the previous step's planned next states), then times each
-    backend over the *identical* sequence — so the scipy row pays a cold
-    stacked solve per step while the highs row warm-starts from the
-    previous basis, and their per-step total costs must agree within the
-    plan-equivalent tolerance.
-
-    Returns:
-        Dict with per-backend rows (seconds,
-        solve-ms/step, speedup over scipy, max per-step cost deviation,
-        ``ok``) and the workload shape.
-    """
-    if case is None:
-        case = build_case_study()
-    mpc = case.mpc
-    states = case.sample_initial_states(np.random.default_rng(seed), episodes)
-
-    # Reference rollout (scipy): fixes the batches both backends solve
-    # and the per-step total optimal costs they must both attain.
-    default_backend = mpc.lp_backend
-    mpc.set_lp_backend("scipy")
-    sequence = [states]
-    reference_costs = []
-    for _ in range(steps):
-        solutions = mpc.solve_batch(sequence[-1])
-        reference_costs.append(sum(sol.cost for sol in solutions))
-        sequence.append(np.stack([sol.states[1] for sol in solutions]))
-    sequence = sequence[:steps]
-    tol = 1e-8 * max(1, episodes)
-
-    rows = []
-    scipy_seconds = None
-    for backend in ("scipy", "highs"):
-        mpc.set_lp_backend(backend)
-        mpc.reset()  # cold start for every timed row
-        max_cost_diff = 0.0
-        tick = time.perf_counter()
-        for step_states, reference in zip(sequence, reference_costs):
-            solutions = mpc.solve_batch(step_states)
-            max_cost_diff = max(
-                max_cost_diff,
-                abs(sum(sol.cost for sol in solutions) - reference),
-            )
-        seconds = time.perf_counter() - tick
-        if backend == "scipy":
-            scipy_seconds = seconds
-        rows.append(
-            {
-                "backend": backend,
-                "seconds": seconds,
-                "solve_ms_per_step": 1e3 * seconds / steps,
-                "speedup_vs_scipy": scipy_seconds / seconds,
-                "warm_solves": mpc._persistent_solver().warm_solves,
-                "max_cost_diff": max_cost_diff,
-                "ok": max_cost_diff <= tol,
-            }
-        )
-    mpc.set_lp_backend(default_backend)
-    mpc.reset()
-    return {
-        "episodes": episodes,
-        "steps": steps,
-        "seed": seed,
-        "cost_tolerance": tol,
         "rows": rows,
     }
 
@@ -355,11 +290,6 @@ def main(argv=None) -> int:
         "--controllers", nargs="+", default=["linear", "rmpc"],
         choices=["linear", "rmpc"],
         help="controller configurations to bench",
-    )
-    parser.add_argument(
-        "--warm-steps", type=int, default=8, dest="warm_steps",
-        help="lockstep steps for the LP-backend warm-start section "
-             "(0 disables)",
     )
     parser.add_argument(
         "--artifact", default="BENCH_lockstep.json",
@@ -396,24 +326,14 @@ def main(argv=None) -> int:
             for stage, data in row["profile"].items()
         )
         print(f"{row['controller']:<11} {row['engine']:<15} {breakdown}")
-    if args.warm_steps > 0 and "rmpc" in args.controllers:
-        warm = run_warm_start_benchmark(
-            args.episodes, args.warm_steps, args.seed
-        )
-        report["warm_start"] = warm
-        print(
-            f"\nwarm-start (stacked κ_R solve, {warm['episodes']} episodes x "
-            f"{warm['steps']} steps)"
-        )
-        print(
-            f"{'backend':<8} {'sec':>8} {'solve ms/step':>14} "
-            f"{'vs scipy':>9} {'ok':>5}"
-        )
-        for row in warm["rows"]:
+    for row in report["rows"]:
+        persistent = row.get("persistent", {})
+        if any(persistent.values()):
             print(
-                f"{row['backend']:<8} {row['seconds']:>8.2f} "
-                f"{row['solve_ms_per_step']:>14.1f} "
-                f"{row['speedup_vs_scipy']:>8.2f}x {str(row['ok']):>5}"
+                f"{row['controller']:<11} {row['engine']:<15} persistent "
+                f"model builds {persistent['model_builds']:.0f}, solves "
+                f"{persistent['cold_solves']:.0f} cold / "
+                f"{persistent['warm_solves']:.0f} warm"
             )
     for path in (args.artifact, args.json):
         if path:
@@ -421,13 +341,6 @@ def main(argv=None) -> int:
                 json.dump(report, handle, indent=2)
             print(f"report written to {path}")
     failed = False
-    for row in report.get("warm_start", {}).get("rows", ()):
-        if not row["ok"]:
-            failed = True
-            print(
-                f"ERROR: warm-start backend {row['backend']} deviated from "
-                f"the reference costs (max diff {row['max_cost_diff']:.2e})"
-            )
     for row in report["rows"]:
         if not row["ok"]:
             failed = True

@@ -16,24 +16,18 @@ the initial-state equality right-hand side, into a per-call copy.
 
 Batch solving: :meth:`RobustMPC.solve_batch` stacks the ``k`` per-state
 Eq.-5 problems into one block-diagonal HiGHS solve — the blocks share
-every matrix and differ only in the initial-state equality RHS.  How
-the stack is solved is this controller's own setting — its
-``lp_backend`` (``auto|highs|scipy``, see :mod:`repro.utils.lp_backends`;
-changed with :meth:`RobustMPC.set_lp_backend`).  No run or call
-overrides it:
-
-* ``highs`` (the default) — warm: a
-  :class:`~repro.utils.lp_backends.PersistentStackSolver` owned by this
-  controller keeps the stacked model in a persistent HiGHS instance per
-  batch size, only rewrites the initial-state rows between calls, and
-  starts each call from the previous call's basis.
-  :meth:`RobustMPC.reset` drops the models, and every engine run starts
-  with ``reset()``, so a run's plans depend only on its own batches (a
-  sharded ``jobs=k`` sweep equals ``jobs=1``).
-* ``scipy`` / ``auto`` — cold: one fresh stacked
-  :func:`repro.utils.lp.solve_lp_batch` per call, which returns exactly
-  what ``linprog`` would.  Without the bundled HiGHS core every request
-  resolves to this path.
+every matrix and differ only in the initial-state equality RHS.  There
+is one stacked route: a
+:class:`~repro.utils.lp_backends.PersistentStackSolver` owned by this
+controller keeps the stack in one padded persistent HiGHS model, only
+rewrites the initial-state rows between calls, and starts each call
+from the previous call's basis — whatever the batch size, which drifts
+from step to step because κ_R runs only on the rows the monitor forces.
+:meth:`RobustMPC.reset` drops the model, and every engine run starts
+with ``reset()``, so a run's plans depend only on its own batches (a
+sharded ``jobs=k`` sweep equals ``jobs=1``).  A one-row batch, and every
+batch when the bundled HiGHS core is unavailable, runs the scalar
+:meth:`RobustMPC.solve` per row instead.
 
 Each block attains exactly the scalar optimum *value*, but when an LP has
 multiple optimal vertices the stacked solve may return a different one
@@ -41,8 +35,7 @@ than ``k`` scalar solves would (and a warm-started solve a different one
 than a cold one) — the *plan-equivalent* tier of the determinism contract
 (see :mod:`repro.framework.lockstep`), which is why the class declares
 ``bitwise_batch = False``.  The scalar path (and with it the
-``exact_solves=True`` audit tier) is always the cold solve and is
-therefore backend-invariant.
+``exact_solves=True`` audit tier) is always the cold solve.
 
 Thread-safety contract: after construction, the scalar solve paths
 treat the assembled LP data as read-only (right-hand sides are modified
@@ -74,17 +67,8 @@ from repro.geometry import HPolytope
 from repro.invariance.rci import maximal_rpi
 from repro.observability.metrics import registry as _telemetry
 from repro.systems.lti import DiscreteLTISystem
-from repro.utils.lp import (
-    LPError,
-    LPMatrix,
-    solve_lp_batch,
-    solve_prepared,
-)
-from repro.utils.lp_backends import (
-    BACKENDS,
-    PersistentStackSolver,
-    resolve_backend,
-)
+from repro.utils.lp import LPError, LPMatrix, highs_core, solve_prepared
+from repro.utils.lp_backends import PersistentStackSolver
 from repro.utils.validation import as_vector
 
 __all__ = [
@@ -149,10 +133,6 @@ class RobustMPC(Controller):
             set.  When None, an LQR gain with identity weights is used.
         tighten_with_closed_loop: If True, propagate the disturbance with
             ``A + B K`` (Chisci) instead of the paper's open-loop ``A``.
-        lp_backend: Stacked-solve backend request — ``"highs"``
-            (default) for the warm-started solve, ``"scipy"`` or
-            ``"auto"`` for the cold one.  Scalar solves are always cold
-            (see the module docstring).
     """
 
     #: A stacked :meth:`solve_batch` may return a different optimal vertex
@@ -170,15 +150,9 @@ class RobustMPC(Controller):
         terminal_set: Optional[HPolytope] = None,
         tube_gain=None,
         tighten_with_closed_loop: bool = False,
-        lp_backend: str = "highs",
     ):
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if lp_backend not in BACKENDS:
-            raise ValueError(
-                f"lp_backend must be one of {BACKENDS}, got {lp_backend!r}"
-            )
-        self.lp_backend = lp_backend
         self.system = system
         self.horizon = int(horizon)
         self.state_weight = float(state_weight)
@@ -352,20 +326,6 @@ class RobustMPC(Controller):
         _telemetry().inc("rmpc_solves_total", path="scalar")
         return self._unpack(res.x, res.fun)
 
-    def set_lp_backend(self, backend: str) -> None:
-        """Re-select the stacked-solve backend (``auto|highs|scipy``).
-
-        Sticky: the setting persists until changed again, and every
-        :meth:`solve_batch` uses it — the execution engines never
-        override it.  An already-built persistent solver is kept
-        (switching back to ``highs`` reuses its warm-started models).
-        """
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"lp_backend must be one of {BACKENDS}, got {backend!r}"
-            )
-        self.lp_backend = backend
-
     def _persistent_solver(self) -> PersistentStackSolver:
         """The calling thread's persistent HiGHS solver, built on first
         use."""
@@ -388,11 +348,12 @@ class RobustMPC(Controller):
 
         The ``k`` per-state problems share every constraint matrix and
         differ only in the initial-state equality RHS, so they stack
-        into a single block-diagonal solve, warm or cold as the
-        controller's ``lp_backend`` setting says (see the module
-        docstring).  Each returned plan attains exactly the scalar
-        optimum value; the optimal vertex may differ when the LP is
-        degenerate (plan-equivalent tier).  Counts ``k`` solves.
+        into a single block-diagonal solve on this thread's persistent
+        model (see the module docstring).  Each returned plan attains
+        exactly the scalar optimum value; the optimal vertex may differ
+        when the LP is degenerate (plan-equivalent tier).  Counts ``k``
+        solves.  A one-row batch, or any batch without the bundled
+        HiGHS core, is ``k`` scalar :meth:`solve` calls.
 
         If the stacked solve fails — any single infeasible state sinks
         the whole stack, and the solver does not say which block — the
@@ -400,9 +361,9 @@ class RobustMPC(Controller):
         exactly: the raised :class:`RMPCInfeasibleError` names its
         state.  Accounting stays consistent under the fallback: the
         failed stacked attempt counts zero (it produced no plans) and
-        each successful scalar re-solve counts one, under both backends.
-        A failed warm attempt also drops the persistent models, so the
-        next call solves as a freshly built controller would.
+        each successful scalar re-solve counts one.  A failed stacked
+        attempt also drops the persistent model, so the next call
+        solves as a freshly built controller would.
 
         Returns:
             ``k`` :class:`RMPCSolution`, aligned with the input rows.
@@ -416,55 +377,28 @@ class RobustMPC(Controller):
         if X.shape[1] != self.system.n:
             raise ValueError("state dimension mismatch")
         k = X.shape[0]
-        stacked_backend = None
-        try:
-            if k > 1 and resolve_backend(self.lp_backend) == "highs":
-                # Persistent warm-started stack: only the initial-state
-                # equality RHS is rewritten between calls.  All-or-
-                # nothing: a failed chunk discards every chunk's result
-                # before the fallback, so nothing is counted twice.
-                stacked_backend = "highs"
+        if k > 1 and highs_core() is not None:
+            # All-or-nothing: a failed chunk discards every chunk's
+            # result before the fallback, so nothing is counted twice.
+            try:
                 solutions = self._persistent_solver().solve_batch(X)
+            except LPError:
+                _telemetry().inc("rmpc_stacked_fallbacks_total")
             else:
-                # k == 1 delegates to the scalar solver inside
-                # solve_lp_batch (bitwise with solve()) regardless of
-                # backend, so the single-row contract is backend-free.
-                if k > 1:
-                    stacked_backend = "scipy"
-                b_eq = np.tile(self._b_eq, (k, 1))
-                b_eq[:, self._x0_rows] = X
-                solutions = solve_lp_batch(
-                    np.tile(self._cost, (k, 1)),
-                    self._A_ub,
-                    self._b_ub,
-                    a_eq=self._A_eq,
-                    b_eq=b_eq,
-                )
-        except LPError:
-            # Scalar fallback: re-solve row by row so the infeasibility
-            # (or numerical failure) is attributed to the exact episode.
-            # solve() does the per-row counting; the failed stacked
-            # attempt deliberately counts nothing.
-            _telemetry().inc("rmpc_stacked_fallbacks_total")
-            out = []
-            for i, x in enumerate(X):
-                try:
-                    out.append(self.solve(x))
-                except RMPCInfeasibleError as exc:
-                    raise RMPCInfeasibleError(
-                        f"batch row {i}: {exc}"
-                    ) from None
-            return out
-        self._solve_count += k
-        if stacked_backend is None:
-            # k == 1 took the scalar solver inside solve_lp_batch.
-            _telemetry().inc("rmpc_solves_total", path="scalar")
-        else:
-            _telemetry().inc(
-                "rmpc_solves_total", k, path="stacked", backend=stacked_backend
-            )
-            _telemetry().observe("rmpc_stacked_batch_size", k)
-        return [self._unpack(sol.x, sol.value) for sol in solutions]
+                self._solve_count += k
+                _telemetry().inc("rmpc_solves_total", k, path="stacked")
+                _telemetry().observe("rmpc_stacked_batch_size", k)
+                return [self._unpack(sol.x, sol.value) for sol in solutions]
+        # Scalar rows: one row, no core, or a failed stack — re-solved
+        # row by row so an infeasibility (or numerical failure) is
+        # attributed to the exact episode.  solve() does the counting.
+        out = []
+        for i, x in enumerate(X):
+            try:
+                out.append(self.solve(x))
+            except RMPCInfeasibleError as exc:
+                raise RMPCInfeasibleError(f"batch row {i}: {exc}") from None
+        return out
 
     def compute(self, state) -> np.ndarray:
         """κ_R(x): first input of the optimal plan (receding horizon)."""
@@ -502,7 +436,7 @@ class RobustMPC(Controller):
 
     def reset(self) -> None:
         """Zero the accounting and drop the calling thread's persistent
-        models, so the next run's plans do not depend on earlier runs."""
+        model, so the next run's plans do not depend on earlier runs."""
         solver = getattr(self._persistent, "solver", None)
         if solver is not None:
             solver.release()

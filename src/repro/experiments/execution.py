@@ -46,9 +46,8 @@ class ExecutionConfig:
             ``"parallel"`` engine it is the per-case fan-out width.
         exact_solves: Lockstep only — keep MPC solves on the scalar path
             for record-for-record parity with the serial engine instead
-            of the plan-equivalent stacked solve.  How a stacked batch
-            is solved is each controller's own setting, not a run
-            option (see :mod:`repro.utils.lp_backends`).
+            of the plan-equivalent stacked solve (the one stacked
+            route; see :mod:`repro.utils.lp_backends`).
         shard: ``"cell"`` — fan whole grid cells out over
             :func:`repro.utils.parallel.fork_map` workers;
             ``"none"`` — evaluate cells sequentially in-process (``jobs``

@@ -51,7 +51,6 @@ CSV_COLUMNS = (
     "solve_count",
     "stacked_solves",
     "scalar_solves",
-    "lp_backend_used",
 )
 
 _INT_COLUMNS = frozenset(
@@ -60,7 +59,6 @@ _INT_COLUMNS = frozenset(
 )
 _BOOL_COLUMNS = frozenset({"exact_solves", "safe"})
 _STR_COLUMNS = frozenset({"key", "scenario", "point", "approach", "engine"})
-_OPT_STR_COLUMNS = frozenset({"lp_backend_used"})
 
 #: Wall-clock-derived columns excluded from determinism comparisons.
 TIMING_COLUMNS = frozenset({"mean_controller_ms", "mean_monitor_ms"})
@@ -74,7 +72,7 @@ EXECUTION_COLUMNS = frozenset({"engine", "exact_solves"})
 #: engine performs one by one — so they are excluded from the
 #: deterministic comparison view too.
 SOLVER_COLUMNS = frozenset(
-    {"solve_count", "stacked_solves", "scalar_solves", "lp_backend_used"}
+    {"solve_count", "stacked_solves", "scalar_solves"}
 )
 
 
@@ -90,7 +88,7 @@ class ApproachResult:
         mean_monitor_ms: Mean monitor+Ω wall-clock per step [ms].
         solver: Solver-effort summary for this approach's leg
             (``solve_count``, ``scalar_solves``, ``stacked_solves``,
-            ``stacked_fallbacks``, ``lp_backend``), measured from the
+            ``stacked_fallbacks``), measured from the
             always-on telemetry counters — or ``None`` when the
             controller performs no LP solves (linear feedback κ).
     """
@@ -212,7 +210,6 @@ class CellResult:
                     "solve_count": solver.get("solve_count"),
                     "stacked_solves": solver.get("stacked_solves"),
                     "scalar_solves": solver.get("scalar_solves"),
-                    "lp_backend_used": solver.get("lp_backend"),
                 }
             )
         return rows
@@ -494,8 +491,6 @@ def _parse_csv_field(column: str, value: str):
         return value
     if value == "":
         return None
-    if column in _OPT_STR_COLUMNS:
-        return value
     if column in _INT_COLUMNS:
         return int(value)
     if column in _BOOL_COLUMNS:

@@ -47,7 +47,6 @@ def _solver_probe() -> tuple:
         reg.total("rmpc_solves_total"),
         reg.total("rmpc_solves_total", path="scalar"),
         reg.total("rmpc_solves_total", path="stacked"),
-        reg.total("rmpc_solves_total", path="stacked", backend="highs"),
         reg.total("rmpc_stacked_fallbacks_total"),
     )
 
@@ -55,15 +54,12 @@ def _solver_probe() -> tuple:
 def _effort_dict(delta: tuple) -> dict:
     """A probe delta as the solver-effort mapping the result layer
     surfaces per approach (see ``ApproachResult.solver``)."""
-    total, scalar, stacked, highs, fallbacks = delta
+    total, scalar, stacked, fallbacks = delta
     return {
         "solve_count": total,
         "scalar_solves": scalar,
         "stacked_solves": stacked,
         "stacked_fallbacks": fallbacks,
-        "lp_backend": (
-            ("highs" if highs > 0 else "scipy") if stacked > 0 else None
-        ),
     }
 
 
@@ -114,17 +110,16 @@ def paired_evaluation(
         exact_solves: Lockstep only — keep the scalar path for
             non-bitwise (stacked LP) controllers so results match the
             serial engine record for record; the default stacked path is
-            plan-equivalent (see :mod:`repro.framework.lockstep`).  How
-            a stacked batch is solved is the controller's own setting;
-            the serial/parallel engines and ``exact_solves`` audits
-            always run scalar solves.
+            plan-equivalent (see :mod:`repro.framework.lockstep`).  The
+            serial/parallel engines and ``exact_solves`` audits always
+            run scalar solves.
         collect_timing: Lockstep only — ``False`` skips per-row
             wall-clock collection (timing-derived metrics read zero;
             everything else is bitwise-unchanged).
         solver_effort: Optional out-parameter: pass a dict and it is
             filled with approach name → solver-effort mapping
             (``solve_count``, ``scalar_solves``, ``stacked_solves``,
-            ``stacked_fallbacks``, ``lp_backend``) measured as
+            ``stacked_fallbacks``) measured as
             before/after deltas of the always-on telemetry counters —
             or ``None`` per approach when the controller has no
             ``solve_count`` (closed-form κ evaluations are not LP

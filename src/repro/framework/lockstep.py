@@ -104,9 +104,7 @@ def _batch_compute_fn(controller: Controller, exact_solves: bool):
     ``exact_solves`` only changes anything for controllers that declare
     ``bitwise_batch = False``: their stacked batch path is swapped for
     the row-by-row scalar reference, restoring bitwise parity with the
-    serial engine.  How a stacked batch is solved is the controller's
-    own choice (e.g. :meth:`~repro.controllers.rmpc.RobustMPC.
-    set_lp_backend`); the engine never overrides it.
+    serial engine.
     """
     if exact_solves and not getattr(controller, "bitwise_batch", True):
         return controller.compute_rowwise

@@ -274,9 +274,7 @@ class BatchRunner:
             row-by-row scalar path, trading the stacked-solve speedup
             for bitwise record-for-record parity with the serial engine
             (the default stacked path is *plan-equivalent*; see the
-            two-tier contract in :mod:`repro.framework.lockstep`).  How
-            a stacked batch is solved is the controller's own setting
-            (:meth:`~repro.controllers.rmpc.RobustMPC.set_lp_backend`).
+            two-tier contract in :mod:`repro.framework.lockstep`).
         collect_timing: Lockstep only — maintain the per-row amortised
             wall-clock arrays (the default).  ``False`` skips every
             ``perf_counter`` call; the timing record fields read zero

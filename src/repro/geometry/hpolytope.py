@@ -764,16 +764,31 @@ class MembershipTester:
         )
 
 
+#: Rows whose normal is shorter than this are ``0·x <= h``: trivially
+#: true (dropped) for ``h >= 0``, empty by construction for ``h < 0``.
+_ZERO_ROW_NORM = 1e-14
+
+
+def _trivial_rows(H: np.ndarray, h: np.ndarray) -> tuple:
+    """``(norms, zero)``: the row norms of ``H`` and the mask of its
+    ``0·x <= h`` rows.
+
+    Raises:
+        EmptySetError: If a zero row has ``h < 0``.
+    """
+    norms = np.linalg.norm(H, axis=1)
+    zero = norms < _ZERO_ROW_NORM
+    if np.any(zero & (h < -1e-12)):
+        raise EmptySetError(
+            "constraint 0.x <= h with h < 0 (empty by construction)"
+        )
+    return norms, zero
+
+
 def _normalize_rows(H: np.ndarray, h: np.ndarray) -> tuple:
     """Unit-normalise constraint rows, dropping trivially true zero rows."""
-    norms = np.linalg.norm(H, axis=1)
-    zero = norms < 1e-14
+    norms, zero = _trivial_rows(H, h)
     if np.any(zero):
-        bad = zero & (h < -1e-12)
-        if np.any(bad):
-            raise EmptySetError(
-                "constraint 0.x <= h with h < 0 (empty by construction)"
-            )
         H = H[~zero]
         h = h[~zero]
         norms = norms[~zero]

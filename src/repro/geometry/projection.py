@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry.hpolytope import HPolytope, _dedupe_rows
+from repro.geometry.hpolytope import HPolytope, _dedupe_rows, _trivial_rows
 
 __all__ = ["eliminate_variable", "project_onto"]
 
@@ -81,14 +81,17 @@ def project_onto(poly: HPolytope, keep: int) -> HPolytope:
 
     Raises:
         ValueError: If ``keep`` is not in ``[1, dim)``.
+        EmptySetError: If an elimination leaves a row ``0·x <= c`` with
+            ``c < 0``.
     """
     if not 1 <= keep < poly.dim:
         raise ValueError(f"keep must be in [1, {poly.dim}), got {keep}")
     H, h = poly.H.copy(), poly.h.copy()
     for index in range(poly.dim - 1, keep - 1, -1):
         H, h = eliminate_variable(H, h, index)
-        if H.shape[0] == 0:
-            # Projection is all of R^keep; encode as a huge box.
+        if _trivial_rows(H, h)[1].all():
+            # No non-trivial row is left: the projection is all of
+            # R^keep; encode it as a huge box.
             big = 1e12
             return HPolytope.from_box([-big] * keep, [big] * keep)
         normalized = HPolytope(H, h)

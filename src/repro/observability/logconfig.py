@@ -5,7 +5,7 @@ Logger namespace
 Every module logs under ``repro.<package>.<module>`` via the idiomatic
 ``logging.getLogger(__name__)`` — e.g. ``repro.scenarios.builder``
 (certified-set synthesis / cache activity), ``repro.utils.lp_backends``
-(LP backend resolution and persistent-model builds),
+(persistent-model builds),
 ``repro.experiments.runner`` (grid-cell progress), and ``repro.cli``.
 Attaching a handler to the root ``"repro"`` logger captures all of
 them; nothing is emitted by default (the namespace inherits the

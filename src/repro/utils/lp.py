@@ -502,10 +502,11 @@ def solve_lp_batch(
 
     The stack is built sparse (memory ``O(k · nnz)``) as a combined CSC
     :class:`LPMatrix`, fresh per call (tens of µs: the one-block CSC
-    tiled ``k`` times).  Repeated solves over the same shared matrices
-    that differ only in equality right-hand sides — the RMPC's per-step
-    pattern — go through
-    :class:`~repro.utils.lp_backends.PersistentStackSolver` instead.
+    tiled ``k`` times), which suits one-off stacks such as synthesis's
+    :func:`maximize_batch`.  The RMPC's per-step stacks, which differ
+    only in equality right-hand sides from call to call, are solved
+    warm on a :class:`~repro.utils.lp_backends.PersistentStackSolver`
+    instead.
 
     Because the blocks are fully decoupled, the stacked optimum restricted
     to block ``i`` attains exactly the optimal *value* of problem ``i``

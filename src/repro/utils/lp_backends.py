@@ -1,33 +1,29 @@
 """The warm-started persistent stacked solve behind
 :meth:`repro.controllers.rmpc.RobustMPC.solve_batch`.
 
-A :class:`PersistentStackSolver` keeps one HiGHS model (on scipy's bundled
-core, :mod:`repro.utils.lp`) per chunk size.  Each solve only rewrites the
-varying equality rows (``changeRowBounds``) and re-runs from the previous
-solve's basis — across lockstep steps the stack changes in nothing else.
-A warm solve attains the cold optimal cost but may land on a different
-optimal *vertex* of a degenerate LP (the plan-equivalent tier of
-:mod:`repro.framework.lockstep`).
-
-A backend *request* (``"auto"``, ``"highs"`` or ``"scipy"``) is set per
-controller only — ``RobustMPC``'s ``lp_backend`` argument or
-``RobustMPC.set_lp_backend``; no run, call or CLI option overrides it —
-and :func:`resolve_backend` maps it to the effective backend:
-
-* ``"highs"`` (the RMPC default) — warm, on a :class:`PersistentStackSolver`.
-* ``"scipy"`` (and ``"auto"``, its alias) — cold: one fresh stacked solve
-  per call (:func:`repro.utils.lp.solve_lp_batch`), bitwise-identical to
-  ``linprog``.  ``"highs"`` resolves to ``"scipy"`` too when the core
-  failed its import-time check.
+A :class:`PersistentStackSolver` keeps one padded HiGHS model (on scipy's
+bundled core, :mod:`repro.utils.lp`) for one controller's stack.  Its
+capacity is the next power of two at or above the batch size, capped at
+the chunk size, and only grows until :meth:`PersistentStackSolver.release`.
+A solve of ``k`` rows rewrites only the first ``k`` blocks' varying
+equality rows (``changeRowBounds``) and re-runs from the previous solve's
+basis; the spare blocks keep their last — feasible, already optimal —
+right-hand side, so the simplex does no work on them.  The batch size
+therefore may drift from step to step (κ_R runs only on the rows the
+monitor forces) without rebuilding the model.  A warm solve attains the
+cold optimal cost but may land on a different optimal *vertex* of a
+degenerate LP (the plan-equivalent tier of :mod:`repro.framework.lockstep`).
 
 ``RobustMPC.reset()`` — called at the start of every engine run — drops
-its models with :meth:`PersistentStackSolver.release`, so a run's plans
+the model with :meth:`PersistentStackSolver.release`, so a run's plans
 (and its model-build counts) depend only on that run's batches.
-``exact_solves=True`` audits stay on the cold scalar path under every
-backend.
+
+:data:`BACKENDS` and :func:`resolve_backend` have no caller in the
+package: they stay only for the benchmark's provenance probe, which
+resolves ``"auto"``, until that probe stops calling them.
 
 Thread-safety: a :class:`PersistentStackSolver` mutates its HiGHS
-instances in place, so solves and releases hold a per-solver lock and
+instance in place, so solves and releases hold a per-solver lock and
 threads sharing one solver take turns.  ``RobustMPC`` keeps one solver per
 thread, so concurrent runs never see each other's warm starts.
 """
@@ -36,7 +32,7 @@ from __future__ import annotations
 
 import logging
 import threading
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -62,18 +58,10 @@ __all__ = [
 #: effective backend in ``("highs", "scipy")``).
 BACKENDS = ("auto", "highs", "scipy")
 
-#: Batch sizes at or above this are split into fixed-size chunks, each
-#: with its own persistent model: the single stacked solve's superlinear
-#: tail would otherwise eat the warm-start amortisation, and fixed chunk
-#: sizes keep the chunk models reusable when the batch size drifts
-#: between steps (only the remainder chunk goes cold).
+#: The largest model a solver builds: batches above it run chunk by
+#: chunk through the same model, since the single stacked solve's
+#: superlinear tail would otherwise eat the warm-start amortisation.
 DEFAULT_CHUNK_SIZE = 1024
-
-#: Persistent chunk models one solver keeps (LRU).  Every distinct batch
-#: size below the chunk size needs its own model, each a full HiGHS
-#: instance, so the cap bounds the memory of a solver whose batch size
-#: drifts; a size that was evicted is rebuilt cold.
-DEFAULT_MAX_MODELS = 2
 
 
 def resolve_backend(backend: str = "auto") -> str:
@@ -99,16 +87,17 @@ def resolve_backend(backend: str = "auto") -> str:
 
 
 class _ChunkModel:
-    """One persistent HiGHS instance for a fixed chunk size.
+    """One persistent HiGHS instance holding ``blocks`` copies of the
+    scalar block.
 
-    Holds the stacked model for ``blocks`` copies of the scalar block;
-    built (``passModel``) exactly once, then every :meth:`solve` only
-    rewrites the varying equality rows and re-runs — HiGHS reuses the
-    incumbent basis, so repeated solves skip the from-scratch
-    factorisation a cold solve pays every call.
+    Built (``passModel``) exactly once with every block's varying rows
+    parked at ``park``; every :meth:`solve` then rewrites the varying
+    rows of its leading blocks and re-runs — HiGHS reuses the incumbent
+    basis, so repeated solves skip the from-scratch factorisation a cold
+    solve pays every call.
     """
 
-    def __init__(self, owner: "PersistentStackSolver", blocks: int):
+    def __init__(self, owner: "PersistentStackSolver", blocks: int, park):
         core = highs_core()
         if core is None:
             raise LPError("the bundled HiGHS core is unavailable")
@@ -116,10 +105,12 @@ class _ChunkModel:
         self.blocks = k = int(blocks)
         matrix = LPMatrix.stacked(owner.a_ub, owner.a_eq, k)
         self._rows_ub = rows_ub = owner.rows_ub * k
+        b_eq = owner.b_eq.copy()
+        b_eq[owner.varying_eq_rows] = park
         # Kept current as the varying rows change: the residual check
         # reads the model's right-hand sides from here.
         self._row_upper = np.concatenate(
-            [np.tile(owner.b_ub, k), np.tile(owner.b_eq, k)]
+            [np.tile(owner.b_ub, k), np.tile(b_eq, k)]
         )
         row_lower = self._row_upper.copy()
         row_lower[:rows_ub] = -np.inf
@@ -127,8 +118,8 @@ class _ChunkModel:
             np.tile(owner.cost, k), matrix, row_lower, self._row_upper
         )
 
-        # Flat row indices of the varying equality entries: block i's
-        # varying rows live at rows_ub + i*rows_eq + varying.
+        # Flat row indices of the varying equality entries, block-major:
+        # block i's varying rows live at rows_ub + i*rows_eq + varying.
         vary = np.asarray(owner.varying_eq_rows, dtype=np.int64)
         offsets = rows_ub + owner.rows_eq * np.arange(k, dtype=np.int64)
         self._vary_idx = (offsets[:, None] + vary[None, :]).reshape(-1)
@@ -137,22 +128,25 @@ class _ChunkModel:
         self.solves = 0
 
     def solve(self, values: np.ndarray) -> np.ndarray:
-        """Rewrite the varying equality RHS and re-solve (warm start).
+        """Rewrite the leading blocks' varying RHS and re-solve (warm).
 
         Args:
-            values: ``(blocks, len(varying_eq_rows))`` per-block RHS.
+            values: ``(rows, len(varying_eq_rows))`` RHS of the first
+                ``rows <= blocks`` blocks; the other blocks keep theirs.
 
         Returns:
-            ``(blocks, block_cols)`` optimal points.
+            ``(rows, block_cols)`` optimal points of those blocks.
 
         Raises:
             LPError: If HiGHS does not reach optimality (infeasible,
-                unbounded, or a numerical failure) or the point fails
-                ``linprog``'s residual check.
+                unbounded, or a numerical failure) or any block's point
+                fails ``linprog``'s residual check.
         """
         highs = self._highs
-        values = np.asarray(values, dtype=float).reshape(-1)
-        self._row_upper[self._vary_idx] = values
+        values = np.asarray(values, dtype=float)
+        rows = values.shape[0]
+        values = values.reshape(-1)
+        self._row_upper[self._vary_idx[: values.size]] = values
         change = highs.changeRowBounds
         for row, value in zip(self._vary_rows, values.tolist()):
             change(row, value, value)
@@ -178,7 +172,7 @@ class _ChunkModel:
                 f"persistent stacked LP ({self.blocks} blocks) failed: "
                 f"{outcome.message}"
             )
-        return outcome.x.reshape(self.blocks, self._n)
+        return outcome.x.reshape(self.blocks, self._n)[:rows]
 
     def release(self) -> None:
         self._highs.clear()
@@ -188,21 +182,23 @@ class PersistentStackSolver:
     """Warm-started persistent-HiGHS solver for one controller's stack.
 
     Owns everything the stacked solves need — the scalar block data
-    *and* the per-chunk-size HiGHS instances — so the controller that
-    holds this solver is the explicit owner of its stacks: nothing is
-    pinned in a global cache, and dropping the controller reclaims the
-    models.
+    *and* the one padded HiGHS model — so the controller that holds this
+    solver is the explicit owner of its stack: nothing is pinned in a
+    global cache, and dropping the controller reclaims the model.
 
     The solved problem family is ``min cost @ x`` subject to
     ``a_ub x <= b_ub`` and ``a_eq x = b_eq`` per block, where only the
     ``varying_eq_rows`` entries of ``b_eq`` differ between blocks and
-    between calls (the RMPC initial-state pattern).  Batches of ``k``
-    blocks are split into chunks of at most ``chunk_size`` (see
-    :data:`DEFAULT_CHUNK_SIZE`); each distinct chunk size keeps one
-    persistent model, LRU-bounded by ``max_models``.  :meth:`release`
-    drops every model, and so does a failed solve: the next solve of
-    each chunk size is then cold on a fresh model.  Solves and releases
-    hold a per-solver lock, so threads take turns.
+    between calls (the RMPC initial-state pattern).  The model's capacity
+    is ``min(next power of two >= k, chunk_size)`` over the batches
+    solved since the last release; a larger batch rebuilds it once, a
+    smaller one solves on its leading blocks, and a batch above
+    ``chunk_size`` runs chunk by chunk through it.  A fresh model parks
+    its spare blocks at the building batch's first row — a duplicate of
+    a feasible row is feasible wherever the origin lies.  :meth:`release`
+    drops the model, and so does a failed solve: the next solve is then
+    cold on a fresh model.  Solves and releases hold a per-solver lock,
+    so threads take turns.
 
     Args:
         cost: ``(n,)`` shared per-block objective.
@@ -213,8 +209,7 @@ class PersistentStackSolver:
             overwritten per solve).
         varying_eq_rows: Indices into the equality rows that change per
             block / per call.
-        chunk_size: Chunk width for large batches.
-        max_models: Persistent models kept across distinct chunk sizes.
+        chunk_size: The model's largest capacity.
     """
 
     def __init__(
@@ -226,12 +221,9 @@ class PersistentStackSolver:
         b_eq,
         varying_eq_rows,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        max_models: int = DEFAULT_MAX_MODELS,
     ):
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if max_models < 1:
-            raise ValueError("max_models must be >= 1")
         self.cost = np.asarray(cost, dtype=float)
         self.a_ub = _as_csr_block(a_ub)
         self.b_ub = np.asarray(b_ub, dtype=float).reshape(-1)
@@ -251,25 +243,24 @@ class PersistentStackSolver:
         ):
             raise ValueError("varying_eq_rows outside the equality rows")
         self.chunk_size = int(chunk_size)
-        self.max_models = int(max_models)
-        self._models: dict = {}  # chunk size -> _ChunkModel (LRU order)
+        self._model: Optional[_ChunkModel] = None
         self._lock = threading.Lock()
         self.model_builds = 0
         self.solve_calls = 0
 
-    def _model(self, blocks: int) -> _ChunkModel:
-        model = self._models.pop(blocks, None)
-        if model is None:
-            model = _ChunkModel(self, blocks)
+    def _model_for(self, values: np.ndarray) -> _ChunkModel:
+        """The model, rebuilt first if it cannot hold ``len(values)``."""
+        capacity = min(1 << (len(values) - 1).bit_length(), self.chunk_size)
+        model = self._model
+        if model is None or model.blocks < capacity:
+            self._release()
+            model = self._model = _ChunkModel(self, capacity, values[0])
             self.model_builds += 1
             _telemetry().inc("lp_persistent_model_builds_total")
             logger.debug(
-                "persistent HiGHS chunk model built (%d blocks, %d built)",
-                blocks, self.model_builds,
+                "persistent HiGHS model built (%d blocks, %d built)",
+                capacity, self.model_builds,
             )
-            while len(self._models) >= self.max_models:
-                self._models.pop(next(iter(self._models))).release()
-        self._models[blocks] = model  # re-insert: LRU recency refresh
         return model
 
     def solve_batch(self, values) -> List[LPSolution]:
@@ -283,7 +274,7 @@ class PersistentStackSolver:
             input rows.  Nothing partial: if any chunk fails the whole
             batch raises and no chunk's results are returned, so callers
             can fall back to scalar solves without double counting.  A
-            failure also drops every model, so the next call solves as a
+            failure also drops the model, so the next call solves as a
             fresh solver would.
 
         Raises:
@@ -302,14 +293,11 @@ class PersistentStackSolver:
         points = np.empty((k, self.block_cols))
         with self._lock:
             self.solve_calls += 1
-            start = 0
             try:
-                while start < k:
-                    stop = min(start + self.chunk_size, k)
-                    points[start:stop] = self._model(stop - start).solve(
-                        V[start:stop]
-                    )
-                    start = stop
+                model = self._model_for(V)
+                for start in range(0, k, model.blocks):
+                    stop = min(start + model.blocks, k)
+                    points[start:stop] = model.solve(V[start:stop])
             except LPError:
                 self._release()
                 raise
@@ -321,16 +309,17 @@ class PersistentStackSolver:
 
     @property
     def warm_solves(self) -> int:
-        """Solves served by an already-built model (basis reuse)."""
-        return sum(max(0, model.solves - 1) for model in self._models.values())
+        """Solves served by the current model after its first (basis
+        reuse)."""
+        return max(0, self._model.solves - 1) if self._model else 0
 
     def _release(self) -> None:
-        for model in self._models.values():
-            model.release()
-        self._models.clear()
+        if self._model is not None:
+            self._model.release()
+            self._model = None
 
     def release(self) -> None:
-        """Free every persistent model; the next solve of each chunk size
-        builds a fresh one and starts cold."""
+        """Free the persistent model; the next solve builds a fresh one
+        and starts cold."""
         with self._lock:
             self._release()

@@ -115,10 +115,10 @@ class TestEvaluateEngines:
     """The lockstep engine must reproduce the serial evaluation exactly
     for every approach of the paper's comparison — the κ-every-step
     baseline (controller-only rollout), bang-bang (AlwaysSkip) and the
-    DRL policy (a greedy, ε = 0 DQN wrapper).  The bitwise oracle pins
-    the case's own controller to the cold stacked solve
-    (``set_lp_backend("scipy")``); a warm solve may differ in the last
-    ulp (plan-equivalent tier)."""
+    DRL policy (a greedy, ε = 0 DQN wrapper).  The bitwise oracle runs
+    lockstep's ``exact_solves=True`` audit tier, which keeps the scalar
+    solves; a stacked solve may differ in the last ulp (plan-equivalent
+    tier)."""
 
     @pytest.fixture(scope="class")
     def paired(self, acc_case):
@@ -132,14 +132,9 @@ class TestEvaluateEngines:
             policies={"drl": greedy_drl_policy(acc_case, _untrained_agent())},
         )
         serial = run_experiment(spec, ExecutionConfig(engine="serial"))
-        acc_case.mpc.set_lp_backend("scipy")
-        try:
-            lockstep = run_experiment(
-                spec, ExecutionConfig(engine="lockstep")
-            )
-        finally:
-            acc_case.mpc.set_lp_backend("highs")
-            acc_case.mpc.reset()
+        lockstep = run_experiment(
+            spec, ExecutionConfig(engine="lockstep", exact_solves=True)
+        )
         return serial, lockstep
 
     @pytest.mark.parametrize("approach", ["baseline", "bang_bang", "drl"])

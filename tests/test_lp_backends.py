@@ -1,8 +1,8 @@
-"""Tests for the LP backends (repro.utils.lp_backends).
+"""Tests for the persistent stacked solve (repro.utils.lp_backends).
 
-Both backends run on scipy's bundled HiGHS core, so every test runs
-everywhere: ``auto``/``scipy`` resolve to the cold stacked solve,
-``highs`` to the warm-started :class:`PersistentStackSolver`.
+The :class:`PersistentStackSolver` runs on scipy's bundled HiGHS core, so
+every test runs everywhere.  ``resolve_backend`` keeps its request
+vocabulary for the benchmark's provenance probe.
 
 The solved family throughout: ``min x0 + x1`` over the unit box with
 ``x0`` pinned per block (``x0 = v``), whose optimum is ``v - 1`` at
@@ -15,7 +15,6 @@ import pytest
 from repro.utils.lp import LPError, solve_lp, solve_lp_batch
 from repro.utils.lp_backends import (
     BACKENDS,
-    DEFAULT_MAX_MODELS,
     PersistentStackSolver,
     resolve_backend,
 )
@@ -51,8 +50,8 @@ class TestResolveBackend:
 
     def test_auto_falls_back_silently(self, monkeypatch, caplog):
         # Without the bundled core, "auto" still resolves (to the cold
-        # path) and an RMPC left on its default "highs" setting solves
-        # its stack through linprog: no error, no warning.
+        # path) and an RMPC's stacked request runs its rows as scalar
+        # solves through linprog: no error, no warning.
         from repro.controllers import RobustMPC
         from repro.observability import metrics as obs
         from repro.utils import lp
@@ -61,14 +60,12 @@ class TestResolveBackend:
         mpc = RobustMPC(make_double_integrator(), horizon=3)
         monkeypatch.setattr(lp, "_core", None)
         assert resolve_backend("auto") == "scipy"
-        assert mpc.lp_backend == "highs"
         states = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]])
         with caplog.at_level("WARNING"), obs.scoped_registry() as reg:
             batch = mpc.solve_batch(states)
-            assert reg.total(lp.FALLBACK_METRIC, path="stacked") == 1
-            assert reg.total(
-                "rmpc_solves_total", path="stacked", backend="scipy"
-            ) == 3
+            assert reg.total(lp.FALLBACK_METRIC, path="scalar") == 3
+            assert reg.total("rmpc_solves_total", path="scalar") == 3
+            assert reg.total("rmpc_solves_total", path="stacked") == 0
         assert len(batch) == 3
         assert not caplog.records
 
@@ -118,14 +115,16 @@ class TestPersistentStackSolver:
         pins = np.linspace(-0.5, 0.5, 5).reshape(-1, 1)
         a = chunked.solve_batch(pins)
         b = whole.solve_batch(pins)
-        # k=5 at chunk_size=2 → one 2-block model + one 1-block remainder.
-        assert chunked.model_builds == 2
+        # k=5 at chunk_size=2 → three chunks (2, 2, 1) through one
+        # 2-block model.
+        assert chunked.model_builds == 1
+        assert chunked._model.blocks == 2
         for left, right in zip(a, b):
             assert left.value == pytest.approx(right.value, abs=1e-9)
-        # Same k again: both chunk models stay warm, none rebuilt.
+        # Same k again: the model stays warm, not rebuilt.
         chunked.solve_batch(pins + 0.1)
-        assert chunked.model_builds == 2
-        assert chunked.warm_solves >= 2
+        assert chunked.model_builds == 1
+        assert chunked.warm_solves == 5
 
     def test_infeasible_block_raises(self):
         solver = _solver()
@@ -151,19 +150,60 @@ class TestPersistentStackSolver:
         assert solver.model_builds == 2
         assert batch[1].value == pytest.approx(-1.0, abs=1e-9)
 
-    def test_model_lru_is_bounded(self):
-        solver = _solver(max_models=2)
-        for k in (1, 2, 3, 4):
-            solver.solve_batch(np.zeros((k, 1)))
-        assert solver.model_builds == 4
-        assert len(solver._models) == 2
-
-    def test_default_keeps_two_models(self):
+    def test_capacity_grows_to_the_next_power_of_two(self):
         solver = _solver()
-        assert solver.max_models == DEFAULT_MAX_MODELS == 2
-        for k in (1, 2, 3):
+        capacities = []
+        for k in (1, 2, 3, 4, 2, 5):
             solver.solve_batch(np.zeros((k, 1)))
-        assert sorted(solver._models) == [2, 3]
+            capacities.append(solver._model.blocks)
+        assert capacities == [1, 2, 4, 4, 4, 8]
+        # Built at k = 1, 2, 3 and 5; k = 4 and 2 fit the 4-block model.
+        assert solver.model_builds == 4
+
+    def test_default_holds_one_model(self):
+        solver = _solver()
+        for k in (3, 1, 2):
+            solver.solve_batch(np.zeros((k, 1)))
+        assert solver.chunk_size == 1024
+        assert solver.model_builds == 1
+        assert solver._model.blocks == 4
+        assert solver.warm_solves == 2
+
+    def test_capacity_is_capped_at_the_chunk_size(self):
+        solver = _solver(chunk_size=3)
+        solver.solve_batch(np.zeros((7, 1)))
+        assert solver._model.blocks == 3
+        assert solver.model_builds == 1
+
+    def test_fresh_model_parks_spare_blocks_at_a_batch_row(self):
+        """The base ``b_eq`` pins ``x0 = 5``, outside the unit box: a
+        spare block parked there would make the stack infeasible."""
+        solver = PersistentStackSolver(
+            cost=[1.0, 1.0], a_ub=BOX_H, b_ub=BOX_h, a_eq=PIN_X0,
+            b_eq=[5.0], varying_eq_rows=[0],
+        )
+        pins = np.array([[0.5], [-0.25], [0.75]])
+        batch = solver.solve_batch(pins)  # one fresh 4-block model
+        assert solver.model_builds == 1
+        assert solver._model.blocks == 4
+        for pin, sol in zip(pins, batch):
+            assert sol.value == pytest.approx(pin[0] - 1.0, abs=1e-9)
+
+    def test_drifting_sizes_solve_warm_on_one_model(self):
+        solver = _solver()
+        rng = np.random.default_rng(4)
+        for k in (5, 3, 7, 2, 6):
+            pins = rng.uniform(-0.9, 0.9, size=(k, 1))
+            batch = solver.solve_batch(pins)
+            assert len(batch) == k
+            for pin, sol in zip(pins, batch):
+                scalar = solve_lp(
+                    [1.0, 1.0], a_ub=BOX_H, b_ub=BOX_h, a_eq=PIN_X0, b_eq=pin
+                )
+                assert sol.value == pytest.approx(scalar.value, abs=1e-9)
+                assert sol.x[0] == pytest.approx(pin[0], abs=1e-9)
+        assert solver.model_builds == 1
+        assert solver.warm_solves == 4
 
     def test_value_shape_validation(self):
         solver = _solver()
@@ -186,14 +226,13 @@ class TestPersistentStackSolver:
             )
         with pytest.raises(ValueError, match="chunk_size"):
             _solver(chunk_size=0)
-        with pytest.raises(ValueError, match="max_models"):
-            _solver(max_models=0)
 
 
 class TestHighsMatchesScipyStack:
     def test_against_solve_lp_batch(self):
-        """The two backends attain identical optimal values on the same
-        stacked family (the plan-equivalent contract at the LP layer)."""
+        """The persistent solve and a fresh stacked ``solve_lp_batch``
+        attain identical optimal values on the same stacked family (the
+        plan-equivalent contract at the LP layer)."""
         pins = np.linspace(-0.9, 0.9, 7).reshape(-1, 1)
         persistent = _solver().solve_batch(pins)
         b_eq = pins  # per-block equality RHS, one varying row
@@ -212,7 +251,7 @@ class TestSolverState:
         solver = _solver()
         for pins in ([[0.1], [0.2], [0.3]], [[-0.5], [0.5], [0.0]]):
             solver.solve_batch(pins)
-        [model] = solver._models.values()
+        model = solver._model
         assert np.array_equal(
             model._row_upper, model._highs.getLp().row_upper_
         )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import (
+    EmptySetError,
     HPolytope,
     affine_preimage,
     box_hull,
@@ -70,6 +71,20 @@ class TestProjectOnto:
     def test_keep_out_of_range(self, unit_box):
         with pytest.raises(ValueError, match="keep"):
             project_onto(unit_box, 2)
+
+    def test_only_trivial_rows_project_to_the_huge_box(self):
+        # A slab unbounded in x: eliminating y leaves only 0·x <= 2,
+        # so the projection is all of R (the documented huge box).
+        slab = HPolytope([[0.0, 1.0], [0.0, -1.0]], [1.0, 1.0])
+        lo, hi = project_onto(slab, 1).bounding_box()
+        assert lo[0] == -1e12
+        assert hi[0] == 1e12
+
+    def test_trivially_false_row_is_empty(self):
+        # y <= 1 and y >= 2: eliminating y leaves 0·x <= -1.
+        empty = HPolytope([[0.0, 1.0], [0.0, -1.0]], [1.0, -2.0])
+        with pytest.raises(EmptySetError, match="0.x <= h"):
+            project_onto(empty, 1)
 
 
 class TestModuleOperations:

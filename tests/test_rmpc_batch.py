@@ -151,49 +151,34 @@ class TestSolveBatchPlanEquivalence:
         mpc.reset()
 
     def test_stack_cache_hit_on_repeat(self, rmpc_rig):
-        """Repeated warm batch solves over one controller's matrices reuse
-        its owned persistent model (only the RHS changes); a cold request
-        in between builds none."""
+        """Repeated batch solves over one controller's matrices reuse its
+        owned persistent model (only the RHS changes), also when the
+        batch shrinks; a one-row batch is scalar and builds none."""
         _system, mpc, _xi, xp, _mf = rmpc_rig
-        mpc.solve_batch(_feasible_states(xp, 5))  # build the k=5 model
-        builds = mpc._persistent_solver().model_builds
-        try:
-            for backend in ("scipy", "highs"):
-                mpc.set_lp_backend(backend)
-                mpc.solve_batch(_feasible_states(xp, 5, seed=11))
-        finally:
-            mpc.set_lp_backend("highs")
-        assert mpc._persistent_solver().model_builds == builds
+        mpc.reset()
+        mpc.solve_batch(_feasible_states(xp, 5))  # build the 8-block model
+        solver = mpc._persistent_solver()
+        builds = solver.model_builds
+        for k in (5, 3, 1):
+            mpc.solve_batch(_feasible_states(xp, k, seed=11))
+        assert solver.model_builds == builds
+        assert solver.warm_solves == 2
+        mpc.reset()
 
 
 class TestBackendSelection:
-    def test_invalid_backend_rejected(self, rmpc_rig):
-        system, mpc, _xi, _xp, _mf = rmpc_rig
-        with pytest.raises(ValueError, match="lp_backend"):
-            RobustMPC(system, horizon=2, lp_backend="cplex")
-        with pytest.raises(ValueError, match="lp_backend"):
-            mpc.set_lp_backend("cplex")
-        assert mpc.lp_backend == "highs"  # unchanged by the rejection
+    """The one stacked route: the warm persistent solve (``highs``)."""
 
-    def test_auto_matches_explicit_scipy_costs(self, rmpc_rig):
-        """Whatever `auto` resolves to, the batch attains the scipy
-        backend's (= the scalar solver's) optimal costs."""
-        _system, mpc, _xi, xp, _mf = rmpc_rig
-        states = _feasible_states(xp, 5, seed=21)
-        try:
-            mpc.set_lp_backend("scipy")
-            via_scipy = mpc.solve_batch(states)
-            mpc.set_lp_backend("auto")
-            via_auto = mpc.solve_batch(states)
-        finally:
-            mpc.set_lp_backend("highs")
-        for a, b in zip(via_auto, via_scipy):
-            assert abs(a.cost - b.cost) <= 1e-9
+    def test_lp_backend_option_is_gone(self, rmpc_rig):
+        system, mpc, _xi, _xp, _mf = rmpc_rig
+        with pytest.raises(TypeError, match="lp_backend"):
+            RobustMPC(system, horizon=2, lp_backend="scipy")
+        assert not hasattr(mpc, "set_lp_backend")
+        assert not hasattr(mpc, "lp_backend")
 
     def test_highs_backend_plan_equivalent(self, rmpc_rig):
         _system, mpc, _xi, xp, _mf = rmpc_rig
         report = verify_plan_equivalence(mpc, _feasible_states(xp, 6))
-        assert mpc.lp_backend == "highs"  # the default
         assert report["equivalent"], report
 
     def test_highs_backend_warm_starts(self, rmpc_rig):
@@ -211,14 +196,13 @@ class TestBackendSelection:
         assert solver.warm_solves == 0
 
     def test_highs_fallback_names_infeasible_state(self, rmpc_rig):
-        """The named-state fallback contract holds under highs too."""
+        """The named-state fallback contract holds on the warm route."""
         _system, mpc, _xi, xp, _mf = rmpc_rig
         states = _feasible_states(xp, 3)
         states[1] = [4.9, 1.99]
         mpc.reset()
         with pytest.raises(RMPCInfeasibleError, match=r"4\.9"):
             mpc.solve_batch(states)
-        assert mpc.lp_backend == "highs"  # the default
         assert mpc.solve_count == 1  # row 0 scalar re-solve only
         mpc.reset()
 
@@ -234,7 +218,7 @@ class TestBackendSelection:
             system, horizon=4, terminal_set=mpc.terminal_set
         )
         other.solve_batch(_feasible_states(xp, 3, seed=41))
-        assert len(other._persistent_solver()._models) == 1
+        assert other._persistent_solver()._model is not None
         stack_ref = weakref.ref(other._persistent_solver())
         matrix_ref = weakref.ref(other._A_ub)
         del other
@@ -334,30 +318,33 @@ class TestLockstepStackedEngine:
             assert record.max_violation <= 0.0
 
     @pytest.mark.parametrize("backend", ["scipy", "highs"])
-    def test_exact_solves_is_backend_invariant(self, rmpc_rig, backend):
-        """The exact_solves audit tier routes through the scalar scipy
-        path under every controller setting, so its records match the
-        serial engine bitwise whatever the controller's lp_backend is
-        (with `highs` the warm stacked path is never entered)."""
+    def test_exact_solves_is_backend_invariant(
+        self, rmpc_rig, backend, monkeypatch
+    ):
+        """The exact_solves audit tier matches the serial engine bitwise
+        whichever backend runs the scalar solves: ``linprog`` (``scipy``,
+        the bundled core unavailable) or the bundled HiGHS core
+        (``highs``); the stacked path is never entered."""
+        from repro.utils import lp
+
         system, mpc, _xi, xp, _mf = rmpc_rig
+        if backend == "scipy":
+            monkeypatch.setattr(lp, "_core", None)
         make = self._runners(rmpc_rig)
         factory = self._disturbances(system)
         states = _feasible_states(xp, 4)
         serial = make(BatchRunner).run_seeded(states, factory, ROOT_SEED)
-        mpc.set_lp_backend(backend)
-        try:
+        with obs.scoped_registry() as reg:
             exact = make(
                 BatchRunner, engine="lockstep", exact_solves=True
             ).run_seeded(states, factory, ROOT_SEED)
-        finally:
-            mpc.set_lp_backend("highs")
-            mpc.reset()
+            assert reg.total("rmpc_solves_total", path="stacked") == 0
+        mpc.reset()
         assert serial.deterministic_records() == exact.deterministic_records()
 
     def test_stacked_lockstep_highs_backend(self, rmpc_rig):
-        """A full lockstep run on the warm-started backend (the
-        controller's default): safe episodes, warm solves, same episode
-        count."""
+        """A full lockstep run on the warm-started stacked solve: safe
+        episodes, warm solves, same episode count."""
         system, mpc, _xi, xp, _mf = rmpc_rig
         # Periodic skipping runs every row together: real stacked batches.
         make = self._runners(rmpc_rig, lambda: PeriodicSkipPolicy(2))
@@ -423,16 +410,15 @@ def test_scenario_zoo_batch_contract(name):
 
 @pytest.mark.parametrize("name", scenario_registry.list_scenarios())
 def test_scenario_zoo_highs_backend_equivalence(name):
-    """Every stacked-LP scenario controller is plan-equivalent under the
-    warm-started highs backend too (scalar reference solves stay cold,
-    so this is a cross-backend check)."""
+    """Every stacked-LP scenario controller is plan-equivalent on the
+    warm-started stacked solve after an unrelated batch (scalar
+    reference solves stay cold, so this is a warm-vs-cold check)."""
     case = scenario_registry.build(name)
     controller = case.controller
     if getattr(controller, "bitwise_batch", True):
-        pytest.skip(f"{name}: closed-form controller, no LP backend")
+        pytest.skip(f"{name}: closed-form controller, no stacked LP")
     states = case.sample_initial_states(np.random.default_rng(7), 4)
     # The controller is the cached one every later build returns.
-    assert controller.lp_backend == "highs"
     controller.solve_batch(case.sample_initial_states(
         np.random.default_rng(8), 4
     ))  # warm state from an unrelated batch

@@ -1,12 +1,11 @@
-"""The warm-started stacked κ_R (the RMPC default) against cold references.
+"""The warm-started stacked κ_R against cold references.
 
 "Agree" tests in the fast-vs-reference style: the warm persistent stacked
 solve must attain the cold scalar solve's optimal cost (1e-9 relative)
 with a first input in ``U`` on zoo state sequences and on state sequences
 drawn by hypothesis, and a warm lockstep run must stay violation-free.
-A controller set to the cold solve (``set_lp_backend("scipy")``) must
-bypass the persistent models and stay bitwise-identical to a fresh
-stacked solve, and ``reset()`` must make a run's results independent of
+Without the bundled core a stacked request must equal ``k`` scalar
+solves bitwise, and ``reset()`` must make a run's results independent of
 earlier runs.
 """
 
@@ -29,7 +28,6 @@ from repro.experiments import (
 from repro.observability import metrics as obs
 from repro.scenarios import builder
 from repro.utils import lp
-from repro.utils.lp import solve_lp_batch
 
 ZOO = ("thermal", "pendulum", "acc")
 COST_RTOL = 1e-9
@@ -112,41 +110,9 @@ def test_warm_lockstep_is_violation_free(name):
         ExperimentSpec(scenario=name, num_cases=6, horizon=15, seed=4),
         ExecutionConfig(engine="lockstep"),
     )
-    assert result.stats("baseline").solver["lp_backend"] == "highs"
+    assert result.stats("baseline").solver["stacked_solves"] > 0
     for row in result.rows():
         assert row["max_violation"] <= 0.0
-
-
-@pytest.mark.parametrize("name", ZOO)
-def test_cold_after_warm_is_bitwise_solve_lp_batch(name):
-    """``scipy`` after warm solves returns exactly what a fresh stacked
-    ``solve_lp_batch`` returns, and runs no persistent solve."""
-    case, mpc = _controller(name)
-    rng = np.random.default_rng(29)
-    try:
-        for k in (2, 5, 8):
-            mpc.solve_batch(case.sample_initial_states(rng, k))  # warm
-            states = case.sample_initial_states(rng, k)
-            mpc.set_lp_backend("scipy")
-            try:
-                with obs.scoped_registry() as reg:
-                    cold = mpc.solve_batch(states)
-                    assert reg.total(
-                        lp.LP_SOLVES_METRIC, path="persistent"
-                    ) == 0
-            finally:
-                mpc.set_lp_backend("highs")
-            b_eq = np.tile(mpc._b_eq, (k, 1))
-            b_eq[:, mpc._x0_rows] = states
-            fresh = solve_lp_batch(
-                np.tile(mpc._cost, (k, 1)), mpc._A_ub, mpc._b_ub,
-                a_eq=mpc._A_eq, b_eq=b_eq,
-            )
-            _same_plans(
-                cold, [mpc._unpack(sol.x, sol.value) for sol in fresh]
-            )
-    finally:
-        mpc.reset()
 
 
 def _fresh_controller(mpc):
@@ -210,17 +176,19 @@ class TestWarmFailure:
 
 
 def test_without_the_core_stacked_solves_go_through_linprog(monkeypatch):
+    """Without the bundled core a stacked request is the scalar loop:
+    bitwise ``k`` :meth:`solve` calls, each through ``linprog``."""
     case, mpc = _controller("thermal")
     states = case.sample_initial_states(np.random.default_rng(6), 4)
     monkeypatch.setattr(lp, "_core", None)
     with obs.scoped_registry() as reg:
         batch = mpc.solve_batch(states)
-        assert reg.total(lp.FALLBACK_METRIC, path="stacked") == 1
+        assert reg.total(lp.FALLBACK_METRIC, path="scalar") == 4
         assert reg.total(lp.LP_SOLVES_METRIC, path="persistent") == 0
-        assert reg.total(
-            "rmpc_solves_total", path="stacked", backend="scipy"
-        ) == 4
-    _assert_agrees(mpc, states, batch)
+        assert reg.total("rmpc_solves_total", path="scalar") == 4
+        assert reg.total("rmpc_solves_total", path="stacked") == 0
+    assert mpc.solve_count == 4
+    _same_plans(batch, [mpc.solve(x) for x in states])
     mpc.reset()
 
 

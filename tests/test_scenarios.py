@@ -337,7 +337,7 @@ class TestScenarioExecution:
         states = case.sample_initial_states(rng, 5)
         factory = case.disturbance_factory(15)
 
-        def run(engine):
+        def run(engine, **extra):
             return BatchRunner(
                 case.system,
                 case.controller,
@@ -345,18 +345,14 @@ class TestScenarioExecution:
                 policy_factory=AlwaysSkipPolicy,
                 skip_input=case.skip_input,
                 engine=engine,
+                **extra,
             ).run_seeded(states, factory, root_seed=0)
 
-        # Bitwise oracle: the controller pinned to the cold stacked solve
-        # (a warm one may differ from it in the last ulp, the
-        # plan-equivalent tier).
+        # Bitwise oracle: the lockstep audit tier keeps the scalar
+        # solves (a stacked one may differ from them in the last ulp,
+        # the plan-equivalent tier).
         serial = run("serial")
-        case.controller.set_lp_backend("scipy")
-        try:
-            lockstep = run("lockstep")
-        finally:
-            case.controller.set_lp_backend("highs")
-            case.controller.reset()
+        lockstep = run("lockstep", exact_solves=True)
         assert (
             serial.deterministic_records() == lockstep.deterministic_records()
         )

@@ -517,10 +517,11 @@ class TestSolverEffortColumns:
             baseline["scalar_solves"] + baseline["stacked_solves"]
             == baseline["solve_count"]
         )
-        assert baseline["lp_backend_used"] in ("scipy", "highs")
-        # Uninstrumented controllers report no effort, not zero effort.
+        assert baseline["stacked_solves"] > 0
+        assert "lp_backend_used" not in baseline
+        # A leg that never calls κ_R reports zero effort.
         bang_bang = rows[("thermal", "bang_bang")]
-        assert bang_bang["lp_backend_used"] is None
+        assert bang_bang["solve_count"] == bang_bang["stacked_solves"] == 0
 
     def test_csv_round_trip_preserves_solver_columns(self, result, tmp_path):
         path = str(tmp_path / "rows.csv")
