@@ -1,17 +1,17 @@
-"""Episodes/sec of the three batch engines: serial vs parallel vs lockstep.
+"""Episodes/sec of the two batch engines: serial vs lockstep.
 
 Standalone script (not a pytest-benchmark kernel) so CI can smoke it at
 tiny scale and operators can size batches::
 
     PYTHONPATH=src python benchmarks/bench_lockstep.py \
-        --episodes 256 --horizon 100 --jobs 2
+        --episodes 256 --horizon 100
 
 It runs the same seeded bang-bang batch on the ACC case study through
-every engine and cross-checks every row under the two-tier determinism
+both engines (one process each) and cross-checks every row under the two-tier determinism
 contract (see ``repro.framework.lockstep``); any failed check makes the
 script exit non-zero:
 
-* **bitwise** rows (closed-form controllers; every engine for them, plus
+* **bitwise** rows (closed-form controllers; both engines for them, plus
   the ``lockstep-exact`` audit row of LP controllers) must produce
   record-for-record identical deterministic fields to the serial
   reference — the differential guarantee the test suite proves at small
@@ -25,8 +25,7 @@ Two controller configurations are timed:
 
 * ``linear`` — an LQR feedback (vectorised ``compute_batch``, non-strict
   monitor).  Every per-step cost is batchable, so this row isolates the
-  engine overhead: it is where lockstep's single-core speedup shows,
-  while fork-based parallelism pays overhead on a single-CPU container.
+  engine overhead: it is where lockstep's speedup shows.
 * ``rmpc`` — the paper's robust MPC κ_R.  Lockstep stacks the per-step
   Eq.-5 LPs of the monitor-forced episodes into one sparse
   block-diagonal HiGHS solve (``RobustMPC.solve_batch``, warm-started on
@@ -61,7 +60,7 @@ from machine import machine_info, visible_cpus
 
 from repro.acc import acc_disturbance_factory, build_case_study
 from repro.controllers import LinearFeedback, lqr_gain, verify_plan_equivalence
-from repro.framework import BatchRunner, ParallelBatchRunner
+from repro.framework import BatchRunner
 from repro.observability import metrics as _obs
 from repro.skipping import AlwaysSkipPolicy
 
@@ -131,7 +130,6 @@ def _stage_breakdown(before: dict, after: dict) -> dict:
 def run_benchmark(
     episodes: int,
     horizon: int,
-    jobs: int,
     seed: int,
     experiment: str = "overall",
     controllers=("linear", "rmpc"),
@@ -154,7 +152,7 @@ def run_benchmark(
     """
     with _obs.scoped_registry(enabled=True) as reg:
         report = _run_benchmark(
-            episodes, horizon, jobs, seed, experiment, controllers
+            episodes, horizon, seed, experiment, controllers
         )
         report["telemetry"] = reg.snapshot()
     return report
@@ -163,7 +161,6 @@ def run_benchmark(
 def _run_benchmark(
     episodes: int,
     horizon: int,
-    jobs: int,
     seed: int,
     experiment: str,
     controllers,
@@ -179,8 +176,8 @@ def _run_benchmark(
         controller, monitor_factory = available[name]
         bitwise = getattr(controller, "bitwise_batch", True)
 
-        def make_runner(cls, **extra):
-            return cls(
+        def make_runner(**extra):
+            return BatchRunner(
                 case.system,
                 controller,
                 monitor_factory=monitor_factory,
@@ -190,20 +187,17 @@ def _run_benchmark(
             )
 
         def lockstep_runner(**extra):
-            return make_runner(BatchRunner, engine="lockstep", **extra)
+            return make_runner(engine="lockstep", **extra)
 
         def timed(runner):
             tick = time.perf_counter()
             result = runner.run_seeded(states, factory, root_seed=seed)
             return result, time.perf_counter() - tick
 
-        serial_result, serial_seconds = timed(make_runner(BatchRunner))
+        serial_result, serial_seconds = timed(make_runner())
         reference = serial_result.deterministic_records()
         engines = [
-            ("serial", make_runner(BatchRunner), "bitwise",
-             serial_result, serial_seconds),
-            ("parallel", make_runner(ParallelBatchRunner, jobs=jobs),
-             "bitwise", None, None),
+            ("serial", None, "bitwise", serial_result, serial_seconds),
             ("lockstep", lockstep_runner(),
              "bitwise" if bitwise else "plan-equivalent", None, None),
         ]
@@ -250,7 +244,6 @@ def _run_benchmark(
             row = {
                 "controller": name,
                 "engine": engine,
-                "jobs": jobs if engine == "parallel" else 1,
                 "contract": contract,
                 "seconds": seconds,
                 "episodes_per_sec": episodes / seconds,
@@ -280,10 +273,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--episodes", type=int, default=256)
     parser.add_argument("--horizon", type=int, default=100)
-    parser.add_argument(
-        "--jobs", type=int, default=2,
-        help="worker count for the parallel engine rows",
-    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--experiment", default="overall")
     parser.add_argument(
@@ -299,7 +288,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     report = run_benchmark(
-        args.episodes, args.horizon, args.jobs, args.seed,
+        args.episodes, args.horizon, args.seed,
         args.experiment, args.controllers,
     )
     print(
@@ -307,12 +296,12 @@ def main(argv=None) -> int:
         f"{report['horizon']} steps, {report['cpus']} visible CPU(s)"
     )
     print(
-        f"{'controller':<11} {'engine':<15} {'jobs':>4} {'sec':>8} "
+        f"{'controller':<11} {'engine':<15} {'sec':>8} "
         f"{'ep/s':>8} {'speedup':>8} {'contract':>15} {'ok':>5}"
     )
     for row in report["rows"]:
         print(
-            f"{row['controller']:<11} {row['engine']:<15} {row['jobs']:>4} "
+            f"{row['controller']:<11} {row['engine']:<15} "
             f"{row['seconds']:>8.2f} {row['episodes_per_sec']:>8.2f} "
             f"{row['speedup']:>7.2f}x {row['contract']:>15} "
             f"{str(row['ok']):>5}"

@@ -1,8 +1,7 @@
 """Shared environment fingerprint for the perf-trajectory artifacts.
 
-Every standalone benchmark (`bench_lockstep.py`, `bench_sweep.py`,
-`bench_batch_throughput.py`) embeds the same machine info in its JSON
-artifact so successive commits stay comparable; one definition keeps the
+Every standalone benchmark (`bench_lockstep.py`, `bench_sweep.py`, ...)
+embeds the same machine info in its JSON artifact so successive commits stay comparable; one definition keeps the
 artifacts' schemas from drifting apart.
 """
 

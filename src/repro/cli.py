@@ -6,11 +6,12 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli compare --cases 12   # Sec. IV-A three-way comparison
     python -m repro.cli experiment ex5       # one Table-I/Fig-5/6 scenario
     python -m repro.cli timing               # computation-saving numbers
-    python -m repro.cli batch --episodes 64 --jobs 4 --seed 7 --out b.json
+    python -m repro.cli batch --episodes 64 --seed 7 --out b.json
     python -m repro.cli scenarios            # list the registered scenario zoo
     python -m repro.cli scenarios --detail   # + synthesised set sizes/timing
     python -m repro.cli batch --scenario pendulum --engine lockstep
     python -m repro.cli sweep --cases 8      # Table-I-style cross-scenario sweep
+    python -m repro.cli sweep --jobs 2       # grid cells sharded over 2 workers
     python -m repro.cli serve --store /tmp/store        # experiment service
     python -m repro.cli submit --wait --cases 4         # sweep over HTTP
     python -m repro.cli jobs                 # service job list + store stats
@@ -18,18 +19,18 @@ Usage (after ``pip install -e .``)::
 Each subcommand prints the same tables the benchmark suite emits, at a
 scale chosen via flags, so results can be regenerated without pytest.
 
-Execution engines: ``batch``, ``compare`` and ``experiment`` accept
-``--engine {serial,parallel,lockstep}``.  ``parallel`` fans
-episodes/cases out over ``--jobs N`` forked worker processes
-(``--jobs 0`` = one per CPU); ``lockstep`` advances all episodes as a
-single ``(N, n)`` state matrix in one process — the fast path on
-single-core hosts.  Results are reproducible by construction:
-``--seed S`` fixes a root seed from which every episode derives its own
-private ``numpy`` generator streams (disturbances and stochastic
-policies alike), so any engine/jobs choice produces the same
-deterministic record fields (energy, skip rate, forced steps,
-violations) as a serial run — wall-clock timing fields naturally vary
-with contention.
+Execution engines: ``batch``, ``compare``, ``experiment``, ``sweep`` and
+``submit`` accept ``--engine {serial,lockstep}`` (default ``serial``,
+the reference loop); ``lockstep`` advances all episodes as a single
+``(N, n)`` state matrix in one process — the fast path.  More cores are
+used by cell sharding only: ``sweep``/``submit --jobs N`` fan whole grid
+cells out over ``N`` forked workers (``--jobs 0`` = one per CPU).
+Results are reproducible by construction: ``--seed S`` fixes a root seed
+from which every episode derives its own private ``numpy`` generator
+streams (disturbances and stochastic policies alike), so either engine
+and any ``--jobs`` produce the same deterministic record fields
+(energy, skip rate, forced steps, violations) as a serial run —
+wall-clock timing fields naturally vary with contention.
 """
 
 from __future__ import annotations
@@ -142,10 +143,7 @@ def _acc_comparison(args, experiment: str):
             seed=args.seed + 1,
             policies={"drl": greedy_drl_policy(case, agent)},
         ),
-        ExecutionConfig(
-            engine=_resolve_engine(args), jobs=args.jobs,
-            exact_solves=args.exact_solves,
-        ),
+        ExecutionConfig(engine=args.engine, exact_solves=args.exact_solves),
     )
 
 
@@ -175,14 +173,6 @@ def _cmd_experiment(args) -> int:
         f"forced {drl['forced_steps'].mean():.1f})"
     )
     return 0
-
-
-def _resolve_engine(args) -> str:
-    """The effective engine: an explicit ``--engine`` wins, else
-    parallel iff ``--jobs != 1`` (argparse ``choices`` validates)."""
-    if args.engine is not None:
-        return args.engine
-    return "parallel" if args.jobs != 1 else "serial"
 
 
 def _parse_axis(text: str):
@@ -443,10 +433,9 @@ def _cmd_jobs(args) -> int:
 def _cmd_batch(args) -> int:
     import time
 
-    from repro.framework import BatchRunner, ParallelBatchRunner
+    from repro.framework import BatchRunner
     from repro.skipping import AlwaysSkipPolicy
 
-    engine = _resolve_engine(args)
     if args.scenario == "acc":
         from repro.acc import acc_disturbance_factory, case_study_for_experiment
 
@@ -468,21 +457,16 @@ def _cmd_batch(args) -> int:
         case = scenarios.build(args.scenario)
         controller = case.controller
         factory = case.disturbance_factory(args.horizon)
-    common = dict(
+    runner = BatchRunner(
+        case.system,
+        controller,
         monitor_factory=case.make_monitor,
         policy_factory=AlwaysSkipPolicy,
         skip_input=case.skip_input,
+        engine=args.engine,
+        exact_solves=args.exact_solves,
+        collect_timing=args.collect_timing,
     )
-    if engine == "parallel":
-        runner = ParallelBatchRunner(
-            case.system, controller, jobs=args.jobs, **common
-        )
-    else:
-        runner = BatchRunner(
-            case.system, controller, engine=engine,
-            exact_solves=args.exact_solves,
-            collect_timing=args.collect_timing, **common,
-        )
     rng = np.random.default_rng(args.seed)
     states = case.sample_initial_states(rng, args.episodes)
     scope, telemetry_on = _telemetry_scope(args)
@@ -494,7 +478,7 @@ def _cmd_batch(args) -> int:
     _echo(
         f"{len(result)} episodes in {elapsed:.2f}s "
         f"({len(result) / elapsed:.2f} ep/s, scenario={args.scenario}, "
-        f"engine={engine}, jobs={args.jobs})"
+        f"engine={args.engine})"
     )
     if result.records:
         _echo(
@@ -566,10 +550,10 @@ def _cmd_timing(args) -> int:
 def _add_engine_flag(parser) -> None:
     """Attach the shared ``--engine`` choice to a subcommand parser."""
     parser.add_argument(
-        "--engine", choices=("serial", "parallel", "lockstep"), default=None,
-        help="execution engine; default: parallel if --jobs != 1, else "
-             "serial (lockstep advances all episodes as one state matrix "
-             "— the single-core fast path)",
+        "--engine", choices=("serial", "lockstep"), default="serial",
+        help="execution engine (default: serial, the reference loop; "
+             "lockstep advances all episodes as one state matrix — the "
+             "fast path)",
     )
     parser.add_argument(
         "--exact-solves", action="store_true", dest="exact_solves",
@@ -623,10 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--episodes", type=int, default=120)
     p_cmp.add_argument("--restarts", type=int, default=1)
     p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.add_argument(
-        "--jobs", type=_job_count, default=1,
-        help="evaluation worker processes (0 = one per CPU)",
-    )
     _add_engine_flag(p_cmp)
     p_cmp.set_defaults(func=_cmd_compare)
 
@@ -637,16 +617,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--episodes", type=int, default=80)
     p_exp.add_argument("--restarts", type=int, default=1)
     p_exp.add_argument("--seed", type=int, default=0)
-    p_exp.add_argument(
-        "--jobs", type=_job_count, default=1,
-        help="evaluation worker processes (0 = one per CPU)",
-    )
     _add_engine_flag(p_exp)
     p_exp.set_defaults(func=_cmd_experiment)
 
     p_bat = sub.add_parser(
         "batch",
-        help="run a seeded bang-bang episode batch (serial or parallel)",
+        help="run a seeded bang-bang episode batch (serial or lockstep)",
     )
     p_bat.add_argument("--episodes", type=int, default=16)
     p_bat.add_argument("--horizon", type=int, default=100)
@@ -660,10 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="registered scenario to run (see `repro scenarios`); 'acc' "
              "keeps the paper's front-vehicle disturbance patterns, other "
              "scenarios draw i.i.d. disturbances from their W",
-    )
-    p_bat.add_argument(
-        "--jobs", type=_job_count, default=1,
-        help="worker processes (0 = one per CPU, 1 = serial)",
     )
     p_bat.add_argument(
         "--seed", type=int, default=0,
@@ -710,12 +682,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument(
         "--jobs", type=_job_count, default=1,
         help="worker processes (0 = one per CPU): grid cells are sharded "
-             "whole across workers for the serial/lockstep engines; for "
-             "the parallel engine this is the per-case fan-out width",
+             "whole across workers",
     )
     p_swp.add_argument(
-        "--engine", choices=("serial", "parallel", "lockstep"),
-        default="serial",
+        "--engine", choices=("serial", "lockstep"), default="serial",
         help="execution engine inside every grid cell",
     )
     p_swp.add_argument(
@@ -805,8 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="server-side worker processes for the dirty cells",
     )
     p_sub.add_argument(
-        "--engine", choices=("serial", "parallel", "lockstep"),
-        default="serial",
+        "--engine", choices=("serial", "lockstep"), default="serial",
         help="execution engine inside every grid cell",
     )
     p_sub.add_argument(

@@ -23,10 +23,7 @@ from typing import Optional
 
 from repro.framework.evaluation import ENGINES
 
-__all__ = ["ExecutionConfig", "ON_ERROR_MODES", "SHARD_STRATEGIES"]
-
-#: Recognised shard strategies (see :attr:`ExecutionConfig.shard`).
-SHARD_STRATEGIES = ("auto", "cell", "none")
+__all__ = ["ExecutionConfig", "ON_ERROR_MODES"]
 
 #: Recognised cell-failure policies (see :attr:`ExecutionConfig.on_error`).
 ON_ERROR_MODES = ("fail", "record", "retry")
@@ -37,24 +34,20 @@ class ExecutionConfig:
     """How a sweep's grid cells are executed.
 
     Attributes:
-        engine: Per-cell episode engine — ``"serial"``, ``"parallel"``
-            (per-case fork fan-out *inside* one cell) or ``"lockstep"``
-            (all cases of one approach advance as a single state matrix;
-            the single-core fast path).
-        jobs: Worker processes (``0`` = one per CPU).  Under cell
-            sharding this is the number of grid-cell workers; under the
-            ``"parallel"`` engine it is the per-case fan-out width.
+        engine: Per-cell episode engine — ``"serial"`` (the reference
+            loop) or ``"lockstep"`` (all cases of one approach advance
+            as a single state matrix; the fast path).  Either runs
+            inside one process.
+        jobs: Grid-cell worker processes (``0`` = one per CPU).  A sweep
+            with more than one pending cell and more than one resolved
+            worker shards whole cells over
+            :func:`repro.utils.parallel.fork_map`; otherwise cells run
+            in-process, one after another.  A single experiment has one
+            cell, so it ignores ``jobs``.
         exact_solves: Lockstep only — keep MPC solves on the scalar path
             for record-for-record parity with the serial engine instead
             of the plan-equivalent stacked solve (the one stacked
             route; see :mod:`repro.utils.lp_backends`).
-        shard: ``"cell"`` — fan whole grid cells out over
-            :func:`repro.utils.parallel.fork_map` workers;
-            ``"none"`` — evaluate cells sequentially in-process (``jobs``
-            then only feeds the ``"parallel"`` engine);
-            ``"auto"`` (default) — ``"cell"`` unless the engine is
-            ``"parallel"`` (nesting a per-case fork fan-out inside a
-            per-cell fork fan-out is never what you want).
         collect_timing: Lockstep only — maintain the per-row amortised
             wall-clock arrays (the default).  ``False`` zeroes the
             timing-derived metrics and leaves every deterministic metric
@@ -85,7 +78,8 @@ class ExecutionConfig:
             sharding; a worker hung past it is killed and its cells
             respawn on a fresh worker (see
             :func:`repro.utils.parallel.fork_map`).  Unenforceable on
-            the in-process (``shard="none"`` or single-cell) path.
+            the in-process path (``jobs=1``, or a single pending
+            cell).
         worker_retries: How many worker deaths/timeouts may be charged
             to one grid cell before it is given up — then the sweep
             aborts (``on_error="fail"``) or records a ``stage="worker"``
@@ -95,7 +89,6 @@ class ExecutionConfig:
     engine: str = "serial"
     jobs: int = 1
     exact_solves: bool = False
-    shard: str = "auto"
     collect_timing: bool = True
     telemetry: bool = False
     on_error: str = "fail"
@@ -129,10 +122,6 @@ class ExecutionConfig:
             )
         if self.jobs < 0:
             raise ValueError("jobs must be >= 0 (0 = one worker per CPU)")
-        if self.shard not in SHARD_STRATEGIES:
-            raise ValueError(
-                f"shard must be one of {SHARD_STRATEGIES}, got {self.shard!r}"
-            )
         if self.on_error not in ON_ERROR_MODES:
             raise ValueError(
                 f"on_error must be one of {ON_ERROR_MODES}, "
@@ -144,15 +133,3 @@ class ExecutionConfig:
             raise ValueError("cell_timeout must be None or > 0 seconds")
         if self.worker_retries < 0:
             raise ValueError("worker_retries must be >= 0")
-        if self.shard == "cell" and self.engine == "parallel":
-            raise ValueError(
-                "shard='cell' cannot nest the 'parallel' engine's per-case "
-                "fork fan-out inside per-cell workers; use engine='serial' "
-                "or 'lockstep' for sharded sweeps"
-            )
-
-    def resolved_shard(self) -> str:
-        """The effective strategy: ``"auto"`` → cell unless parallel."""
-        if self.shard != "auto":
-            return self.shard
-        return "none" if self.engine == "parallel" else "cell"

@@ -2,9 +2,9 @@
 
 :func:`run_experiment` evaluates one :class:`ExperimentSpec`;
 :func:`run_sweep` expands a :class:`SweepPlan` into grid cells and —
-under the default cell-sharding strategy — fans whole cells out over
-:func:`repro.utils.parallel.fork_map` workers, lockstep (or serial)
-*inside* each cell.
+with ``jobs > 1`` and more than one pending cell — fans whole cells out
+over :func:`repro.utils.parallel.fork_map` workers, lockstep (or
+serial) *inside* each cell.
 
 Determinism: a cell's metrics depend only on its spec (scenario +
 overrides, seed, cases, horizon) and the engine tier — never on worker
@@ -150,8 +150,8 @@ def _resolve_policies(
                     f"approach {name!r}: sharded sweeps (jobs != 1) "
                     "require stateless policies — a stateful instance "
                     "carries state across cells in-process but starts "
-                    "pristine in each forked worker; run with jobs=1 or "
-                    "shard='none' instead"
+                    "pristine in each forked worker; run with jobs=1 "
+                    "instead"
                 )
             policies[name] = value
             continue
@@ -412,7 +412,6 @@ def _cell_config(cell: GridCell, execution: ExecutionConfig) -> dict:
 def _evaluate_cell(
     cell: GridCell,
     execution: ExecutionConfig,
-    inner_jobs: int,
     require_stateless: bool = False,
     attempt: int = 1,
 ) -> CellResult:
@@ -444,7 +443,6 @@ def _evaluate_cell(
             skip_input=workload.skip_input,
             memory_length=spec.memory_length,
             engine=execution.engine,
-            jobs=inner_jobs,
             exact_solves=execution.exact_solves,
             collect_timing=execution.collect_timing,
             solver_effort=solver_effort,
@@ -475,7 +473,6 @@ def _evaluate_cell(
 def _cell_with_scope(
     cell: GridCell,
     execution: ExecutionConfig,
-    inner_jobs: int,
     require_stateless: bool,
     telemetry_on: bool,
     attempt: int = 1,
@@ -495,7 +492,7 @@ def _cell_with_scope(
     with _obs.scoped_registry(enabled=telemetry_on) as reg:
         with reg.span("cell", key=cell.key, scenario=cell.experiment.display_label):
             result = _evaluate_cell(
-                cell, execution, inner_jobs,
+                cell, execution,
                 require_stateless=require_stateless, attempt=attempt,
             )
         snap = reg.snapshot()
@@ -507,7 +504,6 @@ def _cell_with_scope(
 def _guarded_cell(
     cell: GridCell,
     execution: ExecutionConfig,
-    inner_jobs: int,
     require_stateless: bool,
     telemetry_on: bool,
 ):
@@ -537,7 +533,7 @@ def _guarded_cell(
         attempt += 1
         try:
             result, snap = _cell_with_scope(
-                cell, execution_now, inner_jobs,
+                cell, execution_now,
                 require_stateless=require_stateless,
                 telemetry_on=telemetry_on, attempt=attempt,
             )
@@ -588,9 +584,8 @@ def run_experiment(
 
     Args:
         spec: The experiment.
-        execution: Execution configuration; ``jobs`` feeds the
-            ``"parallel"`` engine's per-case fan-out (a single cell has
-            nothing to shard).
+        execution: Execution configuration; a single cell has nothing
+            to shard, so ``jobs`` and ``cell_timeout`` do not apply.
 
     Returns:
         The cell's :class:`~repro.experiments.result.CellResult`; when
@@ -603,7 +598,6 @@ def run_experiment(
     result, snap = _cell_with_scope(
         GridCell(experiment=spec),
         execution,
-        inner_jobs=execution.jobs,
         require_stateless=False,
         telemetry_on=telemetry_on,
     )
@@ -620,17 +614,16 @@ def run_sweep(
 ) -> SweepResult:
     """Execute a sweep plan's full grid, sharding cells over workers.
 
-    Under the (default) ``"cell"`` shard strategy with ``jobs != 1``,
-    whole grid cells are fanned out over forked workers — each worker
-    runs its cell's entire paired batch with the configured engine
-    (lockstep inside is the single-core fast path), so per-cell results
-    are identical to a ``jobs=1`` run and only wall-clock fields vary.
-    Sharded cells require stateless policies (a stateful instance would
-    carry state across cells in-process but start pristine per worker);
-    supplying one raises a :class:`ValueError` naming the approach.
-    With ``shard="none"`` (or the ``"parallel"`` engine, whose per-case
-    fan-out must not nest inside cell workers) cells run sequentially
-    in-process.
+    A sweep is sharded iff it has more than one pending cell and
+    ``execution.jobs`` resolves to more than one worker: whole grid cells
+    are then fanned out over forked workers — each worker runs its
+    cell's entire paired batch with the configured engine (lockstep
+    inside is the fast path), so per-cell results are identical to a
+    ``jobs=1`` run and only wall-clock fields vary.  Sharded cells
+    require stateless policies (a stateful instance would carry state
+    across cells in-process but start pristine per worker); supplying
+    one raises a :class:`ValueError` naming the approach.  Otherwise
+    cells run one after another in-process.
 
     Fault tolerance: a worker that dies or hangs past
     ``execution.cell_timeout`` is respawned for its unfinished cells
@@ -716,11 +709,7 @@ def run_sweep(
                     on_restored(loaded[cell.key])
     pending = [cell for cell in cells if cell.key not in loaded]
 
-    sharded = (
-        execution.resolved_shard() == "cell"
-        and len(pending) > 1
-        and resolve_jobs(execution.jobs) > 1
-    )
+    sharded = len(pending) > 1 and resolve_jobs(execution.jobs) > 1
     logger.info(
         "sweep: %d cells, engine=%s, jobs=%d, sharded=%s, telemetry=%s",
         len(cells), execution.engine, resolve_jobs(execution.jobs),
@@ -770,7 +759,7 @@ def run_sweep(
                     # below only holds when no policy state can leak
                     # across cells.
                     lambda cell: _guarded_cell(
-                        cell, execution, inner_jobs=1,
+                        cell, execution,
                         require_stateless=True, telemetry_on=telemetry_on,
                     ),
                     pending,
@@ -788,7 +777,7 @@ def run_sweep(
                 triples = []
                 for cell in pending:
                     triple = _guarded_cell(
-                        cell, execution, inner_jobs=execution.jobs,
+                        cell, execution,
                         require_stateless=False, telemetry_on=telemetry_on,
                     )
                     _stream(triple[0])

@@ -10,7 +10,6 @@ from repro.framework.runner import (
     BatchResult,
     BatchRunner,
     EpisodeRecord,
-    ParallelBatchRunner,
     spawn_episode_seeds,
 )
 
@@ -25,7 +24,6 @@ __all__ = [
     "ENGINES",
     "paired_evaluation",
     "BatchRunner",
-    "ParallelBatchRunner",
     "run_lockstep",
     "lockstep_controller_only",
     "BatchResult",

@@ -9,13 +9,13 @@ that shape, scenario-agnostically; the experiment runner
 run_sweep`, one call per grid cell) is its only client; the ACC
 comparison of the paper reaches it through the runner too.
 
-Engine semantics match the batch runners: ``"serial"`` is the reference
-case-major loop, ``"parallel"`` fans cases out over forked workers
-(:func:`repro.utils.parallel.fork_map`), ``"lockstep"`` advances all
-cases of one approach as a single state matrix.  Because realisations are
-materialised by the caller up front and all supplied policies must be
-effectively stateless, every engine yields the same deterministic metric
-values — only wall-clock-derived entries vary.
+Engine semantics match the batch runner: ``"serial"`` is the reference
+case-major loop, ``"lockstep"`` advances all cases of one approach as a
+single state matrix.  Both run in the caller's process; a sweep uses
+more cores by sharding whole cells (:func:`repro.experiments.run_sweep`).
+Because realisations are materialised by the caller up front and all
+supplied policies must be effectively stateless, both engines yield the
+same deterministic metric values — only wall-clock-derived entries vary.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.framework.monitor import SafetyMonitor
 from repro.observability import metrics as _obs
 from repro.skipping.base import SkippingPolicy
 from repro.systems.lti import DiscreteLTISystem
-from repro.utils.parallel import fork_map
 
 __all__ = ["ENGINES", "paired_evaluation"]
 
@@ -68,7 +67,7 @@ def _probe_delta(before: tuple, after: tuple) -> tuple:
 
 
 #: The execution engines every evaluation entry point accepts.
-ENGINES = ("serial", "parallel", "lockstep")
+ENGINES = ("serial", "lockstep")
 
 
 def paired_evaluation(
@@ -82,7 +81,6 @@ def paired_evaluation(
     skip_input=None,
     memory_length: int = 1,
     engine: str = "serial",
-    jobs: int = 1,
     exact_solves: bool = False,
     collect_timing: bool = True,
     solver_effort: Optional[dict] = None,
@@ -104,15 +102,13 @@ def paired_evaluation(
             entry order is the caller's contract.
         skip_input: Constant input applied when skipping (default zero).
         memory_length: The paper's ``r`` (disturbance-history window).
-        engine: ``"serial"``, ``"parallel"`` or ``"lockstep"``.
-        jobs: Worker processes for the parallel engine (``None``/0 = one
-            per CPU); ignored otherwise.
+        engine: ``"serial"`` or ``"lockstep"``.
         exact_solves: Lockstep only — keep the scalar path for
             non-bitwise (stacked LP) controllers so results match the
             serial engine record for record; the default stacked path is
             plan-equivalent (see :mod:`repro.framework.lockstep`).  The
-            serial/parallel engines and ``exact_solves`` audits always
-            run scalar solves.
+            serial engine and ``exact_solves`` audits always run scalar
+            solves.
         collect_timing: Lockstep only — ``False`` skips per-row
             wall-clock collection (timing-derived metrics read zero;
             everything else is bitwise-unchanged).
@@ -198,72 +194,49 @@ def paired_evaluation(
             collected[name] = [metrics_of(stats) for stats in stats_list]
         return collected
 
-    def evaluate_case(i: int) -> tuple:
-        x0 = initial_states[i]
-        disturbances = realisations[i]
-        metrics = {}
-        efforts = {}
-        for name, policy in approaches.items():
-            before = _solver_probe() if instrumented else None
-            try:
-                if policy is None:
-                    stats = run_controller_only(
-                        system, controller, x0, disturbances
-                    )
-                else:
-                    runner = IntermittentController(
-                        system=system,
-                        controller=controller,
-                        monitor=monitor_factory(),
-                        policy=policy,
-                        skip_input=skip_input,
-                        memory_length=memory_length,
-                    )
-                    stats = runner.run(x0, disturbances)
-            except RMPCInfeasibleError as exc:
-                # Name the episode: the cell layer above adds the grid
-                # coordinates, this layer owns the case index.
-                raise RMPCInfeasibleError(
-                    f"case {i} ({name}): {exc}"
-                ) from None
-            metrics[name] = metrics_of(stats)
-            if instrumented:
-                efforts[name] = _probe_delta(before, _solver_probe())
-        return metrics, efforts
-
-    def evaluate_case_scoped(i: int) -> tuple:
-        # Each case runs under its own registry so forked workers can
-        # ship their telemetry back through the result pipe; the serial
-        # fallback takes the identical path, keeping jobs=k snapshots
-        # equal to jobs=1 by construction (merge happens in case order).
-        with _obs.scoped_registry() as case_reg:
-            out = evaluate_case(i)
-            return out, case_reg.snapshot()
-
+    collected = {name: [] for name in approaches}
+    # Sized from the probe, so a new counter cannot be silently dropped.
+    zero = (0,) * len(_solver_probe())
+    totals = {name: zero for name in approaches}
     with _obs.registry().span(
         "episode-batch",
         engine=engine, cases=num_cases, approaches=len(approaches),
     ):
-        pairs = fork_map(
-            evaluate_case_scoped,
-            range(num_cases),
-            jobs=1 if engine == "serial" else jobs,
-        )
-        ambient = _obs.registry()
-        for _, snap in pairs:
-            ambient.merge_snapshot(snap)
-    per_case = [metrics for (metrics, _), _ in pairs]
+        for i in range(num_cases):
+            x0 = initial_states[i]
+            disturbances = realisations[i]
+            for name, policy in approaches.items():
+                before = _solver_probe() if instrumented else None
+                try:
+                    if policy is None:
+                        stats = run_controller_only(
+                            system, controller, x0, disturbances
+                        )
+                    else:
+                        runner = IntermittentController(
+                            system=system,
+                            controller=controller,
+                            monitor=monitor_factory(),
+                            policy=policy,
+                            skip_input=skip_input,
+                            memory_length=memory_length,
+                        )
+                        stats = runner.run(x0, disturbances)
+                except RMPCInfeasibleError as exc:
+                    # Name the episode: the cell layer above adds the
+                    # grid coordinates, this layer owns the case index.
+                    raise RMPCInfeasibleError(
+                        f"case {i} ({name}): {exc}"
+                    ) from None
+                collected[name].append(metrics_of(stats))
+                if instrumented:
+                    delta = _probe_delta(before, _solver_probe())
+                    totals[name] = tuple(
+                        a + b for a, b in zip(totals[name], delta)
+                    )
     if want_effort:
         for name in approaches:
-            if not instrumented:
-                solver_effort[name] = None
-                continue
-            total = (0, 0, 0, 0, 0)
-            for (_, efforts), _ in pairs:
-                total = tuple(
-                    a + b for a, b in zip(total, efforts[name])
-                )
-            solver_effort[name] = _effort_dict(total)
-    return {
-        name: [metrics[name] for metrics in per_case] for name in approaches
-    }
+            solver_effort[name] = (
+                _effort_dict(totals[name]) if instrumented else None
+            )
+    return collected

@@ -21,9 +21,9 @@ functions here step an ``(N, n)`` state matrix for ``N`` episodes
 * the plant advances every active row in one
   :meth:`~repro.systems.lti.DiscreteLTISystem.step_batch` call.
 
-This is the only execution engine that raises episodes/sec on a
-single-core host — process fan-out (:class:`ParallelBatchRunner`) needs
-physical cores, lockstep only needs numpy.
+It is the fast one of the two batch engines, and it needs only numpy,
+not more cores; a sweep that has more cores shards whole grid cells over
+them (:func:`repro.experiments.run_sweep`).
 
 Determinism contract — two tiers, selected by the controller's
 :attr:`~repro.controllers.base.Controller.bitwise_batch` flag:

@@ -5,25 +5,22 @@ initial states and disturbance realisations, collects per-episode
 records, and exports them as JSON or CSV — the layer the benchmark
 harness and user sweeps script against.
 
-Three execution engines share one record format:
+Two execution engines share one record format:
 
-* :class:`BatchRunner` (``engine="serial"``) — the sequential reference
-  implementation;
-* :class:`ParallelBatchRunner` — fans episodes out over forked worker
-  processes (:func:`repro.utils.parallel.fork_map`) and merges the
-  results back in episode order;
-* ``BatchRunner(engine="lockstep")`` —
-  steps an ``(N, n)`` state matrix for all episodes simultaneously
-  (:mod:`repro.framework.lockstep`); the only engine that raises
-  episodes/sec on a single core.
+* ``BatchRunner(engine="serial")`` — the sequential reference
+  implementation (Algorithm 1, one episode at a time);
+* ``BatchRunner(engine="lockstep")`` — steps an ``(N, n)`` state matrix
+  for all episodes simultaneously (:mod:`repro.framework.lockstep`).
+
+More cores are used one level up: a sweep shards whole grid cells over
+forked workers (:func:`repro.experiments.run_sweep`).
 
 Determinism contract: :meth:`BatchRunner.run_seeded` derives one
 independent ``numpy.random.Generator`` per episode from a single root
 seed via ``SeedSequence.spawn`` — episode ``i`` sees the same stream no
-matter which engine runs the batch or which worker it lands on, so
-parallel and lockstep results are record-for-record reproducible against
-serial ones (wall-clock timing fields excepted; see
-:data:`DETERMINISTIC_FIELDS`).  Stochastic policies join the contract by
+matter which engine runs the batch, so lockstep results are
+record-for-record reproducible against serial ones (wall-clock timing
+fields excepted; see :data:`DETERMINISTIC_FIELDS`).  Stochastic policies join the contract by
 accepting a generator from the factory: a ``policy_factory`` taking one
 positional argument receives a per-episode generator spawned from the
 same root seed (independent of the disturbance stream); zero-argument
@@ -43,7 +40,7 @@ import inspect
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -55,20 +52,17 @@ from repro.framework.monitor import SafetyMonitor
 from repro.observability import metrics as _obs
 from repro.skipping.base import SkippingPolicy
 from repro.systems.lti import DiscreteLTISystem
-from repro.utils.parallel import fork_map
 
 __all__ = [
     "EpisodeRecord",
     "BatchResult",
     "BatchRunner",
-    "ParallelBatchRunner",
     "DETERMINISTIC_FIELDS",
     "spawn_episode_seeds",
 ]
 
 #: Record fields that are pure functions of (initial state, disturbance
-#: realisation): identical between serial, parallel and lockstep
-#: execution.  The remaining fields are wall-clock measurements and vary
+#: realisation): identical between serial and lockstep execution.  The remaining fields are wall-clock measurements and vary
 #: run to run.
 DETERMINISTIC_FIELDS = (
     "episode",
@@ -173,10 +167,6 @@ class BatchResult:
     def append(self, record: EpisodeRecord) -> None:
         self.records.append(record)
 
-    def extend(self, records: Sequence[EpisodeRecord]) -> None:
-        """Append many records (used when merging worker chunks)."""
-        self.records.extend(records)
-
     def __len__(self) -> int:
         return len(self.records)
 
@@ -194,8 +184,8 @@ class BatchResult:
     def deterministic_records(self) -> list:
         """Per-episode tuples of the scheduling-independent fields.
 
-        The differential test harness compares these between serial,
-        parallel and lockstep runs; wall-clock fields are excluded by
+        The differential test harness compares these between serial
+        and lockstep runs; wall-clock fields are excluded by
         construction.
         """
         return [record.deterministic_view() for record in self.records]
@@ -250,8 +240,8 @@ class BatchRunner:
         controller: Safe controller κ.  It is shared across episodes and
             must return to a pristine state on ``reset()`` (true for the
             library's controllers) so episode results are independent of
-            execution order — the property the parallel and lockstep
-            engines rely on.
+            execution order — the property the lockstep engine relies
+            on.
         monitor_factory: Zero-argument callable producing a fresh
             :class:`SafetyMonitor` per episode (monitors carry violation
             counters, so sharing one across episodes muddles stats).
@@ -266,8 +256,7 @@ class BatchRunner:
         reveal_future: Pass the realised future to Ω (model-based case).
         engine: ``"serial"`` (the reference loop) or ``"lockstep"``
             (vectorised across episodes; see
-            :mod:`repro.framework.lockstep`).  For process fan-out use
-            :class:`ParallelBatchRunner` instead.
+            :mod:`repro.framework.lockstep`).
         exact_solves: Lockstep only — route non-bitwise controllers
             (stacked LP solvers like
             :class:`~repro.controllers.rmpc.RobustMPC`) through the
@@ -300,8 +289,7 @@ class BatchRunner:
     ):
         if engine not in ("serial", "lockstep"):
             raise ValueError(
-                f"engine must be 'serial' or 'lockstep', got {engine!r} "
-                "(use ParallelBatchRunner for process fan-out)"
+                f"engine must be 'serial' or 'lockstep', got {engine!r}"
             )
         self.system = system
         self.controller = controller
@@ -351,8 +339,8 @@ class BatchRunner:
 
         Zero-argument factories are simply called.  Rng-accepting
         factories get ``default_rng`` over the episode's policy stream —
-        a pure function of ``(root seed, episode)``, so every engine and
-        worker builds the identical policy.  ``seeds`` are the episode
+        a pure function of ``(root seed, episode)``, so every engine
+        builds the identical policy.  ``seeds`` are the episode
         seed sequences of :meth:`run_seeded`; the unseeded :meth:`run`
         derives streams from a fixed module tag instead.
         """
@@ -448,9 +436,9 @@ class BatchRunner:
             disturbance_factory: ``(episode, rng) -> (T, n)`` realisation;
                 must draw randomness only from the passed generator.
             root_seed: Root seed; episode ``i`` gets the ``i``-th spawned
-                child stream regardless of engine, execution order or
-                worker count.  Rng-accepting policy factories get an
-                independent stream derived from the same child.
+                child stream regardless of engine or execution order.
+                Rng-accepting policy factories get an independent
+                stream derived from the same child.
 
         Returns:
             A :class:`BatchResult` with ``N`` records in episode order.
@@ -465,98 +453,3 @@ class BatchRunner:
             self._policy_provider(len(states), seeds=seeds),
         )
 
-
-class ParallelBatchRunner(BatchRunner):
-    """Process-parallel :class:`BatchRunner` with identical results.
-
-    Episodes are dispatched to ``jobs`` forked workers in interleaved
-    chunks and the records merged back in episode order, so a batch run
-    here is record-for-record identical (up to wall-clock fields) to the
-    same batch on the serial :class:`BatchRunner`:
-
-    * :meth:`run` pre-samples every realisation in the parent, in episode
-      order, before fanning out — a sampler closing over one shared
-      generator therefore sees exactly the serial call sequence;
-    * :meth:`run_seeded` re-derives episode ``i``'s private generators
-      (disturbance and policy) from the root seed inside whichever worker
-      runs it (cheaper than shipping ``(T, n)`` arrays to every child for
-      large batches).
-
-    Args:
-        jobs: Worker processes.  ``None``/0 = one per CPU; 1 (or platforms
-            without ``fork``) degrades to the serial loop.
-        Remaining arguments: see :class:`BatchRunner`.
-    """
-
-    def __init__(
-        self,
-        system: DiscreteLTISystem,
-        controller: Controller,
-        monitor_factory: Callable[[], SafetyMonitor],
-        policy_factory: Callable[..., SkippingPolicy],
-        skip_input=None,
-        memory_length: int = 1,
-        reveal_future: bool = False,
-        jobs: Optional[int] = None,
-    ):
-        super().__init__(
-            system,
-            controller,
-            monitor_factory,
-            policy_factory,
-            skip_input=skip_input,
-            memory_length=memory_length,
-            reveal_future=reveal_future,
-        )
-        self.jobs = jobs
-
-    def _execute(
-        self, states: np.ndarray, realisation_for: Callable, policy_for: Callable
-    ) -> BatchResult:
-        """Fan episodes out, then merge chunk results in episode order."""
-        reg = _obs.registry()
-        reg.inc("batch_runs_total", engine="parallel")
-        reg.inc("batch_episodes_total", len(states), engine="parallel")
-
-        def run_one_scoped(episode: int) -> tuple:
-            # Per-episode registry scope: worker-side telemetry ships
-            # back through the result pipe instead of dying with the
-            # fork, and episode-order merging keeps jobs=k snapshots
-            # equal to jobs=1.
-            with _obs.scoped_registry() as episode_reg:
-                record = self._run_one(
-                    episode,
-                    states[episode],
-                    realisation_for(episode),
-                    policy_for(episode),
-                )
-                return record, episode_reg.snapshot()
-
-        pairs = fork_map(run_one_scoped, range(len(states)), jobs=self.jobs)
-        for _, snap in pairs:  # fork_map preserves input (episode) order
-            reg.merge_snapshot(snap)
-        result = BatchResult()
-        result.extend(record for record, _ in pairs)
-        return result
-
-    def run(
-        self,
-        initial_states,
-        disturbance_sampler: Callable[[int], np.ndarray],
-    ) -> BatchResult:
-        """Parallel :meth:`BatchRunner.run` (same signature, same records).
-
-        Realisations are pre-sampled in the parent, in episode order, so
-        a sampler closing over one shared generator sees exactly the
-        serial call sequence before any worker starts.
-        """
-        states = self._initial_states(initial_states)
-        realisations = [
-            np.atleast_2d(np.asarray(disturbance_sampler(episode), dtype=float))
-            for episode in range(len(states))
-        ]
-        return self._execute(
-            states,
-            realisations.__getitem__,
-            self._policy_provider(len(states)),
-        )

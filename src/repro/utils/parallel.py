@@ -1,11 +1,10 @@
 """Fork-based order-preserving parallel map with worker supervision.
 
-The batch layers (:class:`repro.framework.runner.ParallelBatchRunner`,
-the ``"parallel"`` engine of :func:`repro.framework.evaluation.
-paired_evaluation`, the sharded grid sweeps of :mod:`repro.experiments`)
-fan work out over worker processes.
-They all go through :func:`fork_map`, which uses the ``fork`` start
-method deliberately:
+Cell sharding is the one way the project uses more cores: a sweep
+(:func:`repro.experiments.run_sweep`, and through it the experiment
+service) fans whole grid cells out over worker processes with
+:func:`fork_map`.  The episode engines inside a cell run in one process.
+:func:`fork_map` uses the ``fork`` start method deliberately:
 
 * the mapped function and its captured objects (plants, controllers,
   polytopes, monitor factories — often lambdas) are *inherited* by the

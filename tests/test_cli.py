@@ -28,40 +28,62 @@ class TestParser:
         assert args.name == "ex3"
 
     def test_jobs_flag_on_evaluation_commands(self):
-        assert build_parser().parse_args(["compare", "--jobs", "4"]).jobs == 4
-        assert build_parser().parse_args(
-            ["experiment", "ex1", "--jobs", "0"]
-        ).jobs == 0
+        # --jobs shards grid cells, so only the multi-cell verbs take it.
+        assert build_parser().parse_args(["sweep", "--jobs", "4"]).jobs == 4
+        assert build_parser().parse_args(["submit", "--jobs", "0"]).jobs == 0
         # Serial by default: parallelism is opt-in.
-        assert build_parser().parse_args(["compare"]).jobs == 1
+        assert build_parser().parse_args(["sweep"]).jobs == 1
+        assert build_parser().parse_args(["submit"]).jobs == 1
+
+    @pytest.mark.parametrize("command", ["compare", "experiment", "batch"])
+    def test_jobs_flag_is_gone_on_single_cell_verbs(self, command, capsys):
+        verb = [command, "ex1"] if command == "experiment" else [command]
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(verb + ["--jobs", "2"])
+        assert info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_batch_defaults(self):
         args = build_parser().parse_args(["batch"])
         assert args.episodes == 16
         assert args.horizon == 100
-        assert args.jobs == 1
+        assert args.engine == "serial"
         assert args.seed == 0
         assert args.out is None
 
     def test_batch_flags(self):
         args = build_parser().parse_args(
-            ["batch", "--episodes", "8", "--jobs", "2", "--seed", "7",
-             "--out", "records.csv"]
+            ["batch", "--episodes", "8", "--engine", "lockstep", "--seed",
+             "7", "--out", "records.csv"]
         )
-        assert (args.episodes, args.jobs, args.seed) == (8, 2, 7)
+        assert (args.episodes, args.engine, args.seed) == (8, "lockstep", 7)
         assert args.out == "records.csv"
 
     def test_engine_flag_on_all_batch_commands(self):
         for argv in (
             ["batch", "--engine", "lockstep"],
             ["compare", "--engine", "serial"],
-            ["experiment", "ex1", "--engine", "parallel"],
+            ["experiment", "ex1", "--engine", "lockstep"],
+            ["sweep", "--engine", "lockstep"],
+            ["submit", "--engine", "serial"],
         ):
             assert build_parser().parse_args(argv).engine == argv[-1]
-        # Engine is inferred from --jobs when not given.
-        assert build_parser().parse_args(["batch"]).engine is None
+        # The serial reference loop is the default everywhere.
+        for argv in (["batch"], ["compare"], ["experiment", "ex1"],
+                     ["sweep"], ["submit"]):
+            assert build_parser().parse_args(argv).engine == "serial"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["batch", "--engine", "warp"])
+
+    @pytest.mark.parametrize(
+        "command", ["compare", "experiment", "batch", "sweep", "submit"]
+    )
+    def test_parallel_engine_is_gone(self, command, capsys):
+        verb = [command, "ex1"] if command == "experiment" else [command]
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(verb + ["--engine", "parallel"])
+        assert info.value.code == 2
+        assert "parallel" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command", ["compare", "experiment", "batch", "sweep", "submit"]
@@ -151,7 +173,7 @@ class TestExecution:
     def test_batch_command_writes_records(self, acc_case, capsys, tmp_path):
         out_path = tmp_path / "records.json"
         assert main(
-            ["batch", "--episodes", "3", "--horizon", "8", "--jobs", "1",
+            ["batch", "--episodes", "3", "--horizon", "8",
              "--seed", "5", "--out", str(out_path)]
         ) == 0
         out = capsys.readouterr().out

@@ -132,27 +132,23 @@ class TestExecutionConfig:
             ExecutionConfig(engine="warp")
         with pytest.raises(ValueError, match="jobs"):
             ExecutionConfig(jobs=-1)
-        with pytest.raises(ValueError, match="shard"):
-            ExecutionConfig(shard="episode")
 
     def test_lp_backend_field_is_gone(self):
         # The stacked-solve route is a controller setting, not a run
-        # option: ten execution fields, none of them lp_backend.
+        # option: nine execution fields, none of them lp_backend.
         names = [field.name for field in fields(ExecutionConfig)]
-        assert len(names) == 10
+        assert len(names) == 9
         assert "lp_backend" not in names
         with pytest.raises(TypeError, match="lp_backend"):
             ExecutionConfig(lp_backend="scipy")
 
-    def test_cell_shard_rejects_parallel_engine(self):
-        with pytest.raises(ValueError, match="nest"):
-            ExecutionConfig(engine="parallel", shard="cell")
-
-    def test_auto_shard_resolution(self):
-        assert ExecutionConfig(engine="lockstep").resolved_shard() == "cell"
-        assert ExecutionConfig(engine="serial").resolved_shard() == "cell"
-        assert ExecutionConfig(engine="parallel").resolved_shard() == "none"
-        assert ExecutionConfig(shard="none").resolved_shard() == "none"
+    def test_parallel_engine_and_shard_field_are_gone(self):
+        # Two episode engines; jobs alone decides cell sharding.
+        with pytest.raises(ValueError, match="engine"):
+            ExecutionConfig(engine="parallel")
+        assert "shard" not in [field.name for field in fields(ExecutionConfig)]
+        with pytest.raises(TypeError, match="shard"):
+            ExecutionConfig(shard="none")
 
 
 class TestSweepPlan:
@@ -496,11 +492,11 @@ class TestSweepExecution:
                 rhs["mean_energy"], abs=1e-9
             )
 
-    def test_shard_none_runs_in_process(self, grid, reference):
+    def test_jobs1_runs_in_process(self, grid, reference):
         seen = []
         result = run_sweep(
             grid,
-            ExecutionConfig(engine="lockstep", jobs=2, shard="none"),
+            ExecutionConfig(engine="lockstep", jobs=1),
             on_cell=lambda cell: seen.append(cell.key),
         )
         assert result.deterministic_rows() == reference.deterministic_rows()
@@ -534,11 +530,11 @@ class TestSweepExecution:
                 ),
             ]
         )
-        # In-process (jobs=1 or shard='none') keeps legacy semantics...
+        # In-process (jobs=1) keeps legacy semantics...
         run_sweep(plan, ExecutionConfig(engine="serial", jobs=1))
         # ...but sharding would let state leak in-process while forked
         # workers start pristine, so it must refuse.
-        with pytest.raises(RuntimeError, match="stateless"):
+        with pytest.raises(RuntimeError, match="stateless.*run with jobs=1"):
             run_sweep(plan, ExecutionConfig(engine="serial", jobs=2))
 
     def test_on_cell_fires_per_cell_when_sharded(self, grid, reference):

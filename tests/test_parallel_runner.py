@@ -1,10 +1,12 @@
-"""Differential determinism harness for the parallel batch engine.
+"""Seed streams, seeded batches and the fork-based parallel map.
 
-The contract under test: a :class:`ParallelBatchRunner` with a fixed
-root seed produces record-for-record identical deterministic fields to
-the serial :class:`BatchRunner` — and to itself at any worker count —
-because every episode derives its own generator stream from the root
-seed and workers never share randomness.
+* :class:`BatchRunner` with a fixed root seed is stable and
+  seed-sensitive on both engines, keeps episode order, and the unseeded
+  ``run()`` consumes a shared generator identically on both engines;
+* per-episode seed streams depend only on ``(root seed, episode)``;
+* :func:`fork_map` — the process fan-out behind cell-sharded sweeps —
+  preserves order, propagates errors and supervises its workers
+  (respawn after a kill, timeouts, bounded retries).
 """
 
 import multiprocessing as mp
@@ -18,9 +20,9 @@ from repro.observability import metrics as obs
 from repro.utils import chaos
 from repro.framework import (
     DETERMINISTIC_FIELDS,
+    ENGINES,
     BatchResult,
     BatchRunner,
-    ParallelBatchRunner,
     SafetyMonitor,
     spawn_episode_seeds,
 )
@@ -63,38 +65,25 @@ def di_batch(double_integrator):
 
 
 class TestDifferentialDeterminism:
-    def test_parallel_matches_serial_record_for_record(self, di_batch):
-        make, factory, states = di_batch
-        serial = make(BatchRunner).run_seeded(states, factory, ROOT_SEED)
-        parallel = make(ParallelBatchRunner, jobs=2).run_seeded(
-            states, factory, ROOT_SEED
-        )
-        assert len(serial) == len(parallel) == len(states)
-        assert serial.deterministic_records() == parallel.deterministic_records()
-
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
-    def test_jobs_invariance(self, di_batch, jobs):
-        make, factory, states = di_batch
-        reference = make(BatchRunner).run_seeded(states, factory, ROOT_SEED)
-        result = make(ParallelBatchRunner, jobs=jobs).run_seeded(
-            states, factory, ROOT_SEED
-        )
-        assert result.deterministic_records() == reference.deterministic_records()
+    """Seeded-batch properties of :class:`BatchRunner`, on both engines."""
 
     def test_seed_stability_and_sensitivity(self, di_batch):
         # AlwaysRun so the energy depends on the disturbance realisation.
         make, factory, states = di_batch
-        runner = make(ParallelBatchRunner, policy_factory=AlwaysRunPolicy, jobs=2)
-        first = runner.run_seeded(states, factory, ROOT_SEED)
-        again = runner.run_seeded(states, factory, ROOT_SEED)
-        other = runner.run_seeded(states, factory, ROOT_SEED + 1)
-        assert first.deterministic_records() == again.deterministic_records()
-        assert first.deterministic_records() != other.deterministic_records()
+        for engine in ENGINES:
+            runner = make(
+                BatchRunner, policy_factory=AlwaysRunPolicy, engine=engine
+            )
+            first = runner.run_seeded(states, factory, ROOT_SEED)
+            again = runner.run_seeded(states, factory, ROOT_SEED)
+            other = runner.run_seeded(states, factory, ROOT_SEED + 1)
+            assert first.deterministic_records() == again.deterministic_records()
+            assert first.deterministic_records() != other.deterministic_records()
 
     def test_unseeded_run_parity_with_shared_generator(self, di_batch):
-        # The legacy run() API: a sampler closing over one shared rng is
-        # pre-sampled in episode order by the parallel engine, so both
-        # engines consume the generator identically.
+        # The legacy run() API: both engines call a sampler closing over
+        # one shared rng in episode order, so they consume the generator
+        # identically.
         make, _factory, states = di_batch
         lo, hi = (-0.02, 0.02)
 
@@ -104,17 +93,20 @@ class TestDifferentialDeterminism:
         serial = make(BatchRunner).run(
             states, sampler_with(np.random.default_rng(11))
         )
-        parallel = make(ParallelBatchRunner, jobs=3).run(
+        lockstep = make(BatchRunner, engine="lockstep").run(
             states, sampler_with(np.random.default_rng(11))
         )
-        assert serial.deterministic_records() == parallel.deterministic_records()
+        assert serial.deterministic_records() == lockstep.deterministic_records()
 
     def test_episode_order_preserved(self, di_batch):
         make, factory, states = di_batch
-        result = make(ParallelBatchRunner, jobs=4).run_seeded(
-            states, factory, ROOT_SEED
-        )
-        assert [r.episode for r in result.records] == list(range(len(states)))
+        for engine in ENGINES:
+            result = make(BatchRunner, engine=engine).run_seeded(
+                states, factory, ROOT_SEED
+            )
+            assert [r.episode for r in result.records] == list(
+                range(len(states))
+            )
 
     def test_deterministic_fields_exclude_wall_clock(self):
         assert "mean_controller_ms" not in DETERMINISTIC_FIELDS
@@ -124,12 +116,15 @@ class TestDifferentialDeterminism:
 
     def test_empty_batch(self, di_batch, tmp_path):
         make, factory, _states = di_batch
-        result = make(ParallelBatchRunner, jobs=2).run_seeded(
-            np.empty((0, 2)), factory, ROOT_SEED
-        )
-        assert len(result) == 0
-        result.to_json(tmp_path / "empty.json")
-        result.to_csv(tmp_path / "empty.csv")
+        for engine in ENGINES:
+            result = make(BatchRunner, engine=engine).run_seeded(
+                np.empty((0, 2)), factory, ROOT_SEED
+            )
+            assert len(result) == 0
+            result.to_json(tmp_path / f"{engine}.json")
+            result.to_csv(tmp_path / f"{engine}.csv")
+            assert len(BatchResult.from_json(tmp_path / f"{engine}.json")) == 0
+            assert len(BatchResult.from_csv(tmp_path / f"{engine}.csv")) == 0
 
 
 class TestSeedStreams:

@@ -142,7 +142,7 @@ class TestPlanSerialization:
     def test_execution_roundtrips_every_field(self):
         execution = ExecutionConfig(
             engine="lockstep", jobs=3, exact_solves=True,
-            shard="none", collect_timing=False,
+            collect_timing=False,
             telemetry=True, on_error="retry",
             cell_retries=2, cell_timeout=9.5, worker_retries=1,
         )
@@ -461,7 +461,13 @@ class TestServiceHTTP:
 
     @pytest.mark.parametrize(
         "field, value",
-        MALFORMED_EXECUTION + [("kernel", "numpy"), ("lp_backend", "scipy")],
+        MALFORMED_EXECUTION
+        + [
+            ("kernel", "numpy"),
+            ("lp_backend", "scipy"),
+            ("engine", "parallel"),
+            ("shard", "cell"),
+        ],
     )
     def test_malformed_execution_is_400(self, service, field, value):
         payload = plan_to_dict(make_plan())

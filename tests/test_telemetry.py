@@ -523,6 +523,22 @@ class TestSolverEffortColumns:
         bang_bang = rows[("thermal", "bang_bang")]
         assert bang_bang["solve_count"] == bang_bang["stacked_solves"] == 0
 
+    def test_serial_effort_equals_scalar_counter_delta(self, warm_thermal):
+        # The serial loop runs only scalar κ_R solves, and its
+        # per-approach effort sums every counter the probe reads.
+        reg = obs_metrics.registry()
+        before = reg.total("rmpc_solves_total", path="scalar")
+        cell = run_experiment(
+            ExperimentSpec(**SPEC), ExecutionConfig(engine="serial")
+        )
+        delta = reg.total("rmpc_solves_total", path="scalar") - before
+        solver = {name: stats.solver for name, stats in cell.approaches.items()}
+        assert solver["baseline"]["solve_count"] > 0
+        for effort in solver.values():
+            assert effort["solve_count"] == effort["scalar_solves"]
+            assert effort["stacked_solves"] == effort["stacked_fallbacks"] == 0
+        assert sum(effort["scalar_solves"] for effort in solver.values()) == delta
+
     def test_csv_round_trip_preserves_solver_columns(self, result, tmp_path):
         path = str(tmp_path / "rows.csv")
         result.to_csv(path)
