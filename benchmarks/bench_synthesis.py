@@ -11,11 +11,12 @@ cache) and records every :meth:`HPolytope.remove_redundancies`, every
 linear-feedback XI) and every
 :func:`repro.controllers.feasible.rmpc_feasible_set` input and output.
 It reports the cold synthesis seconds, the LPs it solved, the
-redundancy-removal share, and the redundancy LP counts by phase
-(``warm``: re-solves of one warm model per polytope; ``cold``: fresh LPs
-for the rows a warm solve could not decide).  Then it replays the
-recorded inputs through three oracles and exits non-zero unless all
-agree:
+redundancy-removal share, the redundancy checks of 1-D and 2-D polytopes
+decided by a closed-form certificate (``closed``, no LP), and the
+redundancy LP counts by phase (``warm``: re-solves of one warm model per
+polytope; ``cold``: fresh LPs for the rows a warm solve could not
+decide).  Then it replays the recorded inputs through three oracles and
+exits non-zero unless all agree:
 
 * every redundancy removal through the serial loop
   (:func:`repro.geometry.reference.remove_redundancies_serial`),
@@ -27,6 +28,11 @@ agree:
   each projection before intersecting
   (:func:`repro.geometry.reference.rmpc_feasible_set_two_prune`),
   bitwise.
+
+It also exits non-zero when a scenario with 1-D or 2-D redundancy
+removals decides none of their checks in closed form: every such check
+silently falling back to an LP would keep the sets right but lose the
+speed.
 
 Every run writes a ``BENCH_synthesis.json`` artifact (per-scenario rows
 plus machine info); disable with ``--artifact ''``.
@@ -46,7 +52,10 @@ import repro.controllers.rmpc as rmpc_module
 import repro.scenarios.builder as builder_module
 from repro import scenarios
 from repro.geometry import HPolytope
-from repro.geometry.hpolytope import REDUNDANCY_LPS_METRIC
+from repro.geometry.hpolytope import (
+    REDUNDANCY_CLOSED_FORM_METRIC,
+    REDUNDANCY_LPS_METRIC,
+)
 from repro.geometry.reference import (
     maximal_rpi_reference,
     remove_redundancies_serial,
@@ -147,6 +156,8 @@ def scenario_row(name: str) -> dict:
         "remove_redundancies_calls": len(calls),
         "rows_in": sum(len(h) for _, h, _, _ in calls),
         "rows_out": sum(result.num_constraints for *_, result in calls),
+        "planar_calls": sum(H.shape[1] <= 2 for H, *_ in calls),
+        "closed_form": reg.value(REDUNDANCY_CLOSED_FORM_METRIC),
         "warm_lps": reg.value(REDUNDANCY_LPS_METRIC, phase="warm"),
         "cold_lps": reg.value(REDUNDANCY_LPS_METRIC, phase="cold"),
         "oracle_lps": oracle_reg.total(LP_SOLVES_METRIC),
@@ -173,7 +184,7 @@ def main(argv=None) -> int:
 
     rows = []
     print(f"{'scenario':<14}{'synth s':>9}{'LPs':>6}{'rpi s':>8}{'rr s':>8}"
-          f"{'calls':>7}{'warm':>7}{'cold':>6}{'oracle LPs':>12}"
+          f"{'calls':>7}{'closed':>8}{'warm':>7}{'cold':>6}{'oracle LPs':>12}"
           f"{'oracle s':>10}  rr ok  rpi ok  X_F ok")
     for name in names:
         row = scenario_row(name)
@@ -182,7 +193,8 @@ def main(argv=None) -> int:
         print(f"{name:<14}{row['synth_s']:>9.3f}{row['lp_solves']:>6}"
               f"{row['maximal_rpi_s']:>8.3f}"
               f"{row['remove_redundancies_s']:>8.3f}"
-              f"{row['remove_redundancies_calls']:>7}{row['warm_lps']:>7}"
+              f"{row['remove_redundancies_calls']:>7}{row['closed_form']:>8}"
+              f"{row['warm_lps']:>7}"
               f"{row['cold_lps']:>6}{row['oracle_lps']:>12}"
               f"{row['oracle_replay_s']:>10.3f}  "
               f"{'yes' if row['mismatches'] == 0 else 'NO':>5}  "
@@ -194,7 +206,9 @@ def main(argv=None) -> int:
     redundancy_ok = all(row["mismatches"] == 0 for row in rows)
     rpi_ok = all(not row["rpi_mismatches"] for row in rows)
     feasible_ok = all(row["feasible_mismatches"] == 0 for row in rows)
-    ok = redundancy_ok and rpi_ok and feasible_ok
+    all_lp = [row["scenario"] for row in rows
+              if row["planar_calls"] and not row["closed_form"]]
+    ok = redundancy_ok and rpi_ok and feasible_ok and not all_lp
     total = sum(row["synth_s"] for row in rows)
     redundancy = ("every redundancy removal bitwise-identical to the serial "
                   "oracle" if redundancy_ok
@@ -206,6 +220,9 @@ def main(argv=None) -> int:
                 else "MISMATCH against the two-prune feasible-set route")
     print(f"total cold synthesis {total:.2f} s; {redundancy}; {rpi}; "
           f"{feasible}")
+    if all_lp:
+        print(f"NO closed-form redundancy check in {', '.join(all_lp)}: "
+              "every 1-D/2-D check fell back to an LP")
     if args.artifact:
         with open(args.artifact, "w") as fh:
             json.dump({

@@ -7,18 +7,26 @@ the paper are all built from the operations defined here.
 
 Every operation that needs optimisation uses LPs through
 :mod:`repro.utils.lp` (HiGHS), except supports over an axis box, which
-are closed-form (:meth:`HPolytope.support_batch`); nothing here depends
-on vertex enumeration except :meth:`HPolytope.vertices`, which is only
-used for reporting, sampling and exact 2-D Minkowski sums.
-Redundancy removal re-solves one warm HiGHS model row by row
-(:class:`repro.utils.lp.WarmRowModel`) and falls back to a cold LP for
-every row the warm solve cannot decide, so its result is the serial
-loop's bitwise (:meth:`HPolytope.remove_redundancies`).
+are closed-form (:meth:`HPolytope.support_batch`), and the redundancy
+checks of 1-D and 2-D polytopes that a certificate decides.  Vertex
+enumeration is used for reporting, sampling and exact 2-D Minkowski sums
+(:meth:`HPolytope.vertices`, on Qhull) and, in 2-D, by redundancy
+removal: a sorted half-plane intersection (:func:`_vertex_cycle`, no LP
+and no Qhull) gives the polygon's vertex cycle, from which each row gets
+a certificate.  No certificate is trusted on the cycle's word: each one
+is checked against the rows the serial loop still keeps when it decides
+that row, and a row without a certificate that holds is decided as before
+— by re-solving one warm HiGHS model row by row
+(:class:`repro.utils.lp.WarmRowModel`), then by a cold LP for every row
+the warm solve cannot decide.  The result is the serial loop's bitwise
+(:meth:`HPolytope.remove_redundancies`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import math
+from collections import deque
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +57,25 @@ _DECISION_MARGIN = 1e-6
 
 #: ``linprog``'s status code of an unbounded LP (:attr:`LPError.status`).
 _UNBOUNDED = 3
+
+#: Redundancy checks of 1-D and 2-D polytopes decided by a certificate,
+#: without an LP.
+REDUNDANCY_CLOSED_FORM_METRIC = "geometry_redundancy_closed_form_total"
+
+#: Smallest ``|det|`` of the two unit normals a redundancy certificate or
+#: a corner is built from; a nearer-parallel pair gives neither.
+_PAIR_MIN_DET = 1e-6
+
+#: Smallest ``|det|`` of two unit normals :func:`_vertex_cycle` meets.
+_CYCLE_MIN_DET = 1e-12
+
+#: Half-width of the box :func:`_vertex_cycle` clips the polygon to,
+#: relative to ``1 + max |h_i|``.
+_CYCLE_BOX = 1e6
+
+#: Fraction of its step an essential-row witness is pulled back by, so
+#: that it lies strictly inside the row that stopped it.
+_PULLBACK = 1e-9
 
 
 class EmptySetError(ValueError):
@@ -500,49 +527,105 @@ class HPolytope:
         its offset by more than ``tol``.  Near-duplicate rows are
         collapsed first (:func:`_dedupe_rows`); then the rows are checked
         in order, each against the rows still kept (the *serial loop*), so
-        an earlier removal widens every later check.
+        an earlier removal widens every later check.  An unbounded check
+        keeps its row, and so does an infeasible one (the serial loop's
+        ``LPError``): on an empty set every row whose check region is
+        empty is kept.
 
-        The checks re-solve one warm HiGHS model over the deduplicated
-        rows (:class:`repro.utils.lp.WarmRowModel`): row ``i`` is freed,
-        the cost set to ``-H_i``, and the model re-run from the previous
-        basis; a dropped row keeps its ``+inf`` bound, which is the serial
-        loop's running mask.  The warm LP has the serial check's feasible
-        region and objective, so its optimum differs from the cold one
-        only by solver error.  A warm maximum above ``h_i + tol +
-        1e-6·(1 + |h_i|)`` therefore keeps the row and one below ``h_i +
-        tol - 1e-6·(1 + |h_i|)`` drops it, exactly as the cold check
-        would; an unbounded warm LP keeps the row, as the serial loop
-        does.  Every other row — a value inside the margin, an infeasible
-        or failed solve, a point that fails the residual check, or no
-        bundled core — is re-solved cold with the serial loop's own
-        ``maximize(H[i], H[mask], h[mask])``.  The result is the serial
-        loop's bitwise.  Each LP counts one
-        ``geometry_redundancy_lps_total{phase}`` (``warm`` / ``cold``).
+        **Certificates (n <= 2).**  With ``M`` the rows still kept minus
+        row ``i``, and ``m_i = 1e-6·(1 + |h_i|)`` the decision margin,
+        row ``i`` is decided without an LP by one of
+        (:class:`_RowCertificates`):
+
+        * *redundant*: two rows ``j, k`` of ``M`` with ``H_i = λ_j H_j +
+          λ_k H_k``, ``λ >= 0``, and ``λ·h < h_i + tol - m_i``, plus a
+          point of the set as the feasibility witness (an empty check
+          region keeps the row, whatever ``λ`` says);
+        * *essential (point)*: a point inside every row of ``M`` with
+          ``H_i x > h_i + tol + m_i``;
+        * *essential (ray)*: a direction ``d`` with ``H_j d <= 0`` for
+          every ``j`` in ``M`` and ``H_i d > 0`` (the check is unbounded,
+          or infeasible).
+
+        The pair ``j, k`` and the points come from the polygon's vertex
+        cycle (:func:`_vertex_cycle`), built once per call; a 1-D set's
+        deduplicated rows are one ``±1`` pair, which rays decide.  The
+        cycle only proposes: two shortcuts it suggests are unsound on
+        their own.  A facet's value is not always its neighbours' corner,
+        and its neighbours opening by π does not make it ``+inf``,
+        because another kept row can cut off that corner or bound that
+        ray.  So every point and ray is checked against every row of the
+        *current* ``M`` before it decides: first against every row but
+        ``i``, a superset of any ``M`` the loop reaches, then against
+        ``M`` itself.  An essential point is the corner, or where the
+        segment to it from the facet's midpoint first leaves a checked
+        row, pulled back inside.  A row with no
+        certificate that holds — a value inside the margin, near-parallel
+        rows, several lines through one vertex, a corner cut off by a
+        kept non-facet row, an empty set, a non-unit row or a non-finite
+        offset — keeps the LP route below.
+
+        **LP route.**  The first such row builds one warm HiGHS model over
+        the deduplicated rows (:class:`repro.utils.lp.WarmRowModel`),
+        with the rows already dropped freed: row ``i`` is freed, the cost
+        set to ``-H_i``, and the model re-run from the previous basis; a
+        dropped row keeps its ``+inf`` bound, which is the serial loop's
+        running mask.  The warm LP has the serial check's feasible region
+        and objective, so its optimum differs from the cold one only by
+        solver error.  A warm maximum above ``h_i + tol + m_i`` therefore
+        keeps the row and one below ``h_i + tol - m_i`` drops it, exactly
+        as the cold check would; an unbounded warm LP keeps the row, as
+        the serial loop does.  Every other row — a value inside the
+        margin, an infeasible or failed solve, a point that fails the
+        residual check, or no bundled core — is re-solved cold with the
+        serial loop's own ``maximize(H[i], H[mask], h[mask])``.
+
+        The result is the serial loop's bitwise.  Each certified row
+        counts one ``geometry_redundancy_closed_form_total``, and each LP
+        one ``geometry_redundancy_lps_total{phase}`` (``warm`` /
+        ``cold``).
         """
         H, h = _dedupe_rows(self.H, self.h)
         reg = _telemetry()
-        model = WarmRowModel.build(H, h) if len(h) > 1 else None
+        certificates = _RowCertificates.build(H, h, tol)
+        model, built = None, False
         keep = np.ones(len(h), dtype=bool)
+        kept, certified = len(h), 0
         for i in range(len(h)):
-            mask = keep.copy()
-            mask[i] = False
-            if not np.any(mask):
-                continue
+            if kept == 1:
+                continue  # row i is the only row left: nothing to check
             redundant = None
-            if model is not None:
-                reg.inc(REDUNDANCY_LPS_METRIC, phase="warm")
-                redundant = _warm_redundant(model.maximize_freed(i), h[i], tol)
-            if redundant is None:
-                reg.inc(REDUNDANCY_LPS_METRIC, phase="cold")
-                try:
-                    redundant = maximize(H[i], H[mask], h[mask]).value <= h[i] + tol
-                except LPError:
-                    # Unbounded without this row: the row is essential.
-                    redundant = False
+            if certificates is not None:
+                redundant = certificates.decide(i, keep)
+            if redundant is not None:
+                certified += 1
+                if redundant and model is not None:
+                    model.free(i)
+            else:
+                mask = keep.copy()
+                mask[i] = False
+                if not built:
+                    built, model = True, WarmRowModel.build(H, h)
+                    if model is not None:
+                        for j in np.flatnonzero(~keep):
+                            model.free(j)
+                if model is not None:
+                    reg.inc(REDUNDANCY_LPS_METRIC, phase="warm")
+                    redundant = _warm_redundant(model.maximize_freed(i), h[i], tol)
+                if redundant is None:
+                    reg.inc(REDUNDANCY_LPS_METRIC, phase="cold")
+                    try:
+                        redundant = maximize(H[i], H[mask], h[mask]).value <= h[i] + tol
+                    except LPError:
+                        # Unbounded without this row: the row is essential.
+                        redundant = False
+                if not redundant and model is not None:
+                    model.restore(i)
             if redundant:
                 keep[i] = False
-            elif model is not None:
-                model.restore(i)
+                kept -= 1
+        if certified:
+            reg.inc(REDUNDANCY_CLOSED_FORM_METRIC, certified)
         if np.all(keep):
             return HPolytope(H, h, normalize=False)
         return HPolytope(H[keep], h[keep], normalize=False)
@@ -838,6 +921,201 @@ def _warm_redundant(outcome, offset: float, tol: float):
     if value < offset + tol - margin:
         return True
     return None
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a_0 b_1 - a_1 b_0`` row by row."""
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+class _RowCertificates:
+    """Closed-form serial redundancy checks of a 1-D or 2-D polytope
+    (the certificates of :meth:`HPolytope.remove_redundancies`).
+
+    Built once per call over the deduplicated rows.  Row ``i`` gets:
+
+    * a *pair* ``(j, k)`` and a redundancy flag set from ``λ·h``: a
+      facet's two neighbours on the vertex cycle, or, for a row that is
+      not a facet, the two facets at the vertex that maximises ``H_i x``;
+    * a *shot*: an origin, a direction and a step cap.  A facet shoots
+      from its edge's midpoint at its neighbours' corner (cap 1) when the
+      neighbours open by less than π, else along ``H_i`` (no cap); every
+      other row, and every 1-D row, shoots along ``H_i`` from the origin.
+      The shot stops where it first leaves a row it is checked against
+      and is pulled back inside; an uncapped shot that no row stops is a
+      ray.
+
+    Every shot is first checked against all rows but its own
+    (:attr:`essential`): a point inside all of them, or a ray none of
+    them bounds, is one for every subset, so it holds for whatever mask
+    the serial loop reaches.  A row without one is shot again against
+    its current mask in :meth:`decide`.
+    """
+
+    __slots__ = ("H", "h", "tol", "margin", "pair", "redundant",
+                 "origin", "direction", "cap", "essential")
+
+    def __init__(self, H, h, tol):
+        m, n = H.shape
+        self.H, self.h, self.tol = H, h, tol
+        self.margin = _DECISION_MARGIN * (1.0 + np.abs(h))
+        self.pair = np.full((m, 2), -1)
+        self.redundant = np.zeros(m, dtype=bool)
+        self.origin = np.zeros((m, n))
+        self.direction = H
+        self.cap = np.full(m, np.inf)
+
+    @classmethod
+    def build(cls, H: np.ndarray, h: np.ndarray, tol: float):
+        """The certificates of ``H x <= h`` (deduplicated rows), or None
+        when no row can have one: more than 2 dimensions, fewer than two
+        rows, a non-finite entry or a row that is not unit-norm."""
+        m, n = H.shape
+        if n > 2 or m < 2:
+            return None
+        if not (np.isfinite(H).all() and np.isfinite(h).all()):
+            return None
+        if np.any(np.abs(np.einsum("ij,ij->i", H, H) - 1.0) > 1e-12):
+            return None
+        certificates = cls(H, h, tol)
+        cycle = _vertex_cycle(H, h) if n == 2 else None
+        if cycle is not None:
+            certificates._from_cycle(*cycle)
+        certificates.essential = certificates._shoot(np.arange(m), ~np.eye(m, dtype=bool))
+        return certificates
+
+    def _from_cycle(self, facets: np.ndarray, V: np.ndarray) -> None:
+        """Set each row's pair, redundancy flag and shot from the vertex
+        cycle (:func:`_vertex_cycle`)."""
+        H, h = self.H, self.h
+        m, k = len(h), len(facets)
+        after = np.roll(facets, -1)
+        position = np.full(m, -1)
+        real = facets >= 0
+        position[facets[real]] = np.flatnonzero(real)
+        facet = position >= 0
+        at = np.maximum(position, 0)
+        support = np.argmax(H @ V.T, axis=1)
+        # Vertex t joins edges t and t + 1; edge t runs from vertex t - 1.
+        first = np.where(facet, facets[(at - 1) % k], facets[support])
+        second = np.where(facet, after[at], after[support])
+        a, b = np.maximum(first, 0), np.maximum(second, 0)
+        det = _cross(H[a], H[b])
+        valid = (first >= 0) & (second >= 0) & (np.abs(det) >= _PAIR_MIN_DET)
+        det = np.where(valid, det, 1.0)
+        # H_i = λ_a H_a + λ_b H_b, by Cramer's rule.
+        lam_a = _cross(H, H[b]) / det
+        lam_b = _cross(H[a], H) / det
+        cone = valid & (lam_a >= 0) & (lam_b >= 0)
+        bound = lam_a * h[a] + lam_b * h[b]
+        # The feasibility witness: the vertices' mean, strictly inside.
+        witness = bool(np.all(H @ V.mean(axis=0) < h))
+        self.pair = np.where(valid[:, None], np.stack([first, second], axis=1), -1)
+        self.redundant = cone & witness & (bound < h + self.tol - self.margin)
+        # Facets shoot from the midpoint of their edge.
+        rows = np.flatnonzero(facet)
+        self.origin[rows] = 0.5 * (V[position[rows] - 1] + V[position[rows]])
+        corner = np.stack([
+            (h[a] * H[b, 1] - h[b] * H[a, 1]) / det,
+            (H[a, 0] * h[b] - H[b, 0] * h[a]) / det,
+        ], axis=1)
+        aim = facet & cone & (np.einsum("ij,ij->i", H, corner) > h)
+        self.direction = np.where(aim[:, None], corner - self.origin, H)
+        self.cap = np.where(aim, 1.0, np.inf)
+
+    def _shoot(self, rows: np.ndarray, against: np.ndarray) -> np.ndarray:
+        """Whether each of ``rows`` is essential by its shot, checked
+        against the rows ``against[:, t]`` (shape ``(m, len(rows))``)."""
+        H, h = self.H, self.h
+        U, O = self.direction[rows], self.origin[rows]
+        # Element-wise, so that an exactly orthogonal row rates exactly 0.
+        rate = H[:, :1] * U[:, 0]
+        if H.shape[1] == 2:
+            rate = rate + H[:, 1:] * U[:, 1]
+        blocking = against & (rate > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(blocking, (h[:, None] - H @ O.T) / rate, np.inf)
+        step = np.minimum(self.cap[rows], ratio.min(axis=0))
+        ray = np.isinf(step)  # uncapped (so u = H_i) and unblocked
+        step = np.where(ray, 0.0, step) * (1.0 - _PULLBACK)
+        X = O + step[:, None] * U
+        inside = np.all((H @ X.T <= h[:, None]) | ~against, axis=0)
+        value = np.einsum("ij,ij->i", H[rows], X)
+        cuts = value > h[rows] + self.tol + self.margin[rows]
+        return ray | ((step > 0) & inside & cuts)
+
+    def decide(self, i: int, keep: np.ndarray) -> Optional[bool]:
+        """Row ``i``'s serial decision against the rows still kept:
+        True (redundant), False (essential), or None when no certificate
+        holds."""
+        j, k = self.pair[i]
+        if self.redundant[i] and keep[j] and keep[k]:
+            return True
+        if self.essential[i]:
+            return False
+        if keep.all():
+            return None  # the mask is the one :attr:`essential` was shot at
+        mask = keep.copy()
+        mask[i] = False
+        return False if self._shoot(np.array([i]), mask[:, None])[0] else None
+
+
+def _vertex_cycle(H: np.ndarray, h: np.ndarray):
+    """The vertex cycle of ``{x in R^2 : H x <= h}`` clipped to a box of
+    half-width ``1e6·(1 + max |h_i|)``, by the sorted half-plane
+    intersection (Preparata & Shamos, *Computational Geometry*, 1985,
+    ch. 7): O(m log m), no LP, no Qhull.
+
+    Returns:
+        ``(facets, V)`` — ``facets[t]`` is the row of the cycle's ``t``-th
+        edge in counter-clockwise order (``-1`` for a side of the box),
+        and ``V[t]`` the vertex where edges ``t`` and ``t + 1`` meet — or
+        None when fewer than three edges remain (an empty set) or two
+        consecutive lines are parallel.  Nothing here is trusted: the
+        certificates built on it are checked row by row.
+    """
+    m = len(h)
+    half = _CYCLE_BOX * (1.0 + float(np.max(np.abs(h))))
+    lines = [(float(a), float(b), float(c)) for (a, b), c in zip(H, h)]
+    lines += [(1.0, 0.0, half), (0.0, 1.0, half), (-1.0, 0.0, half), (0.0, -1.0, half)]
+    # ``+ 0.0`` maps a -0.0 component to +0.0, so no direction sorts both
+    # first (at -π) and last (at +π).
+    angle = [math.atan2(b + 0.0, a) for a, b, _ in lines]
+    order = sorted(range(len(lines)), key=lambda r: (angle[r], lines[r][2]))
+
+    def meet(r, s):
+        a1, b1, c1 = lines[r]
+        a2, b2, c2 = lines[s]
+        det = a1 * b2 - b1 * a2
+        if not abs(det) >= _CYCLE_MIN_DET:
+            raise ZeroDivisionError
+        return (c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det
+
+    def outside(r, point):
+        a, b, c = lines[r]
+        return a * point[0] + b * point[1] > c
+
+    edges = deque()
+    try:
+        for r in order:
+            if edges and angle[edges[-1]] == angle[r]:
+                continue  # same direction, looser offset
+            while len(edges) >= 2 and outside(r, meet(edges[-2], edges[-1])):
+                edges.pop()
+            while len(edges) >= 2 and outside(r, meet(edges[0], edges[1])):
+                edges.popleft()
+            edges.append(r)
+        while len(edges) >= 3 and outside(edges[0], meet(edges[-2], edges[-1])):
+            edges.pop()
+        while len(edges) >= 3 and outside(edges[-1], meet(edges[0], edges[1])):
+            edges.popleft()
+        if len(edges) < 3:
+            return None
+        edges = list(edges)
+        V = np.array([meet(r, s) for r, s in zip(edges, edges[1:] + edges[:1])])
+    except ZeroDivisionError:
+        return None
+    return np.array([r if r < m else -1 for r in edges]), V
 
 
 #: ``np.allclose``'s default relative tolerance, which both greedy row

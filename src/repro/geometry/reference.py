@@ -1,10 +1,11 @@
 """Serial reference implementations, kept as differential oracles.
 
-:meth:`repro.geometry.HPolytope.remove_redundancies` decides rows with
-warm re-solves of one HiGHS model (cold LPs only where a warm value is
-too close to call) and matches near-duplicate rows with a vectorised
-closeness matrix; both must return bitwise what the original loops below
-return.  :func:`repro.invariance.rci.maximal_rpi` maps only the rows each
+:meth:`repro.geometry.HPolytope.remove_redundancies` decides the rows
+of 1-D and 2-D polytopes by closed-form certificates where one holds,
+and every other row with warm re-solves of one HiGHS model (cold LPs
+only where a warm value is too close to call); it matches near-duplicate
+rows with a vectorised closeness matrix.  Both must return bitwise what
+the original loops below return.  :func:`repro.invariance.rci.maximal_rpi` maps only the rows each
 step added; it must return a set equivalent to the textbook loop's
 (:func:`rpi_mismatch` states the contract).  The feasible-set recursion
 and :func:`repro.invariance.rci.maximal_rci` prune once per Pre step,

@@ -340,10 +340,10 @@ class WarmRowModel:
     :meth:`maximize_freed` frees row ``i`` (``changeRowBounds(i, -inf,
     inf)``), sets the cost to ``-H_i`` and re-runs from the previous
     solve's basis, so only the first solve presolves and factorises from
-    scratch.  A freed row stays free until :meth:`restore` bounds it
-    again, so a row that is never restored is dropped from every later
-    solve.  The model is built on the checked bundled core with
-    ``linprog``'s options, and every optimum goes through ``linprog``'s
+    scratch.  A freed row (by :meth:`maximize_freed` or :meth:`free`)
+    stays free until :meth:`restore` bounds it again, so a row that is
+    never restored is dropped from every later solve.  The model is
+    built on the checked bundled core with ``linprog``'s options, and every optimum goes through ``linprog``'s
     residual check against the bounds the model holds at the time (freed
     rows at ``+inf``).  Each solve counts one
     ``lp_solves_total{path="warm"}``.
@@ -387,8 +387,7 @@ class WarmRowModel:
             run fails or the point fails the residual check.
         """
         highs, core = self._highs, self._core
-        highs.changeRowBounds(i, -np.inf, np.inf)
-        self._row_upper[i] = np.inf
+        self.free(i)
         highs.changeColsCost(self._cols.size, self._cols, -self._H[i])
         _telemetry().inc(LP_SOLVES_METRIC, path="warm")
         failed = highs.run() == core.error
@@ -397,6 +396,12 @@ class WarmRowModel:
             return core._checked(highs, self._h.size, self._row_upper)
         code = 4 if failed else core.status_map.get(status, 4)
         return LPOutcome(code, None, None, highs.modelStatusToString(status))
+
+    def free(self, i: int) -> None:
+        """Unbound row ``i`` (the row is dropped from every later solve
+        until :meth:`restore`)."""
+        self._highs.changeRowBounds(i, -np.inf, np.inf)
+        self._row_upper[i] = np.inf
 
     def restore(self, i: int) -> None:
         """Bound row ``i`` at ``h_i`` again (the row is kept)."""
