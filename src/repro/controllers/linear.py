@@ -13,6 +13,7 @@ import numpy as np
 from scipy.linalg import solve_discrete_are
 
 from repro.controllers.base import Controller
+from repro.utils.rowdot import rowdot
 from repro.utils.validation import as_matrix, as_vector, check_square
 
 __all__ = ["LinearFeedback", "lqr_gain", "deadbeat_like_gain"]
@@ -41,11 +42,10 @@ class LinearFeedback(Controller):
             self._lower = self._upper = None
 
     def compute(self, state) -> np.ndarray:
-        # Multiply + pairwise reduction instead of BLAS ``K @ x`` so that
-        # compute_batch rows reproduce this bit for bit (the reduction's
-        # rounding depends only on n, not on the batch height).
+        # ``K x`` by the row-dot kernel, so compute_batch rows reproduce
+        # this bit for bit (see repro.utils.rowdot).
         x = as_vector(state, "state")
-        u = np.sum(self.K * x, axis=1)
+        u = rowdot(self.K, x)
         if self._lower is not None:
             u = np.clip(u, self._lower, self._upper)
         return u
@@ -57,7 +57,7 @@ class LinearFeedback(Controller):
         engines' determinism contract (see :meth:`compute`).
         """
         X = np.atleast_2d(np.asarray(states, dtype=float))
-        U = np.sum(self.K * X[:, None, :], axis=2)
+        U = rowdot(self.K, X)
         if self._lower is not None:
             U = np.clip(U, self._lower, self._upper)
         return U

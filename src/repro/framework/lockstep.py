@@ -8,13 +8,12 @@ functions here step an ``(N, n)`` state matrix for ``N`` episodes
 * all ``N`` states are classified against ``X'`` **and** ``XI`` with a
   single fused broadcast per step: the two half-space systems are stacked
   once up front into a :class:`~repro.geometry.MembershipTester`, whose
-  one multiply + pairwise reduction yields both memberships.  The fusion
-  is invariant-preserving by construction — the reduction runs along the
-  state axis, so each constraint row's float is independent of how many
-  rows are stacked above it, and both testers pre-shift offsets by the
-  same ``h + tol``; every boolean is bitwise-identical to the two
-  separate :meth:`~repro.geometry.HPolytope.contains_batch` calls it
-  replaces;
+  one :func:`~repro.utils.rowdot.rowdot` call yields both memberships.
+  The fusion is invariant-preserving by construction — each constraint
+  row's dot is independent of how many rows are stacked above it, and
+  both testers pre-shift offsets by the same ``h + tol``; every boolean
+  is bitwise-identical to the two separate
+  :meth:`~repro.geometry.HPolytope.contains_batch` calls it replaces;
 * RUN / SKIP / monitor-forced rows are masked, the safe controller runs
   once on the stacked RUN rows via
   :meth:`~repro.controllers.base.Controller.compute_batch`;

@@ -39,6 +39,7 @@ from repro.utils.lp import (
     maximize_batch,
     solve_lp,
 )
+from repro.utils.rowdot import rowdot
 from repro.utils.validation import as_matrix, as_vector
 
 __all__ = ["HPolytope", "MembershipTester", "EmptySetError"]
@@ -204,18 +205,15 @@ class HPolytope:
     def contains(self, point, tol: float = DEFAULT_TOL) -> bool:
         """Return True iff ``point`` satisfies every halfspace within ``tol``.
 
-        ``H x`` is evaluated as multiply + pairwise row reduction rather
-        than BLAS ``@`` so that :meth:`contains_batch` rows reproduce it
-        bit for bit (BLAS picks different gemv/gemm kernels per shape;
-        the batch engines' differential determinism contract needs the
-        classifications to agree exactly, not just within tolerance).
+        ``H x`` is evaluated by :func:`~repro.utils.rowdot.rowdot`, so
+        :meth:`contains_batch` rows reproduce it bit for bit.
         """
         x = as_vector(point, "point")
         if x.size != self.dim:
             raise ValueError(
                 f"point has dimension {x.size}, polytope has {self.dim}"
             )
-        return bool(np.all(np.sum(self.H * x, axis=1) <= self.h + tol))
+        return bool(np.all(rowdot(self.H, x) <= self.h + tol))
 
     def contains_batch(self, points, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Vectorised membership test for a ``(T, n)`` array of points.
@@ -227,12 +225,11 @@ class HPolytope:
         Returns:
             Boolean array of shape ``(T,)``; entry ``t`` is the exact
             (bitwise) value :meth:`contains` would return for
-            ``points[t]`` — both share the multiply + pairwise-reduce
-            evaluation (see :meth:`contains`).
+            ``points[t]`` (both evaluate ``H x`` by
+            :func:`~repro.utils.rowdot.rowdot`).
         """
         X = self._as_batch(points)
-        products = np.sum(self.H * X[:, None, :], axis=2)
-        return np.all(products <= self.h + tol, axis=1)
+        return np.all(rowdot(self.H, X) <= self.h + tol, axis=1)
 
     def contains_points(self, points, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Alias of :meth:`contains_batch` (original spelling, kept for
@@ -245,11 +242,11 @@ class HPolytope:
         Returns:
             Float array of shape ``(T,)``; entry ``t`` equals
             :meth:`violation` at ``points[t]`` bitwise (<= 0 means
-            inside) — shared multiply + pairwise-reduce evaluation, see
-            :meth:`contains`.
+            inside); both evaluate ``H x`` by
+            :func:`~repro.utils.rowdot.rowdot`.
         """
         X = self._as_batch(points)
-        return np.max(np.sum(self.H * X[:, None, :], axis=2) - self.h, axis=1)
+        return np.max(rowdot(self.H, X) - self.h, axis=1)
 
     def _as_batch(self, points) -> np.ndarray:
         """Validate and reshape ``points`` into a ``(T, n)`` float array."""
@@ -271,7 +268,7 @@ class HPolytope:
         match bitwise.
         """
         x = as_vector(point, "point")
-        return float(np.max(np.sum(self.H * x, axis=1) - self.h))
+        return float(np.max(rowdot(self.H, x) - self.h))
 
     def is_empty(self, tol: float = DEFAULT_TOL) -> bool:
         """True iff the polytope has no point (within ``tol`` slack)."""
@@ -792,18 +789,17 @@ class MembershipTester:
     ``X' ⊆ XI`` pair) with per-polytope :meth:`HPolytope.contains_batch`
     calls pays one full ``(T, m_i, n)`` broadcast *per polytope*.  This
     helper stacks all the halfspace matrices once at construction so a
-    single multiply + pairwise-reduce pass answers every membership
-    question per batch — the lockstep engine's per-step classification
-    drops from two numpy passes to one.
+    single :func:`~repro.utils.rowdot.rowdot` call answers every
+    membership question per batch — the lockstep engine's per-step
+    classification drops from two kernel calls to one.
 
     Bitwise contract: :meth:`contains_each` returns exactly the boolean
-    arrays the individual ``contains_batch`` calls would.  Each product
-    row is reduced over the state dimension independently of how many
-    constraint rows share the stack (the reduction is along the last
-    axis), and the per-polytope offsets are pre-shifted by the same
-    ``h + tol`` the scalar test adds — so stacking changes no float
-    anywhere.  The batch engines' record-for-record determinism contract
-    rests on that.
+    arrays the individual ``contains_batch`` calls would.  Each
+    constraint row's dot is accumulated over the state dimension
+    independently of how many rows share the stack, and the
+    per-polytope offsets are pre-shifted by the same ``h + tol`` the
+    scalar test adds — so stacking changes no float anywhere.  The batch
+    engines' record-for-record determinism contract rests on that.
 
     Args:
         polytopes: The sets to test against, all of one dimension.
@@ -841,7 +837,7 @@ class MembershipTester:
             raise ValueError(
                 f"points have dimension {X.shape[1]}, tester has {self.dim}"
             )
-        satisfied = np.sum(self._H * X[:, None, :], axis=2) <= self._limits
+        satisfied = rowdot(self._H, X) <= self._limits
         return tuple(
             part.all(axis=1) for part in np.split(satisfied, self._splits, axis=1)
         )

@@ -18,6 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.geometry import HPolytope
+from repro.utils.rowdot import rowdot
 from repro.utils.validation import as_matrix, as_vector, check_square
 
 __all__ = ["DiscreteLTISystem", "SimulationResult"]
@@ -122,16 +123,12 @@ class DiscreteLTISystem:
         ``disturbance`` defaults to zero (the nominal system used by the
         tube-MPC predictions).
 
-        The matvecs are evaluated as multiply + pairwise row reduction
-        rather than BLAS ``@``: the reduction's rounding depends only on
-        the contraction length, so :meth:`step_batch` reproduces this
-        result bit for bit — BLAS picks different kernels for gemv/gemm
-        and for different batch heights, which would break the batch
-        engines' record-for-record determinism contract.
+        The matvecs are evaluated by :func:`~repro.utils.rowdot.rowdot`,
+        so :meth:`step_batch` reproduces this result bit for bit.
         """
         x = as_vector(state, "state")
         u = as_vector(control, "control")
-        nxt = np.sum(self.A * x, axis=1) + np.sum(self.B * u, axis=1)
+        nxt = rowdot(self.A, x) + rowdot(self.B, u)
         if disturbance is not None:
             nxt = nxt + as_vector(disturbance, "disturbance")
         return nxt
@@ -141,8 +138,7 @@ class DiscreteLTISystem:
 
         The lockstep engine's replacement for ``N`` scalar :meth:`step`
         calls.  Row ``i`` is bitwise-equal to ``step(states[i], …)``: both
-        paths share the multiply + pairwise-reduce evaluation (see
-        :meth:`step`), whose rounding is independent of the batch height.
+        paths evaluate the matvecs by :func:`~repro.utils.rowdot.rowdot`.
 
         Args:
             states: ``(N, n)`` state matrix.
@@ -162,9 +158,7 @@ class DiscreteLTISystem:
             raise ValueError(
                 f"controls must be ({X.shape[0]}, {self.m}), got {U.shape}"
             )
-        nxt = np.sum(self.A * X[:, None, :], axis=2) + np.sum(
-            self.B * U[:, None, :], axis=2
-        )
+        nxt = rowdot(self.A, X) + rowdot(self.B, U)
         if disturbances is not None:
             W = np.atleast_2d(np.asarray(disturbances, dtype=float))
             if W.shape != X.shape:
