@@ -31,9 +31,15 @@ Two controller configurations are timed:
   block-diagonal HiGHS solve (``RobustMPC.solve_batch``, warm-started on
   one padded persistent model); the ``lockstep-exact`` row times the
   ``exact_solves=True`` audit mode, which keeps the scalar path and so
-  bounds what the engine alone buys.  Every lockstep row records its
+  bounds what the engine alone buys.  Every row records its
   persistent-model builds and cold/warm persistent solves
   (``persistent``), read from the registry like the stage breakdown.
+  The run fails when the ``rmpc`` lockstep row makes no warm persistent
+  solve, or when a ``serial`` or ``lockstep-exact`` row makes any
+  persistent solve.
+
+Every row is timed ``REPEATS`` (3) times: it records the median, min and
+max seconds, and speedups are ratios of medians.
 
 The whole benchmark runs under an enabled metrics registry, so every
 lockstep row also carries its per-stage wall-clock breakdown
@@ -51,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 
@@ -66,6 +73,11 @@ from repro.skipping import AlwaysSkipPolicy
 
 #: The lockstep loop's stages; every lockstep row must report all four.
 STAGES = ("classify", "decide", "control", "step")
+
+#: Timed runs per row: a single run of the serial ``rmpc`` row spans
+#: 9.5–16.8 s on a shared 2-vCPU VM, so each row reports the median, min
+#: and max of this many, and speedups are ratios of medians.
+REPEATS = 3
 
 
 def _configurations(case) -> dict:
@@ -107,6 +119,23 @@ def _persistent_totals() -> dict:
     }
 
 
+def _persistent_error(row: dict):
+    """The warm κ_R route's gate, or None when it holds: the ``rmpc``
+    lockstep row must re-solve its persistent model warm (zero warm
+    solves means every solve builds a fresh model), and the scalar routes
+    — ``serial`` and ``lockstep-exact`` — must make no persistent solve
+    at all."""
+    counts = row["persistent"]
+    solves = counts["cold_solves"] + counts["warm_solves"]
+    if row["engine"] in ("serial", "lockstep-exact") and solves:
+        return f"made {solves:.0f} persistent solves on a scalar route"
+    if (row["controller"], row["engine"]) == ("rmpc", "lockstep") and not (
+        counts["warm_solves"]
+    ):
+        return "made no warm persistent solve"
+    return None
+
+
 def _stage_breakdown(before: dict, after: dict) -> dict:
     """``{stage: {seconds, calls, share}}`` between two :func:`_stage_totals`
     probes; stages the run never charged are left out."""
@@ -134,7 +163,8 @@ def run_benchmark(
     experiment: str = "overall",
     controllers=("linear", "rmpc"),
 ) -> dict:
-    """Time one batch per (controller configuration, engine).
+    """Time one batch :data:`REPEATS` times per (controller
+    configuration, engine).
 
     The ``linear`` configuration gets one extra lockstep row on top of
     the plain (timing-on) one: ``lockstep-fast`` drops the per-row
@@ -189,44 +219,57 @@ def _run_benchmark(
         def lockstep_runner(**extra):
             return make_runner(engine="lockstep", **extra)
 
-        def timed(runner):
-            tick = time.perf_counter()
-            result = runner.run_seeded(states, factory, root_seed=seed)
-            return result, time.perf_counter() - tick
+        def measure(runner):
+            """:data:`REPEATS` timed runs of one row: every run's result
+            and seconds, plus the first run's stage breakdown and
+            persistent-model counts (every run starts from ``reset()``,
+            so each run's counts are the same)."""
+            results, seconds = [], []
+            for _ in range(REPEATS):
+                stages_before, lp_before = _stage_totals(), _persistent_totals()
+                tick = time.perf_counter()
+                results.append(
+                    runner.run_seeded(states, factory, root_seed=seed)
+                )
+                seconds.append(time.perf_counter() - tick)
+                if len(results) == 1:
+                    stages = _stage_breakdown(stages_before, _stage_totals())
+                    persistent = {
+                        key: value - lp_before[key]
+                        for key, value in _persistent_totals().items()
+                    }
+            return results, seconds, stages, persistent
 
-        serial_result, serial_seconds = timed(make_runner())
-        reference = serial_result.deterministic_records()
+        serial = measure(make_runner())
+        reference = serial[0][0].deterministic_records()
+        serial_seconds = statistics.median(serial[1])
         engines = [
-            ("serial", None, "bitwise", serial_result, serial_seconds),
+            ("serial", None, "bitwise"),
             ("lockstep", lockstep_runner(),
-             "bitwise" if bitwise else "plan-equivalent", None, None),
+             "bitwise" if bitwise else "plan-equivalent"),
         ]
         if bitwise:
             # Per-row timing amortisation skipped.
             engines.append(
-                ("lockstep-fast",
-                 lockstep_runner(collect_timing=False),
-                 "bitwise", None, None)
+                ("lockstep-fast", lockstep_runner(collect_timing=False),
+                 "bitwise")
             )
         if not bitwise:
             # Audit mode: scalar solves restore bitwise parity, timing
             # what the engine alone (without solve stacking) buys.
             engines.append(
-                ("lockstep-exact",
-                 lockstep_runner(exact_solves=True),
-                 "bitwise", None, None)
+                ("lockstep-exact", lockstep_runner(exact_solves=True),
+                 "bitwise")
             )
-        for engine, runner, contract, result, seconds in engines:
-            before = _stage_totals()
-            lp_before = _persistent_totals()
-            if result is None:
-                result, seconds = timed(runner)
-            stages = _stage_breakdown(before, _stage_totals())
-            persistent = {
-                key: value - lp_before[key]
-                for key, value in _persistent_totals().items()
-            }
-            identical = result.deterministic_records() == reference
+        for engine, runner, contract in engines:
+            results, seconds, stages, persistent = (
+                serial if runner is None else measure(runner)
+            )
+            median = statistics.median(seconds)
+            identical = all(
+                result.deterministic_records() == reference
+                for result in results
+            )
             if contract == "bitwise":
                 ok = identical
                 equivalence = None
@@ -236,7 +279,9 @@ def _run_benchmark(
                 # solve with feasible first inputs, probed at the batch's
                 # initial states.
                 violation_free = all(
-                    record.max_violation <= 0.0 for record in result.records
+                    record.max_violation <= 0.0
+                    for result in results
+                    for record in result.records
                 )
                 equivalence = verify_plan_equivalence(controller, states)
                 ok = violation_free and equivalence["equivalent"]
@@ -245,15 +290,17 @@ def _run_benchmark(
                 "controller": name,
                 "engine": engine,
                 "contract": contract,
-                "seconds": seconds,
-                "episodes_per_sec": episodes / seconds,
-                "speedup": serial_seconds / seconds,
+                "seconds": median,
+                "seconds_min": min(seconds),
+                "seconds_max": max(seconds),
+                "episodes_per_sec": episodes / median,
+                "speedup": serial_seconds / median,
                 "identical": identical,
                 "ok": ok,
                 "equivalence": equivalence,
+                "persistent": persistent,
             }
             if engine.startswith("lockstep"):
-                row["persistent"] = persistent
                 row["profile"] = stages
                 row["missing_stages"] = [
                     stage for stage in STAGES if stage not in stages
@@ -296,13 +343,15 @@ def main(argv=None) -> int:
         f"{report['horizon']} steps, {report['cpus']} visible CPU(s)"
     )
     print(
-        f"{'controller':<11} {'engine':<15} {'sec':>8} "
+        f"{'controller':<11} {'engine':<15} {'sec':>8} {'min-max':>13} "
         f"{'ep/s':>8} {'speedup':>8} {'contract':>15} {'ok':>5}"
     )
     for row in report["rows"]:
+        spread = f"{row['seconds_min']:.2f}-{row['seconds_max']:.2f}"
         print(
             f"{row['controller']:<11} {row['engine']:<15} "
-            f"{row['seconds']:>8.2f} {row['episodes_per_sec']:>8.2f} "
+            f"{row['seconds']:>8.2f} {spread:>13} "
+            f"{row['episodes_per_sec']:>8.2f} "
             f"{row['speedup']:>7.2f}x {row['contract']:>15} "
             f"{str(row['ok']):>5}"
         )
@@ -348,6 +397,10 @@ def main(argv=None) -> int:
                 f"ERROR: {row['controller']}/{row['engine']} reported no "
                 f"lockstep_stage_seconds for {row['missing_stages']}"
             )
+        error = _persistent_error(row)
+        if error:
+            failed = True
+            print(f"ERROR: {row['controller']}/{row['engine']} {error}")
     return 1 if failed else 0
 
 

@@ -18,7 +18,7 @@ Batch solving: :meth:`RobustMPC.solve_batch` stacks the ``k`` per-state
 Eq.-5 problems into one block-diagonal HiGHS solve — the blocks share
 every matrix and differ only in the initial-state equality RHS.  There
 is one stacked route: a
-:class:`~repro.utils.lp_backends.PersistentStackSolver` owned by this
+:class:`~repro.utils.lp.PersistentStackSolver` owned by this
 controller keeps the stack in one padded persistent HiGHS model, only
 rewrites the initial-state rows between calls, and starts each call
 from the previous call's basis — whatever the batch size, which drifts
@@ -67,8 +67,13 @@ from repro.geometry import HPolytope
 from repro.invariance.rci import maximal_rpi
 from repro.observability.metrics import registry as _telemetry
 from repro.systems.lti import DiscreteLTISystem
-from repro.utils.lp import LPError, LPMatrix, highs_core, solve_prepared
-from repro.utils.lp_backends import PersistentStackSolver
+from repro.utils.lp import (
+    LPError,
+    LPMatrix,
+    PersistentStackSolver,
+    highs_core,
+    solve_prepared,
+)
 from repro.utils.validation import as_vector
 
 __all__ = [

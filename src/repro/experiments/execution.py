@@ -47,7 +47,7 @@ class ExecutionConfig:
         exact_solves: Lockstep only — keep MPC solves on the scalar path
             for record-for-record parity with the serial engine instead
             of the plan-equivalent stacked solve (the one stacked
-            route; see :mod:`repro.utils.lp_backends`).
+            route; see :class:`repro.utils.lp.PersistentStackSolver`).
         collect_timing: Lockstep only — maintain the per-row amortised
             wall-clock arrays (the default).  ``False`` zeroes the
             timing-derived metrics and leaves every deterministic metric

@@ -17,7 +17,7 @@ a certificate.  No certificate is trusted on the cycle's word: each one
 is checked against the rows the serial loop still keeps when it decides
 that row, and a row without a certificate that holds is decided as before
 — by re-solving one warm HiGHS model row by row
-(:class:`repro.utils.lp.WarmRowModel`), then by a cold LP for every row
+(:class:`repro.utils.lp.HighsModel`), then by a cold LP for every row
 the warm solve cannot decide.  The result is the serial loop's bitwise
 (:meth:`HPolytope.remove_redundancies`).
 """
@@ -32,8 +32,9 @@ import numpy as np
 
 from repro.observability.metrics import registry as _telemetry
 from repro.utils.lp import (
+    HighsModel,
     LPError,
-    WarmRowModel,
+    LPMatrix,
     lp_feasible,
     maximize,
     maximize_batch,
@@ -563,7 +564,7 @@ class HPolytope:
         offset — keeps the LP route below.
 
         **LP route.**  The first such row builds one warm HiGHS model over
-        the deduplicated rows (:class:`repro.utils.lp.WarmRowModel`),
+        the deduplicated rows (:class:`repro.utils.lp.HighsModel`),
         with the rows already dropped freed: row ``i`` is freed, the cost
         set to ``-H_i``, and the model re-run from the previous basis; a
         dropped row keeps its ``+inf`` bound, which is the serial loop's
@@ -597,18 +598,26 @@ class HPolytope:
             if redundant is not None:
                 certified += 1
                 if redundant and model is not None:
-                    model.free(i)
+                    model.free_row(i)
             else:
                 mask = keep.copy()
                 mask[i] = False
                 if not built:
-                    built, model = True, WarmRowModel.build(H, h)
+                    built, model = True, HighsModel.build(
+                        np.zeros(H.shape[1]),
+                        LPMatrix.from_blocks(H, None, H.shape[1]), h,
+                    )
                     if model is not None:
                         for j in np.flatnonzero(~keep):
-                            model.free(j)
+                            model.free_row(j)
                 if model is not None:
                     reg.inc(REDUNDANCY_LPS_METRIC, phase="warm")
-                    redundant = _warm_redundant(model.maximize_freed(i), h[i], tol)
+                    # Maximise H_i x with row i freed; a failed run is
+                    # status 4, so the row goes to the cold LP.
+                    model.free_row(i)
+                    model.set_cost(-H[i])
+                    outcome = model.run("warm", on_failure=4)
+                    redundant = _warm_redundant(outcome, h[i], tol)
                 if redundant is None:
                     reg.inc(REDUNDANCY_LPS_METRIC, phase="cold")
                     try:
@@ -617,7 +626,7 @@ class HPolytope:
                         # Unbounded without this row: the row is essential.
                         redundant = False
                 if not redundant and model is not None:
-                    model.restore(i)
+                    model.restore_row(i)
             if redundant:
                 keep[i] = False
                 kept -= 1

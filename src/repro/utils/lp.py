@@ -2,21 +2,29 @@
 
 Both halves of the method are LPs (certifying XI/X′ offline, the RMPC κ_R
 online), and most of their time used to go to :func:`scipy.optimize.linprog`'s
-Python wrapper rather than to HiGHS.  :func:`solve_prepared` drives the
-HiGHS class scipy ships (``scipy.optimize._highspy._core._Highs``) directly:
-it takes prebuilt CSC arrays (:class:`LPMatrix`, cached per constraint set,
-so a repeated solve only rewrites right-hand sides), sets exactly
-``linprog(method="highs")``'s options (presolve on, dual simplex, output
-off) and keeps ``linprog``'s status mapping and residual check — so every
-solve returns the bitwise-identical status, ``x`` and objective.
+Python wrapper rather than to HiGHS.  One class, :class:`HighsModel`,
+drives the HiGHS class scipy ships (``scipy.optimize._highspy._core._Highs``)
+directly: it takes prebuilt CSC arrays (:class:`LPMatrix`, cached per
+constraint set, so a repeated solve only rewrites right-hand sides), sets
+exactly ``linprog(method="highs")``'s options (presolve on, dual simplex,
+output off) and keeps ``linprog``'s status mapping and residual check — so
+every cold solve returns the bitwise-identical status, ``x`` and objective.
+It serves three routes:
+
+* a cold solve (:func:`solve_prepared`, and every wrapper on it), one
+  build and one run;
+* the serial redundancy loop of
+  :meth:`repro.geometry.HPolytope.remove_redundancies`, which frees a row,
+  sets the cost and re-runs one model warm;
+* the κ_R stack, one padded model per :class:`PersistentStackSolver`
+  whose initial-state rows are rewritten and re-run warm.
 
 The private core is imported behind a guard and checked against ``linprog``
-on a small LP at import; if it is missing or disagrees, a warning is logged
-and every solve goes through ``linprog`` (``lp_adapter_fallbacks_total``).
-Every solve counts one ``lp_solves_total{path}``: ``scalar`` and
-``stacked`` for a cold solve, ``persistent`` for a warm κ_R stack
-(:mod:`repro.utils.lp_backends`), ``warm`` for a :class:`WarmRowModel`
-re-solve (redundancy removal).
+on a small LP at import; if it is missing or disagrees, a warning is logged,
+every cold solve goes through ``linprog`` (``lp_adapter_fallbacks_total``)
+and no warm model is built.  Every solve counts one
+``lp_solves_total{path}``: ``scalar`` and ``stacked`` for a cold solve,
+``persistent`` for a warm κ_R stack, ``warm`` for a redundancy re-solve.
 Variables are always free; the public wrappers raise :class:`LPError` on
 solver failure.
 """
@@ -24,6 +32,7 @@ solver failure.
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
 
@@ -40,7 +49,9 @@ __all__ = [
     "LPSolution",
     "LPMatrix",
     "LPOutcome",
-    "WarmRowModel",
+    "HighsModel",
+    "PersistentStackSolver",
+    "STACK_CHUNK_SIZE",
     "highs_core",
     "solve_prepared",
     "solve_lp",
@@ -180,6 +191,7 @@ class _Core:
             status.kModelError: 2, status.kUnbounded: 3,
         }
         self.optimal = status.kOptimal
+        self.model_error = status.kModelError
         self.error = module.HighsStatus.kError
         self.options = options = module.HighsOptions()
         options.presolve = "on"
@@ -190,50 +202,135 @@ class _Core:
             module.simplex_constants.SimplexStrategy.kSimplexStrategyDual
         )
 
-    def model(self, cost, matrix: LPMatrix, row_lower, row_upper):
-        """A fresh ``_Highs`` with the options set and the LP passed, plus
-        ``passModel``'s status."""
-        lp = self.module.HighsLp()
+
+class HighsModel:
+    """One LP on the checked bundled core, passed once and edited in place.
+
+    The LP is ``min cost @ x`` over free variables, with the first
+    ``matrix.rows_ub`` rows bounded above by ``row_upper`` and the rest
+    pinned to it, under ``linprog``'s options.  Edits change the model
+    HiGHS holds: :meth:`set_rhs` rewrites right-hand sides,
+    :meth:`free_row` unbounds an inequality row until :meth:`restore_row`
+    bounds it again, and :meth:`set_cost` replaces the cost.  :meth:`run`
+    solves the model as it stands, from the previous run's basis (so only
+    the first run presolves and factorises from scratch), and maps the
+    result as ``linprog`` does: its status mapping, then its residual
+    check against ``row_upper``, the mirror of the row upper bounds HiGHS
+    holds (a freed row at ``+inf``).  A cold solve is one build and one
+    run.
+
+    A model mutates in place and belongs to one caller at a time.
+    """
+
+    __slots__ = ("rows_ub", "row_upper", "runs", "passed",
+                 "_core", "_highs", "_rhs")
+
+    def __init__(self, core: _Core, cost, matrix: LPMatrix, row_upper):
+        self._core = core
+        self.rows_ub = rows_ub = matrix.rows_ub
+        self._rhs = np.array(row_upper, dtype=float)
+        self.row_upper = self._rhs.copy()
+        row_lower = self._rhs.copy()
+        row_lower[:rows_ub] = -np.inf
+        module = core.module
+        lp = module.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = matrix.cols
-        lp.num_row_ = lp.a_matrix_.num_row_ = row_upper.size
-        lp.a_matrix_.format_ = self.module.MatrixFormat.kColwise
+        lp.num_row_ = lp.a_matrix_.num_row_ = row_lower.size
+        lp.a_matrix_.format_ = module.MatrixFormat.kColwise
         lp.col_cost_ = cost
         lp.col_lower_ = np.full(matrix.cols, -np.inf)
         lp.col_upper_ = np.full(matrix.cols, np.inf)
         lp.row_lower_ = row_lower
-        lp.row_upper_ = row_upper
+        lp.row_upper_ = self.row_upper
         lp.a_matrix_.start_ = matrix.indptr
         lp.a_matrix_.index_ = matrix.indices
         lp.a_matrix_.value_ = matrix.data
-        highs = self.module._Highs()
-        highs.passOptions(self.options)
-        return highs, highs.passModel(lp)
+        self._highs = highs = module._Highs()
+        highs.passOptions(core.options)
+        #: False when HiGHS rejected the model: every run then reports
+        #: ``kModelError``.
+        self.passed = highs.passModel(lp) != core.error
+        #: Runs so far; every run after the first starts warm.
+        self.runs = 0
 
-    def solve(self, c, matrix: LPMatrix, row_upper) -> LPOutcome:
-        """One cold solve, exactly as ``linprog`` runs it."""
-        row_lower = row_upper.copy()
-        row_lower[: matrix.rows_ub] = -np.inf
-        highs, passed = self.model(c, matrix, row_lower, row_upper)
-        if passed == self.error:
-            status = self.module.HighsModelStatus.kModelError
-        elif highs.run() == self.error:
-            status = highs.getModelStatus()
-        else:
-            status = highs.getModelStatus()
-            if status == self.optimal:
-                return self._checked(highs, matrix.rows_ub, row_upper)
-        return LPOutcome(self.status_map.get(status, 4), None, None,
-                         highs.modelStatusToString(status))
+    @classmethod
+    def build(cls, cost, matrix: LPMatrix, row_upper) -> Optional["HighsModel"]:
+        """A model, or None when the bundled core is unusable, a bound is
+        not finite or HiGHS rejects the model."""
+        core = _core
+        if core is None or not np.isfinite(row_upper).all():
+            return None
+        model = cls(core, cost, matrix, row_upper)
+        return model if model.passed else None
 
-    def _checked(self, highs, rows_ub: int, row_upper) -> LPOutcome:
+    def set_rhs(self, rows, values) -> None:
+        """Rewrite the right-hand sides of ``rows`` (an inequality row's
+        upper bound, an equality row's value) to ``values``."""
+        rows = np.asarray(rows, dtype=np.int64)
+        values = np.asarray(values, dtype=float)
+        self._rhs[rows] = self.row_upper[rows] = values
+        lower = np.where(rows < self.rows_ub, -np.inf, values)
+        change = self._highs.changeRowBounds
+        for row, low, value in zip(rows.tolist(), lower.tolist(),
+                                   values.tolist()):
+            change(row, low, value)
+
+    def free_row(self, i: int) -> None:
+        """Unbound inequality row ``i``: it drops out of every later run
+        until :meth:`restore_row`."""
+        if i >= self.rows_ub:
+            raise ValueError(f"row {i} is an equality row")
+        self._highs.changeRowBounds(i, -np.inf, np.inf)
+        self.row_upper[i] = np.inf
+
+    def restore_row(self, i: int) -> None:
+        """Bound inequality row ``i`` at its right-hand side again."""
+        self._highs.changeRowBounds(i, -np.inf, self._rhs[i])
+        self.row_upper[i] = self._rhs[i]
+
+    def set_cost(self, cost) -> None:
+        """Replace the cost vector."""
+        cols = np.arange(len(cost), dtype=np.int32)
+        self._highs.changeColsCost(cols.size, cols, cost)
+
+    def run(self, path: Optional[str] = None,
+            on_failure: Optional[int] = None) -> LPOutcome:
+        """Solve the model as it stands (warm after the first run).
+
+        Args:
+            path: The ``lp_solves_total`` label to count the solve under
+                (None counts nothing).
+            on_failure: The status to report when HiGHS's ``run`` itself
+                fails; by default ``linprog``'s mapping of the model
+                status.
+
+        Returns:
+            ``linprog``'s status, point and objective; status 4 when the
+            optimal point fails the residual check.
+        """
+        if path is not None:
+            _telemetry().inc(LP_SOLVES_METRIC, path=path)
+        core, highs = self._core, self._highs
+        self.runs += 1
+        status, failed = core.model_error, False
+        if self.passed:
+            failed = highs.run() == core.error
+            status = highs.getModelStatus()
+            if not failed and status == core.optimal:
+                return self._checked()
+        code = core.status_map.get(status, 4)
+        if failed and on_failure is not None:
+            code = on_failure
+        return LPOutcome(code, None, None, highs.modelStatusToString(status))
+
+    def _checked(self) -> LPOutcome:
         """The optimal point, demoted to status 4 when a residual is beyond
-        the tolerance (``linprog``'s ``_check_result``); the first
-        ``rows_ub`` of ``row_upper`` bound inequalities, the rest are
-        equality right-hand sides."""
+        the tolerance (``linprog``'s ``_check_result``)."""
+        highs, rows_ub = self._highs, self.rows_ub
         solution = highs.getSolution()
         x = np.array(solution.col_value)
         fun = highs.getInfo().objective_function_value
-        slack = row_upper - np.array(solution.row_value)
+        slack = self.row_upper - np.array(solution.row_value)
         if (
             np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
             or (slack[:rows_ub] < -_RESIDUAL_TOL).any()
@@ -269,7 +366,7 @@ def _self_test(core: _Core) -> bool:
                           [-1.0, 0.0, 2.0], [-1.0, -1.0, -1.0]])
     b = np.array([4.0, 1.0, 3.0, 2.0, 0.5])
     matrix = LPMatrix.from_blocks(a_ub, np.array([[1.0, -1.0, 0.5]]), 3)
-    fast = core.solve(c, matrix, b)
+    fast = HighsModel(core, c, matrix, b).run()
     slow = _run_linprog(c, matrix, b[:4], b[4:])
     return (fast.status == slow.status == 0
             and fast.x.tobytes() == slow.x.tobytes()
@@ -323,90 +420,13 @@ def solve_prepared(
     row_upper = np.concatenate([b_ub, b_eq])
     if not (np.isfinite(c).all() and np.isfinite(row_upper).all()):
         raise ValueError("c, b_ub and b_eq must be finite")
-    reg = _telemetry()
-    reg.inc(LP_SOLVES_METRIC, path=path)
     core = _core
     if core is None:
+        reg = _telemetry()
+        reg.inc(LP_SOLVES_METRIC, path=path)
         reg.inc(FALLBACK_METRIC, path=path)
         return _run_linprog(c, matrix, b_ub, b_eq)
-    return core.solve(c, matrix, row_upper)
-
-
-class WarmRowModel:
-    """One HiGHS model over ``{x : H x <= h}``, re-solved warm with one row
-    freed at a time — the serial redundancy loop of
-    :meth:`repro.geometry.HPolytope.remove_redundancies`.
-
-    :meth:`maximize_freed` frees row ``i`` (``changeRowBounds(i, -inf,
-    inf)``), sets the cost to ``-H_i`` and re-runs from the previous
-    solve's basis, so only the first solve presolves and factorises from
-    scratch.  A freed row (by :meth:`maximize_freed` or :meth:`free`)
-    stays free until :meth:`restore` bounds it again, so a row that is
-    never restored is dropped from every later solve.  The model is
-    built on the checked bundled core with ``linprog``'s options, and every optimum goes through ``linprog``'s
-    residual check against the bounds the model holds at the time (freed
-    rows at ``+inf``).  Each solve counts one
-    ``lp_solves_total{path="warm"}``.
-
-    A model mutates in place and belongs to one loop; nothing is shared
-    between instances.
-    """
-
-    __slots__ = ("_core", "_highs", "_H", "_h", "_row_upper", "_cols")
-
-    def __init__(self, core: "_Core", highs, H: np.ndarray, h: np.ndarray):
-        self._core, self._highs = core, highs
-        self._H, self._h = H, h
-        self._row_upper = h.copy()
-        self._cols = np.arange(H.shape[1], dtype=np.int32)
-
-    @classmethod
-    def build(cls, H, h) -> Optional["WarmRowModel"]:
-        """A model over ``H x <= h``, or None when the bundled core is
-        unusable, an offset is not finite or HiGHS rejects the model (the
-        cold route then solves, or fails, as ``linprog`` would)."""
-        H = np.asarray(H, dtype=float)
-        h = np.asarray(h, dtype=float)
-        core = _core
-        if core is None or not np.isfinite(h).all():
-            return None
-        highs, passed = core.model(
-            np.zeros(H.shape[1]), LPMatrix.from_blocks(H, None, H.shape[1]),
-            np.full(h.size, -np.inf), h,
-        )
-        if passed == core.error:
-            return None
-        return cls(core, highs, H, h)
-
-    def maximize_freed(self, i: int) -> LPOutcome:
-        """Minimise ``-H_i x`` with row ``i`` freed (so the maximum of
-        ``H_i x`` is ``-fun``), warm from the previous solve's basis.
-
-        Returns:
-            ``linprog``'s status, point and objective; status 4 when the
-            run fails or the point fails the residual check.
-        """
-        highs, core = self._highs, self._core
-        self.free(i)
-        highs.changeColsCost(self._cols.size, self._cols, -self._H[i])
-        _telemetry().inc(LP_SOLVES_METRIC, path="warm")
-        failed = highs.run() == core.error
-        status = highs.getModelStatus()
-        if not failed and status == core.optimal:
-            return core._checked(highs, self._h.size, self._row_upper)
-        code = 4 if failed else core.status_map.get(status, 4)
-        return LPOutcome(code, None, None, highs.modelStatusToString(status))
-
-    def free(self, i: int) -> None:
-        """Unbound row ``i`` (the row is dropped from every later solve
-        until :meth:`restore`)."""
-        self._highs.changeRowBounds(i, -np.inf, np.inf)
-        self._row_upper[i] = np.inf
-
-    def restore(self, i: int) -> None:
-        """Bound row ``i`` at ``h_i`` again (the row is kept)."""
-        self._highs.changeRowBounds(i, -np.inf, self._h[i])
-        self._row_upper[i] = self._h[i]
+    return HighsModel(core, c, matrix, row_upper).run(path)
 
 
 # ----------------------------------------------------------------------
@@ -435,6 +455,193 @@ def _stack_rhs(rhs, k: int, rows: int, name: str) -> np.ndarray:
             )
         return arr.reshape(-1)
     raise ValueError(f"{name} must be 1-D (shared) or 2-D (per-block)")
+
+
+#: The largest model a :class:`PersistentStackSolver` builds: batches
+#: above it run chunk by chunk through the same model, since the single
+#: stacked solve's superlinear tail would otherwise eat the warm-start
+#: amortisation.
+STACK_CHUNK_SIZE = 1024
+
+
+class PersistentStackSolver:
+    """Warm-started persistent-HiGHS solver for one controller's stack —
+    the κ_R route of :meth:`repro.controllers.rmpc.RobustMPC.solve_batch`.
+
+    Owns everything the stacked solves need — the scalar block data
+    *and* the one padded :class:`HighsModel` — so the controller that
+    holds this solver is the explicit owner of its stack: nothing is
+    pinned in a global cache, and dropping the controller reclaims the
+    model.
+
+    The solved problem family is ``min cost @ x`` subject to
+    ``a_ub x <= b_ub`` and ``a_eq x = b_eq`` per block, where only the
+    ``varying_eq_rows`` entries of ``b_eq`` differ between blocks and
+    between calls (the RMPC initial-state pattern).  The model's capacity
+    is ``min(next power of two >= k, STACK_CHUNK_SIZE)`` over the batches
+    solved since the last release; a larger batch rebuilds it once, a
+    smaller one solves on its leading blocks, and a larger batch than
+    :data:`STACK_CHUNK_SIZE` runs chunk by chunk through it.  A solve of
+    ``k`` rows rewrites only the first ``k`` blocks' varying rows and
+    re-runs from the previous solve's basis; the spare blocks keep their
+    last — feasible, already optimal — right-hand side, so the simplex
+    does no work on them, and a fresh model parks them at the building
+    batch's first row (a duplicate of a feasible row is feasible wherever
+    the origin lies).  A warm solve attains the cold optimal cost but may
+    land on a different optimal *vertex* of a degenerate LP (the
+    plan-equivalent tier of :mod:`repro.framework.lockstep`).
+
+    :meth:`release` drops the model, and so does a failed solve: the
+    next solve is then cold on a fresh model.  ``RobustMPC.reset()`` —
+    called at the start of every engine run — releases, so a run's plans
+    (and its model-build counts) depend only on that run's batches.
+    Solves and releases hold a per-solver lock, so threads sharing one
+    solver take turns; ``RobustMPC`` keeps one solver per thread.
+
+    Args:
+        cost: ``(n,)`` shared per-block objective.
+        a_ub: ``(rows_ub, n)`` shared inequality block.
+        b_ub: ``(rows_ub,)`` shared inequality RHS.
+        a_eq: ``(rows_eq, n)`` shared equality block.
+        b_eq: ``(rows_eq,)`` base equality RHS (varying entries are
+            overwritten per solve).
+        varying_eq_rows: Indices into the equality rows that change per
+            block / per call.
+    """
+
+    def __init__(self, cost, a_ub, b_ub, a_eq, b_eq, varying_eq_rows):
+        self.cost = np.asarray(cost, dtype=float)
+        self.a_ub = _as_csr_block(a_ub)
+        self.b_ub = np.asarray(b_ub, dtype=float).reshape(-1)
+        self.a_eq = _as_csr_block(a_eq)
+        self.b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
+        self.varying_eq_rows = np.asarray(varying_eq_rows, dtype=np.int64)
+        self.block_cols = self.a_ub.shape[1]
+        self.rows_ub = self.a_ub.shape[0]
+        self.rows_eq = self.a_eq.shape[0]
+        if self.cost.size != self.block_cols:
+            raise ValueError("cost length must match the block column count")
+        if self.a_eq.shape[1] != self.block_cols:
+            raise ValueError("a_ub and a_eq must share a column count")
+        if self.varying_eq_rows.size and (
+            self.varying_eq_rows.min() < 0
+            or self.varying_eq_rows.max() >= self.rows_eq
+        ):
+            raise ValueError("varying_eq_rows outside the equality rows")
+        self._model: Optional[HighsModel] = None
+        self._capacity = 0
+        self._vary_idx = np.zeros(0, dtype=np.int64)
+        self._lock = threading.Lock()
+        self.model_builds = 0
+
+    def _model_for(self, values: np.ndarray) -> HighsModel:
+        """The model, rebuilt first if it cannot hold ``len(values)``."""
+        capacity = min(1 << (len(values) - 1).bit_length(), STACK_CHUNK_SIZE)
+        if self._model is None or self._capacity < capacity:
+            self._model = None
+            self._build(capacity, values[0])
+            self.model_builds += 1
+            _telemetry().inc("lp_persistent_model_builds_total")
+            logger.debug(
+                "persistent HiGHS model built (%d blocks, %d built)",
+                capacity, self.model_builds,
+            )
+        return self._model
+
+    def _build(self, k: int, park) -> None:
+        """Pass a ``k``-block model with every block's varying rows parked
+        at ``park``."""
+        core = _core
+        if core is None:
+            raise LPError("the bundled HiGHS core is unavailable")
+        b_eq = self.b_eq.copy()
+        b_eq[self.varying_eq_rows] = park
+        self._model = HighsModel(
+            core, np.tile(self.cost, k),
+            LPMatrix.stacked(self.a_ub, self.a_eq, k),
+            np.concatenate([np.tile(self.b_ub, k), np.tile(b_eq, k)]),
+        )
+        self._capacity = k
+        # Flat row indices of the varying equality entries, block-major:
+        # block i's varying rows live at rows_ub*k + i*rows_eq + varying.
+        offsets = self.rows_ub * k + self.rows_eq * np.arange(k, dtype=np.int64)
+        self._vary_idx = (
+            offsets[:, None] + self.varying_eq_rows[None, :]
+        ).reshape(-1)
+
+    def _solve_chunk(self, model: HighsModel, values: np.ndarray) -> np.ndarray:
+        """Rewrite the leading ``len(values)`` blocks' varying RHS, re-run
+        warm and return those blocks' optimal points."""
+        model.set_rhs(self._vary_idx[: values.size], values.reshape(-1))
+        outcome = model.run("persistent", on_failure=4)
+        # The first run of a freshly-passed model factorises from
+        # scratch; every later one warm-starts from the incumbent basis.
+        _telemetry().inc(
+            "lp_persistent_solves_total",
+            start="warm" if model.runs > 1 else "cold",
+        )
+        if not outcome.success:
+            raise LPError(
+                f"persistent stacked LP ({self._capacity} blocks) failed: "
+                f"{outcome.message}"
+            )
+        return outcome.x.reshape(self._capacity, self.block_cols)[
+            : len(values)
+        ]
+
+    def solve_batch(self, values) -> List[LPSolution]:
+        """Solve ``k`` blocks whose varying equality RHS rows are ``values``.
+
+        Args:
+            values: ``(k, len(varying_eq_rows))`` per-block RHS entries.
+
+        Returns:
+            ``k`` :class:`LPSolution`, aligned with the input rows.
+            Nothing partial: if any chunk fails the whole batch raises and
+            no chunk's results are returned, so callers can fall back to
+            scalar solves without double counting.  A failure also drops
+            the model, so the next call solves as a fresh solver would.
+
+        Raises:
+            LPError: If any chunk's solve does not reach optimality or
+                fails the residual check.
+        """
+        V = np.atleast_2d(np.asarray(values, dtype=float))
+        k = V.shape[0]
+        if k == 0:
+            return []
+        if V.shape[1] != self.varying_eq_rows.size:
+            raise ValueError(
+                f"values have {V.shape[1]} columns, expected "
+                f"{self.varying_eq_rows.size} varying equality rows"
+            )
+        points = np.empty((k, self.block_cols))
+        with self._lock:
+            try:
+                model = self._model_for(V)
+                for start in range(0, k, self._capacity):
+                    stop = min(start + self._capacity, k)
+                    points[start:stop] = self._solve_chunk(model, V[start:stop])
+            except LPError:
+                self._model = None
+                raise
+        costs = points @ self.cost
+        return [
+            LPSolution(x=points[i], value=float(costs[i]), status=0)
+            for i in range(k)
+        ]
+
+    @property
+    def warm_solves(self) -> int:
+        """Solves served by the current model after its first (basis
+        reuse)."""
+        return max(0, self._model.runs - 1) if self._model else 0
+
+    def release(self) -> None:
+        """Free the persistent model; the next solve builds a fresh one
+        and starts cold."""
+        with self._lock:
+            self._model = None
 
 
 # ----------------------------------------------------------------------
@@ -510,8 +717,7 @@ def solve_lp_batch(
     tiled ``k`` times), which suits one-off stacks such as synthesis's
     :func:`maximize_batch`.  The RMPC's per-step stacks, which differ
     only in equality right-hand sides from call to call, are solved
-    warm on a :class:`~repro.utils.lp_backends.PersistentStackSolver`
-    instead.
+    warm on a :class:`PersistentStackSolver` instead.
 
     Because the blocks are fully decoupled, the stacked optimum restricted
     to block ``i`` attains exactly the optimal *value* of problem ``i``

@@ -1,14 +1,18 @@
 """Differential tests: the HiGHS-core adapter against ``linprog``.
 
-Every LP in the package runs through :func:`repro.utils.lp.solve_prepared`,
-which drives scipy's bundled HiGHS core directly.  Its contract is the
-"fast vs reference agree" pattern: on any LP — dense or sparse, with or
-without equality rows, feasible, infeasible or unbounded — it returns the
-same status as ``scipy.optimize.linprog(method="highs")`` and, when
-optimal, the bitwise-identical ``x`` and objective.  The guard that routes
-every solve through ``linprog`` when the core is unusable is forced here
-too, and the ``exact_solves=True`` audit tier is re-proved bitwise against
-the ``linprog`` route on every zoo scenario.
+Every cold LP in the package runs through
+:func:`repro.utils.lp.solve_prepared`, one build and one run of a
+:class:`repro.utils.lp.HighsModel` on scipy's bundled HiGHS core.  Its
+contract is the "fast vs reference agree" pattern: on any LP — dense or
+sparse, with or without equality rows, feasible, infeasible or unbounded
+— it returns the same status as ``scipy.optimize.linprog(method="highs")``
+and, when optimal, the bitwise-identical ``x`` and objective.  A model
+edited in place and re-run warm must agree with a cold solve of the
+edited LP (status, and the objective to 1e-9 relative), and a failed
+HiGHS run is mapped per route.  The guard that routes every solve
+through ``linprog`` when the core is unusable is forced here too, and the
+``exact_solves=True`` audit tier is re-proved bitwise against the
+``linprog`` route on every zoo scenario.
 """
 
 import logging
@@ -26,7 +30,9 @@ from repro.utils import lp
 from repro.utils.lp import (
     FALLBACK_METRIC,
     LP_SOLVES_METRIC,
+    HighsModel,
     LPMatrix,
+    PersistentStackSolver,
     lp_feasible,
     maximize,
     solve_lp,
@@ -185,6 +191,150 @@ class TestAdapterAgreesWithLinprog:
             solve_lp([1.0, 1.0], a_ub=H, b_ub=[1.0, np.inf])
         with pytest.raises(ValueError):
             solve_lp([1.0, 1.0, 1.0], a_ub=H, b_ub=[1.0, 1.0])
+
+
+@st.composite
+def edited_lps(draw):
+    """A bounded random LP — random inequality rows closed by a box, with
+    or without equality rows — and a sequence of in-place edits: rewrite
+    right-hand sides, free or restore a random row, change the cost.
+    Box rows are never freed, so every edited LP stays bounded;
+    rewritten right-hand sides may make it infeasible."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    m_eq = draw(st.integers(0, min(2, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(m, n))
+    a_ub = np.vstack([a, np.eye(n), -np.eye(n)])
+    b_ub = np.concatenate([rng.uniform(0.2, 2.0, m), 3.0 * np.ones(2 * n)])
+    a_eq = rng.normal(size=(m_eq, n))
+    b_eq = rng.uniform(-0.2, 0.2, m_eq)
+    edit = st.one_of(
+        st.tuples(st.just("rhs"), st.lists(
+            st.integers(0, m + m_eq - 1), min_size=1, max_size=3,
+            unique=True,
+        # On a grid: HiGHS scales rows by powers of two, which rounds the
+        # bounds it reports back near the underflow threshold.
+        ), st.integers(-50, 200).map(lambda k: k / 100)),
+        st.tuples(st.just("free"), st.integers(0, m - 1)),
+        st.tuples(st.just("restore"), st.integers(0, m - 1)),
+        st.tuples(st.just("cost"), st.integers(0, 2**32 - 1)),
+    )
+    edits = draw(st.lists(edit, min_size=1, max_size=8))
+    return rng.normal(size=n), a_ub, b_ub, a_eq, b_eq, edits
+
+
+class TestHighsModelEdits:
+    @FAST
+    @given(edited_lps())
+    def test_warm_reruns_agree_with_cold_solves(self, problem):
+        """After every edit the warm re-run reaches the cold solve's
+        status and objective, and the mirror equals HiGHS's bounds."""
+        c, a_ub, b_ub, a_eq, b_eq, edits = problem
+        n, m_ub = a_ub.shape[1], len(b_ub)
+        rhs = np.concatenate([b_ub, b_eq])
+        model = HighsModel(
+            lp.highs_core(), c, LPMatrix.from_blocks(a_ub, a_eq, n), rhs
+        )
+        freed = np.zeros(m_ub, dtype=bool)
+        for kind, *args in [("run",)] + edits:
+            if kind == "rhs":
+                rows, value = args
+                # Indices below m are the random inequality rows; the
+                # rest skip the box rows to reach the equality rows.
+                rows = [r if r < m_ub - 2 * n else r + 2 * n for r in rows]
+                rhs[rows] = value
+                freed[[r for r in rows if r < m_ub]] = False
+                model.set_rhs(rows, np.full(len(rows), value))
+            elif kind == "free":
+                freed[args[0]] = True
+                model.free_row(args[0])
+            elif kind == "restore":
+                freed[args[0]] = False
+                model.restore_row(args[0])
+            elif kind == "cost":
+                c = np.random.default_rng(args[0]).normal(size=n)
+                model.set_cost(c)
+            assert np.array_equal(
+                model.row_upper, model._highs.getLp().row_upper_
+            )
+            warm = model.run()
+            kept = ~freed
+            cold = solve_prepared(
+                c, LPMatrix.from_blocks(a_ub[kept], a_eq, n),
+                rhs[:m_ub][kept], rhs[m_ub:],
+            )
+            assert warm.status == cold.status, (warm.message, cold.message)
+            if cold.success:
+                assert warm.fun == pytest.approx(cold.fun, rel=1e-9, abs=1e-12)
+
+    def test_edits_rejected_on_equality_rows(self):
+        model = HighsModel(
+            lp.highs_core(), [1.0], LPMatrix.from_blocks(
+                np.array([[1.0]]), np.array([[1.0]]), 1
+            ), np.array([1.0, 0.5]),
+        )
+        with pytest.raises(ValueError, match="equality"):
+            model.free_row(1)
+
+    def test_build_refuses_what_it_cannot_solve(self, monkeypatch):
+        matrix = LPMatrix.from_blocks(np.eye(2), None, 2)
+        assert HighsModel.build(np.zeros(2), matrix, [1.0, np.inf]) is None
+        assert HighsModel.build(np.zeros(2), matrix, [1.0, 1.0]) is not None
+        monkeypatch.setattr(lp, "_core", None)
+        assert HighsModel.build(np.zeros(2), matrix, [1.0, 1.0]) is None
+
+
+class TestFailedRun:
+    """A HiGHS ``run`` that returns ``kError`` is mapped per route: a cold
+    solve maps the model status as ``linprog`` does, a warm redundancy
+    re-run reports 4 (so the row goes to the cold LP, never "essential"),
+    and the κ_R stack raises."""
+
+    @pytest.fixture
+    def failing_run(self, monkeypatch):
+        core = lp.highs_core()
+        real = core.module._Highs.run
+
+        def failing(self):
+            real(self)
+            return core.error
+
+        monkeypatch.setattr(core.module._Highs, "run", failing)
+
+    @pytest.mark.parametrize(
+        "a_ub, b_ub, status",
+        [
+            (np.array([[1.0], [-1.0]]), [-1.0, -1.0], 2),  # infeasible
+            (np.array([[1.0]]), [1.0], 3),  # unbounded below
+        ],
+    )
+    def test_warm_rerun_is_4_and_cold_is_linprogs_mapping(
+        self, failing_run, a_ub, b_ub, status
+    ):
+        matrix = LPMatrix.from_blocks(a_ub, None, 1)
+        assert solve_prepared([1.0], matrix, b_ub).status == status
+        model = HighsModel.build([1.0], matrix, np.array(b_ub))
+        assert model.run("warm", on_failure=4).status == 4
+        assert model.run().status == status
+
+    def test_stack_raises(self, failing_run):
+        solver = PersistentStackSolver(
+            cost=[1.0, 1.0], a_ub=np.vstack([np.eye(2), -np.eye(2)]),
+            b_ub=np.ones(4), a_eq=[[1.0, 0.0]], b_eq=[0.0],
+            varying_eq_rows=[0],
+        )
+        with pytest.raises(lp.LPError, match="persistent stacked"):
+            solver.solve_batch(np.zeros((2, 1)))
+
+    def test_rejected_model_is_a_model_error(self, monkeypatch):
+        core = lp.highs_core()
+        monkeypatch.setattr(
+            core.module._Highs, "passModel", lambda self, model: core.error
+        )
+        matrix = LPMatrix.from_blocks(np.eye(1), None, 1)
+        assert solve_prepared([1.0], matrix, [1.0]).status == 2
+        assert HighsModel.build([1.0], matrix, np.ones(1)) is None
 
 
 class TestLinprogFallback:

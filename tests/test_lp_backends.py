@@ -1,8 +1,9 @@
-"""Tests for the persistent stacked solve (repro.utils.lp_backends).
+"""Tests for the persistent stacked solve
+(:class:`repro.utils.lp.PersistentStackSolver`).
 
-The :class:`PersistentStackSolver` runs on scipy's bundled HiGHS core, so
-every test runs everywhere.  ``resolve_backend`` keeps its request
-vocabulary for the benchmark's provenance probe.
+The solver runs on scipy's bundled HiGHS core, so every test runs
+everywhere.  Tests that need chunking lower
+:data:`repro.utils.lp.STACK_CHUNK_SIZE`.
 
 The solved family throughout: ``min x0 + x1`` over the unit box with
 ``x0`` pinned per block (``x0 = v``), whose optimum is ``v - 1`` at
@@ -12,11 +13,12 @@ The solved family throughout: ``min x0 + x1`` over the unit box with
 import numpy as np
 import pytest
 
-from repro.utils.lp import LPError, solve_lp, solve_lp_batch
-from repro.utils.lp_backends import (
-    BACKENDS,
+from repro.utils import lp
+from repro.utils.lp import (
+    LPError,
     PersistentStackSolver,
-    resolve_backend,
+    solve_lp,
+    solve_lp_batch,
 )
 
 BOX_H = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
@@ -24,7 +26,7 @@ BOX_h = np.ones(4)
 PIN_X0 = np.array([[1.0, 0.0]])
 
 
-def _solver(**kwargs) -> PersistentStackSolver:
+def _solver() -> PersistentStackSolver:
     return PersistentStackSolver(
         cost=[1.0, 1.0],
         a_ub=BOX_H,
@@ -32,54 +34,13 @@ def _solver(**kwargs) -> PersistentStackSolver:
         a_eq=PIN_X0,
         b_eq=[0.0],
         varying_eq_rows=[0],
-        **kwargs,
     )
 
 
-class TestResolveBackend:
-    def test_scipy_is_always_scipy(self):
-        assert resolve_backend("scipy") == "scipy"
-
-    def test_invalid_name_rejected(self):
-        with pytest.raises(ValueError, match="one of"):
-            resolve_backend("cplex")
-
-    def test_auto_resolves_to_an_effective_backend(self):
-        # "auto" is an alias of the cold, bitwise "scipy".
-        assert resolve_backend("auto") == "scipy"
-
-    def test_auto_falls_back_silently(self, monkeypatch, caplog):
-        # Without the bundled core, "auto" still resolves (to the cold
-        # path) and an RMPC's stacked request runs its rows as scalar
-        # solves through linprog: no error, no warning.
-        from repro.controllers import RobustMPC
-        from repro.observability import metrics as obs
-        from repro.utils import lp
-        from tests.conftest import make_double_integrator
-
-        mpc = RobustMPC(make_double_integrator(), horizon=3)
-        monkeypatch.setattr(lp, "_core", None)
-        assert resolve_backend("auto") == "scipy"
-        states = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]])
-        with caplog.at_level("WARNING"), obs.scoped_registry() as reg:
-            batch = mpc.solve_batch(states)
-            assert reg.total(lp.FALLBACK_METRIC, path="scalar") == 3
-            assert reg.total("rmpc_solves_total", path="scalar") == 3
-            assert reg.total("rmpc_solves_total", path="stacked") == 0
-        assert len(batch) == 3
-        assert not caplog.records
-
-    def test_explicit_highs_is_warm(self):
-        assert resolve_backend("highs") == "highs"
-
-    def test_highs_degrades_to_cold_without_the_core(self, monkeypatch):
-        from repro.utils import lp
-
-        monkeypatch.setattr(lp, "_core", None)
-        assert resolve_backend("highs") == "scipy"
-
-    def test_backends_tuple_is_the_request_vocabulary(self):
-        assert BACKENDS == ("auto", "highs", "scipy")
+@pytest.fixture
+def chunk_size(monkeypatch):
+    """Lower the stack's largest capacity: ``chunk_size(n)``."""
+    return lambda n: monkeypatch.setattr(lp, "STACK_CHUNK_SIZE", n)
 
 
 class TestPersistentStackSolver:
@@ -109,16 +70,17 @@ class TestPersistentStackSolver:
         assert solver.warm_solves == 1
         assert batch[0].value == pytest.approx(-0.75, abs=1e-9)
 
-    def test_chunking_matches_unchunked(self):
-        chunked = _solver(chunk_size=2)
+    def test_chunking_matches_unchunked(self, chunk_size):
+        chunked = _solver()
         whole = _solver()
         pins = np.linspace(-0.5, 0.5, 5).reshape(-1, 1)
-        a = chunked.solve_batch(pins)
         b = whole.solve_batch(pins)
-        # k=5 at chunk_size=2 → three chunks (2, 2, 1) through one
+        chunk_size(2)
+        a = chunked.solve_batch(pins)
+        # k=5 at a chunk size of 2 → three chunks (2, 2, 1) through one
         # 2-block model.
         assert chunked.model_builds == 1
-        assert chunked._model.blocks == 2
+        assert chunked._capacity == 2
         for left, right in zip(a, b):
             assert left.value == pytest.approx(right.value, abs=1e-9)
         # Same k again: the model stays warm, not rebuilt.
@@ -131,10 +93,11 @@ class TestPersistentStackSolver:
         with pytest.raises(LPError, match="persistent stacked"):
             solver.solve_batch([[0.0], [3.0]])
 
-    def test_failure_is_all_or_nothing(self):
+    def test_failure_is_all_or_nothing(self, chunk_size):
         """A failing later chunk must raise (nothing partial), and the
         solver must stay usable afterwards."""
-        solver = _solver(chunk_size=2)
+        chunk_size(2)
+        solver = _solver()
         pins = np.array([[0.0], [0.1], [3.0]])  # failure in chunk 2
         with pytest.raises(LPError):
             solver.solve_batch(pins)
@@ -155,7 +118,7 @@ class TestPersistentStackSolver:
         capacities = []
         for k in (1, 2, 3, 4, 2, 5):
             solver.solve_batch(np.zeros((k, 1)))
-            capacities.append(solver._model.blocks)
+            capacities.append(solver._capacity)
         assert capacities == [1, 2, 4, 4, 4, 8]
         # Built at k = 1, 2, 3 and 5; k = 4 and 2 fit the 4-block model.
         assert solver.model_builds == 4
@@ -164,15 +127,16 @@ class TestPersistentStackSolver:
         solver = _solver()
         for k in (3, 1, 2):
             solver.solve_batch(np.zeros((k, 1)))
-        assert solver.chunk_size == 1024
+        assert lp.STACK_CHUNK_SIZE == 1024
         assert solver.model_builds == 1
-        assert solver._model.blocks == 4
+        assert solver._capacity == 4
         assert solver.warm_solves == 2
 
-    def test_capacity_is_capped_at_the_chunk_size(self):
-        solver = _solver(chunk_size=3)
+    def test_capacity_is_capped_at_the_chunk_size(self, chunk_size):
+        chunk_size(3)
+        solver = _solver()
         solver.solve_batch(np.zeros((7, 1)))
-        assert solver._model.blocks == 3
+        assert solver._capacity == 3
         assert solver.model_builds == 1
 
     def test_fresh_model_parks_spare_blocks_at_a_batch_row(self):
@@ -185,7 +149,7 @@ class TestPersistentStackSolver:
         pins = np.array([[0.5], [-0.25], [0.75]])
         batch = solver.solve_batch(pins)  # one fresh 4-block model
         assert solver.model_builds == 1
-        assert solver._model.blocks == 4
+        assert solver._capacity == 4
         for pin, sol in zip(pins, batch):
             assert sol.value == pytest.approx(pin[0] - 1.0, abs=1e-9)
 
@@ -204,6 +168,26 @@ class TestPersistentStackSolver:
                 assert sol.x[0] == pytest.approx(pin[0], abs=1e-9)
         assert solver.model_builds == 1
         assert solver.warm_solves == 4
+
+    def test_rmpc_without_the_core_falls_back_silently(
+        self, monkeypatch, caplog
+    ):
+        """Without the bundled core an RMPC's stacked request runs its
+        rows as scalar solves through linprog: no error, no warning."""
+        from repro.controllers import RobustMPC
+        from repro.observability import metrics as obs
+        from tests.conftest import make_double_integrator
+
+        mpc = RobustMPC(make_double_integrator(), horizon=3)
+        monkeypatch.setattr(lp, "_core", None)
+        states = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]])
+        with caplog.at_level("WARNING"), obs.scoped_registry() as reg:
+            batch = mpc.solve_batch(states)
+            assert reg.total(lp.FALLBACK_METRIC, path="scalar") == 3
+            assert reg.total("rmpc_solves_total", path="scalar") == 3
+            assert reg.total("rmpc_solves_total", path="stacked") == 0
+        assert len(batch) == 3
+        assert not caplog.records
 
     def test_value_shape_validation(self):
         solver = _solver()
@@ -224,8 +208,6 @@ class TestPersistentStackSolver:
                 cost=[1.0, 1.0], a_ub=BOX_H, b_ub=BOX_h,
                 a_eq=PIN_X0, b_eq=[0.0], varying_eq_rows=[5],
             )
-        with pytest.raises(ValueError, match="chunk_size"):
-            _solver(chunk_size=0)
 
 
 class TestHighsMatchesScipyStack:
@@ -247,24 +229,25 @@ class TestHighsMatchesScipyStack:
 class TestSolverState:
     def test_row_bounds_tracked_for_the_residual_check(self):
         """The residual check reads the model's right-hand sides from the
-        chunk's copy, which must follow every rewrite."""
+        model's mirror, which must follow every rewrite."""
         solver = _solver()
         for pins in ([[0.1], [0.2], [0.3]], [[-0.5], [0.5], [0.0]]):
             solver.solve_batch(pins)
         model = solver._model
         assert np.array_equal(
-            model._row_upper, model._highs.getLp().row_upper_
+            model.row_upper, model._highs.getLp().row_upper_
         )
 
-    def test_failure_clears_every_model(self):
+    def test_failure_clears_every_model(self, chunk_size):
         """After a failed batch the solver solves as a fresh one would."""
-        solver = _solver(chunk_size=2)
+        chunk_size(2)
+        solver = _solver()
         solver.solve_batch(np.full((3, 1), 0.4))
         with pytest.raises(LPError):
             solver.solve_batch([[0.0], [0.1], [3.0]])
         assert solver.warm_solves == 0
         pins = np.array([[0.2], [-0.3], [0.6]])
         again = solver.solve_batch(pins)
-        fresh = _solver(chunk_size=2).solve_batch(pins)
+        fresh = _solver().solve_batch(pins)
         for got, want in zip(again, fresh):
             assert got.x.tobytes() == want.x.tobytes()

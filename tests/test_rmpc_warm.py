@@ -152,16 +152,15 @@ class TestWarmFailure:
         the rows are re-solved scalar."""
         case, mpc = _controller("thermal")
         scalar_rows = mpc._A_ub.shape[0]
-        core = lp.highs_core()
-        checked = type(core)._checked
+        checked = lp.HighsModel._checked
 
-        def demote_stacked(self, highs, rows_ub, row_upper):
-            outcome = checked(self, highs, rows_ub, row_upper)
-            if rows_ub > scalar_rows:  # only the stacked model
+        def demote_stacked(self):
+            outcome = checked(self)
+            if self.rows_ub > scalar_rows:  # only the stacked model
                 return outcome._replace(status=4)
             return outcome
 
-        monkeypatch.setattr(type(core), "_checked", demote_stacked)
+        monkeypatch.setattr(lp.HighsModel, "_checked", demote_stacked)
         states = case.sample_initial_states(np.random.default_rng(8), 3)
         try:
             with obs.scoped_registry() as reg:
