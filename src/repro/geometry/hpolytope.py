@@ -34,7 +34,6 @@ from repro.observability.metrics import registry as _telemetry
 from repro.utils.lp import (
     HighsModel,
     LPError,
-    LPMatrix,
     lp_feasible,
     maximize,
     maximize_batch,
@@ -603,21 +602,15 @@ class HPolytope:
                 mask = keep.copy()
                 mask[i] = False
                 if not built:
-                    built, model = True, HighsModel.build(
-                        np.zeros(H.shape[1]),
-                        LPMatrix.from_blocks(H, None, H.shape[1]), h,
-                    )
+                    built, model = True, HighsModel.over(H, h)
                     if model is not None:
                         for j in np.flatnonzero(~keep):
                             model.free_row(j)
                 if model is not None:
                     reg.inc(REDUNDANCY_LPS_METRIC, phase="warm")
-                    # Maximise H_i x with row i freed; a failed run is
-                    # status 4, so the row goes to the cold LP.
-                    model.free_row(i)
-                    model.set_cost(-H[i])
-                    outcome = model.run("warm", on_failure=4)
-                    redundant = _warm_redundant(outcome, h[i], tol)
+                    redundant = _warm_redundant(
+                        model.maximize_freed(i, H[i]), h[i], tol
+                    )
                 if redundant is None:
                     reg.inc(REDUNDANCY_LPS_METRIC, phase="cold")
                     try:

@@ -217,7 +217,8 @@ class HighsModel:
     result as ``linprog`` does: its status mapping, then its residual
     check against ``row_upper``, the mirror of the row upper bounds HiGHS
     holds (a freed row at ``+inf``).  A cold solve is one build and one
-    run.
+    run; the redundancy loop builds with :meth:`over` and re-solves with
+    :meth:`maximize_freed`.
 
     A model mutates in place and belongs to one caller at a time.
     """
@@ -263,6 +264,14 @@ class HighsModel:
         model = cls(core, cost, matrix, row_upper)
         return model if model.passed else None
 
+    @classmethod
+    def over(cls, H, h) -> Optional["HighsModel"]:
+        """A zero-cost model over ``{x : H x <= h}`` for
+        :meth:`maximize_freed`, or None as from :meth:`build`."""
+        H = np.asarray(H, dtype=float)
+        cols = H.shape[1]
+        return cls.build(np.zeros(cols), LPMatrix.from_blocks(H, None, cols), h)
+
     def set_rhs(self, rows, values) -> None:
         """Rewrite the right-hand sides of ``rows`` (an inequality row's
         upper bound, an equality row's value) to ``values``."""
@@ -278,8 +287,6 @@ class HighsModel:
     def free_row(self, i: int) -> None:
         """Unbound inequality row ``i``: it drops out of every later run
         until :meth:`restore_row`."""
-        if i >= self.rows_ub:
-            raise ValueError(f"row {i} is an equality row")
         self._highs.changeRowBounds(i, -np.inf, np.inf)
         self.row_upper[i] = np.inf
 
@@ -292,6 +299,15 @@ class HighsModel:
         """Replace the cost vector."""
         cols = np.arange(len(cost), dtype=np.int32)
         self._highs.changeColsCost(cols.size, cols, cost)
+
+    def maximize_freed(self, i: int, direction) -> LPOutcome:
+        """Minimise ``-direction @ x`` with row ``i`` freed (so the maximum
+        of ``direction @ x`` is ``-fun``), warm, counted as ``warm`` — the
+        redundancy loop's re-solve.  A failed HiGHS run is status 4, so
+        the loop decides the row by a cold LP."""
+        self.free_row(i)
+        self.set_cost(-direction)
+        return self.run("warm", on_failure=4)
 
     def run(self, path: Optional[str] = None,
             on_failure: Optional[int] = None) -> LPOutcome:
@@ -569,10 +585,15 @@ class PersistentStackSolver:
             offsets[:, None] + self.varying_eq_rows[None, :]
         ).reshape(-1)
 
-    def _solve_chunk(self, model: HighsModel, values: np.ndarray) -> np.ndarray:
-        """Rewrite the leading ``len(values)`` blocks' varying RHS, re-run
-        warm and return those blocks' optimal points."""
+    def solve(self, values: np.ndarray) -> np.ndarray:
+        """One chunk on the current model: rewrite the leading
+        ``len(values)`` blocks' varying RHS, re-run warm and return those
+        blocks' optimal points.  :meth:`solve_batch`, the entry point,
+        builds the model, splits the batch and holds the lock."""
+        model = self._model
         model.set_rhs(self._vary_idx[: values.size], values.reshape(-1))
+        # A failed HiGHS run fails the batch even when the model status
+        # still reads optimal (it would map to 0 with no point).
         outcome = model.run("persistent", on_failure=4)
         # The first run of a freshly-passed model factorises from
         # scratch; every later one warm-starts from the incumbent basis.
@@ -618,10 +639,10 @@ class PersistentStackSolver:
         points = np.empty((k, self.block_cols))
         with self._lock:
             try:
-                model = self._model_for(V)
+                self._model_for(V)
                 for start in range(0, k, self._capacity):
                     stop = min(start + self._capacity, k)
-                    points[start:stop] = self._solve_chunk(model, V[start:stop])
+                    points[start:stop] = self.solve(V[start:stop])
             except LPError:
                 self._model = None
                 raise

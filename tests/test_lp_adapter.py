@@ -268,15 +268,6 @@ class TestHighsModelEdits:
             if cold.success:
                 assert warm.fun == pytest.approx(cold.fun, rel=1e-9, abs=1e-12)
 
-    def test_edits_rejected_on_equality_rows(self):
-        model = HighsModel(
-            lp.highs_core(), [1.0], LPMatrix.from_blocks(
-                np.array([[1.0]]), np.array([[1.0]]), 1
-            ), np.array([1.0, 0.5]),
-        )
-        with pytest.raises(ValueError, match="equality"):
-            model.free_row(1)
-
     def test_build_refuses_what_it_cannot_solve(self, monkeypatch):
         matrix = LPMatrix.from_blocks(np.eye(2), None, 2)
         assert HighsModel.build(np.zeros(2), matrix, [1.0, np.inf]) is None
@@ -314,8 +305,9 @@ class TestFailedRun:
     ):
         matrix = LPMatrix.from_blocks(a_ub, None, 1)
         assert solve_prepared([1.0], matrix, b_ub).status == status
+        warm = HighsModel.over(a_ub, np.array(b_ub))
+        assert warm.maximize_freed(0, np.array([1.0])).status == 4
         model = HighsModel.build([1.0], matrix, np.array(b_ub))
-        assert model.run("warm", on_failure=4).status == 4
         assert model.run().status == status
 
     def test_stack_raises(self, failing_run):

@@ -1,5 +1,6 @@
 """Tests for the persistent stacked solve
-(:class:`repro.utils.lp.PersistentStackSolver`).
+(:class:`repro.utils.lp.PersistentStackSolver`) and for the names
+:mod:`repro.utils.lp_backends` keeps for the repository benchmark.
 
 The solver runs on scipy's bundled HiGHS core, so every test runs
 everywhere.  Tests that need chunking lower
@@ -20,6 +21,7 @@ from repro.utils.lp import (
     solve_lp,
     solve_lp_batch,
 )
+from repro.utils.lp_backends import BACKENDS, _ChunkModel, resolve_backend
 
 BOX_H = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 BOX_h = np.ones(4)
@@ -41,6 +43,66 @@ def _solver() -> PersistentStackSolver:
 def chunk_size(monkeypatch):
     """Lower the stack's largest capacity: ``chunk_size(n)``."""
     return lambda n: monkeypatch.setattr(lp, "STACK_CHUNK_SIZE", n)
+
+
+class TestResolveBackend:
+    def test_scipy_is_always_scipy(self):
+        assert resolve_backend("scipy") == "scipy"
+
+    def test_invalid_name_rejected(self):
+        with pytest.raises(ValueError, match="one of"):
+            resolve_backend("cplex")
+
+    def test_auto_resolves_to_an_effective_backend(self):
+        # "auto" is an alias of the cold, bitwise "scipy".
+        assert resolve_backend("auto") == "scipy"
+
+    def test_auto_falls_back_silently(self, monkeypatch, caplog):
+        # Without the bundled core, "auto" still resolves (to the cold
+        # path) and an RMPC's stacked request runs its rows as scalar
+        # solves through linprog: no error, no warning.
+        from repro.controllers import RobustMPC
+        from repro.observability import metrics as obs
+        from tests.conftest import make_double_integrator
+
+        mpc = RobustMPC(make_double_integrator(), horizon=3)
+        monkeypatch.setattr(lp, "_core", None)
+        assert resolve_backend("auto") == "scipy"
+        states = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]])
+        with caplog.at_level("WARNING"), obs.scoped_registry() as reg:
+            batch = mpc.solve_batch(states)
+            assert reg.total(lp.FALLBACK_METRIC, path="scalar") == 3
+            assert reg.total("rmpc_solves_total", path="scalar") == 3
+            assert reg.total("rmpc_solves_total", path="stacked") == 0
+        assert len(batch) == 3
+        assert not caplog.records
+
+    def test_explicit_highs_is_warm(self):
+        assert resolve_backend("highs") == "highs"
+
+    def test_highs_degrades_to_cold_without_the_core(self, monkeypatch):
+        monkeypatch.setattr(lp, "_core", None)
+        assert resolve_backend("highs") == "scipy"
+
+    def test_backends_tuple_is_the_request_vocabulary(self):
+        assert BACKENDS == ("auto", "highs", "scipy")
+
+    def test_chunk_solve_is_the_wrappable_per_chunk_call(
+        self, monkeypatch, chunk_size
+    ):
+        """A wrapper installed on ``_ChunkModel.solve`` (as a tracer
+        does) sees every chunk of a stacked solve, once each."""
+        calls = []
+        real = _ChunkModel.__dict__["solve"]
+
+        def counted(self, values):
+            calls.append(len(values))
+            return real(self, values)
+
+        monkeypatch.setattr(_ChunkModel, "solve", counted)
+        chunk_size(2)
+        _solver().solve_batch(np.zeros((5, 1)))
+        assert calls == [2, 2, 1]
 
 
 class TestPersistentStackSolver:
@@ -168,26 +230,6 @@ class TestPersistentStackSolver:
                 assert sol.x[0] == pytest.approx(pin[0], abs=1e-9)
         assert solver.model_builds == 1
         assert solver.warm_solves == 4
-
-    def test_rmpc_without_the_core_falls_back_silently(
-        self, monkeypatch, caplog
-    ):
-        """Without the bundled core an RMPC's stacked request runs its
-        rows as scalar solves through linprog: no error, no warning."""
-        from repro.controllers import RobustMPC
-        from repro.observability import metrics as obs
-        from tests.conftest import make_double_integrator
-
-        mpc = RobustMPC(make_double_integrator(), horizon=3)
-        monkeypatch.setattr(lp, "_core", None)
-        states = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]])
-        with caplog.at_level("WARNING"), obs.scoped_registry() as reg:
-            batch = mpc.solve_batch(states)
-            assert reg.total(lp.FALLBACK_METRIC, path="scalar") == 3
-            assert reg.total("rmpc_solves_total", path="scalar") == 3
-            assert reg.total("rmpc_solves_total", path="stacked") == 0
-        assert len(batch) == 3
-        assert not caplog.records
 
     def test_value_shape_validation(self):
         solver = _solver()
