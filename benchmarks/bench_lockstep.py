@@ -166,12 +166,9 @@ def run_benchmark(
     """Time one batch :data:`REPEATS` times per (controller
     configuration, engine).
 
-    The ``linear`` configuration gets one extra lockstep row on top of
-    the plain (timing-on) one: ``lockstep-fast`` drops the per-row
-    wall-clock amortisation (``collect_timing=False``) and stays on the
-    bitwise contract.  Every lockstep row carries its per-stage
-    wall-clock breakdown (``profile``) and the stages it failed to
-    report (``missing_stages``, empty when the registry path works).
+    Every lockstep row carries its per-stage wall-clock breakdown
+    (``profile``) and the stages it failed to report
+    (``missing_stages``, empty when the registry path works).
 
     Returns:
         Dict with per-configuration throughput, speedup over that
@@ -248,12 +245,6 @@ def _run_benchmark(
             ("lockstep", lockstep_runner(),
              "bitwise" if bitwise else "plan-equivalent"),
         ]
-        if bitwise:
-            # Per-row timing amortisation skipped.
-            engines.append(
-                ("lockstep-fast", lockstep_runner(collect_timing=False),
-                 "bitwise")
-            )
         if not bitwise:
             # Audit mode: scalar solves restore bitwise parity, timing
             # what the engine alone (without solve stacking) buys.

@@ -80,7 +80,7 @@ def main():
     print(f"{'policy':<20} {'energy':>8} {'skip%':>6} {'forced':>7} {'safe':>5}")
     for name, policy, reveal in policies:
         stats = run(policy, reveal)
-        safe = system.safe_set.contains_points(stats.states).all()
+        safe = system.safe_set.contains_batch(stats.states).all()
         print(
             f"{name:<20} {stats.energy:8.3f} {100*stats.skip_rate:5.0f}% "
             f"{stats.forced_steps:7d} {str(bool(safe)):>5}"

@@ -78,7 +78,7 @@ def main():
           f"({100 * (1 - stats.energy / baseline.energy):.1f}% saved)")
     print(f"skipped {stats.skipped_steps}/{stats.steps} steps "
           f"({stats.forced_steps} monitor-forced)")
-    print(f"all states safe: {system.safe_set.contains_points(stats.states).all()}")
+    print(f"all states safe: {system.safe_set.contains_batch(stats.states).all()}")
     # Computation saving is only meaningful when κ is expensive (an
     # LQR gain costs microseconds, so monitoring dominates here); see
     # examples/acc_energy_saving.py for the RMPC numbers of Sec. IV-A.

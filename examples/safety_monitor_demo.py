@@ -65,7 +65,7 @@ def main():
     print(
         f"\nskipped {stats.skipped_steps}/{stats.steps}, "
         f"forced {stats.forced_steps}, all safe: "
-        f"{case.system.safe_set.contains_points(stats.states).all()}"
+        f"{case.system.safe_set.contains_batch(stats.states).all()}"
     )
 
 

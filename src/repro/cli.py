@@ -255,7 +255,7 @@ def _cmd_sweep(args) -> int:
     telemetry_on = args.telemetry or bool(args.telemetry_out)
     execution = ExecutionConfig(
         engine=args.engine, jobs=args.jobs, exact_solves=args.exact_solves,
-        collect_timing=args.collect_timing, telemetry=telemetry_on,
+        telemetry=telemetry_on,
         on_error=args.on_error,
         cell_retries=args.cell_retries,
         cell_timeout=args.cell_timeout,
@@ -351,7 +351,7 @@ def _build_submit_plan(args):
     names = args.scenarios or scenarios.list_scenarios()
     execution = ExecutionConfig(
         engine=args.engine, jobs=args.jobs, exact_solves=args.exact_solves,
-        collect_timing=args.collect_timing, telemetry=args.telemetry,
+        telemetry=args.telemetry,
         on_error=args.on_error,
     )
     return SweepPlan.for_scenarios(
@@ -465,7 +465,6 @@ def _cmd_batch(args) -> int:
         skip_input=case.skip_input,
         engine=args.engine,
         exact_solves=args.exact_solves,
-        collect_timing=args.collect_timing,
     )
     rng = np.random.default_rng(args.seed)
     states = case.sample_initial_states(rng, args.episodes)
@@ -563,16 +562,6 @@ def _add_engine_flag(parser) -> None:
     )
 
 
-def _add_timing_flag(parser) -> None:
-    """Attach the lockstep ``--no-timing`` flag."""
-    parser.add_argument(
-        "--no-timing", action="store_false", dest="collect_timing",
-        help="lockstep only: skip per-row wall-clock collection (timing "
-             "columns read zero; deterministic metrics are unchanged bit "
-             "for bit)",
-    )
-
-
 def _job_count(value: str) -> int:
     """argparse type for ``--jobs``: non-negative int (0 = one per CPU)."""
     count = int(value)
@@ -646,7 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write records to this path (.csv for CSV, else JSON)",
     )
     _add_engine_flag(p_bat)
-    _add_timing_flag(p_bat)
     _add_telemetry_flags(p_bat)
     p_bat.set_defaults(func=_cmd_batch)
 
@@ -693,7 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="lockstep only: scalar MPC solves for record-for-record "
              "parity with the serial engine",
     )
-    _add_timing_flag(p_swp)
     p_swp.add_argument(
         "--on-error", choices=("fail", "record", "retry"), default="fail",
         dest="on_error",
@@ -783,7 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="lockstep only: scalar MPC solves for record-for-record "
              "parity with the serial engine",
     )
-    _add_timing_flag(p_sub)
     p_sub.add_argument(
         "--on-error", choices=("fail", "record", "retry"), default="fail",
         dest="on_error",

@@ -48,10 +48,6 @@ class ExecutionConfig:
             for record-for-record parity with the serial engine instead
             of the plan-equivalent stacked solve (the one stacked
             route; see :class:`repro.utils.lp.PersistentStackSolver`).
-        collect_timing: Lockstep only — maintain the per-row amortised
-            wall-clock arrays (the default).  ``False`` zeroes the
-            timing-derived metrics and leaves every deterministic metric
-            bitwise-unchanged.
         telemetry: Collect full telemetry for the sweep — spans, folded
             stage timings, and a metrics snapshot embedded per
             :class:`~repro.experiments.result.CellResult` and on the
@@ -89,7 +85,6 @@ class ExecutionConfig:
     engine: str = "serial"
     jobs: int = 1
     exact_solves: bool = False
-    collect_timing: bool = True
     telemetry: bool = False
     on_error: str = "fail"
     cell_retries: int = 1
@@ -101,7 +96,7 @@ class ExecutionConfig:
         # wrong-typed value must be a ValueError naming the field, not a
         # TypeError from a comparison below — or, worse, a truthy string
         # silently accepted as a bool.
-        for name in ("exact_solves", "collect_timing", "telemetry"):
+        for name in ("exact_solves", "telemetry"):
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise ValueError(f"{name} must be a bool, got {value!r}")

@@ -403,7 +403,6 @@ def _cell_config(cell: GridCell, execution: ExecutionConfig) -> dict:
         "memory_length": spec.memory_length,
         "engine": execution.engine,
         "exact_solves": execution.exact_solves,
-        "collect_timing": execution.collect_timing,
         "pattern": spec.pattern,
         "overrides": [[key, repr(value)] for key, value in cell.overrides],
     }
@@ -444,7 +443,6 @@ def _evaluate_cell(
             memory_length=spec.memory_length,
             engine=execution.engine,
             exact_solves=execution.exact_solves,
-            collect_timing=execution.collect_timing,
             solver_effort=solver_effort,
         )
     except RMPCInfeasibleError as exc:

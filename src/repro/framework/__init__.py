@@ -1,7 +1,7 @@
 """Runtime framework: safety monitor, Algorithm 1 loop, accounting."""
 
 from repro.framework.accounting import RunStats, computation_saving
-from repro.framework.evaluation import ENGINES, paired_evaluation
+from repro.framework.evaluation import ENGINES, paired_evaluation, run_episodes
 from repro.framework.intermittent import IntermittentController, run_controller_only
 from repro.framework.lockstep import lockstep_controller_only, run_lockstep
 from repro.framework.monitor import SafetyMonitor, SafetyViolationError, StateClass
@@ -23,6 +23,7 @@ __all__ = [
     "computation_saving",
     "ENGINES",
     "paired_evaluation",
+    "run_episodes",
     "BatchRunner",
     "run_lockstep",
     "lockstep_controller_only",

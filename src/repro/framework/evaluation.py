@@ -9,13 +9,16 @@ that shape, scenario-agnostically; the experiment runner
 run_sweep`, one call per grid cell) is its only client; the ACC
 comparison of the paper reaches it through the runner too.
 
-Engine semantics match the batch runner: ``"serial"`` is the reference
-case-major loop, ``"lockstep"`` advances all cases of one approach as a
-single state matrix.  Both run in the caller's process; a sweep uses
-more cores by sharding whole cells (:func:`repro.experiments.run_sweep`).
-Because realisations are materialised by the caller up front and all
-supplied policies must be effectively stateless, both engines yield the
-same deterministic metric values — only wall-clock-derived entries vary.
+:func:`run_episodes` is the one episode-batch path: it runs one
+approach over every case on the chosen engine and is shared by
+:func:`paired_evaluation` and :class:`~repro.framework.runner.
+BatchRunner`.  ``"serial"`` is the reference loop, one episode at a
+time; ``"lockstep"`` advances all cases as a single state matrix.  Both
+run in the caller's process; a sweep uses more cores by sharding whole
+cells (:func:`repro.experiments.run_sweep`).  Because realisations are
+materialised by the caller up front and every episode starts from a
+reset controller and policy, both engines yield the same deterministic
+metric values — only wall-clock-derived entries vary.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from repro.observability import metrics as _obs
 from repro.skipping.base import SkippingPolicy
 from repro.systems.lti import DiscreteLTISystem
 
-__all__ = ["ENGINES", "paired_evaluation"]
+__all__ = ["ENGINES", "paired_evaluation", "run_episodes"]
 
 
 def _solver_probe() -> tuple:
@@ -70,6 +73,96 @@ def _probe_delta(before: tuple, after: tuple) -> tuple:
 ENGINES = ("serial", "lockstep")
 
 
+def run_episodes(
+    system: DiscreteLTISystem,
+    controller: Controller,
+    monitor_factory: Callable[[], SafetyMonitor],
+    policies: Optional[Sequence[SkippingPolicy]],
+    initial_states,
+    realisations: Sequence,
+    *,
+    engine: str = "serial",
+    skip_input=None,
+    memory_length: int = 1,
+    reveal_future: bool = False,
+    exact_solves: bool = False,
+) -> List[RunStats]:
+    """Run one episode per case on ``engine``; the one episode-batch path.
+
+    Args:
+        system: The plant (shared across cases).
+        controller: Safe controller κ (shared; reset at every episode).
+        monitor_factory: Fresh :class:`SafetyMonitor` per episode.
+        policies: One Ω per case, or ``None`` for the κ-every-step
+            baseline (no monitor, no skipping).
+        initial_states: ``(N, n)`` start states, one per case.
+        realisations: ``N`` pre-drawn disturbance arrays ``(T_i, n)``.
+        engine: ``"serial"`` (the reference loop) or ``"lockstep"`` (see
+            :mod:`repro.framework.lockstep`).
+        skip_input: Constant input applied when skipping (default zero).
+        memory_length: The paper's ``r`` (disturbance-history window).
+        reveal_future: Pass the realised future to Ω (model-based case).
+        exact_solves: Lockstep only — keep the scalar path for
+            non-bitwise (stacked LP) controllers so results match the
+            serial engine record for record.  The serial engine always
+            runs scalar solves.
+
+    Returns:
+        ``N`` :class:`RunStats` in case order.
+
+    Raises:
+        ValueError: On an unknown engine, or a realisation count that
+            differs from the case count.
+        RMPCInfeasibleError: Under the serial engine, naming the case.
+    """
+    states = np.atleast_2d(np.asarray(initial_states, dtype=float))
+    if len(realisations) != len(states):
+        raise ValueError(
+            f"{len(states)} initial states but {len(realisations)} realisations"
+        )
+    if engine == "lockstep":
+        if policies is None:
+            return lockstep_controller_only(
+                system, controller, states, realisations,
+                exact_solves=exact_solves,
+            )
+        return run_lockstep(
+            system,
+            controller,
+            [monitor_factory() for _ in states],
+            policies,
+            states,
+            realisations,
+            skip_input=skip_input,
+            memory_length=memory_length,
+            reveal_future=reveal_future,
+            exact_solves=exact_solves,
+        )
+    if engine != "serial":
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    stats_list = []
+    for i, (x0, disturbances) in enumerate(zip(states, realisations)):
+        try:
+            if policies is None:
+                stats = run_controller_only(system, controller, x0, disturbances)
+            else:
+                stats = IntermittentController(
+                    system,
+                    controller,
+                    monitor_factory(),
+                    policies[i],
+                    skip_input=skip_input,
+                    memory_length=memory_length,
+                    reveal_future=reveal_future,
+                ).run(x0, disturbances)
+        except RMPCInfeasibleError as exc:
+            # Name the episode: the layers above add the approach and
+            # the grid coordinates.
+            raise RMPCInfeasibleError(f"case {i}: {exc}") from None
+        stats_list.append(stats)
+    return stats_list
+
+
 def paired_evaluation(
     system: DiscreteLTISystem,
     controller: Controller,
@@ -82,10 +175,12 @@ def paired_evaluation(
     memory_length: int = 1,
     engine: str = "serial",
     exact_solves: bool = False,
-    collect_timing: bool = True,
     solver_effort: Optional[dict] = None,
 ) -> Dict[str, List[tuple]]:
     """Run every approach over every case; collect per-case metric tuples.
+
+    Approaches run one after another, each as one
+    :func:`run_episodes` batch under its own ``episode-batch`` span.
 
     Args:
         system: The plant (shared across approaches and cases).
@@ -109,9 +204,6 @@ def paired_evaluation(
             plan-equivalent (see :mod:`repro.framework.lockstep`).  The
             serial engine and ``exact_solves`` audits always run scalar
             solves.
-        collect_timing: Lockstep only — ``False`` skips per-row
-            wall-clock collection (timing-derived metrics read zero;
-            everything else is bitwise-unchanged).
         solver_effort: Optional out-parameter: pass a dict and it is
             filled with approach name → solver-effort mapping
             (``solve_count``, ``scalar_solves``, ``stacked_solves``,
@@ -127,6 +219,8 @@ def paired_evaluation(
     Raises:
         ValueError: On unknown engines, empty case sets, or — under
             lockstep — approaches whose policy is not flagged stateless.
+        RMPCInfeasibleError: Naming the approach (and, under the serial
+            engine, the case).
     """
     if engine not in ENGINES:
         raise ValueError(
@@ -136,107 +230,53 @@ def paired_evaluation(
     num_cases = initial_states.shape[0]
     if num_cases < 1:
         raise ValueError("need at least one evaluation case")
-    if len(realisations) != num_cases:
-        raise ValueError(
-            f"{num_cases} initial states but {len(realisations)} realisations"
-        )
 
     # Solver effort is read from the always-on telemetry counters, but
     # only means something for controllers that actually solve LPs.
     instrumented = getattr(controller, "solve_count", None) is not None
     want_effort = solver_effort is not None
 
-    if engine == "lockstep":
-        collected: Dict[str, List[tuple]] = {}
-        for name, policy in approaches.items():
-            if policy is not None and not getattr(policy, "stateless", False):
-                raise ValueError(
-                    f"approach {name!r}: the lockstep engine shares one "
-                    "policy instance across interleaved cases, which is "
-                    "only serial-equivalent for stateless policies "
-                    "(for DRL, evaluate with epsilon=0)"
-                )
-            before = _solver_probe() if (want_effort and instrumented) else None
-            # A no-op context when telemetry is off; when on, the
-            # engine's ``stage:*`` leaves nest under this span.
-            with _obs.registry().span(
-                "episode-batch",
-                approach=name, engine="lockstep", cases=num_cases,
-            ):
-                if policy is None:
-                    stats_list = lockstep_controller_only(
-                        system,
-                        controller,
-                        initial_states,
-                        realisations,
-                        exact_solves=exact_solves,
-                        collect_timing=collect_timing,
-                    )
-                else:
-                    stats_list = run_lockstep(
-                        system,
-                        controller,
-                        [monitor_factory() for _ in range(num_cases)],
-                        [policy] * num_cases,
-                        initial_states,
-                        realisations,
-                        skip_input=skip_input,
-                        memory_length=memory_length,
-                        exact_solves=exact_solves,
-                        collect_timing=collect_timing,
-                    )
-            if want_effort:
-                solver_effort[name] = (
-                    _effort_dict(_probe_delta(before, _solver_probe()))
-                    if instrumented
-                    else None
-                )
-            collected[name] = [metrics_of(stats) for stats in stats_list]
-        return collected
-
-    collected = {name: [] for name in approaches}
-    # Sized from the probe, so a new counter cannot be silently dropped.
-    zero = (0,) * len(_solver_probe())
-    totals = {name: zero for name in approaches}
-    with _obs.registry().span(
-        "episode-batch",
-        engine=engine, cases=num_cases, approaches=len(approaches),
-    ):
-        for i in range(num_cases):
-            x0 = initial_states[i]
-            disturbances = realisations[i]
-            for name, policy in approaches.items():
-                before = _solver_probe() if instrumented else None
-                try:
-                    if policy is None:
-                        stats = run_controller_only(
-                            system, controller, x0, disturbances
-                        )
-                    else:
-                        runner = IntermittentController(
-                            system=system,
-                            controller=controller,
-                            monitor=monitor_factory(),
-                            policy=policy,
-                            skip_input=skip_input,
-                            memory_length=memory_length,
-                        )
-                        stats = runner.run(x0, disturbances)
-                except RMPCInfeasibleError as exc:
-                    # Name the episode: the cell layer above adds the
-                    # grid coordinates, this layer owns the case index.
-                    raise RMPCInfeasibleError(
-                        f"case {i} ({name}): {exc}"
-                    ) from None
-                collected[name].append(metrics_of(stats))
-                if instrumented:
-                    delta = _probe_delta(before, _solver_probe())
-                    totals[name] = tuple(
-                        a + b for a, b in zip(totals[name], delta)
-                    )
-    if want_effort:
-        for name in approaches:
-            solver_effort[name] = (
-                _effort_dict(totals[name]) if instrumented else None
+    collected: Dict[str, List[tuple]] = {}
+    for name, policy in approaches.items():
+        # The serial loop resets a shared policy at every episode; the
+        # lockstep engine interleaves the cases on one instance.
+        if (
+            engine == "lockstep"
+            and policy is not None
+            and not getattr(policy, "stateless", False)
+        ):
+            raise ValueError(
+                f"approach {name!r}: the lockstep engine shares one "
+                "policy instance across interleaved cases, which is "
+                "only serial-equivalent for stateless policies "
+                "(for DRL, evaluate with epsilon=0)"
             )
+        before = _solver_probe() if (want_effort and instrumented) else None
+        # A no-op context when telemetry is off; when on, the lockstep
+        # engine's ``stage:*`` leaves nest under this span.
+        with _obs.registry().span(
+            "episode-batch", approach=name, engine=engine, cases=num_cases,
+        ):
+            try:
+                stats_list = run_episodes(
+                    system,
+                    controller,
+                    monitor_factory,
+                    None if policy is None else [policy] * num_cases,
+                    initial_states,
+                    realisations,
+                    engine=engine,
+                    skip_input=skip_input,
+                    memory_length=memory_length,
+                    exact_solves=exact_solves,
+                )
+            except RMPCInfeasibleError as exc:
+                raise RMPCInfeasibleError(f"approach {name!r}: {exc}") from None
+        if want_effort:
+            solver_effort[name] = (
+                _effort_dict(_probe_delta(before, _solver_probe()))
+                if instrumented
+                else None
+            )
+        collected[name] = [metrics_of(stats) for stats in stats_list]
     return collected

@@ -32,9 +32,9 @@ Determinism contract — two tiers, selected by the controller's
   row-wise): each episode's :class:`RunStats` holds exactly the
   trajectory, inputs, decisions and forced mask the serial loop would
   produce (wall-clock timing arrays excepted — the shared per-step cost
-  is amortised uniformly over the rows that paid it, and zeroed when
-  ``collect_timing=False``).  The differential test harness proves
-  record-for-record equality against the serial engine.
+  is amortised uniformly over the rows that paid it).  The differential
+  test harness proves record-for-record equality against the serial
+  engine.
 * **plan-equivalent** (stacked LP controllers, i.e.
   :class:`~repro.controllers.rmpc.RobustMPC` with its block-diagonal
   :meth:`solve_batch`): when an LP has multiple optimal vertices, the
@@ -171,16 +171,18 @@ def _record_batch(mode: str, count: int, horizons) -> None:
     reg.inc("lockstep_steps_total", int(horizons.sum()), mode=mode)
 
 
-def _record_stages(reg, mode: str, steps: int, seconds: dict) -> None:
-    """Fold one run's per-stage wall clock into the enabled registry.
+def _record_stages(mode: str, steps: int, seconds: dict) -> None:
+    """Fold one run's per-stage wall clock into the registry, if enabled.
 
     Seconds land in ``lockstep_stage_seconds{stage,mode}`` (a wall-clock
     counter, excluded from deterministic snapshots), the number of steps
     each stage was charged in ``lockstep_stage_calls{stage,mode}``, and
     every stage becomes one ``stage:<name>`` leaf span under the open
     span (``paired_evaluation``'s per-approach ``episode-batch``).
+    With telemetry disabled nothing is reported.
     """
-    if not steps:
+    reg = _obs.active()
+    if reg is None or not steps:
         return
     for stage, spent in seconds.items():
         reg.inc("lockstep_stage_seconds", spent, stage=stage, mode=mode)
@@ -199,7 +201,6 @@ def run_lockstep(
     memory_length: int = 1,
     reveal_future: bool = False,
     exact_solves: bool = False,
-    collect_timing: bool = True,
 ) -> List[RunStats]:
     """Run ``N`` Algorithm-1 episodes in lockstep.
 
@@ -226,17 +227,15 @@ def run_lockstep(
             through the row-by-row scalar path for record-for-record
             parity with the serial engine (see the module's two-tier
             determinism contract).  No effect on bitwise controllers.
-        collect_timing: Maintain the per-row amortised wall-clock arrays
-            in :class:`RunStats` (the default).  ``False`` skips every
-            ``perf_counter`` call and leaves the timing arrays
-            zero-filled — all other record fields are unchanged bit for
-            bit.
 
-    With telemetry enabled (:func:`repro.observability.metrics.active`),
-    the run's per-stage wall clock — ``classify`` / ``decide`` /
-    ``control`` / ``step`` — is reported to the ambient registry under
-    ``mode="monitored"``; disabled, every stage boundary costs one
-    ``is not None`` test.
+    One stage clock times the run: every step reads ``perf_counter``
+    once per boundary of its ``classify`` / ``decide`` / ``control`` /
+    ``step`` stages.  Those reads give the per-row amortised wall-clock
+    arrays in :class:`RunStats` (``monitor_seconds``: classify + decide,
+    shared by every active row; ``controller_seconds``: κ alone, shared
+    by the rows it ran on) and, with telemetry enabled
+    (:func:`repro.observability.metrics.active`), the per-stage totals
+    reported to the ambient registry under ``mode="monitored"``.
 
     Returns:
         ``N`` :class:`RunStats`, aligned with the inputs.
@@ -293,7 +292,6 @@ def run_lockstep(
 
     compute_batch = _batch_compute_fn(controller, exact_solves)
     membership = MembershipTester((sset, iset), tol)
-    reg = _obs.active()
     classify_s = decide_s = control_s = step_s = 0.0
 
     states = np.empty((count, t_max + 1, n))
@@ -319,10 +317,7 @@ def run_lockstep(
             history[idx, t % r] = w_t
             window = np.arange(t + 1, t + 1 + r) % r
 
-        if reg is not None:
-            t0 = time.perf_counter()
-        if collect_timing:
-            tick = time.perf_counter()
+        t0 = time.perf_counter()
         in_strengthened, in_invariant = membership.contains_each(X[idx])
         unsafe = ~in_strengthened & ~in_invariant
         if np.any(unsafe):
@@ -337,8 +332,7 @@ def run_lockstep(
                     )
         free_idx = idx[in_strengthened]
         forced_idx = idx[~in_strengthened]
-        if reg is not None:
-            t1 = time.perf_counter()
+        t1 = time.perf_counter()
 
         if not len(free_idx):
             choices = np.zeros(0, dtype=int)
@@ -363,44 +357,38 @@ def run_lockstep(
                     [policies[gi].decide(ctx) for gi, ctx in zip(free_idx, contexts)],
                     dtype=int,
                 )
-        if collect_timing and len(idx):
-            monitor_seconds[idx, t] = (time.perf_counter() - tick) / len(idx)
-        if reg is not None:
-            t2 = time.perf_counter()
-
         run_idx = np.concatenate([forced_idx, free_idx[choices == RUN]])
-        skip_idx = free_idx[choices != RUN]
         decisions[run_idx, t] = 1
         forced[forced_idx, t] = True
+        inputs[free_idx[choices != RUN], t] = skip_u
+        t2 = time.perf_counter()
+
         if len(run_idx):
-            if collect_timing:
-                tick = time.perf_counter()
             inputs[run_idx, t] = compute_batch(X[run_idx])
-            if collect_timing:
-                controller_seconds[run_idx, t] = (
-                    time.perf_counter() - tick
-                ) / len(run_idx)
-        inputs[skip_idx, t] = skip_u
-        if reg is not None:
-            t3 = time.perf_counter()
+        t3 = time.perf_counter()
 
         nxt = system.step_batch(X[idx], inputs[idx, t], w_t)
         X[idx] = nxt
         states[idx, t + 1] = nxt
-        if reg is not None:
-            # One clock read per stage boundary; context materialisation
-            # is charged to ``decide``.
-            classify_s += t1 - t0
-            decide_s += t2 - t1
-            control_s += t3 - t2
-            step_s += time.perf_counter() - t3
+        t4 = time.perf_counter()
 
-    if reg is not None:
-        _record_stages(
-            reg, "monitored", t_max,
-            {"classify": classify_s, "decide": decide_s,
-             "control": control_s, "step": step_s},
-        )
+        # One clock read per stage boundary feeds both views: the rows'
+        # amortised shares (monitor + Ω over every active row, κ over the
+        # rows it ran on) and the stage totals.  Context materialisation
+        # and the run/skip bookkeeping are charged to ``decide``.
+        monitor_seconds[idx, t] = (t2 - t0) / len(idx)
+        if len(run_idx):
+            controller_seconds[run_idx, t] = (t3 - t2) / len(run_idx)
+        classify_s += t1 - t0
+        decide_s += t2 - t1
+        control_s += t3 - t2
+        step_s += t4 - t3
+
+    _record_stages(
+        "monitored", t_max,
+        {"classify": classify_s, "decide": decide_s,
+         "control": control_s, "step": step_s},
+    )
     return [
         RunStats(
             states=states[i, : horizons[i] + 1].copy(),
@@ -421,16 +409,16 @@ def lockstep_controller_only(
     initial_states,
     realisations,
     exact_solves: bool = False,
-    collect_timing: bool = True,
 ) -> List[RunStats]:
     """Vectorised :func:`~repro.framework.intermittent.run_controller_only`.
 
     κ runs on every row of every step (no monitor, no skipping) — the
     κ-every-step baseline leg of :func:`~repro.framework.evaluation.
-    paired_evaluation`, in lockstep.  ``exact_solves`` and
-    ``collect_timing`` behave exactly as in :func:`run_lockstep`.
-    With telemetry enabled, the ``control`` and ``step`` stage times are
-    reported to the ambient registry under ``mode="controller_only"``.
+    paired_evaluation`, in lockstep.  ``exact_solves`` and the stage
+    clock behave exactly as in :func:`run_lockstep`: its ``control``
+    reads give ``controller_seconds``, and with telemetry enabled the
+    ``control`` and ``step`` totals are reported to the ambient registry
+    under ``mode="controller_only"``.
     This is the workload where the RMPC's warm-started stacked solve
     shines: the stacked LP is identical every step except for its
     initial-state RHS, at a constant batch height.
@@ -449,7 +437,6 @@ def lockstep_controller_only(
     _record_batch("controller_only", count, horizons)
 
     compute_batch = _batch_compute_fn(controller, exact_solves)
-    reg = _obs.active()
     control_s = step_s = 0.0
 
     states = np.empty((count, t_max + 1, n))
@@ -459,27 +446,20 @@ def lockstep_controller_only(
     X = X0.copy()
     for t in range(t_max):
         idx = np.flatnonzero(horizons > t)
-        if reg is not None:
-            t0 = time.perf_counter()
-        if collect_timing:
-            tick = time.perf_counter()
+        t0 = time.perf_counter()
         inputs[idx, t] = compute_batch(X[idx])
-        if collect_timing and len(idx):
-            controller_seconds[idx, t] = (time.perf_counter() - tick) / len(idx)
-        if reg is not None:
-            t1 = time.perf_counter()
+        t1 = time.perf_counter()
         nxt = system.step_batch(X[idx], inputs[idx, t], W[idx, t])
         X[idx] = nxt
         states[idx, t + 1] = nxt
-        if reg is not None:
-            control_s += t1 - t0
-            step_s += time.perf_counter() - t1
+        t2 = time.perf_counter()
+        controller_seconds[idx, t] = (t1 - t0) / len(idx)
+        control_s += t1 - t0
+        step_s += t2 - t1
 
-    if reg is not None:
-        _record_stages(
-            reg, "controller_only", t_max,
-            {"control": control_s, "step": step_s},
-        )
+    _record_stages(
+        "controller_only", t_max, {"control": control_s, "step": step_s}
+    )
     return [
         RunStats(
             states=states[i, : horizons[i] + 1].copy(),

@@ -46,8 +46,7 @@ import numpy as np
 
 from repro.controllers.base import Controller
 from repro.framework.accounting import RunStats
-from repro.framework.intermittent import IntermittentController
-from repro.framework.lockstep import run_lockstep
+from repro.framework.evaluation import ENGINES, run_episodes
 from repro.framework.monitor import SafetyMonitor
 from repro.observability import metrics as _obs
 from repro.skipping.base import SkippingPolicy
@@ -264,14 +263,6 @@ class BatchRunner:
             for bitwise record-for-record parity with the serial engine
             (the default stacked path is *plan-equivalent*; see the
             two-tier contract in :mod:`repro.framework.lockstep`).
-        collect_timing: Lockstep only — maintain the per-row amortised
-            wall-clock arrays (the default).  ``False`` skips every
-            ``perf_counter`` call; the timing record fields read zero
-            and everything else is unchanged bit for bit.  With
-            telemetry enabled the lockstep engine also reports its
-            per-stage wall clock to the ambient registry
-            (``lockstep_stage_seconds``; see
-            :func:`~repro.framework.lockstep.run_lockstep`).
     """
 
     def __init__(
@@ -285,11 +276,10 @@ class BatchRunner:
         reveal_future: bool = False,
         engine: str = "serial",
         exact_solves: bool = False,
-        collect_timing: bool = True,
     ):
-        if engine not in ("serial", "lockstep"):
+        if engine not in ENGINES:
             raise ValueError(
-                f"engine must be 'serial' or 'lockstep', got {engine!r}"
+                f"engine must be one of {ENGINES}, got {engine!r}"
             )
         self.system = system
         self.controller = controller
@@ -300,7 +290,6 @@ class BatchRunner:
         self.reveal_future = reveal_future
         self.engine = engine
         self.exact_solves = exact_solves
-        self.collect_timing = collect_timing
         self._policy_takes_rng = _accepts_rng(policy_factory)
 
     # ------------------------------------------------------------------
@@ -318,21 +307,6 @@ class BatchRunner:
             computation_saving=stats.computation_saving(),
             max_violation=stats.max_violation(self.system.safe_set),
         )
-
-    def _run_one(
-        self, episode: int, x0, disturbances, policy: SkippingPolicy
-    ) -> EpisodeRecord:
-        """Run a single episode on the serial reference loop."""
-        runner = IntermittentController(
-            self.system,
-            self.controller,
-            self.monitor_factory(),
-            policy,
-            skip_input=self.skip_input,
-            memory_length=self.memory_length,
-            reveal_future=self.reveal_future,
-        )
-        return self._record(episode, runner.run(x0, disturbances))
 
     def _policy_provider(self, count: int, seeds=None) -> Callable:
         """``episode -> fresh policy`` under the seed-stream contract.
@@ -359,44 +333,35 @@ class BatchRunner:
     def _execute(
         self, states: np.ndarray, realisation_for: Callable, policy_for: Callable
     ) -> BatchResult:
-        """Run every episode; the engine-specific core.
+        """Run every episode through :func:`~repro.framework.evaluation.
+        run_episodes`.
 
         ``realisation_for``/``policy_for`` map an episode index to its
-        disturbance array / fresh Ω instance.  The serial loop consumes
-        them interleaved in episode order; lockstep materialises all
-        realisations first (episode order), then all policies.
+        disturbance array / fresh Ω instance; every engine materialises
+        all realisations first (episode order), then all policies.
         """
         reg = _obs.registry()
         reg.inc("batch_runs_total", engine=self.engine)
         reg.inc("batch_episodes_total", len(states), engine=self.engine)
+        episodes = range(len(states))
+        realisations = [realisation_for(e) for e in episodes]
+        policies = [policy_for(e) for e in episodes]
+        stats_list = run_episodes(
+            self.system,
+            self.controller,
+            self.monitor_factory,
+            policies,
+            states,
+            realisations,
+            engine=self.engine,
+            skip_input=self.skip_input,
+            memory_length=self.memory_length,
+            reveal_future=self.reveal_future,
+            exact_solves=self.exact_solves,
+        )
         result = BatchResult()
-        if self.engine == "lockstep":
-            episodes = range(len(states))
-            realisations = [realisation_for(e) for e in episodes]
-            policies = [policy_for(e) for e in episodes]
-            monitors = [self.monitor_factory() for _ in episodes]
-            stats_list = run_lockstep(
-                self.system,
-                self.controller,
-                monitors,
-                policies,
-                states,
-                realisations,
-                skip_input=self.skip_input,
-                memory_length=self.memory_length,
-                reveal_future=self.reveal_future,
-                exact_solves=self.exact_solves,
-                collect_timing=self.collect_timing,
-            )
-            for episode, stats in enumerate(stats_list):
-                result.append(self._record(episode, stats))
-            return result
-        for episode, x0 in enumerate(states):
-            result.append(
-                self._run_one(
-                    episode, x0, realisation_for(episode), policy_for(episode)
-                )
-            )
+        for episode, stats in enumerate(stats_list):
+            result.append(self._record(episode, stats))
         return result
 
     def run(

@@ -231,11 +231,6 @@ class HPolytope:
         X = self._as_batch(points)
         return np.all(rowdot(self.H, X) <= self.h + tol, axis=1)
 
-    def contains_points(self, points, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """Alias of :meth:`contains_batch` (original spelling, kept for
-        backwards compatibility)."""
-        return self.contains_batch(points, tol)
-
     def violation_batch(self, points) -> np.ndarray:
         """Largest constraint violation per row of a ``(T, n)`` array.
 
@@ -721,7 +716,7 @@ class HPolytope:
         tries = 0
         while filled < count and tries < max_tries:
             batch = rng.uniform(lower, upper, size=(count * 4, self.dim))
-            inside = self.contains_points(batch)
+            inside = self.contains_batch(batch)
             good = batch[inside]
             take = min(len(good), count - filled)
             out[filled : filled + take] = good[:take]

@@ -62,7 +62,7 @@ def ascii_sets(
     grid = np.full((height, width), " ", dtype="<U1")
     cells = np.array([[x, y] for y in ys for x in xs])
     for poly, glyph in zip(polytopes, glyphs):
-        inside = poly.contains_points(cells).reshape(height, width)
+        inside = poly.contains_batch(cells).reshape(height, width)
         grid[inside] = glyph
     if points is not None:
         pts = np.atleast_2d(np.asarray(points, dtype=float))

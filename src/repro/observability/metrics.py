@@ -2,27 +2,25 @@
 
 Why one registry
 ----------------
-Before this module the repo's operational counters were scattered:
-``RobustMPC._solve_count``,
-``repro.utils.lp.PersistentStackSolver.model_builds``, the
-scenario-builder cache, the monitor nesting-proof cache — each with its
-own accessor and reset semantics.  :class:`MetricsRegistry` folds them
-into one place with one ``snapshot()`` / ``reset()`` surface, plus run
-traces (:mod:`repro.observability.trace`) and renderings (JSON snapshot,
-Prometheus text, aligned table).
+Every operational counter — RMPC solves, persistent-model builds and
+warm solves, scenario-builder cache probes, lockstep stage timings —
+lives in :class:`MetricsRegistry`, with one ``snapshot()`` /
+``reset()`` surface, plus run traces (:mod:`repro.observability.trace`)
+and renderings (JSON snapshot, Prometheus text, aligned table).
 
 Cost model
 ----------
 * **Structural counters are always on.**  Sites that fire at most once
   per solve / cache probe / model build / episode batch record
-  unconditionally — a dict update is noise next to an LP solve, and it
-  keeps the legacy cache-stats shims working without any setup.
+  unconditionally — a dict update is noise next to an LP solve.
 * **Hot-path instrumentation is gated.**  Anything that would fire per
   simulation step (the lockstep loop's stage timing, spans) is guarded
   by :func:`active`, which returns the ambient registry iff telemetry is
   enabled and ``None`` otherwise — a single ``is not None`` test on the
-  disabled path.  The lockstep loop reads it once per run, sums its
-  stage seconds in locals, and reports them at exit.
+  disabled path.  The lockstep loop always reads its stage clock (the
+  same reads give the per-row timing arrays), sums the stage seconds in
+  locals, and reports them at exit only when :func:`active` is not
+  ``None``.
 
 Hard contract (gated by ``tests/test_telemetry.py``): telemetry never
 touches deterministic record fields — every engine record is
@@ -267,18 +265,12 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def reset(self, name: Optional[str] = None) -> None:
-        """Zero everything (and the trace), or just metric ``name`` —
-        per-name reset is what the legacy cache-stats shims map onto."""
-        if name is None:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-            self.trace.reset()
-            return
-        for family in (self._counters, self._gauges, self._histograms):
-            for key in [k for k in family if k[0] == name]:
-                del family[key]
+    def reset(self) -> None:
+        """Zero every metric and the trace."""
+        self._counters.clear()
+        self._gauges.clear()
+        self._histograms.clear()
+        self.trace.reset()
 
     def merge_snapshot(self, snap: Optional[dict]) -> None:
         """Fold a :meth:`snapshot` dict (typically from a forked worker)

@@ -217,7 +217,7 @@ class DiscreteLTISystem:
                 u = np.clip(u, lo, hi)
             inputs[t] = u
             states[t + 1] = self.step(states[t], u, W[t])
-        safe = self.safe_set.contains_points(states)
+        safe = self.safe_set.contains_batch(states)
         return SimulationResult(states=states, inputs=inputs, disturbances=W, safe=safe)
 
     def __repr__(self) -> str:

@@ -126,9 +126,9 @@ class TestCaseStudySets:
 
     def test_initial_state_sampling_regions(self, acc_case, rng):
         xs = acc_case.sample_initial_states(rng, 25, region="strengthened")
-        assert acc_case.strengthened_set.contains_points(xs).all()
+        assert acc_case.strengthened_set.contains_batch(xs).all()
         xi = acc_case.sample_initial_states(rng, 10, region="invariant")
-        assert acc_case.invariant_set.contains_points(xi).all()
+        assert acc_case.invariant_set.contains_batch(xi).all()
         with pytest.raises(ValueError):
             acc_case.sample_initial_states(rng, 1, region="everywhere")
 

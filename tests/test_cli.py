@@ -143,10 +143,14 @@ class TestParser:
             build_parser().parse_args([command, "--kernel", "numpy"])
         assert info.value.code == 2
         assert "--kernel" in capsys.readouterr().err
-        # The lockstep timing switch that shared its helper stays.
-        assert not build_parser().parse_args(
-            [command, "--no-timing"]
-        ).collect_timing
+
+    @pytest.mark.parametrize("command", ["batch", "sweep", "submit"])
+    def test_no_timing_flag_is_gone(self, command, capsys):
+        # Per-row timing always comes from the lockstep stage clock.
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args([command, "--no-timing"])
+        assert info.value.code == 2
+        assert "--no-timing" in capsys.readouterr().err
 
     def test_sweep_axis_flag_rejects_malformed(self):
         for bad in ("horizon", "horizon=1:2", "horizon=a:b:c", "=1:2:3",

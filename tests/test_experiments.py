@@ -135,9 +135,11 @@ class TestExecutionConfig:
 
     def test_lp_backend_field_is_gone(self):
         # The stacked-solve route is a controller setting, not a run
-        # option: nine execution fields, none of them lp_backend.
+        # option: eight execution fields, none of them lp_backend (nor
+        # the collect_timing knob: per-row timing is always collected).
         names = [field.name for field in fields(ExecutionConfig)]
-        assert len(names) == 9
+        assert len(names) == 8
+        assert "collect_timing" not in names
         assert "lp_backend" not in names
         with pytest.raises(TypeError, match="lp_backend"):
             ExecutionConfig(lp_backend="scipy")

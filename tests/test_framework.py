@@ -298,7 +298,7 @@ class TestIntermittentController:
             runner = IntermittentController(system, controller, monitor, policy)
             for x0 in xi.sample(rng, 4):
                 stats = runner.run(x0, self._disturbances(system, rng, 120))
-                assert system.safe_set.contains_points(stats.states).all()
+                assert system.safe_set.contains_batch(stats.states).all()
 
     def test_decision_context_contents(self, di_setup, rng):
         system, controller, monitor, _xi, xp = di_setup

@@ -64,12 +64,6 @@ class TestBatchAgreesWithScalar:
             # membership at tol ⟺ violation <= tol, on both sides.
             np.testing.assert_array_equal(inside, violation <= DEFAULT_TOL)
 
-    def test_contains_points_alias(self, unit_box, rng):
-        cloud = rng.uniform(-2.0, 2.0, size=(30, 2))
-        np.testing.assert_array_equal(
-            unit_box.contains_points(cloud), unit_box.contains_batch(cloud)
-        )
-
 
 class TestBoundaryAndTolerance:
     def test_points_exactly_on_facets(self, unit_box):

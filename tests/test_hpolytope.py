@@ -72,7 +72,7 @@ class TestConstruction:
 class TestQueries:
     def test_contains_points_vectorised(self, unit_box):
         points = np.array([[0, 0], [2, 0], [0.9, -0.9], [-1.01, 0]])
-        result = unit_box.contains_points(points)
+        result = unit_box.contains_batch(points)
         assert list(result) == [True, False, True, False]
 
     def test_violation_sign(self, unit_box):
@@ -271,12 +271,12 @@ class TestVerticesAndSampling:
     def test_sample_inside(self, unit_box, rng):
         samples = unit_box.sample(rng, 200)
         assert samples.shape == (200, 2)
-        assert unit_box.contains_points(samples).all()
+        assert unit_box.contains_batch(samples).all()
 
     def test_sample_thin_set(self, rng):
         thin = HPolytope.from_box([-1.0, -1e-12], [1.0, 1e-12])
         samples = thin.sample(rng, 5)
-        assert thin.contains_points(samples, tol=1e-9).all()
+        assert thin.contains_batch(samples, tol=1e-9).all()
 
     def test_volume_box(self, unit_box):
         assert unit_box.volume() == pytest.approx(4.0)

@@ -40,7 +40,7 @@ class TestSafetyContract:
             for x0 in acc_case.sample_initial_states(rng, 3):
                 W = acc_case.coords.disturbance_from_vf(pattern.generate(150))
                 stats = runner.run(x0, W)  # strict monitor raises on violation
-                assert acc_case.system.safe_set.contains_points(stats.states).all()
+                assert acc_case.system.safe_set.contains_batch(stats.states).all()
                 # Raw-coordinate check: distance stayed within [120, 180].
                 s = acc_case.raw_distances(stats)
                 assert s.min() >= 119.999 and s.max() <= 180.001
@@ -50,7 +50,7 @@ class TestSafetyContract:
         for x0 in acc_case.sample_initial_states(rng, 3):
             W = acc_case.coords.disturbance_from_vf(pattern.generate(120))
             stats = run_controller_only(acc_case.system, acc_case.mpc, x0, W)
-            assert acc_case.system.safe_set.contains_points(stats.states).all()
+            assert acc_case.system.safe_set.contains_batch(stats.states).all()
 
 
 class TestEndToEndDRL:
@@ -81,7 +81,7 @@ class TestEndToEndDRL:
         x0 = acc_case.sample_initial_states(rng, 1)[0]
         W = acc_case.coords.disturbance_from_vf(pattern.generate(100))
         stats = runner.run(x0, W)
-        assert acc_case.system.safe_set.contains_points(stats.states).all()
+        assert acc_case.system.safe_set.contains_batch(stats.states).all()
 
     def test_three_way_comparison_shape(self, acc_case, trained):
         agent, _env, _history = trained

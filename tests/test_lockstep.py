@@ -33,6 +33,7 @@ from repro.skipping import (
     PeriodicSkipPolicy,
     RandomSkipPolicy,
 )
+from repro.observability import metrics as obs
 
 ROOT_SEED = 20260730
 HORIZON = 25
@@ -807,70 +808,72 @@ class TestRingBufferHistory:
             assert window.shape == (1, 2)
 
 
-class TestCollectTiming:
-    """collect_timing=False zeroes the wall-clock arrays and changes
-    nothing else, bit for bit."""
+class TestStageClock:
+    """One clock per lockstep stage boundary gives both the per-row
+    timing arrays and the telemetry stage totals."""
 
-    def test_records_bitwise_identical_timing_zeroed(self, di_batch):
+    @staticmethod
+    def _realisations(states):
+        rng = np.random.default_rng(13)
+        return [rng.uniform(-0.02, 0.02, size=(HORIZON, 2)) for _ in states]
+
+    def test_monitored_timing_where_stages_ran(self, di_batch):
         make, _factory, states, _xp = di_batch
         runner = make(BatchRunner)
-        rng = np.random.default_rng(13)
-        realisations = [
-            rng.uniform(-0.02, 0.02, size=(HORIZON, 2)) for _ in states
-        ]
-
-        def batch(collect_timing):
-            return run_lockstep(
+        realisations = self._realisations(states)
+        with obs.scoped_registry(enabled=True) as reg:
+            stats_list = run_lockstep(
                 runner.system,
                 runner.controller,
                 [runner.monitor_factory() for _ in states],
                 [PeriodicSkipPolicy(2) for _ in states],
                 states,
                 realisations,
-                collect_timing=collect_timing,
             )
+        for stats in stats_list:
+            assert (stats.decisions == 0).any()
+            np.testing.assert_array_equal(
+                stats.controller_seconds > 0, stats.decisions == 1
+            )
+            assert (stats.monitor_seconds > 0).all()
 
-        timed, untimed = batch(True), batch(False)
-        assert any(stats.controller_seconds.any() for stats in timed)
-        assert any(stats.monitor_seconds.any() for stats in timed)
-        for a, b in zip(timed, untimed):
-            assert np.array_equal(a.states, b.states)
-            assert np.array_equal(a.inputs, b.inputs)
-            assert np.array_equal(a.decisions, b.decisions)
-            assert np.array_equal(a.forced, b.forced)
-            assert np.array_equal(a.disturbances, b.disturbances)
-            assert not b.controller_seconds.any()
-            assert not b.monitor_seconds.any()
+        def stage(name):
+            return reg.total("lockstep_stage_seconds", stage=name, mode="monitored")
 
-    def test_controller_only_timing_flag(self, di_batch):
+        # The rows' amortised shares add back up to the stage totals
+        # (a step where κ runs on no row is charged to ``control`` only).
+        assert sum(s.monitor_seconds.sum() for s in stats_list) == pytest.approx(
+            stage("classify") + stage("decide"), rel=1e-9
+        )
+        assert sum(
+            s.controller_seconds.sum() for s in stats_list
+        ) <= stage("control") * (1 + 1e-9)
+
+    def test_controller_only_timing_every_step(self, di_batch):
         make, _factory, states, _xp = di_batch
         runner = make(BatchRunner)
-        rng = np.random.default_rng(13)
-        realisations = [
-            rng.uniform(-0.02, 0.02, size=(HORIZON, 2)) for _ in states
-        ]
-        timed = lockstep_controller_only(
-            runner.system, runner.controller, states, realisations
+        with obs.scoped_registry(enabled=True) as reg:
+            stats_list = lockstep_controller_only(
+                runner.system, runner.controller, states,
+                self._realisations(states),
+            )
+        for stats in stats_list:
+            assert (stats.controller_seconds > 0).all()
+            assert not stats.monitor_seconds.any()
+        assert sum(
+            s.controller_seconds.sum() for s in stats_list
+        ) == pytest.approx(
+            reg.total(
+                "lockstep_stage_seconds", stage="control",
+                mode="controller_only",
+            ),
+            rel=1e-9,
         )
-        untimed = lockstep_controller_only(
-            runner.system, runner.controller, states, realisations,
-            collect_timing=False,
-        )
-        assert any(stats.controller_seconds.any() for stats in timed)
-        for a, b in zip(timed, untimed):
-            assert np.array_equal(a.states, b.states)
-            assert np.array_equal(a.inputs, b.inputs)
-            assert not b.controller_seconds.any()
 
-    def test_runner_threads_collect_timing(self, di_batch):
+    def test_runner_records_controller_time(self, di_batch):
         make, factory, states, _xp = di_batch
-        timed = make(BatchRunner, lambda: PeriodicSkipPolicy(2), engine="lockstep")
-        untimed = make(
-            BatchRunner, lambda: PeriodicSkipPolicy(2), engine="lockstep",
-            collect_timing=False,
-        )
-        a = timed.run_seeded(states, factory, ROOT_SEED)
-        b = untimed.run_seeded(states, factory, ROOT_SEED)
-        assert a.deterministic_records() == b.deterministic_records()
-        assert all(r.mean_controller_ms == 0.0 for r in b.records)
-        assert any(r.mean_controller_ms > 0.0 for r in a.records)
+        batch = make(
+            BatchRunner, lambda: PeriodicSkipPolicy(2), engine="lockstep"
+        ).run_seeded(states, factory, ROOT_SEED)
+        assert all(r.mean_controller_ms > 0.0 for r in batch.records)
+        assert all(r.mean_monitor_ms > 0.0 for r in batch.records)

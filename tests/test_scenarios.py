@@ -182,7 +182,7 @@ class TestBuilder:
         b = factory(0, np.random.default_rng(3))
         assert np.array_equal(a, b)
         assert a.shape == (7, 1)
-        assert case.system.disturbance_set.contains_points(a).all()
+        assert case.system.disturbance_set.contains_batch(a).all()
 
     def test_energy_counts_only_controller_steps(self):
         case = build_case_study(

@@ -49,8 +49,9 @@ from repro.utils import chaos
 PLAN_KW = dict(num_cases=2, horizon=6, seed=3)
 EXEC = ExecutionConfig(engine="lockstep", jobs=1, telemetry=True)
 
-#: Wrong-typed execution values a JSON payload can carry; each must be a
-#: ValueError naming its field (HTTP 400), never a TypeError (500) or a
+#: Execution values a JSON payload can carry that must be refused —
+#: wrong-typed values, and a field the config no longer has; each must be
+#: a ValueError naming its field (HTTP 400), never a TypeError (500) or a
 #: silently truthy flag.
 MALFORMED_EXECUTION = [
     ("jobs", "2"),
@@ -142,7 +143,6 @@ class TestPlanSerialization:
     def test_execution_roundtrips_every_field(self):
         execution = ExecutionConfig(
             engine="lockstep", jobs=3, exact_solves=True,
-            collect_timing=False,
             telemetry=True, on_error="retry",
             cell_retries=2, cell_timeout=9.5, worker_retries=1,
         )
@@ -181,6 +181,17 @@ class TestPlanSerialization:
     def test_cell_config_has_no_lp_backend_key(self):
         plan = make_plan()
         assert "lp_backend" not in _cell_config(
+            plan.cells()[0], plan.execution
+        )
+
+    def test_removed_collect_timing_field_rejected(self):
+        with pytest.raises(
+            ValueError,
+            match=re.escape("unknown execution fields: ['collect_timing']"),
+        ):
+            execution_from_dict({"engine": "lockstep", "collect_timing": True})
+        plan = make_plan()
+        assert "collect_timing" not in _cell_config(
             plan.cells()[0], plan.execution
         )
 

@@ -188,4 +188,4 @@ class TestModelBased:
         ).run(x0, W)
         assert milp_stats.energy < run_stats.energy
         assert milp_stats.skip_rate > 0.5
-        assert system.safe_set.contains_points(milp_stats.states).all()
+        assert system.safe_set.contains_batch(milp_stats.states).all()

@@ -9,7 +9,7 @@ Gates the module's three load-bearing contracts:
   equals the in-process ``jobs=1`` snapshot exactly in the
   deterministic (non-wall-clock) view, and a worker dying mid-cell
   leaves the parent registry untouched;
-* **single sink** — the legacy cache-stats shims and the per-cell
+* **single sink** — the structural counters and the per-cell
   solver-effort columns all read through the one registry.
 """
 
@@ -87,13 +87,11 @@ class TestMetricsRegistry:
         assert entry["buckets"]["128"] == 2
         assert entry["buckets"]["+Inf"] == 2
 
-    def test_reset_by_name_keeps_other_metrics(self):
+    def test_reset_clears_every_metric(self):
         reg = obs.MetricsRegistry()
         reg.inc("a_total")
-        reg.inc("b_total")
-        reg.reset("a_total")
-        assert reg.value("a_total") == 0
-        assert reg.value("b_total") == 1
+        reg.set_gauge("b", 1.0)
+        reg.observe("c", 2.0)
         reg.reset()
         assert reg.snapshot(spans=False) == {
             "counters": {}, "gauges": {}, "histograms": {}
@@ -458,6 +456,22 @@ class TestLockstepStageTiming:
             assert {child["name"] for child in span["children"]} == {
                 f"stage:{stage}" for stage in STAGES[mode]
             }
+
+    def test_serial_opens_one_batch_span_per_approach(self, warm_thermal):
+        cell = run_experiment(
+            ExperimentSpec(**SPEC),
+            ExecutionConfig(engine="serial", telemetry=True),
+        )
+        batches = [
+            span for span in _walk_spans(cell.telemetry["spans"])
+            if span["name"] == "episode-batch"
+        ]
+        assert [span["attributes"]["approach"] for span in batches] == list(
+            cell.approaches
+        )
+        for span in batches:
+            assert span["attributes"]["engine"] == "serial"
+            assert span["attributes"]["cases"] == SPEC["num_cases"]
 
 
 class TestShardedTelemetryMerge:

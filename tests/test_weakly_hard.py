@@ -91,4 +91,4 @@ class TestWeaklyHard:
         for start in range(stats.steps - 2):
             window = stats.decisions[start : start + 3]
             assert np.sum(window == 0) <= 1
-        assert system.safe_set.contains_points(stats.states).all()
+        assert system.safe_set.contains_batch(stats.states).all()
