@@ -217,15 +217,12 @@ def paired_evaluation(
         Approach name → list of ``N`` metric tuples in case order.
 
     Raises:
-        ValueError: On unknown engines, empty case sets, or — under
+        ValueError: On unknown engines, empty case sets, a realisation
+            count that differs from the case count, or — under
             lockstep — approaches whose policy is not flagged stateless.
         RMPCInfeasibleError: Naming the approach (and, under the serial
             engine, the case).
     """
-    if engine not in ENGINES:
-        raise ValueError(
-            f"engine must be one of {ENGINES}, got {engine!r}"
-        )
     initial_states = np.atleast_2d(np.asarray(initial_states, dtype=float))
     num_cases = initial_states.shape[0]
     if num_cases < 1:

@@ -85,6 +85,12 @@ def test_unknown_engine_rejected():
             case.system, case.controller, case.make_monitor, None,
             states, realisations, engine="parallel",
         )
+    with pytest.raises(ValueError, match="engine"):
+        paired_evaluation(
+            case.system, case.controller, case.make_monitor,
+            {"baseline": None}, states, realisations, _metrics_of(case),
+            engine="parallel",
+        )
 
 
 @pytest.mark.parametrize("engine", ENGINES)
