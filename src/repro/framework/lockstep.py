@@ -5,15 +5,14 @@ scalar state at a time through ``IntermittentController.run``, the
 functions here step an ``(N, n)`` state matrix for ``N`` episodes
 *simultaneously*:
 
-* all ``N`` states are classified against ``X'`` **and** ``XI`` with a
-  single fused broadcast per step: the two half-space systems are stacked
-  once up front into a :class:`~repro.geometry.MembershipTester`, whose
-  one :func:`~repro.utils.rowdot.rowdot` call yields both memberships.
-  The fusion is invariant-preserving by construction — each constraint
-  row's dot is independent of how many rows are stacked above it, and
-  both testers pre-shift offsets by the same ``h + tol``; every boolean
-  is bitwise-identical to the two separate
-  :meth:`~repro.geometry.HPolytope.contains_batch` calls it replaces;
+* all ``N`` states are classified in Algorithm 1's order by
+  :meth:`~repro.framework.monitor.SafetyMonitor.membership_batch`: one
+  :meth:`~repro.geometry.HPolytope.contains_batch` over ``X'`` for every
+  active row, then one over ``XI`` for only the rows outside ``X'``.
+  Each membership row is computed by :func:`~repro.utils.rowdot.rowdot`
+  independently of the other rows in the call, so every boolean is the
+  one the serial :meth:`~repro.framework.monitor.SafetyMonitor.classify`
+  short-circuit gives;
 * RUN / SKIP / monitor-forced rows are masked, the safe controller runs
   once on the stacked RUN rows via
   :meth:`~repro.controllers.base.Controller.compute_batch`;
@@ -43,9 +42,8 @@ Determinism contract — two tiers, selected by the controller's
   attains the identical optimal cost (within 1e-9), every applied input
   is feasible in ``U``, and Theorem 1 keeps all episodes violation-free.
   :func:`repro.controllers.rmpc.verify_plan_equivalence` is the
-  differential check for this tier.  The only change this engine
-  applies to their pipeline is the fused (bitwise) classification
-  above.
+  differential check for this tier.  The classification above is
+  bitwise under both tiers; only the stacked solve is not.
 
 Passing ``exact_solves=True`` opts out of the stacked path: non-bitwise
 controllers are routed through row-by-row
@@ -88,7 +86,6 @@ import numpy as np
 from repro.controllers.base import Controller
 from repro.framework.accounting import RunStats
 from repro.framework.monitor import SafetyMonitor, SafetyViolationError
-from repro.geometry import MembershipTester
 from repro.observability import metrics as _obs
 from repro.skipping.base import RUN, DecisionContext, SkippingPolicy
 from repro.systems.lti import DiscreteLTISystem
@@ -241,7 +238,8 @@ def run_lockstep(
         ``N`` :class:`RunStats`, aligned with the inputs.
 
     Raises:
-        ValueError: If any initial state is outside ``XI``.
+        ValueError: If any initial state is outside ``XI``, naming the
+            first such episode.
         SafetyViolationError: Under a strict monitor, as soon as any
             episode's state leaves ``XI``.
     """
@@ -271,9 +269,13 @@ def run_lockstep(
                 "(identical X'/XI objects and tol) — heterogeneous "
                 "monitors would be classified against episode 0's sets"
             )
-    for i in range(count):
-        if not monitors[i].admissible_initial(X0[i]):
-            raise ValueError("initial state must be inside the invariant set XI")
+    outside = ~iset.contains_batch(X0, tol)
+    if np.any(outside):
+        first = int(np.argmax(outside))
+        raise ValueError(
+            "initial state must be inside the invariant set XI "
+            f"(episode {first}: {X0[first]})"
+        )
 
     shared_policy = all(getattr(p, "stateless", False) for p in policies) and all(
         _interchangeable(p, policies[0]) for p in policies[1:]
@@ -291,7 +293,6 @@ def run_lockstep(
     _record_batch("monitored", count, horizons)
 
     compute_batch = _batch_compute_fn(controller, exact_solves)
-    membership = MembershipTester((sset, iset), tol)
     classify_s = decide_s = control_s = step_s = 0.0
 
     states = np.empty((count, t_max + 1, n))
@@ -318,8 +319,7 @@ def run_lockstep(
             window = np.arange(t + 1, t + 1 + r) % r
 
         t0 = time.perf_counter()
-        in_strengthened, in_invariant = membership.contains_each(X[idx])
-        unsafe = ~in_strengthened & ~in_invariant
+        in_strengthened, unsafe = reference.membership_batch(X[idx])
         if np.any(unsafe):
             _obs.registry().inc(
                 "safety_violations_total", int(np.count_nonzero(unsafe))

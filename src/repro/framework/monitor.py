@@ -107,13 +107,36 @@ class SafetyMonitor:
             )
         return StateClass.UNSAFE_REGION
 
+    def membership_batch(self, states) -> tuple:
+        """Algorithm 1's ``X'``-then-``XI`` test for every row of a ``(T, n)``
+        array.
+
+        One :meth:`~repro.geometry.HPolytope.contains_batch` over ``X'``
+        for every row, then one over ``XI`` for only the rows outside
+        ``X'`` — the order of :meth:`classify`'s short-circuit, so each
+        row gets the booleans the scalar path would give it.  The lockstep
+        engine classifies every step through this.
+
+        Returns:
+            ``(in_strengthened, unsafe)``: boolean ``(T,)`` arrays, ``x ∈
+            X'`` and ``x ∉ X' ∪ XI`` (a contract violation).
+        """
+        X = np.atleast_2d(np.asarray(states, dtype=float))
+        in_strengthened = self.strengthened_set.contains_batch(X, self.tol)
+        unsafe = ~in_strengthened
+        outside = np.flatnonzero(unsafe)
+        if len(outside):
+            unsafe[outside] = ~self.invariant_set.contains_batch(
+                X[outside], self.tol
+            )
+        return in_strengthened, unsafe
+
     def classify_batch(self, states) -> list:
         """Classify every row of a ``(T, n)`` state array at once.
 
-        Runs the two set-membership tests as single
-        :meth:`~repro.geometry.HPolytope.contains_batch` broadcasts instead
-        of ``T`` scalar checks, then applies exactly the sequential
-        semantics of :meth:`classify`:
+        Runs the membership tests of :meth:`membership_batch` instead of
+        ``T`` scalar checks, then applies exactly the sequential semantics
+        of :meth:`classify`:
 
         * strict monitors raise at the *first* state outside ``XI``, having
           counted that one violation (states after it are never reached in
@@ -125,12 +148,7 @@ class SafetyMonitor:
             List of ``T`` :class:`StateClass` values, aligned with rows.
         """
         X = np.atleast_2d(np.asarray(states, dtype=float))
-        in_strengthened = self.strengthened_set.contains_batch(X, self.tol)
-        in_invariant = self.invariant_set.contains_batch(X, self.tol)
-        # Mirror the scalar short-circuit: a state the X' test accepts is
-        # never treated as a violation, even if the XI test would reject
-        # it at the tolerance boundary.
-        unsafe = ~in_strengthened & ~in_invariant
+        in_strengthened, unsafe = self.membership_batch(X)
         if np.any(unsafe):
             if self.strict:
                 first = int(np.argmax(unsafe))
@@ -139,15 +157,12 @@ class SafetyMonitor:
                     f"state {X[first]} left the robust invariant set"
                 )
             self.violations += int(np.sum(unsafe))
-        classes = []
-        for strengthened, invariant in zip(in_strengthened, in_invariant):
-            if strengthened:
-                classes.append(StateClass.STRENGTHENED)
-            elif invariant:
-                classes.append(StateClass.INVARIANT_ONLY)
-            else:
-                classes.append(StateClass.UNSAFE_REGION)
-        return classes
+        return [
+            StateClass.STRENGTHENED if strengthened
+            else StateClass.UNSAFE_REGION if violated
+            else StateClass.INVARIANT_ONLY
+            for strengthened, violated in zip(in_strengthened, unsafe)
+        ]
 
     def may_skip(self, state) -> bool:
         """Algorithm 1 line 5: True iff Ω is allowed to decide at ``state``."""

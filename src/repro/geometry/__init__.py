@@ -5,7 +5,7 @@ Minkowski algebra, projections and support functions.  See
 :class:`repro.geometry.HPolytope` for the core type.
 """
 
-from repro.geometry.hpolytope import EmptySetError, HPolytope, MembershipTester
+from repro.geometry.hpolytope import EmptySetError, HPolytope
 from repro.geometry.operations import (
     affine_image,
     affine_preimage,
@@ -24,7 +24,6 @@ __all__ = [
     "ascii_sets",
     "ascii_trajectory",
     "HPolytope",
-    "MembershipTester",
     "EmptySetError",
     "minkowski_sum",
     "pontryagin_difference",

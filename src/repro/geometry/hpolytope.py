@@ -42,7 +42,7 @@ from repro.utils.lp import (
 from repro.utils.rowdot import rowdot
 from repro.utils.validation import as_matrix, as_vector
 
-__all__ = ["HPolytope", "MembershipTester", "EmptySetError"]
+__all__ = ["HPolytope", "EmptySetError"]
 
 # Default numerical tolerance for membership / containment tests.  Set
 # computations chain many LPs, so this is deliberately looser than solver
@@ -716,9 +716,15 @@ class HPolytope:
         tries = 0
         while filled < count and tries < max_tries:
             batch = rng.uniform(lower, upper, size=(count * 4, self.dim))
-            inside = self.contains_batch(batch)
-            good = batch[inside]
-            take = min(len(good), count - filled)
+            need = count - filled
+            # The first ``need`` candidates are usually all inside (always,
+            # for a box); testing them alone then gives what the full test
+            # would take, since rows are tested independently.
+            if self.contains_batch(batch[:need]).all():
+                good = batch[:need]
+            else:
+                good = batch[self.contains_batch(batch)]
+            take = min(len(good), need)
             out[filled : filled + take] = good[:take]
             filled += take
             tries += 1
@@ -777,67 +783,6 @@ class HPolytope:
 
     def __repr__(self) -> str:
         return f"HPolytope(dim={self.dim}, constraints={self.num_constraints})"
-
-
-class MembershipTester:
-    """Fused membership of one point batch against several polytopes.
-
-    Classifying a batch against nested sets (the safety monitor's
-    ``X' ⊆ XI`` pair) with per-polytope :meth:`HPolytope.contains_batch`
-    calls pays one full ``(T, m_i, n)`` broadcast *per polytope*.  This
-    helper stacks all the halfspace matrices once at construction so a
-    single :func:`~repro.utils.rowdot.rowdot` call answers every
-    membership question per batch — the lockstep engine's per-step
-    classification drops from two kernel calls to one.
-
-    Bitwise contract: :meth:`contains_each` returns exactly the boolean
-    arrays the individual ``contains_batch`` calls would.  Each
-    constraint row's dot is accumulated over the state dimension
-    independently of how many rows share the stack, and the
-    per-polytope offsets are pre-shifted by the same ``h + tol`` the
-    scalar test adds — so stacking changes no float anywhere.  The batch
-    engines' record-for-record determinism contract rests on that.
-
-    Args:
-        polytopes: The sets to test against, all of one dimension.
-        tol: Membership tolerance, baked into the stacked offsets
-            (matching the default of :meth:`HPolytope.contains`).
-    """
-
-    __slots__ = ("_H", "_limits", "_splits", "dim", "tol")
-
-    def __init__(self, polytopes: Sequence["HPolytope"], tol: float = DEFAULT_TOL):
-        if not polytopes:
-            raise ValueError("need at least one polytope")
-        dims = {p.dim for p in polytopes}
-        if len(dims) != 1:
-            raise ValueError(
-                f"polytopes must share one dimension, got {sorted(dims)}"
-            )
-        self.dim = polytopes[0].dim
-        self.tol = tol
-        self._H = np.vstack([p.H for p in polytopes])
-        self._limits = np.concatenate([p.h + tol for p in polytopes])
-        counts = np.array([p.num_constraints for p in polytopes])
-        self._splits = np.cumsum(counts)[:-1]
-
-    def contains_each(self, points) -> tuple:
-        """Per-polytope membership of every row of a ``(T, n)`` array.
-
-        Returns:
-            One boolean ``(T,)`` array per polytope, in constructor
-            order; array ``k``'s entry ``t`` is bitwise-identical to
-            ``polytopes[k].contains_batch(points, tol)[t]``.
-        """
-        X = np.atleast_2d(np.asarray(points, dtype=float))
-        if X.shape[1] != self.dim:
-            raise ValueError(
-                f"points have dimension {X.shape[1]}, tester has {self.dim}"
-            )
-        satisfied = rowdot(self._H, X) <= self._limits
-        return tuple(
-            part.all(axis=1) for part in np.split(satisfied, self._splits, axis=1)
-        )
 
 
 #: Rows whose normal is shorter than this are ``0·x <= h``: trivially

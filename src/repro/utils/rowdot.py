@@ -1,10 +1,9 @@
 """The row-dot kernel behind every bitwise matvec of the library.
 
 ``rowdot(M, X)`` returns ``M x`` for one point or ``X Mᵀ`` for a batch of
-points.  Membership tests (:meth:`HPolytope.contains` and friends, the
-fused :class:`MembershipTester`), the LTI dynamics and linear feedback all
-evaluate their matvecs through it, so a batch row equals the scalar result
-bit for bit — the lockstep engine's record-for-record determinism contract
+points.  Membership tests (:meth:`HPolytope.contains` and friends), the
+LTI dynamics and linear feedback all evaluate their matvecs through it, so
+a batch row equals the scalar result bit for bit — the lockstep engine's record-for-record determinism contract
 rests on that.
 
 Why not BLAS ``@``: BLAS picks different gemv/gemm kernels (blocking,

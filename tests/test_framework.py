@@ -127,6 +127,28 @@ class TestSafetyMonitor:
         assert monitor.violations == 6
 
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_classify_batch_strengthened_wins_at_tolerance_boundary(self, strict):
+        # X' pokes 5e-8 past XI, inside the nesting proof's tolerance.  A
+        # state 1.4e-7 past XI's facet passes the X' test (9e-8 <= tol)
+        # but fails the XI test (1.4e-7 > tol): Algorithm 1 tests X'
+        # first, so it is STRENGTHENED, not a violation.
+        invariant = HPolytope.from_box([-1.0, -1.0], [1.0, 1.0])
+        strengthened = HPolytope.from_box([-1.0 - 5e-8, -0.5], [1.0 + 5e-8, 0.5])
+        monitor = SafetyMonitor(
+            strengthened_set=strengthened, invariant_set=invariant,
+            safe_set=invariant, strict=strict,
+        )
+        state = np.array([1.0 + 1.4e-7, 0.0])
+        assert strengthened.contains(state, monitor.tol)
+        assert not invariant.contains(state, monitor.tol)
+        assert monitor.classify_batch([state, -state]) == [
+            StateClass.STRENGTHENED, StateClass.STRENGTHENED
+        ]
+        assert monitor.classify(state) is StateClass.STRENGTHENED
+        assert monitor.violations == 0
+
+
 class TestNonStrictRunAccounting:
     """Forced-step and violation accounting when the certificate is wrong.
 

@@ -111,36 +111,3 @@ class TestBoundaryAndTolerance:
     def test_empty_cloud(self, unit_box):
         assert unit_box.contains_batch(np.empty((0, 2))).shape == (0,)
         assert unit_box.violation_batch(np.empty((0, 2))).shape == (0,)
-
-
-class TestMembershipTester:
-    """The fused multi-set tester must reproduce each polytope's
-    contains_batch bit for bit — the lockstep engine's fused
-    classification rests on this."""
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_bitwise_equal_to_separate_calls(self, seed):
-        from repro.geometry import MembershipTester
-
-        rng = np.random.default_rng(seed)
-        dim = int(rng.integers(1, 5))
-        polys = [random_polytope(rng, dim) for _ in range(int(rng.integers(1, 4)))]
-        tester = MembershipTester(polys, tol=DEFAULT_TOL)
-        points = rng.uniform(-4.0, 4.0, size=(60, dim))
-        # include exact boundary points of the first polytope
-        fused = tester.contains_each(points)
-        assert len(fused) == len(polys)
-        for poly, mask in zip(polys, fused):
-            assert np.array_equal(mask, poly.contains_batch(points, DEFAULT_TOL))
-
-    def test_dimension_validation(self, unit_box):
-        from repro.geometry import MembershipTester
-
-        other = HPolytope.from_box([-1.0], [1.0])
-        with pytest.raises(ValueError, match="share one dimension"):
-            MembershipTester([unit_box, other])
-        tester = MembershipTester([unit_box])
-        with pytest.raises(ValueError):
-            tester.contains_each(np.zeros((3, 5)))
-        with pytest.raises(ValueError, match="at least one"):
-            MembershipTester([])

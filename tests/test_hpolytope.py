@@ -250,6 +250,57 @@ class TestOperations:
         np.testing.assert_allclose(hi, [2.0, 2.0], atol=1e-9)
 
 
+def reference_sample(poly, rng, count=1, max_tries=10000):
+    """``HPolytope.sample`` as it was before it tested the first
+    ``count - filled`` candidates of a draw on their own."""
+    lower, upper = poly.bounding_box()
+    upper = np.where(upper > lower, upper, lower)
+    out = np.empty((count, poly.dim))
+    filled = 0
+    tries = 0
+    while filled < count and tries < max_tries:
+        batch = rng.uniform(lower, upper, size=(count * 4, poly.dim))
+        inside = poly.contains_batch(batch)
+        good = batch[inside]
+        take = min(len(good), count - filled)
+        out[filled : filled + take] = good[:take]
+        filled += take
+        tries += 1
+    if filled < count:
+        center, _ = poly.chebyshev_center()
+        while filled < count:
+            point = rng.uniform(lower, upper)
+            lam = 1.0
+            for _ in range(60):
+                candidate = center + lam * (point - center)
+                if poly.contains(candidate):
+                    out[filled] = candidate
+                    break
+                lam *= 0.5
+            else:
+                out[filled] = center
+            filled += 1
+    return out
+
+
+def _thin_rotated():
+    """A 2 x 0.1 rectangle turned by 30 degrees: most of its bounding
+    box is outside, so draws reject candidates and refill."""
+    c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
+    axes = np.array([[c, s], [-s, c]])
+    return HPolytope(np.vstack([axes, -axes]), [1.0, 0.05, 1.0, 0.05])
+
+
+SAMPLE_SHAPES = {
+    "box": lambda: HPolytope.from_box([-1.0, -2.0], [1.0, 0.5]),
+    "thin_rotated": _thin_rotated,
+    # lane_keeping's disturbance set W: two of four axes have zero width.
+    "zero_width": lambda: HPolytope.from_box(
+        [0.0, -0.01, 0.0, -0.005], [0.0, 0.01, 0.0, 0.005]
+    ),
+}
+
+
 class TestVerticesAndSampling:
     def test_vertices_box(self, unit_box):
         verts = unit_box.vertices()
@@ -277,6 +328,17 @@ class TestVerticesAndSampling:
         thin = HPolytope.from_box([-1.0, -1e-12], [1.0, 1e-12])
         samples = thin.sample(rng, 5)
         assert thin.contains_batch(samples, tol=1e-9).all()
+
+    @pytest.mark.parametrize("count", [1, 200])
+    @pytest.mark.parametrize("shape", ["box", "thin_rotated", "zero_width"])
+    def test_sample_matches_reference_loop(self, shape, count):
+        """Output bytes and generator state equal the full-check loop's."""
+        poly = SAMPLE_SHAPES[shape]()
+        ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+        got = poly.sample(ours, count)
+        want = reference_sample(poly, theirs, count)
+        assert got.tobytes() == want.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_volume_box(self, unit_box):
         assert unit_box.volume() == pytest.approx(4.0)

@@ -221,6 +221,15 @@ class TestLockstepMatchesSerial:
                 np.array([[50.0, 50.0]]), factory, ROOT_SEED
             )
 
+    def test_rejected_initial_state_names_its_episode(self, di_batch):
+        make, factory, states, _xp = di_batch
+        bad = np.vstack([states, [50.0, 50.0]])
+        last = len(bad) - 1
+        with pytest.raises(ValueError, match=f"episode {last}:"):
+            make(BatchRunner, engine="lockstep").run_seeded(
+                bad, factory, ROOT_SEED
+            )
+
     def test_engine_name_validation(self, di_batch):
         make, _factory, _states, _xp = di_batch
         with pytest.raises(ValueError, match="engine"):

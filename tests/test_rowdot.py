@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro import scenarios
 from repro.controllers import LinearFeedback
-from repro.framework import BatchRunner, run_lockstep
-from repro.geometry import HPolytope, MembershipTester
+from repro.framework import BatchRunner, SafetyMonitor, run_lockstep
+from repro.geometry import HPolytope
 from repro.skipping import PeriodicSkipPolicy
 from repro.systems import DiscreteLTISystem
 import repro.utils.rowdot as rowdot_module
@@ -176,19 +176,71 @@ def polytope_stack(draw):
     return polytopes, X
 
 
+@st.composite
+def nested_pair(draw):
+    """A seeded nested pair ``X' ⊆ XI`` and points at ±tol of their facets.
+
+    ``XI`` is a box cut by random halfspaces that keep the origin inside;
+    ``X'`` is ``XI`` shrunk towards the origin (or ``XI`` itself, so that
+    the two share every facet).  Each boundary point is a random point
+    moved along one facet's normal to ``h_i + s`` with ``s`` at, just
+    inside or just outside ``±tol``.
+    """
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cuts = draw(st.integers(0, 6))
+    half = rng.uniform(0.5, 3.0, size=n)
+    invariant = HPolytope(
+        np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(cuts, n))]),
+        np.concatenate([half, half, rng.uniform(0.2, 2.0, size=cuts)]),
+    )
+    shrink = draw(st.one_of(st.just(1.0), st.floats(0.3, 1.0)))
+    strengthened = HPolytope(invariant.H, invariant.h * shrink, normalize=False)
+    tol = SafetyMonitor.tol
+    rows = np.vstack([strengthened.H, invariant.H])
+    offsets = np.concatenate([strengthened.h, invariant.h])
+    count = draw(st.integers(1, 60))
+    start = rng.uniform(-3.5, 3.5, size=(count, n))
+    facet = rng.integers(len(rows), size=count)
+    shift = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], size=count) * tol
+    shift *= rng.choice([1.0 - 1e-9, 1.0, 1.0 + 1e-9], size=count)
+    along = offsets[facet] + shift - np.sum(rows[facet] * start, axis=1)
+    X = np.vstack([start, start + along[:, None] * rows[facet]])
+    return strengthened, invariant, X
+
+
 class TestMembershipRoutesAgree:
     @settings(max_examples=100, deadline=None)
     @given(polytope_stack())
-    def test_contains_each_equals_contains_batch(self, case):
+    def test_scalar_and_batch_routes_agree(self, case):
         polytopes, X = case
-        fused = MembershipTester(polytopes).contains_each(X)
-        for poly, inside in zip(polytopes, fused):
+        for poly in polytopes:
             batch = poly.contains_batch(X)
-            assert np.array_equal(inside, batch)
             assert [poly.contains(x) for x in X[:20]] == batch[:20].tolist()
             violation = poly.violation_batch(X)
             assert violation[:20].tobytes() == np.array(
                 [poly.violation(x) for x in X[:20]]
+            ).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(nested_pair())
+    def test_classification_equals_serial_classify(self, case):
+        """The X'-then-XI batch classification (the lockstep engine's and
+        ``classify_batch``'s) against per-row non-strict ``classify``."""
+        strengthened, invariant, X = case
+        batch = SafetyMonitor(strengthened, invariant, invariant, strict=False)
+        serial = SafetyMonitor(strengthened, invariant, invariant, strict=False)
+        assert batch.classify_batch(X) == [serial.classify(x) for x in X]
+        assert batch.violations == serial.violations
+        in_strengthened, unsafe = batch.membership_batch(X)
+        assert in_strengthened.tolist() == [strengthened.contains(x) for x in X]
+        assert unsafe.tolist() == [
+            not strengthened.contains(x) and not invariant.contains(x) for x in X
+        ]
+        for poly in (strengthened, invariant):
+            assert poly.contains_batch(X).tolist() == [poly.contains(x) for x in X]
+            assert poly.violation_batch(X).tobytes() == np.array(
+                [poly.violation(x) for x in X]
             ).tobytes()
 
 
