@@ -31,12 +31,19 @@ Two controller configurations are timed:
   block-diagonal HiGHS solve (``RobustMPC.solve_batch``, warm-started on
   one padded persistent model); the ``lockstep-exact`` row times the
   ``exact_solves=True`` audit mode, which keeps the scalar path and so
-  bounds what the engine alone buys.  Every row records its
-  persistent-model builds and cold/warm persistent solves
-  (``persistent``), read from the registry like the stage breakdown.
-  The run fails when the ``rmpc`` lockstep row makes no warm persistent
-  solve, or when a ``serial`` or ``lockstep-exact`` row makes any
-  persistent solve.
+  bounds what the engine alone buys.  Every row records, over its
+  ``REPEATS`` runs, its persistent-model cold starts (``model_builds``),
+  the models it passed to HiGHS (``model_passes``; a cold start on the
+  model kept across ``reset()`` passes none) and its cold/warm
+  persistent solves (``persistent``), read from the registry like the
+  stage breakdown.  The run fails when the ``rmpc`` lockstep row makes
+  no warm persistent solve, or when each of its runs makes one cold
+  start (so every later run needs the capacity the previous one kept)
+  but more than one run passes a model (nothing was reused across
+  ``reset()``), or when a ``serial`` or ``lockstep-exact`` row makes any
+  persistent solve.  A run that grows its model makes more than one
+  cold start, and its first batch then needs a smaller model than the
+  one kept, so such a row passes a model at every cold start.
 
 Every row is timed ``REPEATS`` (3) times: it records the median, min and
 max seconds, and speedups are ratios of medians.
@@ -70,6 +77,7 @@ from repro.controllers import LinearFeedback, lqr_gain, verify_plan_equivalence
 from repro.framework import BatchRunner
 from repro.observability import metrics as _obs
 from repro.skipping import AlwaysSkipPolicy
+from repro.utils.lp import PersistentStackSolver
 
 #: The lockstep loop's stages; every lockstep row must report all four.
 STAGES = ("classify", "decide", "control", "step")
@@ -109,11 +117,13 @@ def _stage_totals() -> dict:
 
 
 def _persistent_totals() -> dict:
-    """Cumulative persistent-model builds and cold/warm persistent solves
-    in the ambient registry."""
+    """Cumulative persistent-model cold starts and cold/warm persistent
+    solves in the ambient registry, and the models passed to HiGHS in
+    this process."""
     reg = _obs.registry()
     return {
         "model_builds": reg.total("lp_persistent_model_builds_total"),
+        "model_passes": PersistentStackSolver.model_passes,
         "cold_solves": reg.total("lp_persistent_solves_total", start="cold"),
         "warm_solves": reg.total("lp_persistent_solves_total", start="warm"),
     }
@@ -122,17 +132,24 @@ def _persistent_totals() -> dict:
 def _persistent_error(row: dict):
     """The warm κ_R route's gate, or None when it holds: the ``rmpc``
     lockstep row must re-solve its persistent model warm (zero warm
-    solves means every solve builds a fresh model), and the scalar routes
-    — ``serial`` and ``lockstep-exact`` — must make no persistent solve
-    at all."""
+    solves means every solve builds a fresh model); when each of its
+    :data:`REPEATS` identical runs makes one cold start, every run after
+    the first must cold-start on the model the previous run kept; and
+    the scalar routes — ``serial`` and ``lockstep-exact`` — must make no
+    persistent solve at all."""
     counts = row["persistent"]
     solves = counts["cold_solves"] + counts["warm_solves"]
     if row["engine"] in ("serial", "lockstep-exact") and solves:
         return f"made {solves:.0f} persistent solves on a scalar route"
-    if (row["controller"], row["engine"]) == ("rmpc", "lockstep") and not (
-        counts["warm_solves"]
-    ):
-        return "made no warm persistent solve"
+    if (row["controller"], row["engine"]) == ("rmpc", "lockstep"):
+        if not counts["warm_solves"]:
+            return "made no warm persistent solve"
+        builds, passes = counts["model_builds"], counts["model_passes"]
+        if builds == REPEATS and passes > 1:
+            return (
+                f"passed {passes:.0f} models for its {builds:.0f} one-model "
+                "runs (the model kept across reset() was not reused)"
+            )
     return None
 
 
@@ -218,12 +235,14 @@ def _run_benchmark(
 
         def measure(runner):
             """:data:`REPEATS` timed runs of one row: every run's result
-            and seconds, plus the first run's stage breakdown and
-            persistent-model counts (every run starts from ``reset()``,
-            so each run's counts are the same)."""
+            and seconds, the first run's stage breakdown and the
+            persistent-model counts of all runs (every run starts from
+            ``reset()``, so only a later run can cold-start on the model
+            an earlier one kept)."""
             results, seconds = [], []
+            lp_before = _persistent_totals()
             for _ in range(REPEATS):
-                stages_before, lp_before = _stage_totals(), _persistent_totals()
+                stages_before = _stage_totals()
                 tick = time.perf_counter()
                 results.append(
                     runner.run_seeded(states, factory, root_seed=seed)
@@ -231,10 +250,10 @@ def _run_benchmark(
                 seconds.append(time.perf_counter() - tick)
                 if len(results) == 1:
                     stages = _stage_breakdown(stages_before, _stage_totals())
-                    persistent = {
-                        key: value - lp_before[key]
-                        for key, value in _persistent_totals().items()
-                    }
+            persistent = {
+                key: value - lp_before[key]
+                for key, value in _persistent_totals().items()
+            }
             return results, seconds, stages, persistent
 
         serial = measure(make_runner())
@@ -360,7 +379,8 @@ def main(argv=None) -> int:
         if any(persistent.values()):
             print(
                 f"{row['controller']:<11} {row['engine']:<15} persistent "
-                f"model builds {persistent['model_builds']:.0f}, solves "
+                f"cold starts {persistent['model_builds']:.0f} "
+                f"({persistent['model_passes']:.0f} passed), solves "
                 f"{persistent['cold_solves']:.0f} cold / "
                 f"{persistent['warm_solves']:.0f} warm"
             )

@@ -17,17 +17,19 @@ the initial-state equality right-hand side, into a per-call copy.
 Batch solving: :meth:`RobustMPC.solve_batch` stacks the ``k`` per-state
 Eq.-5 problems into one block-diagonal HiGHS solve — the blocks share
 every matrix and differ only in the initial-state equality RHS.  There
-is one stacked route: a
+is one stacked route, for every batch size including one row: a
 :class:`~repro.utils.lp.PersistentStackSolver` owned by this
 controller keeps the stack in one padded persistent HiGHS model, only
 rewrites the initial-state rows between calls, and starts each call
 from the previous call's basis — whatever the batch size, which drifts
 from step to step because κ_R runs only on the rows the monitor forces.
-:meth:`RobustMPC.reset` drops the model, and every engine run starts
-with ``reset()``, so a run's plans depend only on its own batches (a
-sharded ``jobs=k`` sweep equals ``jobs=1``).  A one-row batch, and every
-batch when the bundled HiGHS core is unavailable, runs the scalar
-:meth:`RobustMPC.solve` per row instead.
+:meth:`RobustMPC.reset` releases the model, and every engine run starts
+with ``reset()``: the run's first batch starts cold, on the kept model
+when it needs the same capacity (re-parked and cleared, so it solves
+exactly as a fresh build) and otherwise on a fresh one, so a run's
+plans depend only on its own batches (a sharded ``jobs=k`` sweep equals
+``jobs=1``).  Only when the bundled HiGHS core is unavailable does a
+batch run the scalar :meth:`RobustMPC.solve` per row instead.
 
 Each block attains exactly the scalar optimum *value*, but when an LP has
 multiple optimal vertices the stacked solve may return a different one
@@ -302,11 +304,17 @@ class RobustMPC(Controller):
         b_eq[self._x0_rows] = x
         return solve_prepared(self._cost, self._matrix, self._b_ub, b_eq)
 
-    def _unpack(self, solution: np.ndarray, cost: float) -> RMPCSolution:
+    def _plans(self, points: np.ndarray, costs) -> List[RMPCSolution]:
+        """One plan per row of the ``(k, total)`` optimal points, as
+        views into ``points``."""
         n, m, N = self.system.n, self.system.m, self.horizon
-        states = solution[: self._nx].reshape(N + 1, n)
-        inputs = solution[self._nx : self._nx + self._nu].reshape(N, m)
-        return RMPCSolution(inputs=inputs, states=states, cost=float(cost))
+        k = len(points)
+        states = points[:, : self._nx].reshape(k, N + 1, n)
+        inputs = points[:, self._nx : self._nx + self._nu].reshape(k, N, m)
+        return [
+            RMPCSolution(inputs=u, states=x, cost=float(c))
+            for u, x, c in zip(inputs, states, costs)
+        ]
 
     def _validate_state(self, state) -> np.ndarray:
         x = as_vector(state, "state")
@@ -329,7 +337,7 @@ class RobustMPC(Controller):
             )
         self._solve_count += 1
         _telemetry().inc("rmpc_solves_total", path="scalar")
-        return self._unpack(res.x, res.fun)
+        return self._plans(res.x[None, :], [res.fun])[0]
 
     def _persistent_solver(self) -> PersistentStackSolver:
         """The calling thread's persistent HiGHS solver, built on first
@@ -354,24 +362,26 @@ class RobustMPC(Controller):
         The ``k`` per-state problems share every constraint matrix and
         differ only in the initial-state equality RHS, so they stack
         into a single block-diagonal solve on this thread's persistent
-        model (see the module docstring).  Each returned plan attains
-        exactly the scalar optimum value; the optimal vertex may differ
-        when the LP is degenerate (plan-equivalent tier).  Counts ``k``
-        solves.  A one-row batch, or any batch without the bundled
-        HiGHS core, is ``k`` scalar :meth:`solve` calls.
+        model (see the module docstring) — one row too, on the model's
+        first block.  Each returned plan attains exactly the scalar
+        optimum value; the optimal vertex may differ when the LP is
+        degenerate (plan-equivalent tier).  Counts ``k`` solves.
+        Without the bundled HiGHS core the batch is ``k`` scalar
+        :meth:`solve` calls.
 
         If the stacked solve fails — any single infeasible state sinks
         the whole stack, and the solver does not say which block — the
         rows are re-solved scalar so the offending episode is attributed
         exactly: the raised :class:`RMPCInfeasibleError` names its
-        state.  Accounting stays consistent under the fallback: the
-        failed stacked attempt counts zero (it produced no plans) and
-        each successful scalar re-solve counts one.  A failed stacked
-        attempt also drops the persistent model, so the next call
-        solves as a freshly built controller would.
+        batch row and state.  Accounting stays consistent under the
+        fallback: the failed stacked attempt counts zero (it produced no
+        plans) and each successful scalar re-solve counts one.  A failed
+        stacked attempt also drops the persistent model, so the next
+        call solves as a freshly built controller would.
 
         Returns:
-            ``k`` :class:`RMPCSolution`, aligned with the input rows.
+            ``k`` :class:`RMPCSolution`, aligned with the input rows
+            (their arrays are views into one array of optimal points).
 
         Raises:
             RMPCInfeasibleError: If any row is outside ``X_F`` (named).
@@ -382,21 +392,22 @@ class RobustMPC(Controller):
         if X.shape[1] != self.system.n:
             raise ValueError("state dimension mismatch")
         k = X.shape[0]
-        if k > 1 and highs_core() is not None:
+        if highs_core() is not None:
             # All-or-nothing: a failed chunk discards every chunk's
             # result before the fallback, so nothing is counted twice.
             try:
-                solutions = self._persistent_solver().solve_batch(X)
+                points = self._persistent_solver().solve_batch(X)
             except LPError:
                 _telemetry().inc("rmpc_stacked_fallbacks_total")
             else:
                 self._solve_count += k
-                _telemetry().inc("rmpc_solves_total", k, path="stacked")
-                _telemetry().observe("rmpc_stacked_batch_size", k)
-                return [self._unpack(sol.x, sol.value) for sol in solutions]
-        # Scalar rows: one row, no core, or a failed stack — re-solved
-        # row by row so an infeasibility (or numerical failure) is
-        # attributed to the exact episode.  solve() does the counting.
+                reg = _telemetry()
+                reg.inc("rmpc_solves_total", k, path="stacked")
+                reg.observe("rmpc_stacked_batch_size", k)
+                return self._plans(points, (points @ self._cost).tolist())
+        # Scalar rows: no core, or a failed stack — re-solved row by row
+        # so an infeasibility (or numerical failure) is attributed to
+        # the exact episode.  solve() does the counting.
         out = []
         for i, x in enumerate(X):
             try:
@@ -440,8 +451,9 @@ class RobustMPC(Controller):
         return self._solve_count
 
     def reset(self) -> None:
-        """Zero the accounting and drop the calling thread's persistent
-        model, so the next run's plans do not depend on earlier runs."""
+        """Zero the accounting and release the calling thread's
+        persistent model: the next batch starts cold, so the next run's
+        plans do not depend on earlier runs."""
         solver = getattr(self._persistent, "solver", None)
         if solver is not None:
             solver.release()

@@ -17,7 +17,9 @@ It serves three routes:
   :meth:`repro.geometry.HPolytope.remove_redundancies`, which frees a row,
   sets the cost and re-runs one model warm;
 * the κ_R stack, one padded model per :class:`PersistentStackSolver`
-  whose initial-state rows are rewritten and re-run warm.
+  whose initial-state rows are rewritten and re-run warm, and which a
+  new engine run restarts cold (:meth:`HighsModel.restart`) instead of
+  rebuilding when the capacity fits.
 
 The private core is imported behind a guard and checked against ``linprog``
 on a small LP at import; if it is missing or disagrees, a warning is logged,
@@ -141,32 +143,36 @@ class LPMatrix:
 
     @classmethod
     def stacked(cls, a_ub, a_eq, k: int) -> "LPMatrix":
-        """``[diag(a_ub, …); diag(a_eq, …)]`` for ``k`` blocks.
-
-        Built from the one-block combined CSC: ``data`` is tiled and
-        ``indices``/``indptr`` are shifted per block, with every block's
-        equality rows after all ``k · rows_ub`` inequality rows.  The arrays
-        and their dtypes equal those of ``scipy.sparse.block_diag`` followed
-        by :meth:`from_blocks`, so HiGHS sees identical input.
-        """
+        """``[diag(a_ub, …); diag(a_eq, …)]`` for ``k`` blocks (see
+        :meth:`tiled`)."""
         if sp.issparse(a_ub) or sp.issparse(a_eq):
             a_ub, a_eq = (None if b is None else _as_csr_block(b)
                           for b in (a_ub, a_eq))
-        one = cls.from_blocks(a_ub, a_eq, np.shape(a_ub)[1])
-        rows_ub, rows_eq, nnz = one.rows_ub, one.rows_eq, one.data.size
+        return cls.from_blocks(a_ub, a_eq, np.shape(a_ub)[1]).tiled(k)
+
+    def tiled(self, k: int) -> "LPMatrix":
+        """This one-block matrix as ``k`` diagonal blocks.
+
+        ``data`` is tiled and ``indices``/``indptr`` are shifted per
+        block, with every block's equality rows after all ``k · rows_ub``
+        inequality rows.  The arrays and their dtypes equal those of
+        ``scipy.sparse.block_diag`` followed by :meth:`from_blocks`, so
+        HiGHS sees identical input.
+        """
+        rows_ub, rows_eq, nnz = self.rows_ub, self.rows_eq, self.data.size
         # scipy's index dtype rule: int32 unless a dimension or nnz overflows.
-        biggest = k * max(rows_ub + rows_eq, one.cols, nnz)
+        biggest = k * max(rows_ub + rows_eq, self.cols, nnz)
         dtype = np.int32 if biggest <= np.iinfo(np.int32).max else np.int64
         block = np.arange(k, dtype=np.int64)[:, None]
-        ub = one.indices < rows_ub
-        base = np.where(ub, one.indices, one.indices + (k - 1) * rows_ub)
+        ub = self.indices < rows_ub
+        base = np.where(ub, self.indices, self.indices + (k - 1) * rows_ub)
         shift = np.where(ub, rows_ub, rows_eq)
-        indptr = np.empty(k * one.cols + 1, dtype=dtype)
-        indptr[:-1] = (one.indptr[:-1] + block * nnz).ravel()
+        indptr = np.empty(k * self.cols + 1, dtype=dtype)
+        indptr[:-1] = (self.indptr[:-1] + block * nnz).ravel()
         indptr[-1] = k * nnz
         indices = (base + block * shift).ravel().astype(dtype)
-        return cls(indptr, indices, np.tile(one.data, k),
-                   k * rows_ub, k * rows_eq)
+        return LPMatrix(indptr, indices, np.tile(self.data, k),
+                        k * rows_ub, k * rows_eq)
 
     def blocks(self):
         """``(A_ub, A_eq)`` as sparse matrices (None when empty)."""
@@ -216,9 +222,10 @@ class HighsModel:
     the first run presolves and factorises from scratch), and maps the
     result as ``linprog`` does: its status mapping, then its residual
     check against ``row_upper``, the mirror of the row upper bounds HiGHS
-    holds (a freed row at ``+inf``).  A cold solve is one build and one
-    run; the redundancy loop builds with :meth:`over` and re-solves with
-    :meth:`maximize_freed`.
+    holds (a freed row at ``+inf``).  :meth:`restart` clears the solver
+    state, so the next run starts cold on the model as it stands.  A
+    cold solve is one build and one run; the redundancy loop builds with
+    :meth:`over` and re-solves with :meth:`maximize_freed`.
 
     A model mutates in place and belongs to one caller at a time.
     """
@@ -339,18 +346,26 @@ class HighsModel:
             code = on_failure
         return LPOutcome(code, None, None, highs.modelStatusToString(status))
 
+    def restart(self) -> None:
+        """Drop the solver state (basis, factorisation, presolve) but keep
+        the model: the next run starts cold, as on a freshly passed one."""
+        self._highs.clearSolver()
+        self.runs = 0
+
     def _checked(self) -> LPOutcome:
-        """The optimal point, demoted to status 4 when a residual is beyond
-        the tolerance (``linprog``'s ``_check_result``)."""
+        """The optimal point, demoted to status 4 when a residual of any
+        row is beyond the tolerance (``linprog``'s ``_check_result``)."""
         highs, rows_ub = self._highs, self.rows_ub
         solution = highs.getSolution()
-        x = np.array(solution.col_value)
-        fun = highs.getInfo().objective_function_value
-        slack = self.row_upper - np.array(solution.row_value)
+        x = np.array(solution.col_value, dtype=float)
+        fun = highs.getObjectiveValue()
+        slack = self.row_upper - np.array(solution.row_value, dtype=float)
+        # The negated comparisons are False on NaN, so they also reject a
+        # NaN slack.
         if (
-            np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
-            or (slack[:rows_ub] < -_RESIDUAL_TOL).any()
-            or (np.abs(slack[rows_ub:]) > _RESIDUAL_TOL).any()
+            np.isnan(x).any() or np.isnan(fun)
+            or not (slack[:rows_ub] >= -_RESIDUAL_TOL).all()
+            or not (np.abs(slack[rows_ub:]) <= _RESIDUAL_TOL).all()
         ):
             return LPOutcome(4, x, fun, "solution violates the constraints")
         return LPOutcome(0, x, fun, "Optimal")
@@ -482,7 +497,8 @@ STACK_CHUNK_SIZE = 1024
 
 class PersistentStackSolver:
     """Warm-started persistent-HiGHS solver for one controller's stack —
-    the κ_R route of :meth:`repro.controllers.rmpc.RobustMPC.solve_batch`.
+    the κ_R route of :meth:`repro.controllers.rmpc.RobustMPC.solve_batch`,
+    one-row batches included.
 
     Owns everything the stacked solves need — the scalar block data
     *and* the one padded :class:`HighsModel` — so the controller that
@@ -501,18 +517,26 @@ class PersistentStackSolver:
     ``k`` rows rewrites only the first ``k`` blocks' varying rows and
     re-runs from the previous solve's basis; the spare blocks keep their
     last — feasible, already optimal — right-hand side, so the simplex
-    does no work on them, and a fresh model parks them at the building
+    does no work on them, and a cold start parks them at the starting
     batch's first row (a duplicate of a feasible row is feasible wherever
     the origin lies).  A warm solve attains the cold optimal cost but may
     land on a different optimal *vertex* of a degenerate LP (the
     plan-equivalent tier of :mod:`repro.framework.lockstep`).
 
-    :meth:`release` drops the model, and so does a failed solve: the
-    next solve is then cold on a fresh model.  ``RobustMPC.reset()`` —
-    called at the start of every engine run — releases, so a run's plans
-    (and its model-build counts) depend only on that run's batches.
-    Solves and releases hold a per-solver lock, so threads sharing one
-    solver take turns; ``RobustMPC`` keeps one solver per thread.
+    :meth:`release` makes the next solve a cold start, as on a fresh
+    solver: when that solve needs the released model's capacity, it
+    re-parks every block's varying rows at its first row and clears the
+    solver state (:meth:`HighsModel.restart`) — the same LP a fresh
+    build would pass, so the same points — and otherwise it builds a
+    fresh model.  At most one model is kept.  A failed solve drops the
+    model.  ``RobustMPC.reset()`` — called at the start of every engine
+    run — releases, so a run's plans (and its cold-start counts) depend
+    only on that run's batches.  ``model_builds`` (and
+    ``lp_persistent_model_builds_total``) count cold starts, built or
+    reused; the class-level :attr:`model_passes` counts the models
+    actually passed to HiGHS in this process.  Solves and releases hold
+    a per-solver lock, so threads sharing one solver take turns;
+    ``RobustMPC`` keeps one solver per thread.
 
     Args:
         cost: ``(n,)`` shared per-block objective.
@@ -524,6 +548,10 @@ class PersistentStackSolver:
         varying_eq_rows: Indices into the equality rows that change per
             block / per call.
     """
+
+    #: Models passed to HiGHS by every solver of this process (a cold
+    #: start on a released model passes none).
+    model_passes = 0
 
     def __init__(self, cost, a_ub, b_ub, a_eq, b_eq, varying_eq_rows):
         self.cost = np.asarray(cost, dtype=float)
@@ -544,24 +572,36 @@ class PersistentStackSolver:
             or self.varying_eq_rows.max() >= self.rows_eq
         ):
             raise ValueError("varying_eq_rows outside the equality rows")
+        # The one-block CSC every model tiles (assembled once).
+        self._block = LPMatrix.from_blocks(self.a_ub, self.a_eq,
+                                           self.block_cols)
         self._model: Optional[HighsModel] = None
         self._capacity = 0
+        self._released = False
         self._vary_idx = np.zeros(0, dtype=np.int64)
         self._lock = threading.Lock()
         self.model_builds = 0
 
     def _model_for(self, values: np.ndarray) -> HighsModel:
-        """The model, rebuilt first if it cannot hold ``len(values)``."""
+        """The model, cold-started first if it was released or cannot
+        hold ``len(values)``."""
         capacity = min(1 << (len(values) - 1).bit_length(), STACK_CHUNK_SIZE)
-        if self._model is None or self._capacity < capacity:
+        model = self._model
+        if model is not None and self._released and capacity == self._capacity:
+            model.set_rhs(self._vary_idx, np.tile(values[0], capacity))
+            model.restart()
+        elif model is None or self._released or self._capacity < capacity:
             self._model = None
             self._build(capacity, values[0])
-            self.model_builds += 1
-            _telemetry().inc("lp_persistent_model_builds_total")
-            logger.debug(
-                "persistent HiGHS model built (%d blocks, %d built)",
-                capacity, self.model_builds,
-            )
+        else:
+            return model
+        self._released = False
+        self.model_builds += 1
+        _telemetry().inc("lp_persistent_model_builds_total")
+        logger.debug(
+            "persistent HiGHS model cold-started (%d blocks, %d so far)",
+            capacity, self.model_builds,
+        )
         return self._model
 
     def _build(self, k: int, park) -> None:
@@ -574,9 +614,10 @@ class PersistentStackSolver:
         b_eq[self.varying_eq_rows] = park
         self._model = HighsModel(
             core, np.tile(self.cost, k),
-            LPMatrix.stacked(self.a_ub, self.a_eq, k),
+            self._block.tiled(k),
             np.concatenate([np.tile(self.b_ub, k), np.tile(b_eq, k)]),
         )
+        PersistentStackSolver.model_passes += 1
         self._capacity = k
         # Flat row indices of the varying equality entries, block-major:
         # block i's varying rows live at rows_ub*k + i*rows_eq + varying.
@@ -589,14 +630,14 @@ class PersistentStackSolver:
         """One chunk on the current model: rewrite the leading
         ``len(values)`` blocks' varying RHS, re-run warm and return those
         blocks' optimal points.  :meth:`solve_batch`, the entry point,
-        builds the model, splits the batch and holds the lock."""
+        cold-starts the model, splits the batch and holds the lock."""
         model = self._model
         model.set_rhs(self._vary_idx[: values.size], values.reshape(-1))
         # A failed HiGHS run fails the batch even when the model status
         # still reads optimal (it would map to 0 with no point).
         outcome = model.run("persistent", on_failure=4)
-        # The first run of a freshly-passed model factorises from
-        # scratch; every later one warm-starts from the incumbent basis.
+        # The first run after a cold start factorises from scratch;
+        # every later one warm-starts from the incumbent basis.
         _telemetry().inc(
             "lp_persistent_solves_total",
             start="warm" if model.runs > 1 else "cold",
@@ -610,18 +651,19 @@ class PersistentStackSolver:
             : len(values)
         ]
 
-    def solve_batch(self, values) -> List[LPSolution]:
+    def solve_batch(self, values) -> np.ndarray:
         """Solve ``k`` blocks whose varying equality RHS rows are ``values``.
 
         Args:
             values: ``(k, len(varying_eq_rows))`` per-block RHS entries.
 
         Returns:
-            ``k`` :class:`LPSolution`, aligned with the input rows.
-            Nothing partial: if any chunk fails the whole batch raises and
-            no chunk's results are returned, so callers can fall back to
-            scalar solves without double counting.  A failure also drops
-            the model, so the next call solves as a fresh solver would.
+            ``(k, n)`` optimal points, aligned with the input rows (each
+            row's optimal cost is ``points @ cost``).  Nothing partial:
+            if any chunk fails the whole batch raises and no chunk's
+            results are returned, so callers can fall back to scalar
+            solves without double counting.  A failure also drops the
+            model, so the next call solves as a fresh solver would.
 
         Raises:
             LPError: If any chunk's solve does not reach optimality or
@@ -630,7 +672,7 @@ class PersistentStackSolver:
         V = np.atleast_2d(np.asarray(values, dtype=float))
         k = V.shape[0]
         if k == 0:
-            return []
+            return np.empty((0, self.block_cols))
         if V.shape[1] != self.varying_eq_rows.size:
             raise ValueError(
                 f"values have {V.shape[1]} columns, expected "
@@ -646,23 +688,21 @@ class PersistentStackSolver:
             except LPError:
                 self._model = None
                 raise
-        costs = points @ self.cost
-        return [
-            LPSolution(x=points[i], value=float(costs[i]), status=0)
-            for i in range(k)
-        ]
+        return points
 
     @property
     def warm_solves(self) -> int:
-        """Solves served by the current model after its first (basis
-        reuse)."""
-        return max(0, self._model.runs - 1) if self._model else 0
+        """Solves served by the current model since its last cold start,
+        after the first (basis reuse); 0 once released."""
+        if self._model is None or self._released:
+            return 0
+        return max(0, self._model.runs - 1)
 
     def release(self) -> None:
-        """Free the persistent model; the next solve builds a fresh one
-        and starts cold."""
+        """Make the next solve a cold start, as on a fresh solver (on the
+        kept model when its capacity fits that solve exactly)."""
         with self._lock:
-            self._model = None
+            self._released = True
 
 
 # ----------------------------------------------------------------------

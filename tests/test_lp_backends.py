@@ -28,6 +28,11 @@ BOX_h = np.ones(4)
 PIN_X0 = np.array([[1.0, 0.0]])
 
 
+def _values(points) -> np.ndarray:
+    """Each block's optimal cost ``x0 + x1``."""
+    return points @ np.array([1.0, 1.0])
+
+
 def _solver() -> PersistentStackSolver:
     return PersistentStackSolver(
         cost=[1.0, 1.0],
@@ -110,14 +115,14 @@ class TestPersistentStackSolver:
         solver = _solver()
         pins = np.linspace(-0.8, 0.9, 5).reshape(-1, 1)
         batch = solver.solve_batch(pins)
-        assert len(batch) == 5
-        for pin, sol in zip(pins, batch):
+        assert batch.shape == (5, 2)
+        for pin, x, value in zip(pins, batch, _values(batch)):
             scalar = solve_lp(
                 [1.0, 1.0], a_ub=BOX_H, b_ub=BOX_h, a_eq=PIN_X0, b_eq=pin
             )
-            assert sol.value == pytest.approx(scalar.value, abs=1e-9)
-            assert sol.value == pytest.approx(pin[0] - 1.0, abs=1e-9)
-            assert sol.x[0] == pytest.approx(pin[0], abs=1e-9)
+            assert value == pytest.approx(scalar.value, abs=1e-9)
+            assert value == pytest.approx(pin[0] - 1.0, abs=1e-9)
+            assert x[0] == pytest.approx(pin[0], abs=1e-9)
 
     def test_second_call_is_warm(self):
         solver = _solver()
@@ -130,7 +135,7 @@ class TestPersistentStackSolver:
         # only the varying RHS was rewritten.
         assert solver.model_builds == 1
         assert solver.warm_solves == 1
-        assert batch[0].value == pytest.approx(-0.75, abs=1e-9)
+        assert _values(batch)[0] == pytest.approx(-0.75, abs=1e-9)
 
     def test_chunking_matches_unchunked(self, chunk_size):
         chunked = _solver()
@@ -143,8 +148,7 @@ class TestPersistentStackSolver:
         # 2-block model.
         assert chunked.model_builds == 1
         assert chunked._capacity == 2
-        for left, right in zip(a, b):
-            assert left.value == pytest.approx(right.value, abs=1e-9)
+        assert _values(a) == pytest.approx(_values(b), abs=1e-9)
         # Same k again: the model stays warm, not rebuilt.
         chunked.solve_batch(pins + 0.1)
         assert chunked.model_builds == 1
@@ -164,7 +168,7 @@ class TestPersistentStackSolver:
         with pytest.raises(LPError):
             solver.solve_batch(pins)
         batch = solver.solve_batch(np.zeros((3, 1)))
-        assert [sol.value for sol in batch] == pytest.approx([-1.0] * 3)
+        assert list(_values(batch)) == pytest.approx([-1.0] * 3)
 
     def test_release_then_rebuild(self):
         solver = _solver()
@@ -173,7 +177,7 @@ class TestPersistentStackSolver:
         solver.release()
         batch = solver.solve_batch(np.zeros((3, 1)))
         assert solver.model_builds == 2
-        assert batch[1].value == pytest.approx(-1.0, abs=1e-9)
+        assert _values(batch)[1] == pytest.approx(-1.0, abs=1e-9)
 
     def test_capacity_grows_to_the_next_power_of_two(self):
         solver = _solver()
@@ -212,8 +216,8 @@ class TestPersistentStackSolver:
         batch = solver.solve_batch(pins)  # one fresh 4-block model
         assert solver.model_builds == 1
         assert solver._capacity == 4
-        for pin, sol in zip(pins, batch):
-            assert sol.value == pytest.approx(pin[0] - 1.0, abs=1e-9)
+        for pin, value in zip(pins, _values(batch)):
+            assert value == pytest.approx(pin[0] - 1.0, abs=1e-9)
 
     def test_drifting_sizes_solve_warm_on_one_model(self):
         solver = _solver()
@@ -222,12 +226,12 @@ class TestPersistentStackSolver:
             pins = rng.uniform(-0.9, 0.9, size=(k, 1))
             batch = solver.solve_batch(pins)
             assert len(batch) == k
-            for pin, sol in zip(pins, batch):
+            for pin, x, value in zip(pins, batch, _values(batch)):
                 scalar = solve_lp(
                     [1.0, 1.0], a_ub=BOX_H, b_ub=BOX_h, a_eq=PIN_X0, b_eq=pin
                 )
-                assert sol.value == pytest.approx(scalar.value, abs=1e-9)
-                assert sol.x[0] == pytest.approx(pin[0], abs=1e-9)
+                assert value == pytest.approx(scalar.value, abs=1e-9)
+                assert x[0] == pytest.approx(pin[0], abs=1e-9)
         assert solver.model_builds == 1
         assert solver.warm_solves == 4
 
@@ -237,7 +241,7 @@ class TestPersistentStackSolver:
             solver.solve_batch(np.zeros((3, 2)))
 
     def test_empty_batch(self):
-        assert _solver().solve_batch(np.zeros((0, 1))) == []
+        assert _solver().solve_batch(np.zeros((0, 1))).shape == (0, 2)
 
     def test_bad_construction_rejected(self):
         with pytest.raises(ValueError, match="cost"):
@@ -264,8 +268,8 @@ class TestHighsMatchesScipyStack:
             np.tile([1.0, 1.0], (7, 1)), BOX_H, BOX_h,
             a_eq=PIN_X0, b_eq=b_eq,
         )
-        for left, right in zip(persistent, stacked):
-            assert left.value == pytest.approx(right.value, abs=1e-9)
+        for value, right in zip(_values(persistent), stacked):
+            assert value == pytest.approx(right.value, abs=1e-9)
 
 
 class TestSolverState:
@@ -291,5 +295,97 @@ class TestSolverState:
         pins = np.array([[0.2], [-0.3], [0.6]])
         again = solver.solve_batch(pins)
         fresh = _solver().solve_batch(pins)
-        for got, want in zip(again, fresh):
-            assert got.x.tobytes() == want.x.tobytes()
+        assert again.tobytes() == fresh.tobytes()
+
+
+def _stack_of(mpc) -> PersistentStackSolver:
+    """A fresh solver over a controller's κ_R LP (as ``RobustMPC`` builds
+    its own)."""
+    return PersistentStackSolver(
+        cost=mpc._cost, a_ub=mpc._A_ub, b_ub=mpc._b_ub, a_eq=mpc._A_eq,
+        b_eq=mpc._b_eq,
+        varying_eq_rows=np.arange(mpc._x0_rows.start, mpc._x0_rows.stop),
+    )
+
+
+class TestModelReuse:
+    """``release()`` keeps the model; the next cold start reuses it when
+    it needs the same capacity and then solves bitwise as a fresh build."""
+
+    def test_equal_capacity_reuses_the_kept_model(self):
+        solver = _solver()
+        solver.solve_batch(np.full((3, 1), 0.5))
+        model = solver._model
+        solver.release()
+        assert solver.warm_solves == 0
+        passes = PersistentStackSolver.model_passes
+        pins = np.array([[0.2], [-0.3], [0.6], [0.1]])
+        got = solver.solve_batch(pins)
+        assert solver._model is model
+        assert PersistentStackSolver.model_passes == passes
+        assert solver.model_builds == 2  # cold starts, built or reused
+        assert solver.warm_solves == 0  # the reused model ran cold
+        assert got.tobytes() == _solver().solve_batch(pins).tobytes()
+
+    def test_other_capacity_builds_a_fresh_model(self):
+        solver = _solver()
+        solver.solve_batch(np.zeros((3, 1)))
+        solver.release()
+        passes = PersistentStackSolver.model_passes
+        solver.solve_batch(np.zeros((1, 1)))
+        assert PersistentStackSolver.model_passes == passes + 1
+        assert solver._capacity == 1
+        assert solver.model_builds == 2
+
+    def test_unreleased_solves_keep_the_model_warm(self):
+        solver = _solver()
+        passes = PersistentStackSolver.model_passes
+        for k in (2, 1, 2):
+            solver.solve_batch(np.zeros((k, 1)))
+        assert PersistentStackSolver.model_passes == passes + 1
+        assert solver.model_builds == 1
+        assert solver.warm_solves == 2
+
+    @pytest.mark.parametrize("name", ["thermal", "pendulum"])
+    def test_reused_model_is_bitwise_a_fresh_solver(self, name):
+        """Seeded runs of batches of 1–9 rows, with ``release()`` between
+        runs and a failing batch in the middle: every batch's points from
+        the one released-and-reused solver equal, bitwise, those of a
+        solver constructed fresh for that run."""
+        from repro import scenarios
+
+        case = scenarios.build(name)
+        mpc = case.controller
+        rng = np.random.default_rng(36)
+        pool = case.sample_initial_states(rng, 120)
+        runs = []
+        for r in range(8):
+            sizes = [int(s) for s in rng.integers(1, 10, size=4)]
+            if r % 2 == 0:  # largest batch first: one model for the run
+                sizes.sort(reverse=True)
+            batches = [pool[rng.integers(len(pool), size=k)] for k in sizes]
+            if r == 4:
+                bad = batches[1].copy()
+                bad[int(rng.integers(len(bad)))] = 50.0
+                batches.insert(2, bad)
+            runs.append(batches)
+        reused = _stack_of(mpc)
+        passes = builds = 0
+        for batches in runs:
+            reused.release()
+            fresh = _stack_of(mpc)
+            for values in batches:
+                before = PersistentStackSolver.model_passes
+                try:
+                    got = reused.solve_batch(values)
+                except LPError:
+                    got = None
+                passes += PersistentStackSolver.model_passes - before
+                if got is None:
+                    with pytest.raises(LPError):
+                        fresh.solve_batch(values)
+                    continue
+                assert got.tobytes() == fresh.solve_batch(values).tobytes()
+            builds += fresh.model_builds
+        assert reused.model_builds == builds
+        assert passes < builds  # some cold starts reused the kept model

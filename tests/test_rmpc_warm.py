@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import scenarios
 from repro.controllers import RMPCInfeasibleError, RobustMPC
+from repro.framework import run_lockstep
 from repro.experiments import (
     ExecutionConfig,
     ExperimentSpec,
@@ -27,6 +28,7 @@ from repro.experiments import (
 )
 from repro.observability import metrics as obs
 from repro.scenarios import builder
+from repro.skipping import AlwaysRunPolicy, AlwaysSkipPolicy
 from repro.utils import lp
 
 ZOO = ("thermal", "pendulum", "acc")
@@ -117,7 +119,8 @@ def test_warm_lockstep_is_violation_free(name):
 
 def _fresh_controller(mpc):
     return RobustMPC(
-        mpc.system, horizon=mpc.horizon, terminal_set=mpc.terminal_set
+        mpc.system, horizon=mpc.horizon, state_weight=mpc.state_weight,
+        input_weight=mpc.input_weight, terminal_set=mpc.terminal_set,
     )
 
 
@@ -245,3 +248,101 @@ def test_each_thread_solves_on_its_own_models():
     mpc.solve_batch(states)
     assert mine.warm_solves == 1
     mpc.reset()
+
+
+class TestOneRowRoute:
+    """A one-row batch runs on the persistent model; the scalar entry
+    points stay cold."""
+
+    @pytest.mark.parametrize("name", ZOO)
+    def test_one_row_attains_the_cold_optimum(self, name):
+        case, mpc = _controller(name)
+        rng = np.random.default_rng(21)
+        try:
+            with obs.scoped_registry() as reg:
+                mpc.solve_batch(case.sample_initial_states(rng, 5))
+                states = case.sample_initial_states(rng, 6)
+                for x in states:
+                    _assert_agrees(mpc, [x], mpc.solve_batch(x[None, :]))
+                assert reg.total(lp.LP_SOLVES_METRIC, path="persistent") == 7
+                assert reg.total("rmpc_solves_total", path="stacked") == 11
+            # The first batch after reset() is one row: a one-block model.
+            mpc.reset()
+            _assert_agrees(mpc, states[:1], mpc.solve_batch(states[:1]))
+            assert mpc._persistent_solver()._capacity == 1
+        finally:
+            mpc.reset()
+
+    def test_infeasible_single_row_is_named(self):
+        case, mpc = _controller("pendulum")
+        try:
+            mpc.solve_batch(case.sample_initial_states(
+                np.random.default_rng(5), 3
+            ))
+            with obs.scoped_registry() as reg:
+                with pytest.raises(RMPCInfeasibleError, match="batch row 0"):
+                    mpc.solve_batch(50.0 * np.ones((1, mpc.system.n)))
+                assert reg.total("rmpc_stacked_fallbacks_total") == 1
+            assert mpc._persistent_solver()._model is None
+        finally:
+            mpc.reset()
+
+    def test_scalar_routes_make_no_persistent_solve(self):
+        case, mpc = _controller("thermal")
+        x = case.sample_initial_states(np.random.default_rng(9), 1)[0]
+        with obs.scoped_registry() as reg:
+            mpc.solve(x)
+            mpc.compute(x)
+            assert mpc.is_feasible(x)
+            for execution in (
+                ExecutionConfig(engine="serial"),
+                ExecutionConfig(engine="lockstep", exact_solves=True),
+            ):
+                run_experiment(
+                    ExperimentSpec(scenario="thermal", num_cases=3,
+                                   horizon=6, seed=2),
+                    execution,
+                )
+            assert reg.total(lp.LP_SOLVES_METRIC, path="persistent") == 0
+            assert reg.total("lp_persistent_model_builds_total") == 0
+            assert reg.total(lp.LP_SOLVES_METRIC, path="scalar") > 0
+
+
+@pytest.mark.parametrize("name", ["thermal", "pendulum"])
+@pytest.mark.parametrize("policy", [AlwaysRunPolicy, AlwaysSkipPolicy])
+def test_lockstep_rerun_equals_a_fresh_controller(name, policy):
+    """``run_lockstep`` twice on one controller gives records bitwise
+    equal to a run on a freshly built controller: the second run's cold
+    starts — on the model the first run kept, when the capacity matches
+    (always, when every row runs every step) — leave no trace."""
+    case, mpc = _controller(name)
+    rng = np.random.default_rng(44)
+    states = case.sample_initial_states(rng, 6, region="invariant")
+    realisations = [
+        mpc.system.disturbance_set.sample(rng, 12) for _ in states
+    ]
+
+    def run(controller):
+        stats = run_lockstep(
+            mpc.system, controller,
+            [case.make_monitor() for _ in states],
+            [policy() for _ in states], states, realisations,
+            skip_input=case.skip_input,
+        )
+        return [
+            tuple(getattr(s, field).tobytes() for field in
+                  ("states", "inputs", "decisions", "forced"))
+            for s in stats
+        ]
+
+    try:
+        first = run(mpc)
+        passes = lp.PersistentStackSolver.model_passes
+        second = run(mpc)
+        reused = lp.PersistentStackSolver.model_passes == passes
+        fresh = run(_fresh_controller(mpc))
+    finally:
+        mpc.reset()
+    assert first == second == fresh
+    if policy is AlwaysRunPolicy:
+        assert reused
