@@ -1,8 +1,9 @@
-"""Ablations over the design choices DESIGN.md calls out.
+"""Ablations over the reproduction's design choices.
 
 1. **Engine-map convexity** (fuel quadratic coefficient): skipping gains
-   shrink as the map gets more convex — the trade the substitution notes
-   in DESIGN.md §4.
+   shrink as the map gets more convex — the fuel surrogate standing in
+   for SUMO's HBEFA3 meter fixes this coefficient, so the savings depend
+   on it.
 2. **Skip mode**: coast (paper's zero input) vs trim-hold — coast is
    where the fuel savings live.
 3. **Multi-skip strengthened sets** ``S_k``: how much state space still

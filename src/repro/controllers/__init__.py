@@ -2,7 +2,7 @@
 
 from repro.controllers.base import ConstantController, Controller
 from repro.controllers.feasible import rmpc_feasible_set, rmpc_invariant_set
-from repro.controllers.linear import LinearFeedback, deadbeat_like_gain, lqr_gain
+from repro.controllers.linear import LinearFeedback, lqr_gain
 from repro.controllers.rmpc import (
     RMPCInfeasibleError,
     RMPCSolution,
@@ -10,17 +10,13 @@ from repro.controllers.rmpc import (
     build_terminal_set,
     verify_plan_equivalence,
 )
-from repro.controllers.tightening import (
-    tightened_constraints,
-    tightened_input_constraints,
-)
+from repro.controllers.tightening import tightened_constraints
 
 __all__ = [
     "Controller",
     "ConstantController",
     "LinearFeedback",
     "lqr_gain",
-    "deadbeat_like_gain",
     "RobustMPC",
     "RMPCSolution",
     "RMPCInfeasibleError",
@@ -29,5 +25,4 @@ __all__ = [
     "rmpc_feasible_set",
     "rmpc_invariant_set",
     "tightened_constraints",
-    "tightened_input_constraints",
 ]

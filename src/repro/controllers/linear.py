@@ -16,7 +16,7 @@ from repro.controllers.base import Controller
 from repro.utils.rowdot import rowdot
 from repro.utils.validation import as_matrix, as_vector, check_square
 
-__all__ = ["LinearFeedback", "lqr_gain", "deadbeat_like_gain"]
+__all__ = ["LinearFeedback", "lqr_gain"]
 
 
 class LinearFeedback(Controller):
@@ -87,18 +87,3 @@ def lqr_gain(A, B, Q, R) -> np.ndarray:
     P = solve_discrete_are(A, B, Q, R)
     K = -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
     return K
-
-
-def deadbeat_like_gain(A, B, decay: float = 0.0) -> np.ndarray:
-    """Cheap pole-shrinking gain for well-conditioned single-input systems.
-
-    Uses LQR with very cheap input cost, which pushes the closed-loop
-    spectral radius down toward ``decay``-like behaviour without requiring
-    an explicit pole-placement routine.  Intended for tests and examples.
-    """
-    A = check_square(as_matrix(A, "A"), "A")
-    B = as_matrix(B, "B")
-    n = A.shape[0]
-    m = B.shape[1]
-    weight = max(decay, 1e-4)
-    return lqr_gain(A, B, np.eye(n), weight * np.eye(m))

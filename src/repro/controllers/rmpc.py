@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -138,8 +138,6 @@ class RobustMPC(Controller):
             gain via :func:`build_terminal_set`.
         tube_gain: Feedback gain used only to build the default terminal
             set.  When None, an LQR gain with identity weights is used.
-        tighten_with_closed_loop: If True, propagate the disturbance with
-            ``A + B K`` (Chisci) instead of the paper's open-loop ``A``.
     """
 
     #: A stacked :meth:`solve_batch` may return a different optimal vertex
@@ -156,7 +154,6 @@ class RobustMPC(Controller):
         input_weight: float = 1.0,
         terminal_set: Optional[HPolytope] = None,
         tube_gain=None,
-        tighten_with_closed_loop: bool = False,
     ):
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
@@ -172,13 +169,8 @@ class RobustMPC(Controller):
             )
         self.tube_gain = np.atleast_2d(np.asarray(tube_gain, dtype=float))
 
-        propagation = (
-            system.closed_loop_matrix(self.tube_gain)
-            if tighten_with_closed_loop
-            else system.A
-        )
         self.tightened = tightened_constraints(
-            system.safe_set, system.disturbance_set, self.horizon, propagation
+            system.safe_set, system.disturbance_set, self.horizon, system.A
         )
         if terminal_set is None:
             terminal_set = build_terminal_set(

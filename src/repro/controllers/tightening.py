@@ -6,30 +6,24 @@ The paper defines, for the safe set ``X`` and disturbance ``W``:
     X(k) = {x ∈ X(k-1) : x ⊕ A^{k-1} W ⊆ X(k-1)},  k >= 1,
 
 i.e. ``X(k) = X(k-1) ⊖ A^{k-1} W`` (the intersection with ``X(k-1)`` is
-implied because ``0 ∈ W``).  Chisci et al. (2001) use the closed-loop
-matrix ``A + B K`` of a disturbance-rejecting feedback instead of ``A``;
-:func:`tightened_constraints` takes the propagation matrix as an argument
-so both variants are available (the paper's open-loop variant is the
-default).
+implied because ``0 ∈ W``).
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from repro.geometry import HPolytope
 from repro.utils.validation import as_matrix
 
-__all__ = ["tightened_constraints", "tightened_input_constraints"]
+__all__ = ["tightened_constraints"]
 
 
 def tightened_constraints(
     safe_set: HPolytope,
     disturbance: HPolytope,
     horizon: int,
-    propagation=None,
+    propagation,
 ) -> list:
     """Tightened state-constraint sequence ``[X(0), …, X(horizon)]``.
 
@@ -37,10 +31,8 @@ def tightened_constraints(
         safe_set: ``X(0) = X``.
         disturbance: ``W``.
         horizon: Number of tightening steps ``N``.
-        propagation: Matrix propagating the disturbance between steps —
-            ``A`` for the paper's scheme, ``A + B K`` for Chisci's.
-            Identity by default of ``None`` is *not* assumed; pass the
-            system matrix explicitly.
+        propagation: Matrix propagating the disturbance between steps
+            (the system matrix ``A`` in Eq. 5).
 
     Returns:
         List of ``horizon + 1`` polytopes, nested by construction.
@@ -49,11 +41,6 @@ def tightened_constraints(
         ValueError: If any tightened set becomes empty (horizon too long
             for the disturbance magnitude).
     """
-    if propagation is None:
-        raise ValueError(
-            "pass the disturbance propagation matrix (A for the paper's "
-            "scheme, A+BK for Chisci's)"
-        )
     M = as_matrix(propagation, "propagation")
     sets = [safe_set]
     mapped = disturbance
@@ -78,39 +65,3 @@ def tightened_constraints(
         else:
             mapped = mapped.linear_image(M)
     return sets
-
-
-def tightened_input_constraints(
-    input_set: HPolytope,
-    disturbance: HPolytope,
-    horizon: int,
-    gain,
-    propagation,
-) -> list:
-    """Chisci-style input tightening ``U(k) = U(k-1) ⊖ K M^{k-1} W``.
-
-    Only needed for the closed-loop prediction variant; the paper's RMPC
-    leaves ``U`` untightened.
-    """
-    K = as_matrix(gain, "gain")
-    M = as_matrix(propagation, "propagation")
-    sets = [input_set]
-    power = np.eye(M.shape[0])
-    for _ in range(1, horizon + 1):
-        KW = _input_image(disturbance, K @ power)
-        tightened = sets[-1].pontryagin_difference(KW)
-        if tightened.is_empty():
-            raise ValueError("tightened input constraint is empty")
-        sets.append(tightened.remove_redundancies())
-        power = M @ power
-    return sets
-
-
-def _input_image(disturbance: HPolytope, T: np.ndarray) -> HPolytope:
-    """Image of ``W`` under a (possibly rank-deficient) map into input space."""
-    V = disturbance.vertices() @ T.T
-    lower = V.min(axis=0)
-    upper = V.max(axis=0)
-    if V.shape[1] <= 2 and np.all(upper - lower > 1e-12):
-        return HPolytope.from_vertices(V)
-    return HPolytope.from_box(lower, upper)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -141,13 +141,6 @@ class HPolytope:
         H = np.vstack([eye, -eye])
         h = np.concatenate([upper, -lower])
         return cls(H, h)
-
-    @classmethod
-    def from_bounds(cls, bounds: Sequence[tuple]) -> "HPolytope":
-        """Box from a sequence of ``(low, high)`` pairs (one per axis)."""
-        lower = [b[0] for b in bounds]
-        upper = [b[1] for b in bounds]
-        return cls.from_box(lower, upper)
 
     @classmethod
     def from_vertices(cls, vertices) -> "HPolytope":

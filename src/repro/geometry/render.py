@@ -1,4 +1,4 @@
-"""ASCII rendering of 2-D polytopes and trajectories.
+"""ASCII rendering of 2-D polytopes.
 
 No plotting stack is available offline, so examples and demos render the
 nested safe sets (paper Fig. 1) as character grids: each cell is tested
@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.geometry.hpolytope import HPolytope
 
-__all__ = ["ascii_sets", "ascii_trajectory"]
+__all__ = ["ascii_sets"]
 
 
 def ascii_sets(
@@ -74,37 +74,3 @@ def ascii_sets(
     # Row 0 of the grid is the smallest y; print top-down.
     lines = ["".join(grid[r]) for r in range(height - 1, -1, -1)]
     return "\n".join(lines)
-
-
-def ascii_trajectory(
-    values: Sequence[float],
-    width: int = 64,
-    height: int = 12,
-    label: str = "",
-) -> str:
-    """Render a scalar time series as an ASCII sparkline grid.
-
-    Args:
-        values: The series to plot.
-        width: Columns (series is resampled if longer).
-        height: Rows.
-        label: Optional caption appended under the plot.
-
-    Returns:
-        Multi-line string with ``*`` marks and a y-range annotation.
-    """
-    series = np.asarray(list(values), dtype=float)
-    if series.size == 0:
-        raise ValueError("empty series")
-    if series.size > width:
-        idx = np.linspace(0, series.size - 1, width).astype(int)
-        series = series[idx]
-    lo, hi = float(series.min()), float(series.max())
-    span = hi - lo if hi > lo else 1.0
-    grid = np.full((height, series.size), " ", dtype="<U1")
-    for col, value in enumerate(series):
-        row = int(round((value - lo) / span * (height - 1)))
-        grid[row, col] = "*"
-    lines = ["".join(grid[r]) for r in range(height - 1, -1, -1)]
-    footer = f"[{lo:.3g} .. {hi:.3g}] {label}".rstrip()
-    return "\n".join(lines) + "\n" + footer

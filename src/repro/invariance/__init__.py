@@ -1,6 +1,5 @@
 """Invariant sets and backward reachability (paper Sec. III-A)."""
 
-from repro.invariance.mrpi import contraction_factor, mrpi_approximation
 from repro.invariance.pre import pre_autonomous, pre_controllable, pre_fixed_input
 from repro.invariance.rci import (
     InvarianceResult,
@@ -10,7 +9,6 @@ from repro.invariance.rci import (
     maximal_rpi,
 )
 from repro.invariance.reach import (
-    backward_reachable_feedback,
     backward_reachable_zero,
     k_step_strengthened_sets,
     strengthened_safe_set,
@@ -23,8 +21,6 @@ from repro.invariance.verify import (
 __all__ = [
     "VerificationReport",
     "verify_invariance_under_controller",
-    "mrpi_approximation",
-    "contraction_factor",
     "pre_autonomous",
     "pre_fixed_input",
     "pre_controllable",
@@ -34,7 +30,6 @@ __all__ = [
     "is_rci",
     "InvarianceResult",
     "backward_reachable_zero",
-    "backward_reachable_feedback",
     "strengthened_safe_set",
     "k_step_strengthened_sets",
 ]

@@ -17,18 +17,14 @@ is the content of the paper's Theorem 1.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.geometry import HPolytope
-from repro.invariance.pre import pre_autonomous, pre_fixed_input
+from repro.invariance.pre import pre_fixed_input
 from repro.systems.lti import DiscreteLTISystem
-from repro.utils.validation import as_matrix, as_vector
 
 __all__ = [
     "backward_reachable_zero",
-    "backward_reachable_feedback",
     "strengthened_safe_set",
     "k_step_strengthened_sets",
 ]
@@ -51,14 +47,6 @@ def backward_reachable_zero(
     return pre_fixed_input(
         system.A, system.B, skip_input, target, system.disturbance_set
     )
-
-
-def backward_reachable_feedback(
-    system: DiscreteLTISystem, target: HPolytope, K
-) -> HPolytope:
-    """``B(target, z=1)`` for linear feedback ``κ(x) = K x`` (exact)."""
-    M = system.closed_loop_matrix(as_matrix(K, "K"))
-    return pre_autonomous(M, target, system.disturbance_set)
 
 
 def strengthened_safe_set(

@@ -23,7 +23,6 @@ from .metrics import (
     MetricsRegistry,
     active,
     deterministic_view,
-    disable_telemetry,
     enable_telemetry,
     registry,
     render_prometheus,
@@ -42,7 +41,6 @@ __all__ = [
     "registry",
     "active",
     "enable_telemetry",
-    "disable_telemetry",
     "telemetry_enabled",
     "scoped_registry",
     "deterministic_view",

@@ -57,7 +57,6 @@ __all__ = [
     "registry",
     "active",
     "enable_telemetry",
-    "disable_telemetry",
     "telemetry_enabled",
     "scoped_registry",
     "deterministic_view",
@@ -351,13 +350,6 @@ def enable_telemetry() -> MetricsRegistry:
     """Turn on the hot-path tier (spans, lockstep stage timing) globally."""
     reg = _REGISTRY_VAR.get()
     reg.enabled = True
-    return reg
-
-
-def disable_telemetry() -> MetricsRegistry:
-    """Turn the hot-path tier back off (counters keep recording)."""
-    reg = _REGISTRY_VAR.get()
-    reg.enabled = False
     return reg
 
 

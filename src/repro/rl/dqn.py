@@ -82,10 +82,6 @@ class DoubleDQNAgent:
             return int(self.rng.integers(self.config.num_actions))
         return int(np.argmax(self.q_values(state)))
 
-    def greedy_policy(self):
-        """A picklable-free callable ``state -> action`` (ε = 0)."""
-        return lambda state: self.act(state, epsilon=0.0)
-
     # ------------------------------------------------------------------
     def remember(self, state, action: int, reward: float, next_state, done: bool) -> None:
         """Store one transition in the replay buffer."""

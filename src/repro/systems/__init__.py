@@ -1,14 +1,7 @@
 """Discrete LTI plant models, discretisation and disturbance processes."""
 
 from repro.systems.discretize import euler_discretize, zoh_discretize
-from repro.systems.disturbance import (
-    ConstantDisturbance,
-    DisturbanceModel,
-    RandomWalkDisturbance,
-    SinusoidalDisturbance,
-    TraceDisturbance,
-    UniformDisturbance,
-)
+from repro.systems.disturbance import SinusoidalDisturbance
 from repro.systems.lti import DiscreteLTISystem, SimulationResult
 
 __all__ = [
@@ -16,10 +9,5 @@ __all__ = [
     "SimulationResult",
     "euler_discretize",
     "zoh_discretize",
-    "DisturbanceModel",
     "SinusoidalDisturbance",
-    "UniformDisturbance",
-    "RandomWalkDisturbance",
-    "TraceDisturbance",
-    "ConstantDisturbance",
 ]

@@ -2,73 +2,22 @@
 
 The paper treats the disturbance ``w(t)`` as the carrier of "operation
 context and environment" — in the ACC case study it is the front vehicle's
-velocity deviation.  Each model here generates bounded sequences inside a
-given interval/box, with different degrees of *regularity* matching the
-Ex.6–Ex.10 experiment axis:
-
-* :class:`SinusoidalDisturbance` — Eq. (8): ``a_f sin(π/2 δ t) + noise``.
-* :class:`UniformDisturbance` — i.i.d. uniform over the box ("completely
-  random", Ex.6 style).
-* :class:`RandomWalkDisturbance` — bounded increments ("continuous
-  change", Ex.7 style).
-* :class:`TraceDisturbance` — replay a recorded trace.
-* :class:`ConstantDisturbance` — fixed vector (worst-case probes in tests).
-
-All models are deterministic given their ``numpy.random.Generator`` and
-expose ``sample(horizon)`` returning a ``(horizon, dim)`` array plus a
-scalar convenience path for 1-D processes.
+velocity deviation.  :class:`SinusoidalDisturbance` generates the paper's
+Eq. (8) pattern, ``a_f sin(π/2 δ t) + noise``, inside a symmetric bound.
+It is deterministic given its ``numpy.random.Generator`` and exposes
+``sample(horizon)`` returning a ``(horizon, 1)`` array.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Optional
 
 import numpy as np
 
-from repro.utils.validation import as_vector
-
-__all__ = [
-    "DisturbanceModel",
-    "SinusoidalDisturbance",
-    "UniformDisturbance",
-    "RandomWalkDisturbance",
-    "TraceDisturbance",
-    "ConstantDisturbance",
-]
+__all__ = ["SinusoidalDisturbance"]
 
 
-class DisturbanceModel(ABC):
-    """Interface for bounded disturbance processes.
-
-    Attributes:
-        lower: Componentwise lower bound of the process.
-        upper: Componentwise upper bound.
-    """
-
-    def __init__(self, lower, upper):
-        self.lower = as_vector(lower, "lower")
-        self.upper = as_vector(upper, "upper")
-        if self.lower.shape != self.upper.shape:
-            raise ValueError("lower/upper shape mismatch")
-        if np.any(self.lower > self.upper):
-            raise ValueError("lower bound exceeds upper bound")
-
-    @property
-    def dim(self) -> int:
-        """Dimension of the disturbance vector."""
-        return self.lower.size
-
-    @abstractmethod
-    def sample(self, horizon: int) -> np.ndarray:
-        """Generate a ``(horizon, dim)`` disturbance sequence."""
-
-    def _clip(self, values: np.ndarray) -> np.ndarray:
-        """Clip a raw sequence into the declared bounds."""
-        return np.clip(values, self.lower, self.upper)
-
-
-class SinusoidalDisturbance(DisturbanceModel):
+class SinusoidalDisturbance:
     """The paper's Eq. (8) pattern: sinusoid plus bounded uniform noise.
 
     ``w(t) = amplitude * sin(π/2 · dt · t + phase) + noise``, clipped to
@@ -83,6 +32,10 @@ class SinusoidalDisturbance(DisturbanceModel):
         bound: Hard bound ``|w| <= bound`` (defaults to amplitude+noise).
         rng: Random generator (required unless noise_bound == 0).
         phase: Phase offset in radians.
+
+    Attributes:
+        lower: Lower bound ``[-bound]`` of the process.
+        upper: Upper bound ``[bound]``.
     """
 
     def __init__(
@@ -96,7 +49,10 @@ class SinusoidalDisturbance(DisturbanceModel):
     ):
         if bound is None:
             bound = abs(amplitude) + abs(noise_bound)
-        super().__init__([-bound], [bound])
+        if bound < 0:
+            raise ValueError("lower bound exceeds upper bound")
+        self.lower = np.array([-float(bound)])
+        self.upper = np.array([float(bound)])
         if noise_bound > 0 and rng is None:
             raise ValueError("rng is required when noise_bound > 0")
         self.amplitude = float(amplitude)
@@ -114,91 +70,13 @@ class SinusoidalDisturbance(DisturbanceModel):
             base = base + self.rng.uniform(
                 -self.noise_bound, self.noise_bound, size=horizon
             )
-        return self._clip(base[:, None])
+        return np.clip(base[:, None], self.lower, self.upper)
+
+    @property
+    def dim(self) -> int:
+        """Dimension of the disturbance vector."""
+        return self.lower.size
 
     def reset(self, t: int = 0) -> None:
         """Rewind the internal clock (the sinusoid is time-indexed)."""
         self._t = int(t)
-
-
-class UniformDisturbance(DisturbanceModel):
-    """I.i.d. uniform samples over the box — the least regular pattern."""
-
-    def __init__(self, lower, upper, rng: np.random.Generator):
-        super().__init__(lower, upper)
-        self.rng = rng
-
-    def sample(self, horizon: int) -> np.ndarray:
-        return self.rng.uniform(
-            self.lower, self.upper, size=(horizon, self.dim)
-        )
-
-
-class RandomWalkDisturbance(DisturbanceModel):
-    """Bounded random walk: uniform increments, reflected at the bounds.
-
-    Models a disturbance that "can only change continuously" (Ex.7): the
-    per-step increment is bounded by ``max_step``.
-    """
-
-    def __init__(
-        self,
-        lower,
-        upper,
-        max_step,
-        rng: np.random.Generator,
-        start=None,
-    ):
-        super().__init__(lower, upper)
-        self.max_step = as_vector(max_step, "max_step")
-        if np.any(self.max_step < 0):
-            raise ValueError("max_step must be non-negative")
-        self.rng = rng
-        if start is None:
-            start = (self.lower + self.upper) / 2.0
-        self._state = self._clip(as_vector(start, "start"))
-
-    def sample(self, horizon: int) -> np.ndarray:
-        out = np.empty((horizon, self.dim))
-        state = self._state
-        for t in range(horizon):
-            step = self.rng.uniform(-self.max_step, self.max_step)
-            state = state + step
-            # Reflect at the boundaries to avoid sticking to them.
-            over = state > self.upper
-            under = state < self.lower
-            state = np.where(over, 2 * self.upper - state, state)
-            state = np.where(under, 2 * self.lower - state, state)
-            state = self._clip(state)
-            out[t] = state
-        self._state = state
-        return out
-
-
-class TraceDisturbance(DisturbanceModel):
-    """Replay a recorded disturbance trace (wraps around at the end)."""
-
-    def __init__(self, trace):
-        trace = np.atleast_2d(np.asarray(trace, dtype=float))
-        if trace.shape[0] == 1 and trace.shape[1] > 1:
-            trace = trace.T
-        super().__init__(trace.min(axis=0), trace.max(axis=0))
-        self.trace = trace
-        self._cursor = 0
-
-    def sample(self, horizon: int) -> np.ndarray:
-        idx = (self._cursor + np.arange(horizon)) % self.trace.shape[0]
-        self._cursor = int((self._cursor + horizon) % self.trace.shape[0])
-        return self.trace[idx]
-
-
-class ConstantDisturbance(DisturbanceModel):
-    """A constant disturbance vector — handy for worst-case probes."""
-
-    def __init__(self, value):
-        value = as_vector(value, "value")
-        super().__init__(value, value)
-        self.value = value
-
-    def sample(self, horizon: int) -> np.ndarray:
-        return np.tile(self.value, (horizon, 1))

@@ -8,8 +8,9 @@ Integrates the *raw-coordinate* ACC scenario of the paper's Fig. 3:
 given a front-vehicle velocity trace and an arbitrary ego control
 callback.  This duplicates — deliberately — the shifted-coordinate
 simulation done by :class:`repro.framework.IntermittentController`; the
-test-suite asserts both integrations agree exactly, which is the
-substitute's fidelity argument (see DESIGN.md §4).
+two integrations agreeing exactly is the substitute's fidelity argument,
+checked by ``tests/test_traffic.py::TestLongitudinalSimulator::
+test_matches_shifted_framework_simulation``.
 """
 
 from __future__ import annotations

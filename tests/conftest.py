@@ -43,7 +43,7 @@ def make_double_integrator(dt: float = 0.1, w_bound: float = 0.02):
     """Constrained double integrator used across controller tests.
 
     x = (position, velocity), u = acceleration; disturbance on both
-    states (full-dimensional so mRPI contraction applies).
+    states (full-dimensional, so no set built from it is flat).
     """
     A = np.array([[1.0, dt], [0.0, 1.0]])
     B = np.array([[0.5 * dt * dt], [dt]])

@@ -9,12 +9,10 @@ from repro.controllers import (
     RMPCInfeasibleError,
     RobustMPC,
     build_terminal_set,
-    deadbeat_like_gain,
     lqr_gain,
     rmpc_feasible_set,
     rmpc_invariant_set,
     tightened_constraints,
-    tightened_input_constraints,
 )
 from repro.geometry import HPolytope
 from repro.invariance import is_rci, is_rpi
@@ -32,14 +30,6 @@ class TestLinearFeedback:
         fast = lqr_gain(A, B, np.eye(2), 0.01 * np.eye(1))
         rho = lambda K: np.max(np.abs(np.linalg.eigvals(A + B @ K)))
         assert rho(fast) < rho(slow)
-
-    def test_deadbeat_like_gain_stabilizes(self, double_integrator):
-        A, B = double_integrator.A, double_integrator.B
-        K = deadbeat_like_gain(A, B)
-        rho = lambda gain: np.max(np.abs(np.linalg.eigvals(A + B @ gain)))
-        assert rho(K) < 1.0
-        # Cheaper input than the unit-weight LQR: strictly faster loop.
-        assert rho(K) < rho(lqr_gain(A, B, np.eye(2), np.eye(1)))
 
     def test_feedback_computes_kx(self):
         fb = LinearFeedback([[1.0, -2.0]])
@@ -83,32 +73,12 @@ class TestTightening:
         )
         assert seq[1].equals(expected, tol=1e-7)
 
-    def test_requires_propagation(self, double_integrator):
-        with pytest.raises(ValueError, match="propagation"):
-            tightened_constraints(
-                double_integrator.safe_set,
-                double_integrator.disturbance_set,
-                3,
-            )
-
     def test_empty_tightening_raises(self, double_integrator):
         big_w = HPolytope.from_box([-6.0, -3.0], [6.0, 3.0])
         with pytest.raises(ValueError, match="empty"):
             tightened_constraints(
                 double_integrator.safe_set, big_w, 1, propagation=double_integrator.A
             )
-
-    def test_input_tightening_nested(self, double_integrator):
-        K = lqr_gain(double_integrator.A, double_integrator.B, np.eye(2), np.eye(1))
-        seq = tightened_input_constraints(
-            double_integrator.input_set,
-            double_integrator.disturbance_set,
-            4,
-            gain=K,
-            propagation=double_integrator.closed_loop_matrix(K),
-        )
-        for outer, inner in zip(seq, seq[1:]):
-            assert outer.contains_polytope(inner, tol=1e-7)
 
 
 class TestTerminalSet:

@@ -20,11 +20,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="lower > upper"):
             HPolytope.from_box([1.0], [0.0])
 
-    def test_from_bounds(self):
-        poly = HPolytope.from_bounds([(-1, 1), (0, 2)])
-        assert poly.contains([0.0, 1.0])
-        assert not poly.contains([0.0, -0.1])
-
     def test_from_vertices_square(self):
         poly = HPolytope.from_vertices([[0, 0], [1, 0], [1, 1], [0, 1]])
         assert poly.contains([0.5, 0.5])

@@ -22,7 +22,7 @@ import repro.controllers.feasible as feasible_module
 import repro.controllers.rmpc as rmpc_module
 import repro.scenarios.builder as builder_module
 from repro import scenarios
-from repro.geometry import HPolytope, support_vector
+from repro.geometry import HPolytope
 from repro.geometry.reference import maximal_rpi_reference, rpi_mismatch
 from repro.invariance import maximal_rci, maximal_rpi
 from repro.observability import metrics as obs
@@ -275,11 +275,6 @@ class TestBoxSupport:
         with pytest.raises(LPError):
             empty.support_batch(np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert not empty.is_bounded()
-
-    def test_support_vector_is_support_batch(self, unit_box, triangle, rng):
-        D = rng.normal(size=(4, 2))
-        for poly in (unit_box, triangle):
-            assert support_vector(poly, D).tobytes() == poly.support_batch(D).tobytes()
 
 
 class TestContainsPolytope:

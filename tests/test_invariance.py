@@ -11,15 +11,12 @@ import pytest
 from repro.controllers import lqr_gain
 from repro.geometry import HPolytope
 from repro.invariance import (
-    backward_reachable_feedback,
     backward_reachable_zero,
-    contraction_factor,
     is_rci,
     is_rpi,
     k_step_strengthened_sets,
     maximal_rci,
     maximal_rpi,
-    mrpi_approximation,
     pre_autonomous,
     pre_controllable,
     pre_fixed_input,
@@ -90,47 +87,6 @@ class TestPreOperators:
                 double_integrator.B, offset=double_integrator.A @ x
             ).intersect(double_integrator.input_set)
             assert not candidates.is_empty()
-
-
-class TestMRPI:
-    def test_contraction_factor_decreases_with_order(self, closed_loop, double_integrator):
-        _K, M = closed_loop
-        W = double_integrator.disturbance_set
-        e16 = contraction_factor(M, W, 16)
-        e32 = contraction_factor(M, W, 32)
-        assert e32 < e16
-
-    def test_contraction_factor_flat_set_is_inf(self, closed_loop):
-        _K, M = closed_loop
-        flat = HPolytope.from_box([-1.0, 0.0], [1.0, 0.0])
-        assert contraction_factor(M, flat, 4) == float("inf")
-
-    def test_mrpi_is_invariant(self, closed_loop, double_integrator):
-        _K, M = closed_loop
-        W = double_integrator.disturbance_set
-        xi = mrpi_approximation(M, W, order=24)
-        assert is_rpi(M, xi, W, tol=1e-6)
-
-    def test_mrpi_contains_disturbance_set(self, closed_loop, double_integrator):
-        _K, M = closed_loop
-        W = double_integrator.disturbance_set
-        xi = mrpi_approximation(M, W, order=24)
-        assert xi.contains_polytope(W, tol=1e-7)
-
-    def test_mrpi_flat_disturbance_needs_bloat(self, closed_loop):
-        _K, M = closed_loop
-        flat = HPolytope.from_box([-0.02, 0.0], [0.02, 0.0])
-        with pytest.raises(ValueError, match="contraction"):
-            mrpi_approximation(M, flat, order=24)
-        xi = mrpi_approximation(M, flat, order=40, bloat=5e-3)
-        assert is_rpi(M, xi, flat, tol=1e-6)
-
-    def test_mrpi_shrinks_with_order(self, closed_loop, double_integrator):
-        _K, M = closed_loop
-        W = double_integrator.disturbance_set
-        rough = mrpi_approximation(M, W, order=16)
-        fine = mrpi_approximation(M, W, order=32)
-        assert rough.contains_polytope(fine, tol=1e-6)
 
 
 class TestMaximalInvariantSets:
@@ -209,15 +165,6 @@ class TestBackwardReachAndStrengthened:
         for x in region.sample(rng, 10):
             for w in w_vertices:
                 assert target.contains(double_integrator.step(x, skip, w), tol=1e-6)
-
-    def test_backward_feedback_soundness(self, double_integrator, closed_loop, rng):
-        K, M = closed_loop
-        target = HPolytope.from_box([-2.0, -1.0], [2.0, 1.0])
-        region = backward_reachable_feedback(double_integrator, target, K)
-        w_vertices = double_integrator.disturbance_set.vertices()
-        for x in region.sample(rng, 10):
-            for w in w_vertices:
-                assert target.contains(M @ x + w, tol=1e-6)
 
     def test_strengthened_subset_of_invariant(self, double_integrator, closed_loop):
         K, M = closed_loop

@@ -6,16 +6,11 @@ import pytest
 from repro.geometry import (
     EmptySetError,
     HPolytope,
-    affine_preimage,
-    box_hull,
     eliminate_variable,
     intersection,
-    iterated_sum,
-    matrix_power_sum,
     minkowski_sum,
     pontryagin_difference,
     project_onto,
-    support_vector,
 )
 
 
@@ -109,39 +104,3 @@ class TestModuleOperations:
         result = intersection(unit_box, a, b)
         assert result.contains([0.0, 0.0])
         assert not result.contains([-0.8, -0.8])
-
-    def test_affine_preimage_function(self, unit_box):
-        pre = affine_preimage(unit_box, np.diag([2.0, 2.0]))
-        lo, hi = pre.bounding_box()
-        np.testing.assert_allclose(hi, [0.5, 0.5])
-
-    def test_iterated_sum_matches_fold(self, small_box):
-        terms = [small_box] * 5
-        tree = iterated_sum(terms)
-        lo, hi = tree.bounding_box()
-        np.testing.assert_allclose(hi, [2.5, 2.5])
-
-    def test_iterated_sum_single(self, unit_box):
-        assert iterated_sum([unit_box]).equals(unit_box)
-
-    def test_matrix_power_sum_identity(self, small_box):
-        # With M = I: W ⊕ W ⊕ W = 3W.
-        total = matrix_power_sum(np.eye(2), small_box, 3)
-        assert total.equals(small_box.scale(3.0), tol=1e-7)
-
-    def test_matrix_power_sum_contraction(self, small_box):
-        # With M = 0.5 I: W ⊕ 0.5W ⊕ 0.25W = 1.75 W.
-        total = matrix_power_sum(0.5 * np.eye(2), small_box, 3)
-        assert total.equals(small_box.scale(1.75), tol=1e-6)
-
-    def test_matrix_power_sum_count_validation(self, small_box):
-        with pytest.raises(ValueError):
-            matrix_power_sum(np.eye(2), small_box, 0)
-
-    def test_box_hull(self, triangle):
-        hull = box_hull(triangle)
-        assert hull.equals(HPolytope.from_box([0, 0], [2, 2]), tol=1e-7)
-
-    def test_support_vector(self, unit_box):
-        values = support_vector(unit_box, np.eye(2))
-        np.testing.assert_allclose(values, [1.0, 1.0])

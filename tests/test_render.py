@@ -1,9 +1,9 @@
-"""Tests for the ASCII polytope/trajectory renderer."""
+"""Tests for the ASCII polytope renderer."""
 
 import numpy as np
 import pytest
 
-from repro.geometry import HPolytope, ascii_sets, ascii_trajectory
+from repro.geometry import HPolytope, ascii_sets
 
 
 class TestAsciiSets:
@@ -42,23 +42,3 @@ class TestAsciiSets:
         box3 = HPolytope.from_box([-1] * 3, [1] * 3)
         with pytest.raises(ValueError, match="2-D"):
             ascii_sets([box3], glyphs=["."])
-
-
-class TestAsciiTrajectory:
-    def test_basic_plot(self):
-        art = ascii_trajectory([0.0, 1.0, 0.5], width=10, height=5, label="demo")
-        assert art.count("*") == 3
-        assert "demo" in art
-
-    def test_long_series_resampled(self):
-        art = ascii_trajectory(np.sin(np.linspace(0, 10, 500)), width=40, height=8)
-        grid_lines = art.split("\n")[:-1]
-        assert max(len(l) for l in grid_lines) <= 40
-
-    def test_constant_series(self):
-        art = ascii_trajectory([2.0, 2.0, 2.0], width=10, height=4)
-        assert "*" in art
-
-    def test_empty_series_raises(self):
-        with pytest.raises(ValueError, match="empty"):
-            ascii_trajectory([])

@@ -1,6 +1,6 @@
 """Tests for RMPC variants and configuration paths not covered by the
-main controller suite: Chisci-style closed-loop tightening, custom
-terminal sets, cost-weight effects and cross-layer equivalences."""
+main controller suite: custom terminal sets, cost-weight effects and
+cross-layer equivalences."""
 
 import numpy as np
 import pytest
@@ -12,41 +12,12 @@ from repro.controllers import (
     rmpc_feasible_set,
 )
 from repro.framework import run_controller_only
-from repro.geometry import HPolytope
-from repro.invariance import is_rci
 from tests.conftest import make_double_integrator
 
 
 @pytest.fixture(scope="module")
 def system():
     return make_double_integrator()
-
-
-class TestClosedLoopTightening:
-    def test_chisci_variant_builds_and_solves(self, system):
-        mpc = RobustMPC(system, horizon=6, tighten_with_closed_loop=True)
-        u = mpc.compute([0.5, 0.1])
-        assert np.isfinite(u).all()
-
-    def test_chisci_tightening_differs_from_open_loop(self, system):
-        open_loop = RobustMPC(system, horizon=6)
-        closed_loop = RobustMPC(system, horizon=6, tighten_with_closed_loop=True)
-        # The stable closed loop contracts the propagated disturbance, so
-        # its final tightened set is no smaller than the open-loop one
-        # (A is marginally stable for the double integrator, A_K stable).
-        last_open = open_loop.tightened[-1]
-        last_closed = closed_loop.tightened[-1]
-        assert last_closed.contains_polytope(last_open, tol=1e-6)
-        assert not last_open.equals(last_closed, tol=1e-4)
-
-    def test_chisci_closed_loop_safety(self, system, rng):
-        mpc = RobustMPC(system, horizon=6, tighten_with_closed_loop=True)
-        feasible = rmpc_feasible_set(mpc)
-        lo, hi = system.disturbance_set.bounding_box()
-        for x0 in feasible.sample(rng, 3):
-            W = rng.uniform(lo, hi, size=(40, 2))
-            result = system.simulate(x0, lambda t, x: mpc.compute(x), W)
-            assert result.always_safe
 
 
 class TestCustomTerminalSet:

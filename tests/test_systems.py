@@ -1,16 +1,12 @@
-"""Tests for the LTI plant, discretisation and disturbance models."""
+"""Tests for the LTI plant, discretisation and the disturbance model."""
 
 import numpy as np
 import pytest
 
 from repro.geometry import HPolytope
 from repro.systems import (
-    ConstantDisturbance,
     DiscreteLTISystem,
-    RandomWalkDisturbance,
     SinusoidalDisturbance,
-    TraceDisturbance,
-    UniformDisturbance,
     euler_discretize,
     zoh_discretize,
 )
@@ -162,34 +158,6 @@ class TestDisturbances:
         with pytest.raises(ValueError, match="rng"):
             SinusoidalDisturbance(amplitude=1.0, noise_bound=0.5)
 
-    def test_uniform_bounds(self, rng):
-        model = UniformDisturbance([-1.0, -2.0], [1.0, 2.0], rng)
-        w = model.sample(500)
-        assert w.shape == (500, 2)
-        assert np.all(w >= [-1.0, -2.0]) and np.all(w <= [1.0, 2.0])
-
-    def test_random_walk_continuity(self, rng):
-        model = RandomWalkDisturbance([-5.0], [5.0], [0.3], rng, start=[0.0])
-        w = model.sample(300)
-        steps = np.abs(np.diff(w[:, 0]))
-        # Reflection can at most double the step.
-        assert np.all(steps <= 0.6 + 1e-9)
-        assert np.all(np.abs(w) <= 5.0)
-
-    def test_random_walk_rejects_negative_step(self, rng):
-        with pytest.raises(ValueError, match="non-negative"):
-            RandomWalkDisturbance([-1.0], [1.0], [-0.1], rng)
-
-    def test_trace_replay_and_wrap(self):
-        model = TraceDisturbance([[1.0], [2.0], [3.0]])
-        w = model.sample(5)
-        np.testing.assert_allclose(w[:, 0], [1, 2, 3, 1, 2])
-
-    def test_constant(self):
-        model = ConstantDisturbance([0.5, -0.5])
-        w = model.sample(4)
-        assert np.all(w == [0.5, -0.5])
-
-    def test_bounds_validation(self, rng):
+    def test_bounds_validation(self):
         with pytest.raises(ValueError, match="lower bound exceeds"):
-            UniformDisturbance([1.0], [-1.0], rng)
+            SinusoidalDisturbance(amplitude=1.0, bound=-1.0)
