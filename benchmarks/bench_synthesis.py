@@ -30,7 +30,10 @@ exits non-zero unless all agree:
   bitwise.
 
 It also exits non-zero when a scenario with 1-D or 2-D redundancy
-removals decides none of their checks in closed form: every such check
+removals decides none of their checks in closed form, and when one with
+1-D or 2-D emptiness (``is_empty``) or 2-D containment
+(``contains_polytope``) checks decides none of them in closed form
+(``geometry_decisions_closed_form_total{op}``): every such check
 silently falling back to an LP would keep the sets right but lose the
 speed.
 
@@ -53,6 +56,7 @@ import repro.scenarios.builder as builder_module
 from repro import scenarios
 from repro.geometry import HPolytope
 from repro.geometry.hpolytope import (
+    DECISIONS_CLOSED_FORM_METRIC,
     REDUNDANCY_CLOSED_FORM_METRIC,
     REDUNDANCY_LPS_METRIC,
 )
@@ -72,6 +76,10 @@ RPI_CALL_SITES = (rmpc_module, builder_module)
 
 QUICK = ("thermal", "pendulum", "lane_keeping")
 
+#: The geometric decisions counted per scenario, and the dimensions in
+#: which each is offered a closed-form certificate.
+DECISIONS = {"is_empty": (1, 2), "contains_polytope": (2,)}
+
 
 def _bits(H, h) -> tuple:
     return H.shape, H.tobytes(), h.tobytes()
@@ -86,6 +94,14 @@ def scenario_row(name: str) -> dict:
     rmpc_feasible_set = feasible_module.rmpc_feasible_set
     busy = [0.0, 0.0]
     original = HPolytope.remove_redundancies
+    decisions = dict.fromkeys(DECISIONS, 0)  # calls offered a certificate
+    deciders = {op: getattr(HPolytope, op) for op in DECISIONS}
+
+    def counting(op):
+        def decide(self, *args, **kwargs):
+            decisions[op] += self.dim in DECISIONS[op]
+            return deciders[op](self, *args, **kwargs)
+        return decide
 
     def recording(self, tol=1e-9):
         start = time.perf_counter()
@@ -107,6 +123,8 @@ def scenario_row(name: str) -> dict:
         return result
 
     HPolytope.remove_redundancies = recording
+    for op in DECISIONS:
+        setattr(HPolytope, op, counting(op))
     for site in RPI_CALL_SITES:
         site.maximal_rpi = recording_rpi
     feasible_module.rmpc_feasible_set = recording_feasible
@@ -117,6 +135,8 @@ def scenario_row(name: str) -> dict:
             synth_s = time.perf_counter() - start
     finally:
         HPolytope.remove_redundancies = original
+        for op, decide in deciders.items():
+            setattr(HPolytope, op, decide)
         for site in RPI_CALL_SITES:
             site.maximal_rpi = maximal_rpi
         feasible_module.rmpc_feasible_set = rmpc_feasible_set
@@ -160,6 +180,10 @@ def scenario_row(name: str) -> dict:
         "closed_form": reg.value(REDUNDANCY_CLOSED_FORM_METRIC),
         "warm_lps": reg.value(REDUNDANCY_LPS_METRIC, phase="warm"),
         "cold_lps": reg.value(REDUNDANCY_LPS_METRIC, phase="cold"),
+        "planar_decisions": decisions,
+        "closed_form_decisions": {
+            op: reg.value(DECISIONS_CLOSED_FORM_METRIC, op=op) for op in DECISIONS
+        },
         "oracle_lps": oracle_reg.total(LP_SOLVES_METRIC),
         "oracle_replay_s": round(oracle_s, 4),
         "mismatches": mismatches,
@@ -167,6 +191,11 @@ def scenario_row(name: str) -> dict:
         "feasible_oracle_s": round(feasible_oracle_s, 4),
         "feasible_mismatches": feasible_mismatches,
     }
+
+
+def _share(row: dict, op: str) -> str:
+    """``closed/calls`` of one decision op's checks offered a certificate."""
+    return f"{row['closed_form_decisions'][op]}/{row['planar_decisions'][op]}"
 
 
 def main(argv=None) -> int:
@@ -184,7 +213,8 @@ def main(argv=None) -> int:
 
     rows = []
     print(f"{'scenario':<14}{'synth s':>9}{'LPs':>6}{'rpi s':>8}{'rr s':>8}"
-          f"{'calls':>7}{'closed':>8}{'warm':>7}{'cold':>6}{'oracle LPs':>12}"
+          f"{'calls':>7}{'closed':>8}{'warm':>7}{'cold':>6}{'empty':>8}"
+          f"{'contain':>9}{'oracle LPs':>12}"
           f"{'oracle s':>10}  rr ok  rpi ok  X_F ok")
     for name in names:
         row = scenario_row(name)
@@ -195,7 +225,8 @@ def main(argv=None) -> int:
               f"{row['remove_redundancies_s']:>8.3f}"
               f"{row['remove_redundancies_calls']:>7}{row['closed_form']:>8}"
               f"{row['warm_lps']:>7}"
-              f"{row['cold_lps']:>6}{row['oracle_lps']:>12}"
+              f"{row['cold_lps']:>6}{_share(row, 'is_empty'):>8}"
+              f"{_share(row, 'contains_polytope'):>9}{row['oracle_lps']:>12}"
               f"{row['oracle_replay_s']:>10.3f}  "
               f"{'yes' if row['mismatches'] == 0 else 'NO':>5}  "
               f"{'yes' if not row['rpi_mismatches'] else 'NO':>6}  "
@@ -208,7 +239,12 @@ def main(argv=None) -> int:
     feasible_ok = all(row["feasible_mismatches"] == 0 for row in rows)
     all_lp = [row["scenario"] for row in rows
               if row["planar_calls"] and not row["closed_form"]]
-    ok = redundancy_ok and rpi_ok and feasible_ok and not all_lp
+    all_lp_decisions = [
+        f"{row['scenario']} {op}" for row in rows for op in DECISIONS
+        if row["planar_decisions"][op] and not row["closed_form_decisions"][op]
+    ]
+    ok = (redundancy_ok and rpi_ok and feasible_ok and not all_lp
+          and not all_lp_decisions)
     total = sum(row["synth_s"] for row in rows)
     redundancy = ("every redundancy removal bitwise-identical to the serial "
                   "oracle" if redundancy_ok
@@ -223,6 +259,9 @@ def main(argv=None) -> int:
     if all_lp:
         print(f"NO closed-form redundancy check in {', '.join(all_lp)}: "
               "every 1-D/2-D check fell back to an LP")
+    if all_lp_decisions:
+        print(f"NO closed-form decision in {', '.join(all_lp_decisions)}: "
+              "every check offered a certificate fell back to an LP")
     if args.artifact:
         with open(args.artifact, "w") as fh:
             json.dump({

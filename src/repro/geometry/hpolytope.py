@@ -7,19 +7,27 @@ the paper are all built from the operations defined here.
 
 Every operation that needs optimisation uses LPs through
 :mod:`repro.utils.lp` (HiGHS), except supports over an axis box, which
-are closed-form (:meth:`HPolytope.support_batch`), and the redundancy
-checks of 1-D and 2-D polytopes that a certificate decides.  Vertex
-enumeration is used for reporting, sampling and exact 2-D Minkowski sums
-(:meth:`HPolytope.vertices`, on Qhull) and, in 2-D, by redundancy
-removal: a sorted half-plane intersection (:func:`_vertex_cycle`, no LP
-and no Qhull) gives the polygon's vertex cycle, from which each row gets
-a certificate.  No certificate is trusted on the cycle's word: each one
-is checked against the rows the serial loop still keeps when it decides
-that row, and a row without a certificate that holds is decided as before
-— by re-solving one warm HiGHS model row by row
-(:class:`repro.utils.lp.HighsModel`), then by a cold LP for every row
-the warm solve cannot decide.  The result is the serial loop's bitwise
-(:meth:`HPolytope.remove_redundancies`).
+are closed-form (:meth:`HPolytope.support_batch`), the redundancy and
+non-emptiness checks of 1-D and 2-D polytopes and the containment checks
+of 2-D ones that a certificate decides.  Vertex enumeration is used for
+reporting, sampling and exact 2-D Minkowski sums
+(:meth:`HPolytope.vertices`, on Qhull) and, in 2-D, by those
+certificates: a sorted half-plane intersection (:func:`_vertex_cycle`,
+no LP and no Qhull) gives the polygon's vertex cycle, from which each
+redundancy row gets a certificate (:meth:`HPolytope.remove_redundancies`)
+and each support a lower bound (a cycle vertex) and an upper bound (weak
+duality on the two facets at the maximising vertex;
+:meth:`HPolytope.contains_polytope`).  No certificate is trusted on the
+cycle's word: a redundancy certificate is checked against the rows the
+serial loop still keeps when it decides that row, a point against every
+row of its set (a witness of :meth:`HPolytope.is_empty` too), and a
+duality bound carries its own rounding residual.  Anything a certificate
+does not decide takes the LP route as before — for redundancy,
+re-solving one warm HiGHS model row by row
+(:class:`repro.utils.lp.HighsModel`), then a cold LP for every row the
+warm solve cannot decide.  Every result is the LP route's: redundancy
+removal the serial loop's bitwise, emptiness and containment the same
+booleans.
 """
 
 from __future__ import annotations
@@ -78,6 +86,23 @@ _CYCLE_BOX = 1e6
 #: that it lies strictly inside the row that stopped it.
 _PULLBACK = 1e-9
 
+#: Emptiness checks of 1-D and 2-D polytopes and containment checks of
+#: 2-D ones decided without an LP, by ``op`` (``is_empty`` /
+#: ``contains_polytope``).
+DECISIONS_CLOSED_FORM_METRIC = "geometry_decisions_closed_form_total"
+
+#: Relative margin, ``1e-9·(1 + |b|)``, that a closed-form non-empty or
+#: containment decision must clear beyond ``b + tol``.  Containment
+#: certificates differ from the stacked support LP by at most about 1e-15
+#: relative on the zoo, and the smallest ``tol`` a synthesis caller
+#: passes is 1e-7, so a touching set (slack exactly ``tol``) is decided.
+_CERTIFICATE_MARGIN = 1e-9
+
+#: Most negative multiplier a containment certificate accepts (as 0): a
+#: facet of ``self`` parallel to one of ``other`` gets ``±1e-17`` for
+#: the other facet at its vertex.
+_MULTIPLIER_FLOOR = -1e-12
+
 
 class EmptySetError(ValueError):
     """Raised when an operation requires a non-empty polytope."""
@@ -101,7 +126,8 @@ class HPolytope:
     """
 
     __slots__ = (
-        "H", "h", "_vertices_cache", "_cheb_cache", "_bbox_cache", "_box_cache"
+        "H", "h", "_vertices_cache", "_cheb_cache", "_bbox_cache", "_box_cache",
+        "_bounds_cache",
     )
 
     def __init__(self, H, h, normalize: bool = True):
@@ -119,6 +145,7 @@ class HPolytope:
         self._cheb_cache = None
         self._bbox_cache = None
         self._box_cache = None
+        self._bounds_cache = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -259,8 +286,23 @@ class HPolytope:
         return float(np.max(rowdot(self.H, x) - self.h))
 
     def is_empty(self, tol: float = DEFAULT_TOL) -> bool:
-        """True iff the polytope has no point (within ``tol`` slack)."""
-        return not lp_feasible(self.H, self.h + tol)
+        """True iff the polytope has no point (within ``tol`` slack).
+
+        The LP route is one feasibility LP on ``H x <= h + tol``.  A 1-D
+        or 2-D polytope is first offered a witness (:func:`_has_witness`):
+        a point ``x`` with ``H x <= h + tol - m``, where ``m = 1e-9·(1 +
+        |h|)``, proves it non-empty.  The candidates are the origin, the
+        cached Chebyshev centre, the middle of an axis box and the mean of
+        a 2-D polygon's vertex cycle (:func:`_vertex_cycle`).  A polytope
+        without a witness, empty ones included, takes the LP.
+
+        Each decided call counts one
+        ``geometry_decisions_closed_form_total{op="is_empty"}``.
+        """
+        if _has_witness(self, tol):
+            _telemetry().inc(DECISIONS_CLOSED_FORM_METRIC, op="is_empty")
+            return False
+        return _empty_by_lp(self, tol)
 
     def is_bounded(self) -> bool:
         """True iff the polytope is bounded (support finite along +/- axes).
@@ -314,12 +356,18 @@ class HPolytope:
                 f"directions have dimension {D.shape[1]}, polytope has {self.dim}"
             )
         if len(D) > 1:
-            if self._box_cache is None:  # False: not such a box
-                self._box_cache = _axis_box_bounds(self.H, self.h) or False
-            if self._box_cache:
-                lower, upper = self._box_cache
+            box = self._axis_box()
+            if box is not None:
+                lower, upper = box
                 return np.einsum("ij,ij->i", D, np.where(D > 0, upper, lower))
         return maximize_batch(D, self.H, self.h)
+
+    def _axis_box(self) -> Optional[tuple]:
+        """``(lower, upper)`` when the polytope is a non-empty axis box
+        (:func:`_axis_box_bounds`), built once; else None."""
+        if self._box_cache is None:  # False: not such a box
+            self._box_cache = _axis_box_bounds(self.H, self.h) or False
+        return self._box_cache or None
 
     def support_point(self, direction) -> np.ndarray:
         """An argmax of the support function in ``direction``."""
@@ -353,14 +401,39 @@ class HPolytope:
         self._cheb_cache = (center, float(radius))
         return self._cheb_cache
 
+    def _support_bounds(self) -> Optional["_SupportBounds"]:
+        """The closed-form support bounds of a 2-D polytope
+        (:class:`_SupportBounds`), built once; None when there are none."""
+        if self._bounds_cache is None:
+            self._bounds_cache = _SupportBounds.build(self.H, self.h) or False
+        return self._bounds_cache or None
+
     def contains_polytope(self, other: "HPolytope", tol: float = DEFAULT_TOL) -> bool:
         """True iff ``other`` is a subset of ``self``.
 
-        Checked by LP: ``other ⊆ self`` iff for every halfspace ``(a, b)``
-        of ``self``, the support of ``other`` in direction ``a`` is at most
-        ``b``.  All facet supports are solved as one stacked LP
-        (:meth:`support_batch`).  Only if the stack fails is ``other``
-        tested for emptiness (an empty set is a subset of anything); a
+        ``other ⊆ self`` iff for every halfspace ``(a, b)`` of ``self``,
+        the support of ``other`` in direction ``a`` is at most ``b + tol``.
+
+        **Closed form (n = 2).**  With ``m = 1e-9·(1 + |b|)``, a 2-D
+        ``other`` gets bounds on its supports from its vertex cycle
+        (:class:`_SupportBounds`, built once per polytope):
+
+        * *not contained*: a point of ``other`` (a cycle vertex, checked
+          inside every row of ``other``) with ``a·x > b + tol + m``;
+        * *contained*: ``other`` bounded, and for every row ``a`` of
+          ``self`` the two facets of ``other`` at its maximising vertex
+          hold ``a = λ_1 H_1 + λ_2 H_2`` with ``λ >= 0`` (Cramer's rule)
+          and ``λ·h_other <= b + tol - m`` (weak duality, so an empty
+          ``other`` needs no witness; the rounding residual of ``a - λH``
+          times the cycle's radius is added to the bound).
+
+        Each decided call counts one
+        ``geometry_decisions_closed_form_total{op="contains_polytope"}``.
+
+        **LP route.**  Every other call solves all facet supports as one
+        stacked LP (:meth:`support_batch`, closed-form when ``other`` is
+        an axis box).  Only if the stack fails is ``other`` tested for
+        emptiness by LP (an empty set is a subset of anything); a
         non-empty ``other`` then goes through the per-facet loop, where a
         facet along which ``other`` is unbounded decides False.
 
@@ -368,22 +441,11 @@ class HPolytope:
             repro.utils.lp.LPError: If a per-facet LP fails other than by
                 unboundedness.
         """
-        try:
-            supports = other.support_batch(self.H)
-        except LPError:
-            if other.is_empty():
-                return True
-            for a, b in zip(self.H, self.h):
-                try:
-                    value = other.support(a)
-                except LPError as exc:
-                    if exc.status == _UNBOUNDED:
-                        return False
-                    raise
-                if value > b + tol:
-                    return False
-            return True
-        return bool(np.all(supports <= self.h + tol))
+        contained = _decide_contains(self, other, tol)
+        if contained is None:
+            return _contains_by_lp(self, other, tol)
+        _telemetry().inc(DECISIONS_CLOSED_FORM_METRIC, op="contains_polytope")
+        return contained
 
     def equals(self, other: "HPolytope", tol: float = DEFAULT_TOL) -> bool:
         """Mutual containment within ``tol``."""
@@ -1047,6 +1109,139 @@ def _vertex_cycle(H: np.ndarray, h: np.ndarray):
     except ZeroDivisionError:
         return None
     return np.array([r if r < m else -1 for r in edges]), V
+
+
+class _SupportBounds:
+    """Closed-form bounds on the support function of a 2-D polytope
+    ``{H x <= h}`` from its vertex cycle (the certificates of
+    :meth:`HPolytope.contains_polytope`; its vertex mean is a witness
+    candidate of :meth:`HPolytope.is_empty`).
+
+    * :attr:`points` — the cycle's vertices pulled towards their mean by
+      :data:`_PULLBACK`, each checked inside every row, so ``max a·x``
+      over them is a lower bound on the support in direction ``a``;
+    * :meth:`upper` — upper bounds by weak duality on a bounded polygon's
+      two facets at the vertex maximising ``a`` (``+inf`` where that
+      does not hold);
+    * :attr:`centre` — the cycle's vertex mean.
+    """
+
+    __slots__ = ("H", "h", "points", "centre", "facets", "V")
+
+    @classmethod
+    def build(cls, H: np.ndarray, h: np.ndarray):
+        """The bounds of ``H x <= h``, or None: not 2-D, a non-finite
+        entry, or no cycle (an empty or degenerate polygon)."""
+        if H.shape[1] != 2 or not (np.isfinite(H).all() and np.isfinite(h).all()):
+            return None
+        cycle = _vertex_cycle(H, h)
+        if cycle is None:
+            return None
+        bounds = cls()
+        bounds.H, bounds.h = H, h
+        bounds.facets, bounds.V = cycle
+        bounds.centre = bounds.V.mean(axis=0)
+        ends = bounds.V + _PULLBACK * (bounds.centre - bounds.V)
+        inside = np.all(H @ ends.T <= h[:, None], axis=0)
+        bounds.points = ends[inside]
+        return bounds
+
+    def lower(self, D: np.ndarray) -> np.ndarray:
+        """``max a·x`` over :attr:`points` for each row ``a`` of ``D``
+        (``-inf`` without a point)."""
+        if not len(self.points):
+            return np.full(len(D), -np.inf)
+        return np.max(D @ self.points.T, axis=1)
+
+    def upper(self, D: np.ndarray) -> np.ndarray:
+        """An upper bound on the support in each row direction of ``D``,
+        ``+inf`` where there is no certificate."""
+        facets, V, H, h = self.facets, self.V, self.H, self.h
+        if np.any(facets < 0):
+            return np.full(len(D), np.inf)  # a side of the box: unbounded
+        # Vertex t joins edges t and t + 1.
+        at = np.argmax(D @ V.T, axis=1)
+        a, b = facets[at], facets[(at + 1) % len(facets)]
+        det = _cross(H[a], H[b])
+        valid = np.abs(det) >= _PAIR_MIN_DET
+        det = np.where(valid, det, 1.0)
+        # D_r = λ_a H_a + λ_b H_b, by Cramer's rule.
+        lam_a = _cross(D, H[b]) / det
+        lam_b = _cross(H[a], D) / det
+        valid &= (lam_a >= _MULTIPLIER_FLOOR) & (lam_b >= _MULTIPLIER_FLOOR)
+        lam_a, lam_b = np.maximum(lam_a, 0.0), np.maximum(lam_b, 0.0)
+        residual = D - lam_a[:, None] * H[a] - lam_b[:, None] * H[b]
+        bound = (lam_a * h[a] + lam_b * h[b]
+                 + np.abs(residual).sum(axis=1) * np.max(np.abs(V)))
+        return np.where(valid, bound, np.inf)
+
+
+def _decide_contains(poly: HPolytope, other: HPolytope, tol: float) -> Optional[bool]:
+    """Whether ``other ⊆ poly`` by a closed-form certificate (see
+    :meth:`HPolytope.contains_polytope`), or None when none holds."""
+    if poly.dim != 2 or other.dim != 2 or not np.isfinite(poly.h).all():
+        return None
+    bounds = other._support_bounds()
+    if bounds is None:
+        return None
+    margin = _CERTIFICATE_MARGIN * (1.0 + np.abs(poly.h))
+    limit = poly.h + tol
+    if np.any(bounds.lower(poly.H) > limit + margin):
+        return False
+    if np.all(bounds.upper(poly.H) <= limit - margin):
+        return True
+    return None
+
+
+def _has_witness(poly: HPolytope, tol: float) -> bool:
+    """Whether a 1-D or 2-D polytope has a checked witness of being
+    non-empty within ``tol`` (see :meth:`HPolytope.is_empty`); False
+    means only that none was found."""
+    H, h = poly.H, poly.h
+    n = H.shape[1]
+    if n > 2 or not (np.isfinite(H).all() and np.isfinite(h).all()):
+        return False
+    slack = h + tol - _CERTIFICATE_MARGIN * (1.0 + np.abs(h))
+
+    def witness(x) -> bool:
+        return bool(np.all(H @ x <= slack))
+
+    if witness(np.zeros(n)) or (
+        poly._cheb_cache is not None and witness(poly._cheb_cache[0])
+    ):
+        return True
+    box = poly._axis_box()
+    if box is not None:
+        return witness(0.5 * (box[0] + box[1]))
+    bounds = poly._support_bounds()
+    return bounds is not None and witness(bounds.centre)
+
+
+def _empty_by_lp(poly: HPolytope, tol: float = DEFAULT_TOL) -> bool:
+    """The LP route of :meth:`HPolytope.is_empty`: no point of ``H x <=
+    h + tol``."""
+    return not lp_feasible(poly.H, poly.h + tol)
+
+
+def _contains_by_lp(poly: HPolytope, other: HPolytope, tol: float = DEFAULT_TOL) -> bool:
+    """The LP route of :meth:`HPolytope.contains_polytope`: the stacked
+    support LP, then an emptiness LP and the per-facet loop if it fails."""
+    try:
+        supports = other.support_batch(poly.H)
+    except LPError:
+        if _empty_by_lp(other):
+            return True
+        for a, b in zip(poly.H, poly.h):
+            try:
+                value = other.support(a)
+            except LPError as exc:
+                if exc.status == _UNBOUNDED:
+                    return False
+                raise
+            if value > b + tol:
+                return False
+        return True
+    return bool(np.all(supports <= poly.h + tol))
 
 
 #: ``np.allclose``'s default relative tolerance, which both greedy row

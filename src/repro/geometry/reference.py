@@ -5,7 +5,14 @@ of 1-D and 2-D polytopes by closed-form certificates where one holds,
 and every other row with warm re-solves of one HiGHS model (cold LPs
 only where a warm value is too close to call); it matches near-duplicate
 rows with a vectorised closeness matrix.  Both must return bitwise what
-the original loops below return.  :func:`repro.invariance.rci.maximal_rpi` maps only the rows each
+the original loops below return.  :meth:`~repro.geometry.HPolytope.is_empty`
+decides 1-D and 2-D polytopes, and
+:meth:`~repro.geometry.HPolytope.contains_polytope` 2-D ones, by checked
+certificates where one clears its margin; the loops below decide
+emptiness and containment by the LP route those fall back to
+(``_empty_by_lp``, ``_contains_by_lp``), so a wrong certificate shows up
+as a mismatch instead of being shared by both sides.
+:func:`repro.invariance.rci.maximal_rpi` maps only the rows each
 step added; it must return a set equivalent to the textbook loop's
 (:func:`rpi_mismatch` states the contract).  The feasible-set recursion
 and :func:`repro.invariance.rci.maximal_rci` prune once per Pre step,
@@ -20,7 +27,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry.hpolytope import EmptySetError, HPolytope
+from repro.geometry.hpolytope import (
+    EmptySetError,
+    HPolytope,
+    _contains_by_lp,
+    _empty_by_lp,
+)
 from repro.invariance.pre import pre_autonomous, pre_controllable
 from repro.invariance.rci import InvarianceResult, is_rpi
 from repro.utils.lp import LPError, maximize
@@ -110,9 +122,9 @@ def maximal_rpi_reference(
             raise ValueError(
                 "no robust positively invariant subset exists"
             ) from None
-        if nxt.is_empty():
+        if _empty_by_lp(nxt):
             raise ValueError("no robust positively invariant subset exists")
-        if current.contains_polytope(nxt, tol) and nxt.contains_polytope(current, tol):
+        if _contains_by_lp(current, nxt, tol) and _contains_by_lp(nxt, current, tol):
             return InvarianceResult(nxt, iteration, converged=True)
         current = nxt
     if is_rpi(M, current, disturbance, tol=max(tol, 1e-6)):
@@ -143,7 +155,7 @@ def rmpc_feasible_set_two_prune(controller):
         )
         stage = controller.tightened[N - j - 1]
         current = pre.intersect(stage).remove_redundancies()
-        if current.is_empty():
+        if _empty_by_lp(current):
             raise ValueError(
                 "RMPC feasible set is empty — terminal set or tightening "
                 "is too restrictive"
@@ -168,9 +180,9 @@ def maximal_rci_two_prune(
             raise ValueError(
                 "no robust control invariant subset exists"
             ) from None
-        if nxt.is_empty():
+        if _empty_by_lp(nxt):
             raise ValueError("no robust control invariant subset exists")
-        if nxt.contains_polytope(current, tol):
+        if _contains_by_lp(nxt, current, tol):
             return InvarianceResult(nxt, iteration, converged=True)
         current = nxt
     if is_rci_two_prune(A, B, current, input_set, disturbance, tol=max(tol, 1e-6)):
@@ -185,7 +197,7 @@ def is_rci_two_prune(A, B, candidate, input_set, disturbance, tol: float = 1e-7)
     pre = pre_controllable_two_prune(
         as_matrix(A, "A"), as_matrix(B, "B"), input_set, candidate, disturbance
     )
-    return pre.contains_polytope(candidate, tol)
+    return _contains_by_lp(pre, candidate, tol)
 
 
 def _canonical_rows(poly) -> np.ndarray:
@@ -210,7 +222,7 @@ def rpi_mismatch(fast, reference):
     gap = float(np.max(np.abs(_canonical_rows(a) - _canonical_rows(b))))
     if gap > ROW_ATOL:
         return f"sorted rows differ by {gap:.3g} > {ROW_ATOL:g}"
-    if not (a.contains_polytope(b, CONTAINMENT_TOL)
-            and b.contains_polytope(a, CONTAINMENT_TOL)):
+    if not (_contains_by_lp(a, b, CONTAINMENT_TOL)
+            and _contains_by_lp(b, a, CONTAINMENT_TOL)):
         return f"not mutually contained at {CONTAINMENT_TOL:g}"
     return None

@@ -22,7 +22,7 @@ import repro.controllers.feasible as feasible_module
 import repro.controllers.rmpc as rmpc_module
 import repro.scenarios.builder as builder_module
 from repro import scenarios
-from repro.geometry import HPolytope
+from repro.geometry import HPolytope, hpolytope
 from repro.geometry.reference import maximal_rpi_reference, rpi_mismatch
 from repro.invariance import maximal_rci, maximal_rpi
 from repro.observability import metrics as obs
@@ -286,12 +286,15 @@ class TestContainsPolytope:
         assert not box.contains_polytope(cone)
 
     def test_other_failures_still_raise(self, unit_box, monkeypatch):
+        """On the LP route (in 2-D a cycle vertex of the half-plane
+        decides this pair without an LP)."""
         half_plane = HPolytope([[1.0, 0.0]], [0.5])
 
         def failing(self, direction):
             raise LPError("LP failed (status=4): numerical trouble", 4)
 
         monkeypatch.setattr(HPolytope, "support", failing)
+        monkeypatch.setattr(hpolytope, "_decide_contains", lambda *args: None)
         with pytest.raises(LPError, match="status=4"):
             unit_box.contains_polytope(half_plane)
 
@@ -299,9 +302,14 @@ class TestContainsPolytope:
         empty = HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-2.0, -3.0]))
         assert unit_box.contains_polytope(empty)
 
-    def test_bounded_other_needs_one_lp(self, unit_box, triangle):
-        """The stacked support decides; no emptiness LP (and none at all
-        when ``other`` is a box)."""
+    def test_bounded_other_needs_one_lp(self, unit_box, triangle, monkeypatch):
+        """On the LP route the stacked support decides; no emptiness LP
+        (and none at all when ``other`` is a box).  In 2-D a certificate
+        decides all three without an LP."""
+        for poly, other in ((unit_box, triangle), (unit_box, triangle * 0.25),
+                            (triangle, HPolytope.from_box([0.0, 0.0], [0.5, 0.5]))):
+            assert _lps(poly.contains_polytope, other)[1] == 0
+        monkeypatch.setattr(hpolytope, "_decide_contains", lambda *args: None)
         result, lps = _lps(unit_box.contains_polytope, triangle)
         assert result is False and lps == 1
         result, lps = _lps(unit_box.contains_polytope, triangle * 0.25)

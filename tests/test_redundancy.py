@@ -21,7 +21,11 @@ from repro.geometry import HPolytope
 from repro.geometry.hpolytope import (
     REDUNDANCY_CLOSED_FORM_METRIC,
     REDUNDANCY_LPS_METRIC,
+    _ALLCLOSE_RTOL,
+    _DEDUPE_ATOL,
+    _UNIQUE_ATOL,
     _dedupe_rows,
+    _first_matches,
     _unique_rows,
 )
 from repro.geometry.reference import (
@@ -466,6 +470,30 @@ class TestRowMatchers:
     @given(near_duplicate_rows())
     def test_unique_rows_matches_allclose_loop(self, case):
         A, _ = case
+        assert _same(_unique_rows(A), unique_rows_serial(A))
+
+    @pytest.mark.parametrize("scale_by_earlier", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_non_transitive_chains(self, scale_by_earlier, dim):
+        """Rows ``0.9·rtol`` apart: each is close to its neighbours but
+        not to the rows two away (a ~ b, b ~ c, a ≁ c).  The greedy loop
+        makes every other row a representative (``c`` is not close to
+        the representative ``a``, so it starts a group that ``d`` joins);
+        a matcher taking each row's first close earlier row puts ``c``
+        under ``b``."""
+        step = 0.9 * _ALLCLOSE_RTOL
+        chain = 1.0 + step * np.arange(7)
+        A = np.column_stack([chain] + [np.full(7, 0.5)] * (dim - 1))
+        atol = _UNIQUE_ATOL if scale_by_earlier else _DEDUPE_ATOL
+        rep = _first_matches(A, atol, scale_by_earlier)
+        assert rep.tolist() == [0, 0, 2, 2, 4, 4, 6]
+        # d is close to b and c, not to a: it joins c, not the earlier b.
+        fork = np.array([1.0, 1.0 + step, 1.0 + 2 * step, 1.0 + 1.5 * step])
+        assert _first_matches(fork[:, None], atol, scale_by_earlier).tolist() == [0, 0, 2, 2]
+        h = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 0.5, 2.0])
+        fast_H, fast_h = _dedupe_rows(A, h)
+        ref_H, ref_h = dedupe_rows_serial(A, h)
+        assert _same(fast_H, ref_H) and _same(fast_h, ref_h)
         assert _same(_unique_rows(A), unique_rows_serial(A))
 
     def test_signed_zero_tie_keeps_first(self):
